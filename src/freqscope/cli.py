@@ -16,7 +16,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -57,7 +56,7 @@ from .defend import (
     sweep_plot_lines,
 )
 from .forest import ForestParams
-from .governors import InteractiveParams, SimConfig, TurboParams, simulate
+from .governors import InteractiveParams, SimConfig, TurboParams, simulate_batch
 from .keystroke import (
     KeystrokeParams,
     detect_keystrokes,
@@ -77,7 +76,7 @@ from .sources import (
     SysfsReadError,
     SysfsSource,
 )
-from .trace import TraceFormatError, load_trace, save_trace
+from .trace import FrequencyTrace, TraceFormatError, load_trace, save_trace
 from .workloads import (
     idle_workload,
     keystroke_workload,
@@ -180,9 +179,6 @@ def _sim_config(args, cfg: dict, default_profile: str | None = None) -> SimConfi
         profile=profile,
         governor=governor,
         interactive=interactive,
-        conservative_step_khz=_pick(
-            cfg, "sim.conservative_step_khz", getattr(args, "conservative_step_khz", None), 100_000
-        ),
         turbo=_turbo_params(profile, turbo_flag),
         set_speed_khz=_pick(cfg, "sim.set_speed_khz", getattr(args, "set_speed_khz", None)),
     )
@@ -201,6 +197,19 @@ def _read_passwords(path: str) -> list[str]:
     return words
 
 
+def _simulate_labels(sim_cfg: SimConfig, labels: list[str], per_label: int, n_ticks: int,
+                     interval: int, make_workload) -> dict[str, list[FrequencyTrace]]:
+    """Simulate `make_workload(label_index, m)` for every label and m <
+    per_label in one engine call; the loads go into one matrix row by row."""
+    loads = np.empty((len(labels) * per_label, n_ticks))
+    for r in range(len(loads)):
+        loads[r] = make_workload(*divmod(r, per_label)).loads
+    traces = [FrequencyTrace(samples=row, interval_ms=interval, device=sim_cfg.profile.name,
+                             label=labels[r // per_label])
+              for r, row in enumerate(simulate_batch(loads, interval, sim_cfg)[0])]
+    return {label: traces[c * per_label:(c + 1) * per_label] for c, label in enumerate(labels)}
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     kind = _pick(cfg, "simulate.kind", args.kind, "website")
@@ -215,20 +224,13 @@ def cmd_simulate(args) -> int:
         per_class = _pick(cfg, "simulate.measurements", args.measurements, 30)
         jitter = _pick(cfg, "simulate.jitter", args.jitter, 0.03)
         labels = _site_labels(n_classes)
-        measurements = {}
-        for class_id, label in enumerate(labels):
-            traces = []
-            for m in range(per_class):
-                workload = website_workload(
-                    class_id,
-                    n_ticks=samples,
-                    tick_ms=interval,
-                    seed=stable_seed(seed, "website", label, m),
-                    jitter=jitter,
-                )
-                trace = simulate(workload, sim_cfg)
-                traces.append(dataclasses.replace(trace, label=label))
-            measurements[label] = traces
+        measurements = _simulate_labels(
+            sim_cfg, labels, per_class, samples, interval,
+            lambda c, m: website_workload(
+                c, n_ticks=samples, tick_ms=interval,
+                seed=stable_seed(seed, "website", labels[c], m), jitter=jitter,
+            ),
+        )
         ds = LabeledDataset(classes=labels, measurements=measurements)
         resolved = {
             "run.seed": seed,
@@ -259,19 +261,13 @@ def cmd_simulate(args) -> int:
         if samples is None:
             last = max(s[-1] for s in schedules.values())
             samples = last // interval + 24  # room for the final pulse + decay
-        measurements = {}
-        for pw in words:
-            traces = []
-            for m in range(per_label):
-                workload = keystroke_workload(
-                    schedules[(pw, m)],
-                    n_ticks=samples,
-                    tick_ms=interval,
-                    seed=stable_seed(seed, "keystroke-idle", pw, m),
-                )
-                trace = simulate(workload, sim_cfg)
-                traces.append(dataclasses.replace(trace, label=pw))
-            measurements[pw] = traces
+        measurements = _simulate_labels(
+            sim_cfg, words, per_label, samples, interval,
+            lambda c, m: keystroke_workload(
+                schedules[(words[c], m)], n_ticks=samples, tick_ms=interval,
+                seed=stable_seed(seed, "keystroke-idle", words[c], m),
+            ),
+        )
         ds = LabeledDataset(classes=sorted(words), measurements=measurements)
         resolved = {
             "run.seed": seed,
@@ -365,9 +361,10 @@ def cmd_collect(args) -> int:
     label_dir = out / encode_label(plan.label)
     with dataset_lock(out):
         label_dir.mkdir(parents=True, exist_ok=True)
-        existing = len([f for f in os.listdir(label_dir) if f.endswith(".ftrace")])
-        for i, trace in enumerate(traces):
-            save_trace(trace, label_dir / measurement_filename(existing + i))
+        stems = [f[: -len(".ftrace")] for f in os.listdir(label_dir) if f.endswith(".ftrace")]
+        first = max((int(s) for s in stems if s.isascii() and s.isdigit()), default=-1) + 1
+        for i, trace in enumerate(traces, start=first):
+            save_trace(trace, label_dir / measurement_filename(i), overwrite=False)
         resolved = {
             "collect.source": source_name,
             "collect.interval_ms": plan.interval_ms,
@@ -719,12 +716,13 @@ def cmd_report(args) -> int:
         rows = [["defense", "param", "top1_clean", "top1_defended"]]
         plot = ["# defense param top1_clean top1_defended"]
         for path_text in args.sweep_csv:
-            for line in Path(path_text).read_text(encoding="utf-8").splitlines()[1:]:
+            lines = Path(path_text).read_text(encoding="utf-8").splitlines()
+            for n, line in enumerate(lines[1:], start=2):
                 if not line.strip():
                     continue
                 cells = line.split(",")
                 if len(cells) != 4:
-                    raise TraceFormatError(f"{path_text}: malformed sweep row {line!r}")
+                    raise TraceFormatError(n, f"{path_text}: malformed sweep row {line!r}")
                 rows.append(cells)
                 plot.append(" ".join(cells))
         table = "\n".join(_align(rows))
@@ -755,7 +753,6 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                    help="pinned frequency for the userspace governor")
     p.add_argument("--hispeed-khz", type=int, dest="hispeed_khz",
                    help="interactive governor boost floor")
-    p.add_argument("--conservative-step-khz", type=int, dest="conservative_step_khz")
 
 
 def _add_classifier_flags(p: argparse.ArgumentParser) -> None:

@@ -48,7 +48,6 @@ SCHEMA = {
     "sim.turbo": _bool,
     "sim.set_speed_khz": int,
     "sim.hispeed_freq_khz": int,
-    "sim.conservative_step_khz": int,
     "simulate.kind": str,
     "simulate.classes": int,
     "simulate.measurements": int,

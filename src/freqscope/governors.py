@@ -1,4 +1,4 @@
-"""Per-tick simulation of Linux scaling governors plus a turbo budget.
+"""Batch simulation of Linux scaling governors plus a turbo budget.
 
 Each governor is a deterministic update law mapping (state, load) to the
 next frequency, always quantized onto the profile's P-state table with
@@ -18,13 +18,18 @@ exact midpoints rounding upward. The normative laws:
 Turbo, when enabled, caps output at the ceiling and charges a leaky-bucket
 budget for every tick spent above base frequency; with the budget drained
 the output is clamped to base until idle ticks (load < 0.1) refill it.
+
+One engine, `simulate_batch`, runs every law over a [B, T] load matrix;
+`simulate` and `step_governor` are its single-trace and single-tick calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .profiles import GOVERNORS, DeviceProfile
+import numpy as np
+
+from .profiles import GOVERNORS, DeviceProfile, quantize_indices
 from .trace import FrequencyTrace
 
 PELT_HALF_LIFE_MS = 32
@@ -90,10 +95,8 @@ class SimConfig:
     profile: DeviceProfile
     governor: str
     interactive: InteractiveParams | None = None
-    conservative_step_khz: int = 100_000
     turbo: TurboParams | None = None
     set_speed_khz: int | None = None
-    seed: int = 0
     allow_unsupported_governor: bool = False
 
     def __post_init__(self) -> None:
@@ -104,8 +107,6 @@ class SimConfig:
                 f"governor {self.governor!r} not supported by {self.profile.name} "
                 f"(supported: {', '.join(self.profile.supported_governors)})"
             )
-        if self.conservative_step_khz < 1:
-            raise ValueError("conservative_step_khz must be positive")
         turbo = self.effective_turbo()
         if turbo.enabled:
             if self.profile.base_freq_khz is None:
@@ -149,166 +150,161 @@ class GovernorState:
 
 
 def init_state(cfg: SimConfig) -> GovernorState:
-    profile = cfg.profile
-    governor = cfg.governor
+    profile, governor = cfg.profile, cfg.governor
+    if governor == "userspace":
+        set_speed = cfg.effective_set_speed()
+        return GovernorState(governor, profile.quantize(set_speed), set_speed)
+    start = profile.max_freq_khz if governor == "performance" else profile.min_freq_khz
+    return GovernorState(governor, start)
+
+
+def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
+                   states: list[GovernorState] | None = None,
+                   ) -> tuple[list[list[int]], list[GovernorState]]:
+    """Run the governor over every row of a [B, T] load matrix; row r starts
+    from states[r] (default: init_state(cfg)). Returns, per row, the frequency
+    during each tick and the state after the last tick.
+
+    The memoryless part of each law is computed over the whole matrix; what
+    carries over from tick to tick (PELT, the conservative walk, interactive
+    boost and rate limit, the turbo bucket) runs as one plain loop per row.
+    """
+    loads = np.asarray(loads, dtype=np.float64)
+    if loads.ndim != 2 or loads.shape[1] == 0:
+        raise ValueError("loads must be a [B, T] matrix with T >= 1")
+    if not ((loads >= 0.0) & (loads <= 1.0)).all():
+        raise ValueError("loads must lie in [0, 1]")
+    states = [init_state(cfg)] * len(loads) if states is None else list(states)
+    if len(states) != len(loads):
+        raise ValueError(f"{len(states)} start states for {len(loads)} load rows")
+    if any(s.governor != cfg.governor for s in states):
+        raise ValueError("state/config governor mismatch")
+
+    profile, governor = cfg.profile, cfg.governor
+    lo, span = profile.min_freq_khz, profile.max_freq_khz - profile.min_freq_khz
     if governor == "performance":
-        start = profile.max_freq_khz
+        target = np.full(loads.shape, float(profile.max_freq_khz))
+    elif governor == "powersave" and profile.scaling_driver != "intel_pstate":
+        target = np.full(loads.shape, float(lo))
     elif governor == "userspace":
-        start = profile.quantize(cfg.effective_set_speed())
+        if any(s.set_speed_khz is None for s in states):
+            raise ValueError("userspace governor requires set_speed_khz")
+        # real parts show small workload-coupled wiggle around the pin
+        grid_step = span / (len(profile.pstates) - 1) if len(profile.pstates) > 1 else 0.0
+        target = np.array([[s.set_speed_khz] for s in states]) + loads * grid_step
+    elif governor == "schedutil":
+        alpha = 1.0 - 2.0 ** (-tick_ms / PELT_HALF_LIFE_MS)
+        target = np.empty_like(loads)
+        for r, row in enumerate(loads):
+            pelt, series = states[r].pelt_load, []
+            for load in row.tolist():
+                pelt = alpha * load + (1.0 - alpha) * pelt
+                series.append(pelt)
+            target[r], states[r] = series, replace(states[r], pelt_load=pelt)
+        target = np.minimum(lo + SCHEDUTIL_MARGIN * target * span, float(profile.max_freq_khz))
     else:
-        start = profile.min_freq_khz
-    return GovernorState(
-        governor=governor,
-        current_freq_khz=start,
-        set_speed_khz=cfg.effective_set_speed() if governor == "userspace" else None,
-    )
+        # ondemand; conservative and interactive walk toward it; powersave
+        # on intel_pstate, whose driver schedules states itself
+        target = lo + loads * span
+    want = quantize_indices(profile.pstates, target)
+    del target
+
+    if governor == "interactive":
+        trigger = loads >= cfg.effective_interactive().load_trigger
+        results = [_interactive_row(w.tolist(), t.tolist(), s, cfg, tick_ms)
+                   for w, t, s in zip(want, trigger, states)]
+    elif governor == "conservative" or cfg.effective_turbo().enabled:
+        idle = loads < TURBO_IDLE_LOAD
+        results = [_pstate_row(w.tolist(), i.tolist(), s, cfg) for w, i, s in zip(want, idle, states)]
+    else:
+        pick = profile.pstates.__getitem__  # samples share the table's int objects
+        results = [(row, replace(s, current_freq_khz=row[-1]))
+                   for row, s in zip((list(map(pick, w.tolist())) for w in want), states)]
+    return [out for out, _ in results], [end for _, end in results]
 
 
-def _ondemand_target(profile: DeviceProfile, load: float) -> float:
-    return profile.min_freq_khz + load * (profile.max_freq_khz - profile.min_freq_khz)
+def _pstate_row(want: list[int], idle: list[bool], state: GovernorState,
+                cfg: SimConfig) -> tuple[list[int], GovernorState]:
+    """One row of pstate indices through the conservative walk (one index
+    per tick toward `want`; other laws go straight to it) and the turbo
+    bucket."""
+    profile = cfg.profile
+    turbo = cfg.effective_turbo()
+    walk = cfg.governor == "conservative"
+    budget = state.turbo_budget
+    # turbo clamping can leave current off-grid; re-anchor before walking
+    cur = profile.pstate_index(profile.quantize(state.current_freq_khz))
+    out = []
+    if not turbo.enabled:
+        for w in want:
+            cur += (w > cur) - (w < cur)
+            out.append(profile.pstates[cur])
+        return out, replace(state, current_freq_khz=out[-1])
+
+    base = profile.base_freq_khz  # not None: SimConfig enforces it under turbo
+    base_q = profile.quantize(base)
+    cost, gain = turbo.budget_cost_per_boost_tick, turbo.budget_gain_per_idle_tick
+    capped = [min(f, turbo.ceiling_khz) for f in profile.pstates]
+    anchor = {f: i for i, f in enumerate(profile.pstates)}  # pstate index of each output
+    anchor[turbo.ceiling_khz] = profile.pstate_index(profile.quantize(turbo.ceiling_khz))
+    for w, is_idle in zip(want, idle):
+        cur = cur + (w > cur) - (w < cur) if walk else w
+        freq = capped[cur]
+        if freq > base:
+            if budget > cost:
+                budget = max(0.0, budget - cost)
+            else:
+                freq = base_q
+        out.append(freq)
+        if is_idle:
+            budget = min(1.0, budget + gain)
+        cur = anchor[freq]
+    return out, replace(state, current_freq_khz=out[-1], turbo_budget=budget)
 
 
-def _pelt_alpha(tick_ms: int) -> float:
-    return 1.0 - 2.0 ** (-tick_ms / PELT_HALF_LIFE_MS)
+def _interactive_row(want: list[int], trigger: list[bool], state: GovernorState,
+                     cfg: SimConfig, tick_ms: int) -> tuple[list[int], GovernorState]:
+    """One row of the interactive law: boost to hispeed on a trigger tick and
+    hold it for the boostpulse once reached, change at most once per
+    min_sample_time, shed at most INTERACTIVE_DECAY_STEPS indices per tick."""
+    profile = cfg.profile
+    pstates = profile.pstates
+    ia = cfg.effective_interactive()
+    hispeed = profile.pstate_index(ia.hispeed_freq_khz)
+    pulse, min_sample = ia.boostpulse_duration_ms, ia.min_sample_time_ms
+    cur = profile.pstate_index(state.current_freq_khz)
+    remaining, since, pending = state.boost_remaining_ms, state.ms_since_change, state.boost_pending
+    out = []
+    for w, fired in zip(want, trigger):
+        pending = pending or fired
+        if (pending or remaining > 0) and w < hispeed:
+            w = hispeed
+        # upward moves are immediate, downward ones decay
+        w = max(w, cur - INTERACTIVE_DECAY_STEPS)
+        # this tick's time elapses before the change decision, so a change is
+        # legal once a full min_sample_time window has passed since the last one
+        since = min(since + tick_ms, 1 << 30)
+        if w != cur and since >= min_sample:
+            since = 0
+            cur = w
+        # boost countdown starts once the frequency actually reaches hispeed
+        if pending and cur >= hispeed:
+            remaining = pulse
+            pending = False
+        remaining = max(0, remaining - tick_ms)
+        out.append(pstates[cur])
+    return out, replace(state, current_freq_khz=pstates[cur], boost_remaining_ms=remaining,
+                        ms_since_change=since, boost_pending=pending)
 
 
 def step_governor(state: GovernorState, load: float, cfg: SimConfig, tick_ms: int = 10) -> GovernorState:
     """Advance one tick; returns the next state, input state untouched."""
-    if not 0.0 <= load <= 1.0:
-        raise ValueError(f"load {load} outside [0, 1]")
-    if state.governor != cfg.governor:
-        raise ValueError("state/config governor mismatch")
-
-    profile = cfg.profile
-    governor = cfg.governor
-    nxt = replace_state(state)
-
-    if governor == "interactive":
-        _step_interactive(nxt, load, cfg, tick_ms)
-        return nxt
-
-    if governor == "performance":
-        target = float(profile.max_freq_khz)
-    elif governor == "powersave":
-        if profile.scaling_driver == "intel_pstate":
-            # the driver schedules states itself; approximate with ondemand
-            target = _ondemand_target(profile, load)
-        else:
-            target = float(profile.min_freq_khz)
-    elif governor == "userspace":
-        if nxt.set_speed_khz is None:
-            raise ValueError("userspace governor requires set_speed_khz")
-        # real parts show small workload-coupled wiggle around the pin
-        target = nxt.set_speed_khz + load * _grid_step(profile)
-    elif governor == "ondemand":
-        target = _ondemand_target(profile, load)
-    elif governor == "conservative":
-        desired = profile.quantize(_ondemand_target(profile, load))
-        # turbo clamping can leave current off-grid; re-anchor before walking
-        cur_idx = profile.pstate_index(profile.quantize(nxt.current_freq_khz))
-        want_idx = profile.pstate_index(desired)
-        step = 0 if want_idx == cur_idx else (1 if want_idx > cur_idx else -1)
-        nxt.current_freq_khz = profile.pstates[cur_idx + step]
-        _apply_turbo(nxt, load, cfg, tick_ms)
-        return nxt
-    elif governor == "schedutil":
-        alpha = _pelt_alpha(tick_ms)
-        nxt.pelt_load = alpha * load + (1.0 - alpha) * nxt.pelt_load
-        span = profile.max_freq_khz - profile.min_freq_khz
-        target = profile.min_freq_khz + SCHEDUTIL_MARGIN * nxt.pelt_load * span
-        target = min(target, float(profile.max_freq_khz))
-    else:
-        raise ValueError(f"unknown governor {governor!r}")
-
-    nxt.current_freq_khz = profile.quantize(target)
-    _apply_turbo(nxt, load, cfg, tick_ms)
+    _, (nxt,) = simulate_batch([[load]], tick_ms, cfg, [state])
     return nxt
-
-
-def replace_state(state: GovernorState) -> GovernorState:
-    return GovernorState(
-        governor=state.governor,
-        current_freq_khz=state.current_freq_khz,
-        set_speed_khz=state.set_speed_khz,
-        pelt_load=state.pelt_load,
-        boost_remaining_ms=state.boost_remaining_ms,
-        turbo_budget=state.turbo_budget,
-        ms_since_change=state.ms_since_change,
-        boost_pending=state.boost_pending,
-    )
-
-
-def _grid_step(profile: DeviceProfile) -> float:
-    span = profile.max_freq_khz - profile.min_freq_khz
-    return span / (len(profile.pstates) - 1) if len(profile.pstates) > 1 else 0.0
-
-
-def _apply_turbo(state: GovernorState, load: float, cfg: SimConfig, tick_ms: int) -> None:
-    turbo = cfg.effective_turbo()
-    if not turbo.enabled:
-        return
-    profile = cfg.profile
-    base = profile.base_freq_khz
-    assert base is not None  # enforced by SimConfig
-    freq = min(state.current_freq_khz, turbo.ceiling_khz)
-    if freq > base:
-        if state.turbo_budget > turbo.budget_cost_per_boost_tick:
-            state.turbo_budget = max(0.0, state.turbo_budget - turbo.budget_cost_per_boost_tick)
-        else:
-            freq = profile.quantize(base)
-    state.current_freq_khz = freq
-    if load < TURBO_IDLE_LOAD:
-        state.turbo_budget = min(1.0, state.turbo_budget + turbo.budget_gain_per_idle_tick)
-
-
-def _step_interactive(state: GovernorState, load: float, cfg: SimConfig, tick_ms: int) -> None:
-    profile = cfg.profile
-    ia = cfg.effective_interactive()
-
-    if load >= ia.load_trigger:
-        state.boost_pending = True
-
-    desired = profile.quantize(_ondemand_target(profile, load))
-    if state.boost_pending or state.boost_remaining_ms > 0:
-        desired = max(desired, ia.hispeed_freq_khz)
-
-    cur_idx = profile.pstate_index(state.current_freq_khz)
-    want_idx = profile.pstate_index(desired)
-    if want_idx > cur_idx:
-        next_idx = want_idx  # upward moves are immediate
-    elif want_idx < cur_idx:
-        next_idx = max(want_idx, cur_idx - INTERACTIVE_DECAY_STEPS)
-    else:
-        next_idx = cur_idx
-    next_freq = profile.pstates[next_idx]
-
-    # this tick's time elapses before the change decision, so a change is
-    # legal once a full min_sample_time window has passed since the last one
-    state.ms_since_change = min(state.ms_since_change + tick_ms, 1 << 30)
-    if next_freq != state.current_freq_khz and state.ms_since_change < ia.min_sample_time_ms:
-        next_freq = state.current_freq_khz  # rate limited, retry next tick
-
-    if next_freq != state.current_freq_khz:
-        state.ms_since_change = 0
-    state.current_freq_khz = next_freq
-
-    # boost countdown starts once the frequency actually reaches hispeed
-    if state.boost_pending and state.current_freq_khz >= ia.hispeed_freq_khz:
-        state.boost_remaining_ms = ia.boostpulse_duration_ms
-        state.boost_pending = False
-    state.boost_remaining_ms = max(0, state.boost_remaining_ms - tick_ms)
 
 
 def simulate(workload: WorkloadTrace, cfg: SimConfig) -> FrequencyTrace:
     """Run the governor over a workload; output sample k is the frequency
     during workload tick k."""
-    state = init_state(cfg)
-    samples = []
-    for load in workload.loads:
-        state = step_governor(state, load, cfg, workload.tick_ms)
-        samples.append(state.current_freq_khz)
-    return FrequencyTrace(
-        samples=samples,
-        interval_ms=workload.tick_ms,
-        device=cfg.profile.name,
-    )
+    (samples,), _ = simulate_batch([workload.loads], workload.tick_ms, cfg)
+    return FrequencyTrace(samples=samples, interval_ms=workload.tick_ms, device=cfg.profile.name)

@@ -12,6 +12,8 @@ import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 GOVERNORS = (
     "performance",
     "powersave",
@@ -35,7 +37,6 @@ class DeviceProfile:
     default_governor: str
     turbo_boost: bool
     turbo_ceiling_khz: int | None = None
-    transition_latency_ns: int = 20_000
     scaling_driver: str = "acpi-cpufreq"
     supported_governors: tuple[str, ...] = GOVERNORS
 
@@ -84,6 +85,11 @@ def quantize_to_pstate(pstates: tuple[int, ...], freq_khz: float) -> int:
         return pstates[-1]
     # bisect_right sends a value equal to a midpoint to the upper neighbor
     return pstates[bisect.bisect_right(_midpoints(pstates), freq_khz)]
+
+
+def quantize_indices(pstates: tuple[int, ...], freqs_khz) -> np.ndarray:
+    """Vectorised quantize_to_pstate: the table index for every frequency."""
+    return np.searchsorted(np.array(_midpoints(pstates)), freqs_khz, side="right")
 
 
 def grid_100mhz(min_khz: int, max_khz: int) -> tuple[int, ...]:
@@ -168,7 +174,6 @@ CORTEX_A73 = DeviceProfile(
     pstates=grid_even(806_000, 2_361_000, 23),
     default_governor="interactive",
     turbo_boost=False,
-    transition_latency_ns=50_000,
     scaling_driver="msm",
     supported_governors=_ANDROID_GOVERNORS,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import time
 
-from .governors import SimConfig, WorkloadTrace, init_state, step_governor
+from .governors import SimConfig, WorkloadTrace, init_state, simulate_batch
 from .trace import FrequencyTrace
 
 ENV_SYSFS_ROOT = "FREQSCOPE_SYSFS_ROOT"
@@ -64,28 +64,33 @@ class FreqSource:
 
 class SimSource(FreqSource):
     """Governor simulation; the workload cycles when exhausted so arbitrarily
-    long sampling sessions stay live."""
+    long sampling sessions stay live. Each cycle is simulated in one engine
+    call, from the state the previous cycle ended in, once it is due."""
 
     def __init__(self, cfg: SimConfig, workload: WorkloadTrace, policy: str = POLICY_OPEN):
         super().__init__(policy)
         self.cfg = cfg
         self.workload = workload
         self.device = cfg.profile.name
-        self._state = init_state(cfg)
-        self._cursor = 0
+        self._state = init_state(cfg)  # as of the end of the latest simulated cycle
+        self._cycle: list[int] = []  # frequency during each tick of that cycle
+        self._cursor = 0  # ticks consumed
         self._carry_ms = 0
 
     def _read(self) -> int:
-        return self._state.current_freq_khz
+        if self._cursor:
+            return self._cycle[(self._cursor - 1) % len(self._cycle)]
+        return self._state.current_freq_khz  # before the first tick
 
     def _advance(self, dt_ms: int) -> None:
         self._carry_ms += dt_ms
         ticks, self._carry_ms = divmod(self._carry_ms, self.workload.tick_ms)
-        loads = self.workload.loads
-        for _ in range(ticks):
-            load = loads[self._cursor % len(loads)]
-            self._state = step_governor(self._state, load, self.cfg, self.workload.tick_ms)
-            self._cursor += 1
+        n = len(self.workload.loads)
+        # tick k lies in cycle k // n: simulate each cycle the new ticks enter
+        for _ in range((self._cursor + ticks - 1) // n - (self._cursor - 1) // n):
+            (self._cycle,), (self._state,) = simulate_batch(
+                [self.workload.loads], self.workload.tick_ms, self.cfg, [self._state])
+        self._cursor += ticks
 
 
 class ReplaySource(FreqSource):

@@ -70,8 +70,9 @@ def decode_label(text: str) -> str:
     return unquote(text)
 
 
-def save_trace(trace: FrequencyTrace, path: str | os.PathLike) -> None:
-    """Write a trace atomically; an existing file is replaced in one step."""
+def save_trace(trace: FrequencyTrace, path: str | os.PathLike, *, overwrite: bool = True) -> None:
+    """Write a trace atomically; an existing file is replaced in one step,
+    or, with overwrite=False, left alone (FileExistsError)."""
     path = os.fspath(path)
     lines = [MAGIC, f"#interval_ms={trace.interval_ms}", f"#device={encode_label(trace.device)}"]
     if trace.label is not None:
@@ -87,11 +88,10 @@ def save_trace(trace: FrequencyTrace, path: str | os.PathLike) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        (os.replace if overwrite else os.link)(tmp, path)  # a link never replaces path
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def load_trace(path: str | os.PathLike) -> FrequencyTrace:

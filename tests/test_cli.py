@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -112,6 +114,15 @@ def test_bad_config_file_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_removed_conservative_step_key_exits_2(tmp_path, capsys):
+    conf = tmp_path / "old.conf"
+    conf.write_text("sim.conservative_step_khz = 100000\n")
+    rc = run_cli("simulate", "--kind", "website", "--config", conf,
+                 "--out", tmp_path / "x")
+    assert rc == 2
+    assert "unknown key 'sim.conservative_step_khz'" in capsys.readouterr().err
+
+
 def test_unknown_profile_exits_2(tmp_path):
     rc = run_cli("simulate", "--kind", "website", "--profile", "pentium3",
                  "--classes", "2", "--measurements", "2", "--samples", "40",
@@ -181,6 +192,32 @@ def test_collect_sim_source(tmp_path):
                  "--out", out)
     assert rc == 0
     assert sorted(os.listdir(label_dir))[-1] == "0002.ftrace"
+
+
+def test_collect_numbers_after_the_highest_existing_trace(tmp_path):
+    out = tmp_path / "collected"
+    label_dir = out / "gap"
+    label_dir.mkdir(parents=True)
+    kept = FrequencyTrace(samples=[1_400_000], interval_ms=10, label="gap")
+    for name in ("0000.ftrace", "0002.ftrace"):
+        save_trace(kept, label_dir / name)
+    before = (label_dir / "0002.ftrace").read_bytes()
+    rc = run_cli("collect", "--source", "sim", "--workload", "idle",
+                 "--samples", "30", "--measurements", "2", "--label", "gap",
+                 "--out", out)
+    assert rc == 0
+    assert sorted(os.listdir(label_dir)) == [
+        "0000.ftrace", "0002.ftrace", "0003.ftrace", "0004.ftrace"]
+    assert (label_dir / "0002.ftrace").read_bytes() == before
+
+
+def test_save_trace_without_overwrite_keeps_existing(tmp_path):
+    path = tmp_path / "0000.ftrace"
+    save_trace(FrequencyTrace(samples=[1], interval_ms=10), path)
+    with pytest.raises(FileExistsError):
+        save_trace(FrequencyTrace(samples=[2], interval_ms=10), path, overwrite=False)
+    assert load_trace(path).samples == [1]
+    assert os.listdir(tmp_path) == ["0000.ftrace"]
 
 
 def test_collect_masked_policy_exits_4(tmp_path):
@@ -305,3 +342,17 @@ def test_report_from_eval_kv(tmp_path, website_ds, capsys):
     text = capsys.readouterr().out
     assert "run_a" in text and "run_b" in text
     assert (tmp_path / "rpt" / "eval.dat").exists()
+
+
+def test_report_malformed_sweep_row_exits_3(tmp_path):
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("defense,param,top1_clean,top1_defended\n"
+                     "resolution,1,0.9,0.9\n"
+                     "noise,20,0.9\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "freqscope.cli", "report", "--sweep-csv", str(sweep)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert "line 3" in result.stderr and "malformed sweep row" in result.stderr

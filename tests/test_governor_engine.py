@@ -1,0 +1,167 @@
+"""The batch governor engine against the scalar reference laws, bit for bit."""
+
+import numpy as np
+import pytest
+
+import governor_oracle as oracle
+from freqscope.governors import (
+    GOVERNORS,
+    SimConfig,
+    TurboParams,
+    WorkloadTrace,
+    init_state,
+    simulate,
+    simulate_batch,
+    step_governor,
+)
+from freqscope.profiles import builtin_profiles
+from freqscope.sources import SimSource
+
+PROFILES = sorted(builtin_profiles().values(), key=lambda p: p.name)
+TICKS_MS = (10, 20, 25)
+
+
+def turbo_variants(profile, governor):
+    yield TurboParams(enabled=False)
+    if profile.base_freq_khz is None or governor == "interactive":
+        return
+    yield TurboParams(enabled=True, ceiling_khz=profile.boost_cap_khz)
+    # off the pstate grid: clamped output must be re-anchored by conservative
+    yield TurboParams(enabled=True, ceiling_khz=profile.boost_cap_khz - 50_000)
+    # binary fractions: the budget lands exactly on the cost and on 1.0
+    yield TurboParams(enabled=True, ceiling_khz=profile.boost_cap_khz,
+                      budget_gain_per_idle_tick=0.125, budget_cost_per_boost_tick=0.25)
+
+
+def configs(profile, governor):
+    for turbo in turbo_variants(profile, governor):
+        yield SimConfig(profile=profile, governor=governor, turbo=turbo,
+                        allow_unsupported_governor=True)
+
+
+def load_matrix(kind: str, rows: int, ticks: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.uniform(0.0, 1.0, size=(rows, ticks))
+    # bursty: idle stretches (below the turbo idle threshold) with bursts,
+    # plus the exact values the laws compare against
+    loads = np.where(rng.random((rows, ticks)) < 0.25,
+                     rng.uniform(0.3, 1.0, (rows, ticks)),
+                     rng.uniform(0.0, 0.12, (rows, ticks)))
+    special = rng.random((rows, ticks)) < 0.1
+    loads[special] = rng.choice([0.0, 0.1, 0.3, 0.5, 1.0], size=int(special.sum()))
+    return loads
+
+
+def oracle_rows(loads, cfg, tick_ms, states=None):
+    states = states or [None] * len(loads)
+    results = [oracle.simulate_samples(row.tolist(), cfg, tick_ms, s)
+               for row, s in zip(loads, states)]
+    return [r for r, _ in results], [s for _, s in results]
+
+
+@pytest.mark.parametrize("governor", GOVERNORS)
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+def test_engine_matches_oracle(profile, governor):
+    seed = 0
+    for cfg in configs(profile, governor):
+        for tick_ms in TICKS_MS:
+            for rows in (1, 5):
+                for kind in ("random", "bursty"):
+                    seed += 1
+                    loads = load_matrix(kind, rows, 120, seed)
+                    got, ends = simulate_batch(loads, tick_ms, cfg)
+                    want, want_ends = oracle_rows(loads, cfg, tick_ms)
+                    assert got == want, (cfg.turbo, tick_ms, rows, kind)
+                    assert ends == want_ends
+                    assert all(type(f) is int for row in got for f in row)
+
+
+@pytest.mark.parametrize("governor", GOVERNORS)
+def test_chunked_runs_equal_one_run(governor):
+    for profile in PROFILES:
+        for cfg in configs(profile, governor):
+            loads = load_matrix("bursty", 5, 90, 7)
+            whole, whole_ends = simulate_batch(loads, 20, cfg)
+            for split in (1, 37, 89):
+                head, mid = simulate_batch(loads[:, :split], 20, cfg)
+                tail, ends = simulate_batch(loads[:, split:], 20, cfg, mid)
+                assert [a + b for a, b in zip(head, tail)] == whole
+                assert ends == whole_ends
+                assert mid == oracle_rows(loads[:, :split], cfg, 20)[1]
+
+
+def test_step_governor_matches_oracle():
+    rng = np.random.default_rng(5)
+    for profile in PROFILES:
+        for governor in GOVERNORS:
+            for cfg in configs(profile, governor):
+                state, ref = init_state(cfg), oracle.init_state(cfg)
+                assert state == ref
+                for load in rng.uniform(0.0, 1.0, 40).tolist():
+                    before = state
+                    state = step_governor(state, load, cfg, 20)
+                    ref = oracle.step_governor(ref, load, cfg, 20)
+                    assert state == ref
+                    assert before is not state
+
+
+def test_simulate_is_the_single_row_call():
+    for profile in PROFILES:
+        for cfg in configs(profile, profile.default_governor):
+            loads = load_matrix("random", 1, 200, 3)
+            trace = simulate(WorkloadTrace(loads=tuple(loads[0].tolist()), tick_ms=10), cfg)
+            assert trace.samples == oracle_rows(loads, cfg, 10)[0][0]
+
+
+def test_engine_rejects_bad_input():
+    cfg = SimConfig(profile=PROFILES[0], governor="performance")
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        simulate_batch([[0.5, float("nan")]], 10, cfg)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        simulate_batch([[0.5], [-0.1]], 10, cfg)
+    with pytest.raises(ValueError, match="matrix"):
+        simulate_batch([0.5, 0.5], 10, cfg)
+    with pytest.raises(ValueError, match="start states"):
+        simulate_batch([[0.5], [0.5]], 10, cfg, [init_state(cfg)])
+
+
+class OracleSource:
+    """The SimSource stepping rule, one oracle tick per workload tick."""
+
+    def __init__(self, cfg, workload):
+        self.cfg, self.workload = cfg, workload
+        self.state = oracle.init_state(cfg)
+        self.cursor = self.carry = 0
+
+    def read_freq(self):
+        return self.state.current_freq_khz
+
+    def advance(self, dt_ms):
+        self.carry += dt_ms
+        ticks, self.carry = divmod(self.carry, self.workload.tick_ms)
+        for _ in range(ticks):
+            load = self.workload.loads[self.cursor % len(self.workload.loads)]
+            self.state = oracle.step_governor(self.state, load, self.cfg, self.workload.tick_ms)
+            self.cursor += 1
+
+
+@pytest.mark.parametrize("profile_name,governor", [
+    ("cortex_a73", "interactive"),
+    ("ryzen5", "conservative"),
+    ("ryzen5", "schedutil"),
+    ("comet_lake", "powersave"),
+])
+def test_sim_source_matches_oracle_stepping(profile_name, governor):
+    profile = builtin_profiles()[profile_name]
+    cfg = SimConfig(profile=profile, governor=governor)
+    loads = load_matrix("bursty", 1, 7, 11)[0]  # short: reads wrap many times
+    workload = WorkloadTrace(loads=tuple(loads.tolist()), tick_ms=10)
+    src, ref = SimSource(cfg, workload), OracleSource(cfg, workload)
+    # 15 ms reads over 10 ms ticks, then jumps across several cycles
+    steps = [15] * 40 + [0, 5, 70, 3, 1000, 7, 15, 15]
+    for dt in steps:
+        assert src.read_freq() == ref.read_freq()
+        src.advance(dt)
+        ref.advance(dt)
+    assert src.read_freq() == ref.read_freq()
