@@ -11,6 +11,7 @@ from .classify import (
     NORM_NONE,
     EvalReport,
     FeatureVector,
+    ModelFormatError,
     TrainedModel,
     evaluate,
     load_model,
@@ -70,6 +71,7 @@ __all__ = [
     "KeystrokeReport",
     "KnnModel",
     "LabeledDataset",
+    "ModelFormatError",
     "NORM_MINMAX",
     "NORM_NONE",
     "PasswordModel",

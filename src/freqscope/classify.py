@@ -19,6 +19,7 @@ from .dataset import LabeledDataset
 from .forest import ForestModel, ForestParams, forest_rank, forest_train
 from .knn import KnnModel, fit_knn, knn_rank
 from .profiles import get_profile
+from .trace import atomic_writer
 
 NORM_NONE = "none"
 NORM_MINMAX = "minmax_per_profile"
@@ -249,7 +250,13 @@ def _classifier_payload(model: TrainedModel) -> dict:
     }
 
 
+class ModelFormatError(ValueError):
+    """Raised for model files of another format or version, or with missing
+    or ill-typed keys."""
+
+
 def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
+    """Write the model atomically: a failed write leaves `path` untouched."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -260,7 +267,7 @@ def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
         "metadata": model.metadata,
         "classifier": _classifier_payload(model),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
         fh.write("\n")
 
@@ -268,10 +275,21 @@ def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
 def load_model(path: str | os.PathLike) -> TrainedModel:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    try:
+        return _model_from_doc(doc, path)
+    except ModelFormatError:
+        raise
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: model file lacks key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
+
+
+def _model_from_doc(doc: dict, path: str | os.PathLike) -> TrainedModel:
     if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+        raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
+        raise ModelFormatError(f"{path}: unsupported model version {doc.get('version')}")
     payload = doc["classifier"]
     if doc["kind"] == "knn":
         classifier = KnnModel(
@@ -294,7 +312,7 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
             trees=payload["trees"],
         )
     else:
-        raise ValueError(f"{path}: unknown model kind {doc['kind']!r}")
+        raise ModelFormatError(f"{path}: unknown model kind {doc['kind']!r}")
     return TrainedModel(
         kind=doc["kind"],
         classifier=classifier,

@@ -29,6 +29,7 @@ from .classify import (
     NORM_MINMAX,
     NORM_NONE,
     EvalReport,
+    ModelFormatError,
     TrainedModel,
     evaluate,
     load_model,
@@ -885,7 +886,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
-    except TraceFormatError as exc:
+    except (TraceFormatError, ModelFormatError) as exc:
         _err(str(exc))
         return EXIT_DATA
     except (ReplayExhaustedError, SysfsReadError, LockError) as exc:

@@ -2,8 +2,8 @@
 splits, seeded bootstrap per tree, per-node feature subsampling.
 
 Everything is deterministic under the seed: bootstraps, feature subsets,
-split selection (candidate features scanned in ascending order, strict
-improvement required), and voting (plurality, ties to the smallest label in
+split selection (lowest weighted Gini; ties go to the lowest feature index,
+then the lowest boundary), and voting (plurality, ties to the smallest label in
 sort order). Trees serialize to plain dicts so models round-trip through
 the JSON container.
 """
@@ -55,13 +55,14 @@ class ForestModel:
 def _gini_pair(cum: np.ndarray, total: np.ndarray, n_left: np.ndarray, n: int):
     """Weighted Gini impurity for every candidate boundary at once.
 
-    cum[i] holds class counts of the first i+1 sorted samples; boundary i
-    splits into left size i+1 and right size n-i-1.
+    cum[i] holds class counts (last axis) of the first i+1 sorted samples;
+    boundary i splits into left size i+1 and right size n-i-1. Counts are
+    whole numbers, so the sums are exact in any order.
     """
     n_right = n - n_left
-    left_sq = np.sum(cum * cum, axis=1)
+    left_sq = np.einsum("...c,...c->...", cum, cum)
     right = total - cum
-    right_sq = np.sum(right * right, axis=1)
+    right_sq = np.einsum("...c,...c->...", right, right)
     gini_left = 1.0 - left_sq / (n_left * n_left)
     gini_right = 1.0 - right_sq / (n_right * n_right)
     return (n_left * gini_left + n_right * gini_right) / n
@@ -73,6 +74,37 @@ def _leaf(y: np.ndarray, n_classes: int) -> dict:
     return {"label": int(np.argmax(counts))}
 
 
+def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray,
+                min_leaf: int, n_classes: int):
+    """Lowest-impurity split of node `idx` over the ascending `features`, as
+    (feature, boundary, threshold, node order sorted by that feature), or
+    None when no boundary separates two values and respects min_leaf.
+
+    Every candidate feature is scored in one pass; among equal impurities
+    the flat argmin over the feature-major [m, n-1] array picks the lowest
+    feature, then the lowest boundary.
+    """
+    n = len(idx)
+    y_node = y[idx]
+    cols = X[idx[:, None], features]  # [n, m]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    cum = np.cumsum(np.eye(n_classes)[y_node[order[:-1]]], axis=0)  # [n-1, m, C]
+    total = np.bincount(y_node, minlength=n_classes).astype(np.float64)
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    impurity = _gini_pair(cum, total, n_left, n)  # [n-1, m]
+    # a boundary must fall between two distinct values and leave min_leaf a side
+    impurity[xs[:-1] == xs[1:]] = np.inf
+    impurity[: min_leaf - 1] = np.inf
+    impurity[n - min_leaf :] = np.inf
+    flat = impurity.T
+    j, b = divmod(int(np.argmin(flat)), n - 1)
+    if flat[j, b] == np.inf:
+        return None
+    threshold = (float(xs[b, j]) + float(xs[b + 1, j])) / 2.0
+    return int(features[j]), b, threshold, idx[order[:, j]]
+
+
 def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
                 params: ForestParams, n_classes: int, rng: np.random.Generator) -> dict:
     y_node = y[idx]
@@ -82,38 +114,13 @@ def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
     if np.all(y_node == first):
         return {"label": int(first)}
 
-    n = len(idx)
     m = params.features_per_split(X.shape[1])
     features = np.sort(rng.choice(X.shape[1], size=m, replace=False))
-
-    total = np.bincount(y_node, minlength=n_classes).astype(np.float64)
-    best = None  # (impurity, feature, threshold, sorted order, boundary)
-    for f in features:
-        order = idx[np.argsort(X[idx, f], kind="stable")]
-        xs = X[order, f]
-        if xs[0] == xs[-1]:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-
-        boundaries = np.nonzero(xs[:-1] != xs[1:])[0]
-        boundaries = boundaries[
-            (boundaries + 1 >= params.min_leaf) & (n - boundaries - 1 >= params.min_leaf)
-        ]
-        if len(boundaries) == 0:
-            continue
-        n_left = (boundaries + 1).astype(np.float64)
-        impurity = _gini_pair(cum[boundaries], total, n_left, n)
-        i = int(np.argmin(impurity))
-        if best is None or impurity[i] < best[0]:
-            b = int(boundaries[i])
-            best = (float(impurity[i]), int(f), (float(xs[b]) + float(xs[b + 1])) / 2.0, order, b)
-
-    if best is None:
+    split = _best_split(X, y, idx, features, params.min_leaf, n_classes)
+    if split is None:
         return _leaf(y_node, n_classes)
 
-    _, feature, threshold, order, b = best
+    feature, b, threshold, order = split
     left = _build_tree(X, y, order[: b + 1], depth + 1, params, n_classes, rng)
     right = _build_tree(X, y, order[b + 1 :], depth + 1, params, n_classes, rng)
     return {"f": feature, "t": threshold, "l": left, "r": right}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from urllib.parse import quote, unquote
 
@@ -49,6 +50,9 @@ class FrequencyTrace:
             raise ValueError("interval_ms must be >= 1")
         if self.start_index < 0:
             raise ValueError("start_index must be >= 0")
+        if set(map(type, self.samples)) == {int} and min(self.samples) >= 0:
+            return
+        # slow path: accepts int subclasses, names the first bad sample
         for s in self.samples:
             if not isinstance(s, int) or isinstance(s, bool) or s < 0:
                 raise ValueError(f"samples must be non-negative integers, got {s!r}")
@@ -70,10 +74,26 @@ def decode_label(text: str) -> str:
     return unquote(text)
 
 
+@contextmanager
+def atomic_writer(path: str | os.PathLike, *, overwrite: bool = True):
+    """Text handle on a temp file beside `path` that becomes `path` only
+    when the block completes; on any error `path` is untouched and the temp
+    file is removed. With overwrite=False an existing `path` is left alone
+    (FileExistsError)."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        (os.replace if overwrite else os.link)(tmp, path)  # a link never replaces path
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_trace(trace: FrequencyTrace, path: str | os.PathLike, *, overwrite: bool = True) -> None:
     """Write a trace atomically; an existing file is replaced in one step,
     or, with overwrite=False, left alone (FileExistsError)."""
-    path = os.fspath(path)
     lines = [MAGIC, f"#interval_ms={trace.interval_ms}", f"#device={encode_label(trace.device)}"]
     if trace.label is not None:
         lines.append(f"#label={encode_label(trace.label)}")
@@ -81,17 +101,8 @@ def save_trace(trace: FrequencyTrace, path: str | os.PathLike, *, overwrite: boo
         lines.append(f"#start_index={trace.start_index}")
     for i, freq in enumerate(trace.samples, start=trace.start_index):
         lines.append(f"{i},{freq}")
-    data = "\n".join(lines) + "\n"
-
-    parent = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=parent, suffix=".ftrace.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
-        (os.replace if overwrite else os.link)(tmp, path)  # a link never replaces path
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with atomic_writer(path, overwrite=overwrite) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_trace(path: str | os.PathLike) -> FrequencyTrace:

@@ -215,3 +215,16 @@ def test_model_file_rejects_other_formats(tmp_path):
     path.write_text('{"format": "freqscope-model", "version": 99}\n')
     with pytest.raises(ValueError, match="version"):
         load_model(path)
+
+
+def test_failed_save_model_leaves_existing_file(tmp_path):
+    train, _, _ = split_dataset(separable_dataset())
+    path = tmp_path / "m.json"
+    save_model(train_knn_model(train, k=3), path)
+    before = path.read_bytes()
+    # the metadata value cannot be serialised: json.dump fails mid-write
+    bad = train_knn_model(train, k=1, metadata={"note": object()})
+    with pytest.raises(TypeError):
+        save_model(bad, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]

@@ -168,6 +168,68 @@ def test_eval_malformed_model_exits_3(tmp_path, website_ds):
     assert run_cli("eval", "--dataset", website_ds, "--model", model) == 3
 
 
+def _drop(*keys):
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return doc
+    return edit
+
+
+def _with(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _ragged_train_x(doc):
+    doc["classifier"]["train_x"][0].pop()
+    return doc
+
+
+def _zero_trees(doc):
+    doc["classifier"]["params"]["n_trees"] = 0
+    return doc
+
+
+MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
+    "no_classifier": ("knn", _drop("classifier")),
+    "no_knn_k": ("knn", _drop("classifier", "k")),
+    "ragged_train_x": ("knn", _ragged_train_x),
+    "no_forest_max_depth": ("forest", _drop("classifier", "params", "max_depth")),
+    "zero_forest_trees": ("forest", _zero_trees),
+    "unknown_kind": ("knn", _with("kind", "svm")),
+    "other_format": ("knn", _with("format", "something-else")),
+    "other_version": ("knn", _with("version", 99)),
+    "metadata_not_a_dict": ("knn", _with("metadata", [1, 2])),
+    "not_an_object": ("knn", lambda doc: [doc["format"]]),
+}
+
+
+@pytest.fixture(scope="module")
+def model_docs(tmp_path_factory, website_ds):
+    out = tmp_path_factory.mktemp("models")
+    docs = {}
+    for kind in ("knn", "forest"):
+        path = out / f"{kind}.json"
+        assert run_cli("train", "--dataset", website_ds, "--model", path,
+                       "--classifier", kind, "--trees", "2") == 0
+        docs[kind] = path.read_text()
+    return docs
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_eval_malformed_model_payload_exits_3(tmp_path, website_ds, model_docs, case, capsys):
+    kind, edit = MALFORMED_MODELS[case]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(edit(json.loads(model_docs[kind]))))
+    capsys.readouterr()
+    assert run_cli("eval", "--dataset", website_ds, "--model", model) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(model) in err
+
+
 def test_train_forest_kind(tmp_path, website_ds):
     model = tmp_path / "forest.json"
     rc = run_cli("train", "--dataset", website_ds, "--model", model,
