@@ -274,9 +274,9 @@ def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
 
 def load_model(path: str | os.PathLike) -> TrainedModel:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
     try:
-        return _model_from_doc(doc, path)
+        return _model_from_doc(json.loads(text), path)
     except ModelFormatError:
         raise
     except KeyError as exc:
@@ -300,6 +300,8 @@ def _model_from_doc(doc: dict, path: str | os.PathLike) -> TrainedModel:
         )
     elif doc["kind"] == "forest":
         p = payload["params"]
+        if not all(isinstance(tree, dict) for tree in payload["trees"]):
+            raise ModelFormatError(f"{path}: forest trees must be JSON objects")
         classifier = ForestModel(
             params=ForestParams(
                 n_trees=p["n_trees"],

@@ -16,7 +16,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -26,18 +25,24 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
-    NORM_MINMAX,
-    NORM_NONE,
-    EvalReport,
     ModelFormatError,
-    TrainedModel,
     evaluate,
     load_model,
     save_model,
     train_forest_model,
     train_knn_model,
 )
-from .config import RESOLVED_CONFIG_NAME, ConfigError, load_config, write_resolved
+from .config import (
+    RESOLVED_CONFIG_NAME,
+    SCHEMA,
+    SETTINGS,
+    SPLIT_KEYS,
+    ConfigError,
+    Settings,
+    parse_bool,
+    resolve,
+    write_resolved,
+)
 from .dataset import (
     DEFAULT_FRACTIONS,
     LabeledDataset,
@@ -65,11 +70,9 @@ from .keystroke import (
     password_press_schedule,
     train_password_model,
 )
-from .profiles import builtin_profiles, get_profile
+from .profiles import get_profile
 from .sampler import CollectPlan, HookError, collect
 from .sources import (
-    POLICY_MASKED,
-    POLICY_OPEN,
     AccessDeniedError,
     ReplayExhaustedError,
     ReplaySource,
@@ -77,7 +80,14 @@ from .sources import (
     SysfsReadError,
     SysfsSource,
 )
-from .trace import FrequencyTrace, TraceFormatError, load_trace, save_trace
+from .trace import (
+    FrequencyTrace,
+    TraceFormatError,
+    atomic_writer,
+    encode_label,
+    load_trace,
+    save_trace,
+)
 from .workloads import (
     idle_workload,
     keystroke_workload,
@@ -127,61 +137,31 @@ def _err(message: str) -> None:
     print(f"freqscope: {message}", file=sys.stderr)
 
 
-def _pick(cfg: dict, key: str, flag_value, default=None):
-    if flag_value is not None:
-        return flag_value
-    return cfg.get(key, default)
-
-
-def _load_cfg(args) -> dict:
-    return load_config(args.config) if getattr(args, "config", None) else {}
-
-
-def _parse_fractions(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"expected train,val,test fractions, got {text!r}")
-    return tuple(parts)  # type: ignore[return-value]
-
-
 def _site_labels(n_classes: int) -> list[str]:
     width = max(2, len(str(max(n_classes - 1, 1))))
     return [f"site{c:0{width}d}" for c in range(n_classes)]
 
 
-def _normalization(text: str) -> str:
-    aliases = {"none": NORM_NONE, "minmax": NORM_MINMAX, NORM_MINMAX: NORM_MINMAX}
-    if text not in aliases:
-        raise ConfigError(f"unknown normalization {text!r} (none | minmax)")
-    return aliases[text]
+def _write_outputs(out: Path, files: dict[str, list[str]], s: Settings | None = None) -> None:
+    """Text files of lines into `out`, plus the resolved conf of `s`, each
+    written atomically."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, lines in files.items():
+        with atomic_writer(out / name) as fh:
+            fh.write("\n".join(lines) + "\n")
+    if s is not None:
+        write_resolved(out / RESOLVED_CONFIG_NAME, s.used())
 
 
-def _turbo_params(profile, turbo_flag: bool | None) -> TurboParams | None:
-    # None: the profile decides; otherwise the flag forces it
-    if turbo_flag is None:
-        return None
-    if not turbo_flag:
-        return TurboParams(enabled=False)
-    return TurboParams(enabled=True, ceiling_khz=profile.boost_cap_khz)
-
-
-def _sim_config(args, cfg: dict, default_profile: str | None = None) -> SimConfig:
-    profile_name = _pick(cfg, "sim.profile", args.profile, default_profile)
-    if not profile_name:
-        raise ConfigError("a device profile is required (--profile)")
-    profile = get_profile(profile_name)
-    governor = _pick(cfg, "sim.governor", args.governor, profile.default_governor)
-    turbo_flag = _pick(cfg, "sim.turbo", args.turbo)
-    interactive = None
-    hispeed = _pick(cfg, "sim.hispeed_freq_khz", getattr(args, "hispeed_khz", None))
-    if hispeed is not None:
-        interactive = InteractiveParams(hispeed_freq_khz=hispeed)
+def _sim_config(s: Settings, default_profile: str) -> SimConfig:
+    profile = get_profile(s.derive("sim.profile", default_profile))
+    hispeed, turbo = s["sim.hispeed_freq_khz"], s["sim.turbo"]
     return SimConfig(
         profile=profile,
-        governor=governor,
-        interactive=interactive,
-        turbo=_turbo_params(profile, turbo_flag),
-        set_speed_khz=_pick(cfg, "sim.set_speed_khz", getattr(args, "set_speed_khz", None)),
+        governor=s.derive("sim.governor", profile.default_governor),
+        interactive=None if hispeed is None else InteractiveParams(hispeed_freq_khz=hispeed),
+        turbo=None if turbo is None else TurboParams(enabled=turbo),  # None: the profile decides
+        set_speed_khz=s["sim.set_speed_khz"],
     )
 
 
@@ -212,56 +192,39 @@ def _simulate_labels(sim_cfg: SimConfig, labels: list[str], per_label: int, n_ti
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
-    kind = _pick(cfg, "simulate.kind", args.kind, "website")
-    seed = _pick(cfg, "run.seed", args.seed, 0)
+    s = resolve("simulate", args)
+    seed = s["run.seed"]
     out = Path(args.out)
 
-    if kind == "website":
-        sim_cfg = _sim_config(args, cfg, default_profile="ryzen5")
-        interval = _pick(cfg, "sim.interval_ms", args.interval_ms, 10)
-        samples = _pick(cfg, "sim.samples", args.samples, 1000)
-        n_classes = _pick(cfg, "simulate.classes", args.classes, 20)
-        per_class = _pick(cfg, "simulate.measurements", args.measurements, 30)
-        jitter = _pick(cfg, "simulate.jitter", args.jitter, 0.03)
-        labels = _site_labels(n_classes)
+    if s["simulate.kind"] == "website":
+        sim_cfg = _sim_config(s, default_profile="ryzen5")
+        s["sim.turbo"] = sim_cfg.effective_turbo().enabled
+        interval = s.derive("sim.interval_ms", 10)
+        samples = s.derive("sim.samples", 1000)
+        jitter = s["simulate.jitter"]
+        labels = _site_labels(s["simulate.classes"])
         measurements = _simulate_labels(
-            sim_cfg, labels, per_class, samples, interval,
+            sim_cfg, labels, s["simulate.measurements"], samples, interval,
             lambda c, m: website_workload(
                 c, n_ticks=samples, tick_ms=interval,
                 seed=stable_seed(seed, "website", labels[c], m), jitter=jitter,
             ),
         )
         ds = LabeledDataset(classes=labels, measurements=measurements)
-        resolved = {
-            "run.seed": seed,
-            "sim.profile": sim_cfg.profile.name,
-            "sim.governor": sim_cfg.governor,
-            "sim.interval_ms": interval,
-            "sim.samples": samples,
-            "sim.turbo": sim_cfg.effective_turbo().enabled,
-            "simulate.kind": kind,
-            "simulate.classes": n_classes,
-            "simulate.measurements": per_class,
-            "simulate.jitter": jitter,
-        }
-    elif kind == "keystrokes":
-        sim_cfg = _sim_config(args, cfg, default_profile="cortex_a73")
-        interval = _pick(cfg, "sim.interval_ms", args.interval_ms, 20)
-        passwords_path = _pick(cfg, "simulate.passwords", args.passwords)
-        if not passwords_path:
+    else:
+        sim_cfg = _sim_config(s, default_profile="cortex_a73")
+        interval = s.derive("sim.interval_ms", 20)
+        if not s["simulate.passwords"]:
             raise ConfigError("--passwords FILE is required for keystroke datasets")
-        per_label = _pick(cfg, "simulate.per_label", args.per_label, 10)
-        words = _read_passwords(passwords_path)
+        per_label = s["simulate.per_label"]
+        words = _read_passwords(s["simulate.passwords"])
         schedules = {
             (pw, m): password_press_schedule(pw, seed=stable_seed(seed, "schedule", pw, m))
             for pw in words
             for m in range(per_label)
         }
-        samples = _pick(cfg, "sim.samples", args.samples)
-        if samples is None:
-            last = max(s[-1] for s in schedules.values())
-            samples = last // interval + 24  # room for the final pulse + decay
+        last = max(presses[-1] for presses in schedules.values())
+        samples = s.derive("sim.samples", last // interval + 24)  # room for the last pulse + decay
         measurements = _simulate_labels(
             sim_cfg, words, per_label, samples, interval,
             lambda c, m: keystroke_workload(
@@ -270,22 +233,10 @@ def cmd_simulate(args) -> int:
             ),
         )
         ds = LabeledDataset(classes=sorted(words), measurements=measurements)
-        resolved = {
-            "run.seed": seed,
-            "sim.profile": sim_cfg.profile.name,
-            "sim.governor": sim_cfg.governor,
-            "sim.interval_ms": interval,
-            "sim.samples": samples,
-            "simulate.kind": kind,
-            "simulate.per_label": per_label,
-            "simulate.passwords": passwords_path,
-        }
-    else:
-        raise ConfigError(f"unknown simulate kind {kind!r} (website | keystrokes)")
 
     with dataset_lock(out):
         save_dataset(ds, out)
-        write_resolved(out / RESOLVED_CONFIG_NAME, resolved)
+        write_resolved(out / RESOLVED_CONFIG_NAME, s.used())
     print(
         f"wrote {ds.total_measurements()} traces"
         f" ({len(ds.classes)} labels x {samples} samples @ {interval} ms) to {out}"
@@ -296,87 +247,64 @@ def cmd_simulate(args) -> int:
 # --- collect -------------------------------------------------------------
 
 
-def _collect_workload(args, cfg, interval_ms: int):
-    kind = _pick(cfg, "collect.workload", args.workload, "idle")
+def _collect_workload(s: Settings):
+    kind = s["collect.workload"]
     tick = 20 if kind == "keystrokes" else 10
-    ticks = args.workload_ticks or 1000
-    seed = _pick(cfg, "run.seed", args.seed, 0)
+    ticks, seed = s["collect.workload_ticks"], s["run.seed"]
     if kind == "website":
-        class_id = _pick(cfg, "collect.workload_class", args.workload_class, 0)
-        return website_workload(class_id, n_ticks=ticks, tick_ms=tick, seed=seed)
+        return website_workload(s["collect.workload_class"], n_ticks=ticks, tick_ms=tick,
+                                seed=seed)
     if kind == "keystrokes":
-        presses = _pick(cfg, "collect.presses", args.presses)
+        presses = s["collect.presses"]
         if not presses:
             raise ConfigError("--presses is required for the keystrokes workload")
         ticks = max(ticks, max(presses) // tick + 24)
         return keystroke_workload(presses, n_ticks=ticks, tick_ms=tick, seed=seed)
     if kind == "noise":
         return noise_workload(ticks, tick_ms=tick, seed=seed)
-    if kind == "idle":
-        return idle_workload(ticks, tick_ms=tick, seed=seed)
-    raise ConfigError(f"unknown workload kind {kind!r}")
+    return idle_workload(ticks, tick_ms=tick, seed=seed)
 
 
-def _build_source(args, cfg, interval_ms: int):
-    source = _pick(cfg, "collect.source", args.source, "sim")
-    policy_name = _pick(cfg, "collect.policy", args.policy, "open")
-    if policy_name not in (POLICY_OPEN, POLICY_MASKED):
-        raise ConfigError(f"unknown policy {policy_name!r} (open | masked)")
+def _build_source(s: Settings, source: str, policy: str):
     if source == "sim":
-        sim_cfg = _sim_config(args, cfg, default_profile="ryzen5")
-        workload = _collect_workload(args, cfg, interval_ms)
-        return SimSource(sim_cfg, workload, policy=policy_name), source
+        return SimSource(_sim_config(s, default_profile="ryzen5"), _collect_workload(s),
+                         policy=policy)
     if source == "replay":
-        replay_path = _pick(cfg, "collect.replay", args.replay)
-        if not replay_path:
+        if not s["collect.replay"]:
             raise ConfigError("--replay TRACE.ftrace is required for the replay source")
-        return ReplaySource(load_trace(replay_path), policy=policy_name), source
-    if source == "sysfs":
-        root = _pick(cfg, "collect.sysfs_root", args.sysfs_root)
-        index = _pick(cfg, "collect.policy_index", args.policy_index, 0)
-        return SysfsSource(root=root, policy_index=index, policy=policy_name), source
-    raise ConfigError(f"unknown source {source!r} (sim | replay | sysfs)")
+        return ReplaySource(load_trace(s["collect.replay"]), policy=policy)
+    return SysfsSource(root=s["collect.sysfs_root"], policy_index=s["collect.policy_index"],
+                       policy=policy)
 
 
 def cmd_collect(args) -> int:
-    cfg = _load_cfg(args)
-    interval = _pick(cfg, "collect.interval_ms", args.interval_ms, 10)
+    s = resolve("collect", args)
     plan = CollectPlan(
-        interval_ms=interval,
-        samples_per_measurement=_pick(cfg, "collect.samples", args.samples, 1000),
-        measurements=_pick(cfg, "collect.measurements", args.measurements, 1),
-        label=_pick(cfg, "collect.label", args.label, "unlabeled"),
-        pre_hook=_pick(cfg, "collect.pre_hook", args.pre_hook),
-        post_hook=_pick(cfg, "collect.post_hook", args.post_hook),
-        inter_measurement_sleep_ms=_pick(cfg, "collect.sleep_ms", args.sleep_ms, 1000),
+        interval_ms=s["collect.interval_ms"],
+        samples_per_measurement=s["collect.samples"],
+        measurements=s["collect.measurements"],
+        label=s["collect.label"],
+        pre_hook=s["collect.pre_hook"],
+        post_hook=s["collect.post_hook"],
+        inter_measurement_sleep_ms=s["collect.sleep_ms"],
     )
-    src, source_name = _build_source(args, cfg, interval)
-    traces = collect(plan, src)
+    source, policy = s["collect.source"], s["collect.policy"]
+    # the conf records the sampler's settings; the source's own (sim.*, run.seed,
+    # workload, replay, sysfs) are not recorded
+    resolved = s.used()
+    traces = collect(plan, _build_source(s, source, policy))
     if not traces:
         _err("no measurement completed (every attempt lost to hook failures)")
         return EXIT_HOOK
 
     out = Path(args.out)
-    from .trace import encode_label
-
     label_dir = out / encode_label(plan.label)
     with dataset_lock(out):
         label_dir.mkdir(parents=True, exist_ok=True)
         stems = [f[: -len(".ftrace")] for f in os.listdir(label_dir) if f.endswith(".ftrace")]
-        first = max((int(s) for s in stems if s.isascii() and s.isdigit()), default=-1) + 1
+        first = max((int(t) for t in stems if t.isascii() and t.isdigit()), default=-1) + 1
         for i, trace in enumerate(traces, start=first):
             save_trace(trace, label_dir / measurement_filename(i), overwrite=False)
-        resolved = {
-            "collect.source": source_name,
-            "collect.interval_ms": plan.interval_ms,
-            "collect.samples": plan.samples_per_measurement,
-            "collect.measurements": plan.measurements,
-            "collect.label": plan.label,
-            "collect.policy": _pick(cfg, "collect.policy", args.policy, "open"),
-            "collect.sleep_ms": plan.inter_measurement_sleep_ms,
-            "collect.pre_hook": plan.pre_hook,
-            "collect.post_hook": plan.post_hook,
-        }
         write_resolved(out / RESOLVED_CONFIG_NAME, resolved)
     print(f"collected {len(traces)}/{plan.measurements} measurements to {label_dir}")
     if len(traces) < plan.measurements:
@@ -387,69 +315,31 @@ def cmd_collect(args) -> int:
 # --- train / eval --------------------------------------------------------
 
 
-def _classifier_settings(args, cfg) -> dict:
-    return {
-        "classifier.kind": _pick(cfg, "classifier.kind", args.classifier_kind, "knn"),
-        "classifier.k": _pick(cfg, "classifier.k", args.k, 4),
-        "classifier.normalization": _normalization(
-            _pick(cfg, "classifier.normalization", args.normalization, "none")
-        ),
-        "classifier.trees": _pick(cfg, "classifier.trees", args.trees, 100),
-        "classifier.max_depth": _pick(cfg, "classifier.max_depth", args.max_depth, 20),
-        "classifier.min_leaf": _pick(cfg, "classifier.min_leaf", args.min_leaf, 1),
-        "classifier.feature_subsample": _pick(
-            cfg, "classifier.feature_subsample", args.feature_subsample, "sqrt"
-        ),
-        "classifier.seed": _pick(cfg, "classifier.seed", args.classifier_seed, 0),
-    }
+def _split(s: Settings, seed: int = 0, fractions=DEFAULT_FRACTIONS):
+    """Split seed and train/val/test fractions; unset ones take the given values."""
+    return (s.derive("split.seed", seed),
+            tuple(s.derive(key, f) for key, f in zip(SPLIT_KEYS, fractions)))
 
 
-def _make_trainer(settings: dict, metadata: dict):
-    kind = settings["classifier.kind"]
-    normalization = settings["classifier.normalization"]
-    if kind == "knn":
-        def trainer(view: LabeledDataset) -> TrainedModel:
-            return train_knn_model(
-                view, k=settings["classifier.k"], normalization=normalization,
-                metadata=metadata,
-            )
-        return trainer
-    if kind == "forest":
-        subsample = settings["classifier.feature_subsample"]
-        if subsample != "sqrt":
-            subsample = float(subsample)
-        params = ForestParams(
-            n_trees=settings["classifier.trees"],
-            max_depth=settings["classifier.max_depth"],
-            min_leaf=settings["classifier.min_leaf"],
-            feature_subsample=subsample,
-            seed=settings["classifier.seed"],
-        )
-        def trainer(view: LabeledDataset) -> TrainedModel:
-            return train_forest_model(
-                view, params=params, normalization=normalization, metadata=metadata,
-            )
-        return trainer
-    raise ConfigError(f"unknown classifier kind {kind!r} (knn | forest)")
-
-
-def _split_settings(args, cfg) -> tuple[int, tuple[float, float, float]]:
-    split_seed = _pick(cfg, "split.seed", args.split_seed, 0)
-    if args.fractions is not None:
-        fractions = _parse_fractions(args.fractions)
-    else:
-        fractions = (
-            cfg.get("split.train", DEFAULT_FRACTIONS[0]),
-            cfg.get("split.val", DEFAULT_FRACTIONS[1]),
-            cfg.get("split.test", DEFAULT_FRACTIONS[2]),
-        )
-    return split_seed, fractions
+def _make_trainer(s: Settings, metadata: dict):
+    # every classifier setting is read, so the resolved conf records all of them
+    normalization, k = s["classifier.normalization"], s["classifier.k"]
+    subsample = s["classifier.feature_subsample"]
+    forest = {"n_trees": s["classifier.trees"], "max_depth": s["classifier.max_depth"],
+              "min_leaf": s["classifier.min_leaf"], "seed": s["classifier.seed"]}
+    if s["classifier.kind"] == "knn":
+        return lambda view: train_knn_model(
+            view, k=k, normalization=normalization, metadata=metadata)
+    if subsample != "sqrt":
+        subsample = float(subsample)
+    params = ForestParams(feature_subsample=subsample, **forest)
+    return lambda view: train_forest_model(
+        view, params=params, normalization=normalization, metadata=metadata)
 
 
 def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    settings = _classifier_settings(args, cfg)
-    split_seed, fractions = _split_settings(args, cfg)
+    s = resolve("train", args)
+    split_seed, fractions = _split(s)
     ds = load_dataset(args.dataset, split_seed=split_seed, split_fractions=fractions)
     train_view, _, _ = split_dataset(ds)
     metadata = {
@@ -458,69 +348,36 @@ def cmd_train(args) -> int:
         "train_traces": train_view.total_measurements(),
         "classes": len(ds.classes),
     }
-    trainer = _make_trainer(settings, metadata)
-    model = trainer(train_view)
+    model = _make_trainer(s, metadata)(train_view)
     model_path = Path(args.model)
     if model_path.parent != Path(""):
         model_path.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, model_path)
-    resolved = dict(settings)
-    resolved.update({
-        "split.seed": split_seed,
-        "split.train": fractions[0],
-        "split.val": fractions[1],
-        "split.test": fractions[2],
-    })
-    write_resolved(model_path.parent / f"{model_path.name}.resolved.conf", resolved)
+    write_resolved(model_path.parent / f"{model_path.name}.resolved.conf", s.used())
     print(
-        f"trained {settings['classifier.kind']} on {metadata['train_traces']} traces"
+        f"trained {s['classifier.kind']} on {metadata['train_traces']} traces"
         f" ({metadata['classes']} classes) -> {model_path}"
     )
     return EXIT_OK
 
 
-def _write_report(out: Path, report: EvalReport, resolved: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    (out / "report.kv").write_text("\n".join(report.key_value_lines()) + "\n", encoding="utf-8")
-    (out / "confusion.csv").write_text(
-        "\n".join(report.confusion_csv_lines()) + "\n", encoding="utf-8"
-    )
-    write_resolved(out / RESOLVED_CONFIG_NAME, resolved)
-
-
 def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
+    s = resolve("eval", args)
     model = load_model(args.model)
-    default_seed = model.metadata.get("split_seed", 0)
-    default_fracs = model.metadata.get("split_fractions", list(DEFAULT_FRACTIONS))
-    split_seed = _pick(cfg, "split.seed", args.split_seed, default_seed)
-    if args.fractions is not None:
-        fractions = _parse_fractions(args.fractions)
-    else:
-        fractions = tuple(default_fracs)  # type: ignore[assignment]
+    split_seed, fractions = _split(
+        s, model.metadata.get("split_seed", 0),
+        model.metadata.get("split_fractions", DEFAULT_FRACTIONS),
+    )
     ds = load_dataset(args.dataset, split_seed=split_seed, split_fractions=fractions)
     views = dict(zip(("train", "val", "test"), split_dataset(ds)))
-    which = _pick(cfg, "eval.split", args.split, "test")
-    if which not in views:
-        raise ConfigError(f"unknown split {which!r} (train | val | test)")
-    topk_max = _pick(cfg, "eval.topk", args.topk, 5)
-    if isinstance(topk_max, list):
-        topk = tuple(sorted(set(topk_max)))
-    else:
-        topk = (1, topk_max) if topk_max > 1 else (1,)
-    report = evaluate(model, views[which], topk=topk)
+    report = evaluate(model, views[s["eval.split"]], topk=tuple(s["eval.topk"]))
     sys.stdout.write(report.to_text())
     if args.out:
-        resolved = {
-            "split.seed": split_seed,
-            "split.train": fractions[0],
-            "split.val": fractions[1],
-            "split.test": fractions[2],
-            "eval.split": which,
-            "eval.topk": list(topk),
-        }
-        _write_report(Path(args.out), report, resolved)
+        _write_outputs(Path(args.out), {
+            "report.txt": [report.to_text().removesuffix("\n")],
+            "report.kv": report.key_value_lines(),
+            "confusion.csv": report.confusion_csv_lines(),
+        }, s)
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -528,22 +385,21 @@ def cmd_eval(args) -> int:
 # --- keystrokes ----------------------------------------------------------
 
 
-def _keystroke_params(args, cfg) -> KeystrokeParams:
+def _keystroke_params(s: Settings) -> KeystrokeParams:
     return KeystrokeParams(
-        idle_freq_khz=_pick(cfg, "keystroke.idle_freq_khz", args.idle_khz, 800_000),
-        peak_cap_khz=_pick(cfg, "keystroke.peak_cap_khz", args.peak_cap_khz, 1_600_000),
-        sustained_freq_khz=_pick(cfg, "keystroke.sustained_freq_khz", args.sustained_khz, 1_200_000),
-        min_pulse_samples=_pick(cfg, "keystroke.min_pulse", args.min_pulse, 8),
-        max_single_pulse_samples=_pick(cfg, "keystroke.max_single", args.max_single, 12),
-        decay_ms=_pick(cfg, "keystroke.decay_ms", args.decay_ms, 200),
-        sample_interval_ms=_pick(cfg, "keystroke.interval_ms", args.interval_ms, 20),
-        hysteresis_khz=_pick(cfg, "keystroke.hysteresis_khz", args.hysteresis_khz, 100_000),
+        idle_freq_khz=s["keystroke.idle_freq_khz"],
+        peak_cap_khz=s["keystroke.peak_cap_khz"],
+        sustained_freq_khz=s["keystroke.sustained_freq_khz"],
+        min_pulse_samples=s["keystroke.min_pulse"],
+        max_single_pulse_samples=s["keystroke.max_single"],
+        sample_interval_ms=s["keystroke.interval_ms"],
+        hysteresis_khz=s["keystroke.hysteresis_khz"],
     )
 
 
 def cmd_keystrokes(args) -> int:
-    cfg = _load_cfg(args)
-    params = _keystroke_params(args, cfg)
+    s = resolve("keystrokes", args)
+    params = _keystroke_params(s)
     if bool(args.trace) == bool(args.dataset):
         raise ConfigError("exactly one of --trace or --dataset is required")
 
@@ -552,19 +408,8 @@ def cmd_keystrokes(args) -> int:
         lines = report.key_value_lines()
         print("\n".join(lines))
         if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "keystrokes.kv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-            write_resolved(out / RESOLVED_CONFIG_NAME, {
-                "keystroke.interval_ms": params.sample_interval_ms,
-                "keystroke.idle_freq_khz": params.idle_freq_khz,
-                "keystroke.hysteresis_khz": params.hysteresis_khz,
-                "keystroke.sustained_freq_khz": params.sustained_freq_khz,
-                "keystroke.peak_cap_khz": params.peak_cap_khz,
-                "keystroke.min_pulse": params.min_pulse_samples,
-                "keystroke.max_single": params.max_single_pulse_samples,
-            })
-            print(f"report written to {out / 'keystrokes.kv'}")
+            _write_outputs(Path(args.out), {"keystrokes.kv": lines}, s)
+            print(f"report written to {Path(args.out) / 'keystrokes.kv'}")
         return EXIT_OK
 
     ds = load_dataset(args.dataset)
@@ -578,27 +423,17 @@ def cmd_keystrokes(args) -> int:
         presses = [len(v) + 1 if len(v) else 0 for v in vecs]
         print(f"{label}: traces={len(vecs)} mean_presses={np.mean(presses):.2f}")
 
-    guesses = _pick(cfg, "keystroke.guess_curve", args.guess_curve)
+    guesses = s["keystroke.guess_curve"]
     if guesses:
-        split_seed = _pick(cfg, "keystroke.split_seed", args.split_seed, 0)
-        model, held_out = train_password_model(vectors, split_seed=split_seed)
+        model, held_out = train_password_model(vectors, split_seed=s["keystroke.split_seed"])
         curve = guess_curve(model, held_out, guesses)
         lines = ["guess,accuracy"]
         for g, acc in enumerate(curve, start=1):
             lines.append(f"{g},{acc:.6f}")
         print("\n".join(lines))
         if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "guesses.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-            write_resolved(out / RESOLVED_CONFIG_NAME, {
-                "keystroke.guess_curve": guesses,
-                "keystroke.split_seed": split_seed,
-                "keystroke.interval_ms": params.sample_interval_ms,
-                "keystroke.idle_freq_khz": params.idle_freq_khz,
-                "keystroke.hysteresis_khz": params.hysteresis_khz,
-            })
-            print(f"guess curve written to {out / 'guesses.csv'}")
+            _write_outputs(Path(args.out), {"guesses.csv": lines}, s)
+            print(f"guess curve written to {Path(args.out) / 'guesses.csv'}")
     return EXIT_OK
 
 
@@ -631,44 +466,31 @@ def _parse_defense(spec: str) -> list[Defense]:
     raise ConfigError(f"unknown defense spec {spec!r} (resolution: | noise: | mask:)")
 
 
+def _config_defenses(s: Settings) -> list[Defense]:
+    defenses = [resolution_reduce(f) for f in s["defend.resolution_factors"] or []]
+    for rate in s["defend.noise_rates"] or []:
+        defenses.append(noise_inject(rate, s["defend.noise_height"], s["defend.noise_seed"]))
+    if s["defend.mask_freq_khz"]:
+        defenses.append(constant_mask(s["defend.mask_freq_khz"]))
+    return defenses
+
+
 def cmd_defend(args) -> int:
-    cfg = _load_cfg(args)
-    defenses: list[Defense] = []
-    for spec in args.defense or []:
-        defenses.extend(_parse_defense(spec))
-    if not defenses:
-        factors = cfg.get("defend.resolution_factors")
-        if factors:
-            defenses.extend(resolution_reduce(f) for f in factors)
-        for rate in cfg.get("defend.noise_rates", []):
-            defenses.append(noise_inject(
-                rate,
-                cfg.get("defend.noise_height", 0.5),
-                cfg.get("defend.noise_seed", 0),
-            ))
-        if cfg.get("defend.mask_freq_khz"):
-            defenses.append(constant_mask(cfg["defend.mask_freq_khz"]))
+    s = resolve("defend", args)
+    defenses = [d for spec in args.defense or [] for d in _parse_defense(spec)]
+    defenses = defenses or _config_defenses(s)
     if not defenses:
         raise ConfigError("no defenses given (--defense resolution:1,2,5 ...)")
 
-    settings = _classifier_settings(args, cfg)
-    split_seed, fractions = _split_settings(args, cfg)
+    split_seed, fractions = _split(s)
     ds = load_dataset(args.dataset, split_seed=split_seed, split_fractions=fractions)
-    trainer = _make_trainer(settings, metadata={"split_seed": split_seed})
-    rows = defense_sweep(defenses, ds, trainer)
+    rows = defense_sweep(defenses, ds, _make_trainer(s, metadata={"split_seed": split_seed}))
     csv_lines = sweep_csv_lines(rows)
     print("\n".join(csv_lines))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-        (out / "sweep.dat").write_text(
-            "\n".join(sweep_plot_lines(rows)) + "\n", encoding="utf-8"
-        )
-        resolved = dict(settings)
-        resolved["split.seed"] = split_seed
-        write_resolved(out / RESOLVED_CONFIG_NAME, resolved)
-        print(f"sweep written to {out}")
+        _write_outputs(Path(args.out),
+                       {"sweep.csv": csv_lines, "sweep.dat": sweep_plot_lines(rows)}, s)
+        print(f"sweep written to {Path(args.out)}")
     return EXIT_OK
 
 
@@ -693,11 +515,8 @@ def _align(rows: list[list[str]]) -> list[str]:
 def cmd_report(args) -> int:
     if not args.eval_kv and not args.sweep_csv:
         raise ConfigError("nothing to report (--eval-kv and/or --sweep-csv)")
-    out = Path(args.out) if args.out else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
-
     blocks: list[str] = []
+    files: dict[str, list[str]] = {}
     if args.eval_kv:
         rows = [["name", "top1", "top5", "total"]]
         plot = ["# name top1"]
@@ -709,9 +528,7 @@ def cmd_report(args) -> int:
             plot.append(f"{name} {kv.get('top1', 'nan')}")
         table = "\n".join(_align(rows))
         blocks.append(table)
-        if out:
-            (out / "eval_table.txt").write_text(table + "\n", encoding="utf-8")
-            (out / "eval.dat").write_text("\n".join(plot) + "\n", encoding="utf-8")
+        files.update({"eval_table.txt": [table], "eval.dat": plot})
 
     if args.sweep_csv:
         rows = [["defense", "param", "top1_clean", "top1_defended"]]
@@ -728,49 +545,16 @@ def cmd_report(args) -> int:
                 plot.append(" ".join(cells))
         table = "\n".join(_align(rows))
         blocks.append(table)
-        if out:
-            (out / "defense_table.txt").write_text(table + "\n", encoding="utf-8")
-            (out / "defense.dat").write_text("\n".join(plot) + "\n", encoding="utf-8")
+        files.update({"defense_table.txt": [table], "defense.dat": plot})
 
     print("\n\n".join(blocks))
-    if out:
-        print(f"report files written to {out}")
+    if args.out:
+        _write_outputs(Path(args.out), files)
+        print(f"report files written to {Path(args.out)}")
     return EXIT_OK
 
 
 # --- parser --------------------------------------------------------------
-
-
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--profile", help="device profile: " + ", ".join(sorted(builtin_profiles())))
-    p.add_argument("--governor", help="scaling governor (default: profile default)")
-    turbo = p.add_mutually_exclusive_group()
-    turbo.add_argument("--turbo", dest="turbo", action="store_const", const=True,
-                       help="force turbo boost on")
-    turbo.add_argument("--no-turbo", dest="turbo", action="store_const", const=False,
-                       help="force turbo boost off")
-    p.set_defaults(turbo=None)
-    p.add_argument("--set-speed-khz", type=int, dest="set_speed_khz",
-                   help="pinned frequency for the userspace governor")
-    p.add_argument("--hispeed-khz", type=int, dest="hispeed_khz",
-                   help="interactive governor boost floor")
-
-
-def _add_classifier_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--classifier", dest="classifier_kind", choices=("knn", "forest"))
-    p.add_argument("--k", type=int, help="KNN neighbor count (default 4)")
-    p.add_argument("--normalization", help="none | minmax (default none)")
-    p.add_argument("--trees", type=int, help="forest size (default 100)")
-    p.add_argument("--max-depth", type=int, dest="max_depth")
-    p.add_argument("--min-leaf", type=int, dest="min_leaf")
-    p.add_argument("--feature-subsample", dest="feature_subsample",
-                   help="'sqrt' or a fraction in (0,1]")
-    p.add_argument("--classifier-seed", type=int, dest="classifier_seed")
-
-
-def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--split-seed", type=int, dest="split_seed")
-    p.add_argument("--fractions", help="train,val,test e.g. 0.8,0.1,0.1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -782,78 +566,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic labeled dataset")
-    p.add_argument("--kind", choices=("website", "keystrokes"))
-    p.add_argument("--classes", type=int, help="number of website classes")
-    p.add_argument("--measurements", type=int, help="traces per class")
-    p.add_argument("--passwords", help="password list file (keystrokes kind)")
-    p.add_argument("--per-label", type=int, dest="per_label", help="traces per password")
-    p.add_argument("--interval-ms", type=int, dest="interval_ms")
-    p.add_argument("--samples", type=int, help="samples per trace")
-    p.add_argument("--jitter", type=float, help="website load jitter sigma")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
     p.add_argument("--out", required=True, help="dataset directory")
-    _add_sim_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("collect", help="sample a frequency source into traces")
-    p.add_argument("--source", choices=("sim", "replay", "sysfs"))
-    p.add_argument("--interval-ms", type=int, dest="interval_ms")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--measurements", type=int)
-    p.add_argument("--label")
-    p.add_argument("--pre-hook", dest="pre_hook")
-    p.add_argument("--post-hook", dest="post_hook")
-    p.add_argument("--sleep-ms", type=int, dest="sleep_ms")
-    p.add_argument("--policy", choices=("open", "masked"))
-    p.add_argument("--replay", help="trace file for the replay source")
-    p.add_argument("--sysfs-root", dest="sysfs_root")
-    p.add_argument("--policy-index", type=int, dest="policy_index")
-    p.add_argument("--workload", choices=("website", "keystrokes", "idle", "noise"))
-    p.add_argument("--workload-class", type=int, dest="workload_class")
-    p.add_argument("--workload-ticks", type=int, dest="workload_ticks")
-    p.add_argument("--presses", type=lambda s: [int(x) for x in s.split(",")],
-                   help="press times in ms, comma separated")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
     p.add_argument("--out", required=True)
-    _add_sim_flags(p)
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("train", help="fit a classifier on the train split")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True, help="output model file (json)")
-    p.add_argument("--config")
-    _add_classifier_flags(p)
-    _add_split_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a dataset split")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"))
-    p.add_argument("--topk", type=int, help="also report top-K accuracy")
     p.add_argument("--out", help="directory for report files")
-    p.add_argument("--config")
-    _add_split_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("keystrokes", help="detect keystrokes / rank passwords")
     p.add_argument("--trace", help="single trace file")
     p.add_argument("--dataset", help="dataset of password-labeled traces")
-    p.add_argument("--guess-curve", type=int, dest="guess_curve",
-                   help="emit cumulative accuracy up to N guesses")
-    p.add_argument("--split-seed", type=int, dest="split_seed")
-    p.add_argument("--idle-khz", type=int, dest="idle_khz")
-    p.add_argument("--peak-cap-khz", type=int, dest="peak_cap_khz")
-    p.add_argument("--sustained-khz", type=int, dest="sustained_khz")
-    p.add_argument("--min-pulse", type=int, dest="min_pulse")
-    p.add_argument("--max-single", type=int, dest="max_single")
-    p.add_argument("--decay-ms", type=int, dest="decay_ms")
-    p.add_argument("--interval-ms", type=int, dest="interval_ms")
-    p.add_argument("--hysteresis-khz", type=int, dest="hysteresis_khz")
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_keystrokes)
 
     p = sub.add_parser("defend", help="sweep countermeasures against a dataset")
@@ -861,9 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--defense", action="append",
                    help="resolution:F1,F2,... | noise:RATE[:HEIGHT[:SEED]] | mask:FREQ")
     p.add_argument("--out")
-    p.add_argument("--config")
-    _add_classifier_flags(p)
-    _add_split_flags(p)
     p.set_defaults(func=cmd_defend)
 
     p = sub.add_parser("report", help="render eval/sweep outputs as tables")
@@ -874,6 +605,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 
+    for command, p in sub.choices.items():
+        settings = [s for s in SETTINGS if command in s.commands]
+        if not settings:
+            continue
+        p.add_argument("--config", help="file of `section.key = value` settings; flags win")
+        if command in SCHEMA["split.train"].commands:
+            p.add_argument("--fractions",
+                           help=f"train,val,test e.g. 0.8,0.1,0.1 [{', '.join(SPLIT_KEYS)}]")
+        for s in settings:
+            if s.flag is None:
+                continue
+            if s.parse is parse_bool:
+                group = p.add_mutually_exclusive_group()
+                group.add_argument(s.flag, dest=s.dest, action="store_const", const=True,
+                                   help=f"{s.help} [{s.key} = true]")
+                group.add_argument("--no-" + s.flag[2:], dest=s.dest, action="store_const",
+                                   const=False, help=f"the opposite of {s.flag} [{s.key} = false]")
+            else:
+                p.add_argument(s.flag, dest=s.dest, type=s.parse, choices=s.choices,
+                               help=s.flag_help())
     return parser
 
 
@@ -898,9 +649,6 @@ def main(argv: list[str] | None = None) -> int:
     except HookError as exc:
         _err(str(exc))
         return EXIT_HOOK
-    except json.JSONDecodeError as exc:
-        _err(f"malformed model file: {exc}")
-        return EXIT_DATA
     except KeyError as exc:
         _err(str(exc).strip("'\""))
         return EXIT_CONFIG

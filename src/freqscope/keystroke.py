@@ -41,7 +41,6 @@ class KeystrokeParams:
     sustained_freq_khz: int = 1_200_000
     min_pulse_samples: int = 8
     max_single_pulse_samples: int = 12
-    decay_ms: int = 200
     sample_interval_ms: int = 20
     # segmentation threshold is idle + hysteresis; 100 MHz keeps every
     # signal level more than 50 MHz away from the threshold

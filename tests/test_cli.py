@@ -123,6 +123,33 @@ def test_removed_conservative_step_key_exits_2(tmp_path, capsys):
     assert "unknown key 'sim.conservative_step_khz'" in capsys.readouterr().err
 
 
+def test_removed_decay_key_exits_2(tmp_path, capsys):
+    conf = tmp_path / "old.conf"
+    conf.write_text("keystroke.decay_ms = 200\n")
+    assert run_cli("keystrokes", "--config", conf, "--dataset", tmp_path) == 2
+    assert "unknown key 'keystroke.decay_ms'" in capsys.readouterr().err
+
+
+RERUN_CASES = {  # case: simulate flags whose settings the resolved conf must carry
+    "set_speed": ("--governor", "userspace", "--set-speed-khz", "2200000",
+                  "--classes", "2", "--measurements", "2", "--samples", "60"),
+    "hispeed": ("--profile", "cortex_a73", "--hispeed-khz", "2361000",
+                "--classes", "2", "--measurements", "2", "--samples", "60"),
+    "keystrokes_no_turbo": ("--kind", "keystrokes", "--profile", "comet_lake",
+                            "--governor", "performance", "--no-turbo", "--per-label", "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RERUN_CASES))
+def test_simulate_reruns_from_its_resolved_conf_alone(tmp_path, case):
+    pwfile = tmp_path / "pw.txt"
+    pwfile.write_text("monkey\nvelvet\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli("simulate", *RERUN_CASES[case], "--passwords", pwfile, "--out", first) == 0
+    assert run_cli("simulate", "--config", first / RESOLVED_CONFIG_NAME, "--out", second) == 0
+    assert tree_bytes(first) == tree_bytes(second)
+
+
 def test_unknown_profile_exits_2(tmp_path):
     rc = run_cli("simulate", "--kind", "website", "--profile", "pentium3",
                  "--classes", "2", "--measurements", "2", "--samples", "40",
@@ -153,6 +180,20 @@ def test_train_and_eval_round_trip(tmp_path, website_ds, capsys):
     assert any(line.startswith("top1 = ") for line in kv.splitlines())
     assert (out / "confusion.csv").read_text().startswith("true\\pred,")
     assert (out / RESOLVED_CONFIG_NAME).exists()
+
+
+def test_eval_takes_split_fractions_from_config(tmp_path, website_ds):
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--dataset", website_ds, "--model", model) == 0
+    conf = tmp_path / "split.conf"
+    conf.write_text("split.train = 0.5\nsplit.val = 0.1\nsplit.test = 0.4\n")
+    outs = []
+    for name, how in (("conf", ("--config", conf)), ("flag", ("--fractions", "0.5,0.1,0.4"))):
+        outs.append(tmp_path / name)
+        assert run_cli("eval", "--dataset", website_ds, "--model", model, *how,
+                       "--out", outs[-1]) == 0
+    assert tree_bytes(outs[0]) == tree_bytes(outs[1])
+    assert "total = 16" in (outs[0] / "report.kv").read_text().splitlines()
 
 
 def test_eval_missing_dataset_exits_3(tmp_path, website_ds):
@@ -192,12 +233,18 @@ def _zero_trees(doc):
     return doc
 
 
+def _trees_not_objects(doc):
+    doc["classifier"]["trees"] = [5, "x"]
+    return doc
+
+
 MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
     "no_classifier": ("knn", _drop("classifier")),
     "no_knn_k": ("knn", _drop("classifier", "k")),
     "ragged_train_x": ("knn", _ragged_train_x),
     "no_forest_max_depth": ("forest", _drop("classifier", "params", "max_depth")),
     "zero_forest_trees": ("forest", _zero_trees),
+    "forest_trees_not_objects": ("forest", _trees_not_objects),
     "unknown_kind": ("knn", _with("kind", "svm")),
     "other_format": ("knn", _with("format", "something-else")),
     "other_version": ("knn", _with("version", 99)),

@@ -1,8 +1,12 @@
-"""Config file parsing and the resolved-settings writer."""
+"""Config file parsing, the settings table and the resolved-settings writer."""
+
+import os
 
 import pytest
 
 from freqscope.config import (
+    RESOLVED_CONFIG_NAME,
+    SETTINGS,
     ConfigError,
     load_config,
     parse_config,
@@ -91,3 +95,31 @@ def test_resolved_skips_none_and_rejects_unknown():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.conf")
+
+
+def test_rejected_write_leaves_existing_resolved_file(tmp_path):
+    path = tmp_path / RESOLVED_CONFIG_NAME
+    write_resolved(path, {"run.seed": 1})
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match="unknown key"):
+        write_resolved(path, {"run.seed": 2, "bogus.key": 1})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [RESOLVED_CONFIG_NAME]
+
+
+@pytest.mark.parametrize("setting", [s for s in SETTINGS if s.default is not None],
+                         ids=lambda s: s.key)
+def test_table_default_round_trips(setting):
+    text = resolved_lines({setting.key: setting.default})
+    assert resolved_lines(parse_config(text[0])) == text
+
+
+def test_single_topk_means_top1_and_topn():
+    assert parse_config("eval.topk = 5\n")["eval.topk"] == [1, 5]
+    assert parse_config("eval.topk = 1\n")["eval.topk"] == [1]
+    assert parse_config("eval.topk = 5,1,3,5\n")["eval.topk"] == [1, 3, 5]
+
+
+def test_choice_keys_are_checked_like_their_flags():
+    with pytest.raises(ConfigError, match="line 1.*expected one of open, masked"):
+        parse_config("collect.policy = closed\n")
