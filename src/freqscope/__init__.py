@@ -20,7 +20,14 @@ from .classify import (
     train_forest_model,
     train_knn_model,
 )
-from .dataset import LabeledDataset, load_dataset, save_dataset, split_dataset, stable_seed
+from .dataset import (
+    DatasetFormatError,
+    LabeledDataset,
+    load_dataset,
+    save_dataset,
+    split_dataset,
+    stable_seed,
+)
 from .defend import Defense, apply_defense, defense_sweep, evaluate_defense
 from .forest import ForestModel, ForestParams, forest_predict, forest_rank, forest_train
 from .governors import (
@@ -58,6 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessDeniedError",
     "CollectPlan",
+    "DatasetFormatError",
     "Defense",
     "DeviceProfile",
     "EvalReport",

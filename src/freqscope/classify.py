@@ -232,7 +232,7 @@ def _classifier_payload(model: TrainedModel) -> dict:
         return {
             "k": knn.k,
             "metric": knn.metric,
-            "train_x": knn.train_x.tolist(),
+            "train_x": knn.train_x,
             "train_labels": list(knn.train_labels),
         }
     forest: ForestModel = model.classifier
@@ -268,8 +268,33 @@ def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
         "classifier": _classifier_payload(model),
     }
     with atomic_writer(path) as fh:
-        json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
+        _write_json(fh, doc)
         fh.write("\n")
+
+
+def _write_json(fh, value) -> None:
+    """Write the text of json.dump(value, fh, separators=(",", ":"),
+    sort_keys=True) with the C encoder. Dicts with string keys are walked in
+    sorted key order and a numpy matrix is written one row at a time, so
+    neither the matrix as Python floats nor the document as one string
+    ever exists whole."""
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        fh.write("{")
+        for i, key in enumerate(sorted(value)):
+            fh.write(("," if i else "") + json.dumps(key) + ":")
+            _write_json(fh, value[key])
+        fh.write("}")
+    elif isinstance(value, np.ndarray):
+        fh.write("[")
+        for i, row in enumerate(value):
+            fh.write(("," if i else "") + _dumps(row.tolist()))
+        fh.write("]")
+    else:
+        fh.write(_dumps(value))
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
 def load_model(path: str | os.PathLike) -> TrainedModel:

@@ -45,6 +45,7 @@ from .config import (
 )
 from .dataset import (
     DEFAULT_FRACTIONS,
+    DatasetFormatError,
     LabeledDataset,
     load_dataset,
     measurement_filename,
@@ -637,7 +638,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
-    except (TraceFormatError, ModelFormatError) as exc:
+    except (TraceFormatError, DatasetFormatError, ModelFormatError) as exc:
         _err(str(exc))
         return EXIT_DATA
     except (ReplayExhaustedError, SysfsReadError, LockError) as exc:

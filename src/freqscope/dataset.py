@@ -15,9 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import FrequencyTrace, decode_label, encode_label, load_trace, save_trace
+from .trace import (
+    FrequencyTrace,
+    TraceFormatError,
+    decode_label,
+    encode_label,
+    load_trace,
+    save_trace,
+)
 
 DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)
+
+
+class DatasetFormatError(ValueError):
+    """Raised for dataset trees without traces, with a malformed trace file,
+    or whose traces disagree on sample count or interval."""
 
 
 def stable_seed(*parts) -> int:
@@ -46,9 +58,9 @@ class LabeledDataset:
         lengths = {len(t) for traces in self.measurements.values() for t in traces}
         intervals = {t.interval_ms for traces in self.measurements.values() for t in traces}
         if len(lengths) > 1:
-            raise ValueError(f"traces disagree on sample count: {sorted(lengths)}")
+            raise DatasetFormatError(f"traces disagree on sample count: {sorted(lengths)}")
         if len(intervals) > 1:
-            raise ValueError(f"traces disagree on interval_ms: {sorted(intervals)}")
+            raise DatasetFormatError(f"traces disagree on interval_ms: {sorted(intervals)}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1: {self.split_fractions}")
         if any(f < 0 for f in self.split_fractions):
@@ -148,12 +160,19 @@ def load_dataset(
         files = sorted(f for f in os.listdir(label_dir) if f.endswith(".ftrace"))
         if not files:
             continue
-        measurements[label] = [load_trace(os.path.join(label_dir, f)) for f in files]
+        measurements[label] = [_load_member(os.path.join(label_dir, f)) for f in files]
     if not measurements:
-        raise ValueError(f"no traces found under {root!r}")
+        raise DatasetFormatError(f"no traces found under {root!r}")
     return LabeledDataset(
         classes=sorted(measurements),
         measurements=measurements,
         split_seed=split_seed,
         split_fractions=split_fractions,
     )
+
+
+def _load_member(path: str) -> FrequencyTrace:
+    try:
+        return load_trace(path)
+    except TraceFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc

@@ -143,12 +143,27 @@ def _inject_noise(d: Defense, t: FrequencyTrace, salt: int) -> list[int]:
     positions = rng.integers(0, n, n_bursts)
     widths = rng.integers(NOISE_WIDTHS[0], NOISE_WIDTHS[1] + 1, n_bursts)
     scales = rng.uniform(0.5, 1.0, n_bursts)
-    out = list(t.samples)
-    for pos, width, scale in zip(positions, widths, scales):
-        delta = int(round(d.burst_height * scale * span))
-        for i in range(pos, min(pos + width, n)):
-            out[i] = max(lo, min(hi, out[i] + delta))
-    return out
+    deltas = np.round(d.burst_height * scales * span).astype(np.int64)
+    # every (sample, delta) a burst adds, burst-major, then stably grouped by
+    # sample: bursts that overlap a sample stay in burst order, so round k
+    # adds and clamps each sample's k-th burst, as the bursts compound one
+    # after another
+    offsets = np.arange(NOISE_WIDTHS[1])
+    cells = positions[:, None] + offsets
+    covered = (offsets < widths[:, None]) & (cells < n)
+    order = np.argsort(cells[covered], kind="stable")
+    at = cells[covered][order]
+    add = np.broadcast_to(deltas[:, None], cells.shape)[covered][order]
+    depth = np.arange(len(at)) - np.searchsorted(at, at)
+    out = np.array(t.samples, dtype=np.int64)
+    for k in range(depth.max() + 1):
+        hit = depth == k
+        out[at[hit]] = np.clip(out[at[hit]] + add[hit], lo, hi)
+    # one int object per distinct value, as the per-sample loop shared lo,
+    # hi and the untouched samples: a dataset of fresh ints costs megabytes
+    distinct, where = np.unique(out, return_inverse=True)
+    shared = distinct.tolist()
+    return [shared[i] for i in where.tolist()]
 
 
 def defended_dataset(d: Defense, ds: LabeledDataset) -> LabeledDataset:

@@ -38,6 +38,11 @@ TURBO_IDLE_LOAD = 0.1
 INTERACTIVE_DECAY_STEPS = 3  # pstate indices shed per tick on the way down
 
 
+def _check_loads(loads: np.ndarray) -> None:
+    if not ((loads >= 0.0) & (loads <= 1.0)).all():  # NaN fails both
+        raise ValueError("loads must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class WorkloadTrace:
     loads: tuple[float, ...]
@@ -48,8 +53,7 @@ class WorkloadTrace:
             raise ValueError("workload needs at least one tick")
         if self.tick_ms < 1:
             raise ValueError("tick_ms must be >= 1")
-        if any(l < 0.0 or l > 1.0 for l in self.loads):
-            raise ValueError("loads must lie in [0, 1]")
+        _check_loads(np.asarray(self.loads, dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.loads)
@@ -172,8 +176,7 @@ def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
     loads = np.asarray(loads, dtype=np.float64)
     if loads.ndim != 2 or loads.shape[1] == 0:
         raise ValueError("loads must be a [B, T] matrix with T >= 1")
-    if not ((loads >= 0.0) & (loads <= 1.0)).all():
-        raise ValueError("loads must lie in [0, 1]")
+    _check_loads(loads)
     states = [init_state(cfg)] * len(loads) if states is None else list(states)
     if len(states) != len(loads):
         raise ValueError(f"{len(states)} start states for {len(loads)} load rows")

@@ -17,14 +17,21 @@ UTF-8 with LF endings and are written atomically (temp file + rename).
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from urllib.parse import quote, unquote
+
+import numpy as np
 
 MAGIC = "#ftrace v1"
 
 _HEADER_KEYS = ("interval_ms", "device", "label", "start_index")
+
+# `index,freq_khz` lines of ASCII digits, LF-terminated; 18 digits always fit int64
+_CANONICAL_BODY = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18}\n)+")
 
 
 class TraceFormatError(ValueError):
@@ -99,29 +106,35 @@ def save_trace(trace: FrequencyTrace, path: str | os.PathLike, *, overwrite: boo
         lines.append(f"#label={encode_label(trace.label)}")
     if trace.start_index:
         lines.append(f"#start_index={trace.start_index}")
-    for i, freq in enumerate(trace.samples, start=trace.start_index):
-        lines.append(f"{i},{freq}")
+    # one format pass for the whole body; %s renders an int as str() does
+    pairs = chain.from_iterable(enumerate(trace.samples, start=trace.start_index))
+    body = "%s,%s\n" * len(trace.samples) % tuple(pairs)
     with atomic_writer(path, overwrite=overwrite) as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.write(body)
 
 
 def load_trace(path: str | os.PathLike) -> FrequencyTrace:
-    """Parse a .ftrace file; inverse of save_trace."""
+    """Parse a .ftrace file; inverse of save_trace.
+
+    A canonical body, as save_trace writes it, is parsed in bulk; any other
+    body goes through the line parser, which also names the first bad line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         raw = fh.read()
 
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
+    body_at = 0  # the header is every '#' line at the top of the file
+    while raw.startswith("#", body_at):
+        end = raw.find("\n", body_at)
+        body_at = len(raw) if end < 0 else end + 1
+    lines = raw[:body_at].split("\n")
+    if lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != MAGIC:
         raise TraceFormatError(1, f"missing magic header {MAGIC!r}")
 
     header: dict[str, str] = {}
-    body_start = None
     for n, line in enumerate(lines[1:], start=2):
-        if not line.startswith("#"):
-            body_start = n
-            break
         key, sep, value = line[1:].partition("=")
         if not sep:
             raise TraceFormatError(n, f"malformed header line {line!r}")
@@ -142,12 +155,50 @@ def load_trace(path: str | os.PathLike) -> FrequencyTrace:
     except ValueError:
         raise TraceFormatError(1, f"start_index is not an integer: {header['start_index']!r}") from None
 
-    if body_start is None:
+    body = raw[body_at:]
+    if not body:
         raise TraceFormatError(len(lines), "empty body")
+    body_start = len(lines) + 1
+    samples = _bulk_samples(body, start_index)
+    if samples is None:
+        samples = _parse_lines(body, body_start, start_index)
 
+    try:
+        return FrequencyTrace(
+            samples=samples,
+            interval_ms=interval,
+            device=decode_label(header.get("device", "unknown")),
+            label=decode_label(header["label"]) if "label" in header else None,
+            start_index=start_index,
+        )
+    except ValueError as exc:
+        raise TraceFormatError(body_start, str(exc)) from None
+
+
+def _bulk_samples(body: str, start_index: int) -> list[int] | None:
+    """The samples of a canonical body whose indices count up from
+    start_index, converted in one numpy call; None for any other body."""
+    if not _CANONICAL_BODY.fullmatch(body):
+        return None
+    pairs = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",").reshape(-1, 2)
+    # the first test also keeps arange inside int64
+    if pairs[0, 0] != start_index or not np.array_equal(
+        pairs[:, 0], np.arange(start_index, start_index + len(pairs))
+    ):
+        return None
+    return pairs[:, 1].tolist()
+
+
+def _parse_lines(body: str, body_start: int, start_index: int) -> list[int]:
+    """Line by line, for bodies the bulk path refuses: takes every spelling
+    int() accepts (signs, spaces, '_', a trailing CR, huge values) and
+    raises TraceFormatError naming the first bad line."""
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     samples: list[int] = []
     expected = start_index
-    for n, line in enumerate(lines[body_start - 1 :], start=body_start):
+    for n, line in enumerate(lines, start=body_start):
         idx_text, sep, freq_text = line.partition(",")
         if not sep:
             raise TraceFormatError(n, f"body line lacks comma separator: {line!r}")
@@ -160,14 +211,4 @@ def load_trace(path: str | os.PathLike) -> FrequencyTrace:
             raise TraceFormatError(n, f"sample index {idx} out of sequence (expected {expected})")
         samples.append(freq)
         expected += 1
-
-    try:
-        return FrequencyTrace(
-            samples=samples,
-            interval_ms=interval,
-            device=decode_label(header.get("device", "unknown")),
-            label=decode_label(header["label"]) if "label" in header else None,
-            start_index=start_index,
-        )
-    except ValueError as exc:
-        raise TraceFormatError(body_start, str(exc)) from None
+    return samples

@@ -277,6 +277,38 @@ def test_eval_malformed_model_payload_exits_3(tmp_path, website_ds, model_docs, 
     assert str(model) in err
 
 
+GOOD_TRACE = "#ftrace v1\n#interval_ms=10\n0,100\n1,200\n"
+
+MALFORMED_DATASETS = {  # case: (relative path -> file text, stderr message)
+    "mixed_lengths": ({"a/0000.ftrace": GOOD_TRACE,
+                       "b/0000.ftrace": "#ftrace v1\n#interval_ms=10\n0,100\n"},
+                      "traces disagree on sample count: [1, 2]"),
+    "mixed_intervals": ({"a/0000.ftrace": GOOD_TRACE,
+                         "b/0000.ftrace": GOOD_TRACE.replace("=10", "=20")},
+                        "traces disagree on interval_ms: [10, 20]"),
+    "no_traces": ({"a/notes.txt": "not a trace\n"}, "no traces found under {root!r}"),
+    "bad_header": ({"a/0000.ftrace": GOOD_TRACE, "a/0001.ftrace": "#ftrace v2\n0,1\n"},
+                   "{root}/a/0001.ftrace: line 1: missing magic header '#ftrace v1'"),
+    "bad_body_line": ({"a/0000.ftrace": GOOD_TRACE,
+                       "a/0001.ftrace": "#ftrace v1\n#interval_ms=10\n 0,+100\n1,2x0\n"},
+                      "{root}/a/0001.ftrace: line 4: non-numeric sample line: '1,2x0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
+def test_train_malformed_dataset_exits_3(tmp_path, case, capsys):
+    files, message = MALFORMED_DATASETS[case]
+    root = tmp_path / "ds"
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    capsys.readouterr()
+    assert run_cli("train", "--dataset", root, "--model", tmp_path / "m.json") == 3
+    err = capsys.readouterr().err
+    assert err == f"freqscope: {message.format(root=str(root))}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_forest_kind(tmp_path, website_ds):
     model = tmp_path / "forest.json"
     rc = run_cli("train", "--dataset", website_ds, "--model", model,

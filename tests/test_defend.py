@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from freqscope.classify import train_knn_model
-from freqscope.dataset import LabeledDataset
+from freqscope.dataset import LabeledDataset, stable_seed
 from freqscope.defend import (
+    NOISE_WIDTHS,
     Defense,
+    _freq_range,
     access_restrict,
     apply_defense,
     constant_mask,
@@ -131,6 +133,55 @@ def test_noise_bursts_are_plateaus():
     # 4-second trace at 2 Hz: 8 bursts of width 3..8, some may merge
     assert runs
     assert all(r >= 3 for r in runs)
+
+
+def noise_loop(d, t, salt):
+    """The per-sample loop the vectorised noise injection replaced, verbatim."""
+    n = len(t.samples)
+    duration_s = n * t.interval_ms / 1000.0
+    n_bursts = int(round(d.burst_rate_hz * duration_s))
+    if n_bursts == 0:
+        return list(t.samples)
+    lo, hi = _freq_range(t)
+    span = hi - lo
+    rng = np.random.default_rng(stable_seed(d.seed, "noise-inject", salt))
+    positions = rng.integers(0, n, n_bursts)
+    widths = rng.integers(NOISE_WIDTHS[0], NOISE_WIDTHS[1] + 1, n_bursts)
+    scales = rng.uniform(0.5, 1.0, n_bursts)
+    out = list(t.samples)
+    for pos, width, scale in zip(positions, widths, scales):
+        delta = int(round(d.burst_height * scale * span))
+        for i in range(pos, min(pos + width, n)):
+            out[i] = max(lo, min(hi, out[i] + delta))
+    return out
+
+
+NOISE_CASES = {  # case: (device, samples, rate Hz, height); 10 ms ticks
+    "sparse": ("ryzen5", [2_000_000] * 300, 2.0, 0.5),
+    "overlapping": ("ryzen5", [1_400_000] * 300, 80.0, 0.3),
+    "saturating": ("ryzen5", [4_000_000] * 200, 50.0, 1.0),
+    "zero_height_clamps": ("ryzen5", [100, 9_000_000] * 50, 60.0, 0.0),
+    # below the range the first clamp discards part of a delta, so the
+    # order of overlapping bursts decides the result
+    "below_range_overlapping": ("ryzen5", [100] * 400, 150.0, 0.04),
+    "short_edge_clipped": ("cortex_a73", [1_000_000] * 4, 500.0, 0.7),
+    "one_sample": ("comet_lake", [2_000_000], 300.0, 0.9),
+    "mixed_levels": ("comet_lake", [800_000, 2_600_000, 4_900_000, 1_200_000] * 75, 30.0, 0.45),
+    "unknown_device": ("prototype-board", [1_000, 5_000, 3_000, 7_000] * 60, 40.0, 0.6),
+    "unknown_device_flat": ("prototype-board", [42] * 50, 100.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("case", sorted(NOISE_CASES))
+def test_noise_matches_the_per_sample_loop(case, seed):
+    device, samples, rate, height = NOISE_CASES[case]
+    t = make_trace(samples, device=device)
+    d = noise_inject(rate, burst_height=height, seed=seed)
+    for salt in (0, 1, 12345):
+        got = apply_defense(d, t, salt=salt).samples
+        assert got == noise_loop(d, t, salt)
+        assert {type(s) for s in got} == {int}
 
 
 def test_restrict_is_not_a_trace_transform():

@@ -40,6 +40,12 @@ def test_workload_validation():
         WorkloadTrace(loads=(0.5,), tick_ms=0)
 
 
+@pytest.mark.parametrize("load", [float("nan"), -1e-9, 1.0 + 1e-9, float("inf")])
+def test_workload_rejects_loads_outside_unit_range(load):
+    with pytest.raises(ValueError, match="lie in"):
+        WorkloadTrace(loads=(0.5, load, 0.5), tick_ms=10)
+
+
 def test_unknown_and_unsupported_governor():
     with pytest.raises(ValueError):
         SimConfig(profile=RYZEN, governor="warp")

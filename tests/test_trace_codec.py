@@ -1,0 +1,145 @@
+"""The bulk .ftrace codec and the streamed model writer against the
+line-by-line and json.dump implementations they replaced
+(`tests/trace_oracle.py`): bytes written, samples and errors read."""
+
+import numpy as np
+import pytest
+
+import trace_oracle as oracle
+from freqscope import trace
+from freqscope.classify import TrainedModel, save_model, train_forest_model, train_knn_model
+from freqscope.dataset import LabeledDataset
+from freqscope.forest import ForestParams
+from freqscope.knn import KnnModel
+from freqscope.profiles import get_profile
+from freqscope.trace import FrequencyTrace, TraceFormatError, load_trace, save_trace
+
+TRACES = {
+    "plain": FrequencyTrace(samples=[800_000, 1_600_000, 3_700_000], interval_ms=10),
+    "labelled": FrequencyTrace(samples=[1, 0, 2], interval_ms=20, device="ryzen5",
+                               label="news, site/front\npage 100% élève"),
+    "device_odd": FrequencyTrace(samples=[5], interval_ms=1, device="a,b%c\n=d é"),
+    "start_index": FrequencyTrace(samples=[7, 8, 9, 10], interval_ms=10, start_index=995),
+    "past_int64": FrequencyTrace(samples=[0, 2**63 - 1, 2**63, 10**30], interval_ms=10),
+    "long": FrequencyTrace(samples=list(range(0, 3_000_000, 1_000)), interval_ms=10,
+                           label="", start_index=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACES))
+def test_save_trace_writes_the_oracle_bytes(tmp_path, case):
+    trace = TRACES[case]
+    path = tmp_path / "t.ftrace"
+    save_trace(trace, path)
+    assert path.read_bytes() == oracle.render_trace(trace).encode("utf-8")
+    assert load_trace(path) == trace
+
+
+HEAD = "#ftrace v1\n#interval_ms=10\n"
+
+FILES = {  # case: file text; only the "canonical" bodies take the bulk path
+    "canonical": HEAD + "0,100\n1,200\n2,300\n",
+    "canonical_leading_zeros": HEAD + "00,0100\n01,0\n",
+    "canonical_18_digits": HEAD + "0,999999999999999999\n",
+    "canonical_start_index": "#ftrace v1\n#start_index=5\n#interval_ms=10\n5,1\n6,2\n",
+    "canonical_start_index_leading_zero": HEAD + "#start_index=018\n18,1\n",
+    "start_index_mismatch": HEAD + "#start_index=5\n0,1\n1,2\n",
+    "start_index_negative": HEAD + "#start_index=-1\n-1,5\n0,6\n",
+    "start_index_huge": HEAD + "#start_index=99999999999999999999\n99999999999999999999,1\n",
+    "no_final_newline": HEAD + "0,100\n1,200",
+    "crlf": HEAD + "0,100\r\n1,200\r\n",
+    "spaces": HEAD + " 0, 100\n1 ,200 \n",
+    "signs": HEAD + "+0,+100\n-1,5\n",
+    "minus_zero_index": HEAD + "-0,5\n",
+    "underscore": HEAD + "0,1_000\n1,2_0\n",
+    "unicode_digits": HEAD + "0,١٢٣\n",
+    "19_digits": HEAD + "0,9223372036854775807\n1,9223372036854775808\n",
+    "overflow": HEAD + "0,99999999999999999999999\n",
+    "blank_line": HEAD + "0,100\n\n1,200\n",
+    "trailing_blank_line": HEAD + "0,100\n\n",
+    "only_newline": HEAD + "\n",
+    "missing_comma": HEAD + "0,100\n1200\n",
+    "extra_comma": HEAD + "0,100,5\n",
+    "empty_fields": HEAD + "0,\n",
+    "index_gap": HEAD + "0,100\n2,200\n",
+    "index_repeat": HEAD + "0,100\n0,200\n",
+    "wrong_first_index": HEAD + "1,100\n",
+    "negative_sample": HEAD + "0,100\n1,-5\n",
+    "float_sample": HEAD + "0,1e3\n",
+    "hash_after_body": HEAD + "0,100\n#device=x\n",
+    "empty_body": HEAD,
+    "empty_body_no_newline": "#ftrace v1\n#interval_ms=10",
+    "empty_file": "",
+    "bad_magic": "#ftrace v2\n#interval_ms=10\n0,1\n",
+    "magic_crlf": "#ftrace v1\r\n#interval_ms=10\r\n0,1\r\n",
+    "no_interval": "#ftrace v1\n#device=sim\n0,1\n",
+    "interval_not_int": "#ftrace v1\n#interval_ms=ten\n0,1\n",
+    "interval_zero": "#ftrace v1\n#interval_ms=0\n0,1\n",
+    "start_index_not_int": HEAD + "#start_index=x\n0,1\n",
+    "unknown_key": HEAD + "#color=red\n0,1\n",
+    "duplicate_key": HEAD + "#interval_ms=20\n0,1\n",
+    "malformed_header": HEAD + "#device\n0,1\n",
+    "five_header_lines": HEAD + "#device=a\n#label=b\n#start_index=0\n#label=c\n0,1\n",
+}
+
+
+def outcome(load, path):
+    try:
+        t = load(path)
+    except TraceFormatError as exc:
+        return ("error", exc.line, str(exc))
+    return ("trace", t.samples, t.interval_ms, t.device, t.label, t.start_index)
+
+
+def assert_same_outcome(path):
+    got, want = outcome(load_trace, path), outcome(oracle.load_trace, path)
+    assert got == want
+    if got[0] == "trace":
+        assert {type(s) for s in got[1]} == {int}
+
+
+@pytest.mark.parametrize("case", sorted(FILES))
+def test_load_trace_matches_the_line_parser(tmp_path, case):
+    path = tmp_path / "t.ftrace"
+    path.write_bytes(FILES[case].encode("utf-8"))
+    assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in FILES if c.startswith("canonical")))
+def test_canonical_bodies_skip_the_line_parser(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(trace, "_parse_lines", lambda *a: pytest.fail("line parser used"))
+    path = tmp_path / "t.ftrace"
+    path.write_bytes(FILES[case].encode("utf-8"))
+    assert_same_outcome(path)
+
+
+def _knn_with_odd_floats():
+    x = np.array([[0.1, 1e300, -0.0], [np.nan, np.inf, -np.inf], [1 / 3, 5e-324, 2.0]])
+    return TrainedModel(kind="knn", classifier=KnnModel(k=2, train_x=x, train_labels=["a", "b", "a"]),
+                        normalization="none", feature_length=3, classes=["a", "b"],
+                        metadata={"note": 'é "q"', "ints": {2: [1, 2.5], 1: None}, "z": {"b": 1, "a": 0}})
+
+
+def _trained(kind):
+    pstates = get_profile("ryzen5").pstates
+    rng = np.random.default_rng(3)
+    ds = LabeledDataset(classes=["a", "b", "c"], measurements={
+        label: [FrequencyTrace(samples=rng.choice(pstates, 40).tolist(), interval_ms=10,
+                               device="ryzen5", label=label) for _ in range(6)]
+        for label in ("a", "b", "c")})
+    if kind == "knn":
+        return train_knn_model(ds, k=3, normalization="minmax_per_profile",
+                               metadata={"split": {"train": 0.8}, "seed": 4})
+    return train_forest_model(ds, ForestParams(n_trees=5, seed=2), metadata={"b": 1, "a": 2})
+
+
+MODELS = {"knn": lambda: _trained("knn"), "forest": lambda: _trained("forest"),
+          "knn_odd_floats": _knn_with_odd_floats}
+
+
+@pytest.mark.parametrize("case", sorted(MODELS))
+def test_save_model_writes_the_json_dump_bytes(tmp_path, case):
+    model = MODELS[case]()
+    save_model(model, tmp_path / "new.json")
+    oracle.save_model(model, tmp_path / "old.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()

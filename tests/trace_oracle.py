@@ -1,0 +1,149 @@
+"""Reference file codecs: the .ftrace line parser and renderer, and the
+`json.dump` model writer.
+
+These are the per-line and pure-Python-encoder implementations that the
+bulk codec in `freqscope.trace` and the streamed writer in
+`freqscope.classify` replaced, kept verbatim as the oracles the new code is
+compared against byte for byte. `load_trace` parses every body line with
+`partition` and two `int()` calls, `render_trace` builds one f-string per
+line, and `save_model` encodes the whole document with `json.dump`.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+from freqscope.classify import MODEL_FORMAT, MODEL_VERSION, TrainedModel
+from freqscope.forest import ForestModel
+from freqscope.knn import KnnModel
+from freqscope.trace import (
+    _HEADER_KEYS,
+    MAGIC,
+    FrequencyTrace,
+    TraceFormatError,
+    atomic_writer,
+    decode_label,
+    encode_label,
+)
+
+
+def render_trace(trace: FrequencyTrace) -> str:
+    """The text the parent's save_trace wrote."""
+    lines = [MAGIC, f"#interval_ms={trace.interval_ms}", f"#device={encode_label(trace.device)}"]
+    if trace.label is not None:
+        lines.append(f"#label={encode_label(trace.label)}")
+    if trace.start_index:
+        lines.append(f"#start_index={trace.start_index}")
+    for i, freq in enumerate(trace.samples, start=trace.start_index):
+        lines.append(f"{i},{freq}")
+    return "\n".join(lines) + "\n"
+
+
+def load_trace(path: str | os.PathLike) -> FrequencyTrace:
+    """Parse a .ftrace file; inverse of save_trace."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        raw = fh.read()
+
+    lines = raw.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != MAGIC:
+        raise TraceFormatError(1, f"missing magic header {MAGIC!r}")
+
+    header: dict[str, str] = {}
+    body_start = None
+    for n, line in enumerate(lines[1:], start=2):
+        if not line.startswith("#"):
+            body_start = n
+            break
+        key, sep, value = line[1:].partition("=")
+        if not sep:
+            raise TraceFormatError(n, f"malformed header line {line!r}")
+        if key not in _HEADER_KEYS:
+            raise TraceFormatError(n, f"unknown header key {key!r}")
+        if key in header:
+            raise TraceFormatError(n, f"duplicate header key {key!r}")
+        header[key] = value
+
+    if "interval_ms" not in header:
+        raise TraceFormatError(1, "header lacks interval_ms")
+    try:
+        interval = int(header["interval_ms"])
+    except ValueError:
+        raise TraceFormatError(1, f"interval_ms is not an integer: {header['interval_ms']!r}") from None
+    try:
+        start_index = int(header.get("start_index", "0"))
+    except ValueError:
+        raise TraceFormatError(1, f"start_index is not an integer: {header['start_index']!r}") from None
+
+    if body_start is None:
+        raise TraceFormatError(len(lines), "empty body")
+
+    samples: list[int] = []
+    expected = start_index
+    for n, line in enumerate(lines[body_start - 1 :], start=body_start):
+        idx_text, sep, freq_text = line.partition(",")
+        if not sep:
+            raise TraceFormatError(n, f"body line lacks comma separator: {line!r}")
+        try:
+            idx = int(idx_text)
+            freq = int(freq_text)
+        except ValueError:
+            raise TraceFormatError(n, f"non-numeric sample line: {line!r}") from None
+        if idx != expected:
+            raise TraceFormatError(n, f"sample index {idx} out of sequence (expected {expected})")
+        samples.append(freq)
+        expected += 1
+
+    try:
+        return FrequencyTrace(
+            samples=samples,
+            interval_ms=interval,
+            device=decode_label(header.get("device", "unknown")),
+            label=decode_label(header["label"]) if "label" in header else None,
+            start_index=start_index,
+        )
+    except ValueError as exc:
+        raise TraceFormatError(body_start, str(exc)) from None
+
+
+def _classifier_payload(model: TrainedModel) -> dict:
+    if model.kind == "knn":
+        knn: KnnModel = model.classifier
+        return {
+            "k": knn.k,
+            "metric": knn.metric,
+            "train_x": knn.train_x.tolist(),
+            "train_labels": list(knn.train_labels),
+        }
+    forest: ForestModel = model.classifier
+    p = forest.params
+    return {
+        "params": {
+            "n_trees": p.n_trees,
+            "max_depth": p.max_depth,
+            "min_leaf": p.min_leaf,
+            "feature_subsample": p.feature_subsample,
+            "seed": p.seed,
+        },
+        "classes": forest.classes,
+        "trees": forest.trees,
+    }
+
+
+def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
+    """Write the model atomically: a failed write leaves `path` untouched."""
+    doc = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "kind": model.kind,
+        "normalization": model.normalization,
+        "feature_length": model.feature_length,
+        "classes": model.classes,
+        "metadata": model.metadata,
+        "classifier": _classifier_payload(model),
+    }
+    with atomic_writer(path) as fh:
+        json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
+        fh.write("\n")
