@@ -10,7 +10,6 @@ from .classify import (
     NORM_MINMAX,
     NORM_NONE,
     EvalReport,
-    FeatureVector,
     ModelFormatError,
     TrainedModel,
     evaluate,
@@ -28,7 +27,7 @@ from .dataset import (
     split_dataset,
     stable_seed,
 )
-from .defend import Defense, apply_defense, defense_sweep, evaluate_defense
+from .defend import Defense, apply_defense, defense_sweep
 from .forest import ForestModel, ForestParams, forest_predict, forest_rank, forest_train
 from .governors import (
     InteractiveParams,
@@ -44,7 +43,6 @@ from .keystroke import (
     PasswordModel,
     detect_keystrokes,
     guess_curve,
-    timings,
     train_password_model,
 )
 from .knn import KnnModel, fit_knn, knn_predict, knn_rank
@@ -69,7 +67,6 @@ __all__ = [
     "Defense",
     "DeviceProfile",
     "EvalReport",
-    "FeatureVector",
     "ForestModel",
     "ForestParams",
     "FreqSource",
@@ -97,7 +94,6 @@ __all__ = [
     "defense_sweep",
     "detect_keystrokes",
     "evaluate",
-    "evaluate_defense",
     "fit_knn",
     "forest_predict",
     "forest_rank",
@@ -119,7 +115,6 @@ __all__ = [
     "stable_seed",
     "step_governor",
     "synth_workload",
-    "timings",
     "train_forest_model",
     "train_knn_model",
     "train_password_model",

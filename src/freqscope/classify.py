@@ -1,10 +1,11 @@
 """Fingerprinting pipeline: feature handling, evaluation, dataset merging,
 and the model file container.
 
-Feature vectors are the raw samples of one trace. The only transform is
-min-max normalization against the trace's device profile, mapping
-[min_freq, turbo-ceiling-or-max] to [0, 1]; it makes traces from different
-devices comparable so merged-dataset (universal model) experiments work.
+A feature vector is the raw samples of one trace, as float64. The only
+transform is min-max normalization against the trace's device profile,
+mapping [min_freq, turbo-ceiling-or-max] to [0, 1]; it makes traces from
+different devices comparable so merged-dataset (universal model)
+experiments work.
 """
 
 from __future__ import annotations
@@ -28,51 +29,26 @@ MODEL_FORMAT = "freqscope-model"
 MODEL_VERSION = 1
 
 
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-    normalization: str = NORM_NONE
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or len(self.values) == 0:
-            raise ValueError("feature vector must be non-empty and 1-d")
-        if self.normalization not in (NORM_NONE, NORM_MINMAX):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-
-
-def normalize_minmax(fv: FeatureVector, device: str) -> FeatureVector:
-    """Map the profile range onto [0,1]; already-normalized vectors pass
-    through untouched, making the transform idempotent."""
-    if fv.normalization == NORM_MINMAX:
-        return fv
-    profile = get_profile(device)
-    lo = profile.min_freq_khz
-    hi = profile.boost_cap_khz
-    scaled = np.clip((fv.values - lo) / (hi - lo), 0.0, 1.0)
-    return FeatureVector(values=scaled, normalization=NORM_MINMAX)
-
-
 def dataset_matrix(ds: LabeledDataset, normalization: str = NORM_NONE):
-    """(X, labels) in deterministic label-sorted order."""
-    rows = []
-    labels = []
-    for label, trace in ds.items():
-        fv = FeatureVector(values=np.array(trace.samples, dtype=np.float64))
-        if normalization == NORM_MINMAX:
-            try:
-                fv = normalize_minmax(fv, trace.device)
-            except KeyError as exc:
-                raise ValueError(
-                    f"cannot normalize trace with unknown device {trace.device!r}"
-                ) from exc
-        elif normalization != NORM_NONE:
-            raise ValueError(f"unknown normalization {normalization!r}")
-        rows.append(fv.values)
-        labels.append(label)
-    if not rows:
+    """(X, labels) in deterministic label-sorted order: one float64 row of
+    samples per trace, min-max scaled per row under NORM_MINMAX."""
+    pairs = list(ds.items())
+    if not pairs:
         raise ValueError("dataset holds no traces")
-    return np.vstack(rows), labels
+    if normalization not in (NORM_NONE, NORM_MINMAX):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    X = np.stack([trace.samples for _, trace in pairs], dtype=np.float64)
+    if normalization == NORM_MINMAX:
+        bounds = {}
+        for device in dict.fromkeys(trace.device for _, trace in pairs):
+            try:
+                profile = get_profile(device)
+            except KeyError as exc:
+                raise ValueError(f"cannot normalize trace with unknown device {device!r}") from exc
+            bounds[device] = (profile.min_freq_khz, profile.boost_cap_khz)
+        lo, hi = np.array([bounds[trace.device] for _, trace in pairs]).T[:, :, None]
+        X = np.clip((X - lo) / (hi - lo), 0.0, 1.0)
+    return X, [label for label, _ in pairs]
 
 
 @dataclass

@@ -452,8 +452,8 @@ def _parse_defense(spec: str) -> list[Defense]:
             raise ConfigError("noise defense needs a rate, e.g. noise:20 or noise:20:0.8")
         parts = rest.split(":")
         rate = float(parts[0])
-        height = float(parts[1]) if len(parts) > 1 else 0.5
-        seed = int(parts[2]) if len(parts) > 2 else 0
+        height = float(parts[1]) if len(parts) > 1 else SCHEMA["defend.noise_height"].default
+        seed = int(parts[2]) if len(parts) > 2 else SCHEMA["defend.noise_seed"].default
         return [noise_inject(rate, height, seed)]
     if kind == "mask":
         if not rest:

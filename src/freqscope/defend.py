@@ -5,8 +5,8 @@ Transforms operate on recorded traces: sample-and-hold resolution
 reduction (length-preserving, so classifier dimensions are unchanged),
 seeded plateau-shaped noise bursts (a governor reacting to injected
 workloads produces plateaus, not white noise), and constant masking.
-Access restriction is not a trace transform — it is the source policy
-that refuses reads — so applying it here is a usage error.
+Access restriction is not a trace transform: it is the source policy that
+refuses reads (`sources.POLICY_MASKED`).
 
 The evaluation harness trains the attacker on defended data too: a real
 attacker profiles the system as deployed.
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classify import EvalReport, TrainedModel, evaluate
+from .classify import TrainedModel, evaluate
 from .dataset import LabeledDataset, split_dataset, stable_seed
 from .profiles import get_profile
 from .trace import FrequencyTrace
@@ -27,9 +27,8 @@ from .trace import FrequencyTrace
 KIND_RESOLUTION = "resolution_reduce"
 KIND_NOISE = "noise_inject"
 KIND_MASK = "constant_mask"
-KIND_RESTRICT = "access_restrict"
 
-DEFENSE_KINDS = (KIND_RESOLUTION, KIND_NOISE, KIND_MASK, KIND_RESTRICT)
+DEFENSE_KINDS = (KIND_RESOLUTION, KIND_NOISE, KIND_MASK)
 
 NOISE_WIDTHS = (3, 8)  # plateau width range in samples, inclusive
 
@@ -58,18 +57,12 @@ class Defense:
             if not self.mask_freq_khz or self.mask_freq_khz <= 0:
                 raise ValueError("constant_mask needs a positive mask_freq_khz")
 
-    @property
-    def applied_stage(self) -> str:
-        return "source" if self.kind == KIND_RESTRICT else "trace"
-
     def param_label(self) -> str:
         if self.kind == KIND_RESOLUTION:
             return str(self.factor)
         if self.kind == KIND_NOISE:
             return f"{self.burst_rate_hz:g}x{self.burst_height:g}"
-        if self.kind == KIND_MASK:
-            return str(self.mask_freq_khz)
-        return "-"
+        return str(self.mask_freq_khz)
 
 
 def resolution_reduce(factor: int) -> Defense:
@@ -85,31 +78,22 @@ def constant_mask(freq_khz: int) -> Defense:
     return Defense(kind=KIND_MASK, mask_freq_khz=freq_khz)
 
 
-def access_restrict() -> Defense:
-    return Defense(kind=KIND_RESTRICT)
-
-
 def _freq_range(trace: FrequencyTrace) -> tuple[int, int]:
     # known devices clip against the profile; ad-hoc devices fall back to
     # the observed range of the trace itself
     try:
         profile = get_profile(trace.device)
     except KeyError:
-        return min(trace.samples), max(trace.samples)
+        return int(trace.samples.min()), int(trace.samples.max())
     return profile.min_freq_khz, profile.boost_cap_khz
 
 
 def apply_defense(d: Defense, t: FrequencyTrace, salt: int = 0) -> FrequencyTrace:
     """Transform one trace. `salt` decorrelates the noise pattern between
     traces that share a defense seed; other kinds ignore it."""
-    if d.applied_stage != "trace":
-        raise ValueError(
-            "access_restrict is a source policy (see sources.POLICY_MASKED);"
-            " it cannot be applied to a recorded trace"
-        )
     if d.kind == KIND_RESOLUTION:
         f = d.factor
-        samples = [t.samples[(i // f) * f] for i in range(len(t.samples))]
+        samples = t.samples[(np.arange(len(t.samples)) // f) * f]
     elif d.kind == KIND_MASK:
         try:
             profile = get_profile(t.device)
@@ -119,7 +103,7 @@ def apply_defense(d: Defense, t: FrequencyTrace, salt: int = 0) -> FrequencyTrac
             raise ValueError(
                 f"mask frequency {d.mask_freq_khz} is not a pstate of {t.device}"
             )
-        samples = [d.mask_freq_khz] * len(t.samples)
+        samples = np.full(len(t.samples), d.mask_freq_khz)
     else:
         samples = _inject_noise(d, t, salt)
     return FrequencyTrace(
@@ -131,12 +115,12 @@ def apply_defense(d: Defense, t: FrequencyTrace, salt: int = 0) -> FrequencyTrac
     )
 
 
-def _inject_noise(d: Defense, t: FrequencyTrace, salt: int) -> list[int]:
+def _inject_noise(d: Defense, t: FrequencyTrace, salt: int) -> np.ndarray:
     n = len(t.samples)
     duration_s = n * t.interval_ms / 1000.0
     n_bursts = int(round(d.burst_rate_hz * duration_s))
     if n_bursts == 0:
-        return list(t.samples)
+        return t.samples
     lo, hi = _freq_range(t)
     span = hi - lo
     rng = np.random.default_rng(stable_seed(d.seed, "noise-inject", salt))
@@ -155,15 +139,11 @@ def _inject_noise(d: Defense, t: FrequencyTrace, salt: int) -> list[int]:
     at = cells[covered][order]
     add = np.broadcast_to(deltas[:, None], cells.shape)[covered][order]
     depth = np.arange(len(at)) - np.searchsorted(at, at)
-    out = np.array(t.samples, dtype=np.int64)
+    out = t.samples.copy()
     for k in range(depth.max() + 1):
         hit = depth == k
         out[at[hit]] = np.clip(out[at[hit]] + add[hit], lo, hi)
-    # one int object per distinct value, as the per-sample loop shared lo,
-    # hi and the untouched samples: a dataset of fresh ints costs megabytes
-    distinct, where = np.unique(out, return_inverse=True)
-    shared = distinct.tolist()
-    return [shared[i] for i in where.tolist()]
+    return out
 
 
 def defended_dataset(d: Defense, ds: LabeledDataset) -> LabeledDataset:
@@ -185,21 +165,6 @@ def defended_dataset(d: Defense, ds: LabeledDataset) -> LabeledDataset:
 
 
 Trainer = Callable[[LabeledDataset], TrainedModel]
-
-
-def evaluate_defense(d: Defense, ds: LabeledDataset, trainer: Trainer,
-                     topk: tuple[int, ...] = (1, 5)) -> tuple[EvalReport, EvalReport]:
-    """(clean report, defended report) under identical split seeds. The
-    defense is applied to train and test alike before splitting; split
-    membership is a function of (seed, label, index) so both runs compare
-    the same measurement partition."""
-    clean_train, _, clean_test = split_dataset(ds)
-    clean_report = evaluate(trainer(clean_train), clean_test, topk=topk)
-
-    dds = defended_dataset(d, ds)
-    def_train, _, def_test = split_dataset(dds)
-    defended_report = evaluate(trainer(def_train), def_test, topk=topk)
-    return clean_report, defended_report
 
 
 @dataclass(frozen=True)

@@ -164,10 +164,11 @@ def init_state(cfg: SimConfig) -> GovernorState:
 
 def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
                    states: list[GovernorState] | None = None,
-                   ) -> tuple[list[list[int]], list[GovernorState]]:
+                   ) -> tuple[np.ndarray, list[GovernorState]]:
     """Run the governor over every row of a [B, T] load matrix; row r starts
-    from states[r] (default: init_state(cfg)). Returns, per row, the frequency
-    during each tick and the state after the last tick.
+    from states[r] (default: init_state(cfg)). Returns the [B, T] int64
+    matrix of the frequency during each tick, and per row the state after
+    the last tick.
 
     The memoryless part of each law is computed over the whole matrix; what
     carries over from tick to tick (PELT, the conservative walk, interactive
@@ -220,10 +221,9 @@ def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
         idle = loads < TURBO_IDLE_LOAD
         results = [_pstate_row(w.tolist(), i.tolist(), s, cfg) for w, i, s in zip(want, idle, states)]
     else:
-        pick = profile.pstates.__getitem__  # samples share the table's int objects
-        results = [(row, replace(s, current_freq_khz=row[-1]))
-                   for row, s in zip((list(map(pick, w.tolist())) for w in want), states)]
-    return [out for out, _ in results], [end for _, end in results]
+        freqs = np.asarray(profile.pstates, dtype=np.int64)[want]
+        return freqs, [replace(s, current_freq_khz=int(f)) for s, f in zip(states, freqs[:, -1])]
+    return np.array([out for out, _ in results], dtype=np.int64), [end for _, end in results]
 
 
 def _pstate_row(want: list[int], idle: list[bool], state: GovernorState,

@@ -98,42 +98,37 @@ class KeystrokeReport:
         return lines
 
 
-def _runs_above(samples, threshold: int):
-    """Maximal runs of consecutive samples strictly above threshold."""
-    runs = []
-    start = None
-    for i, s in enumerate(samples):
-        if s > threshold:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((start, samples[start:i]))
-            start = None
-    if start is not None:
-        runs.append((start, samples[start:]))
-    return runs
-
-
 def detect_keystrokes(trace: FrequencyTrace, p: KeystrokeParams | None = None) -> KeystrokeReport:
     p = p or KeystrokeParams()
     if trace.interval_ms != p.sample_interval_ms:
         raise ValueError(
             f"trace interval {trace.interval_ms} ms != expected {p.sample_interval_ms} ms"
         )
+    samples = trace.samples
+    padded = np.zeros(len(samples) + 2, dtype=bool)
+    padded[1:-1] = above = samples > p.threshold_khz
+    # maximal runs of samples above the threshold: [starts[i], ends[i])
+    edges = np.diff(padded).nonzero()[0]
+    if not len(edges):
+        return KeystrokeReport()
+    starts, ends = edges[0::2], edges[1::2]
+    # run i is the only stretch above the threshold in [starts[i], starts[i + 1])
+    under_cap = np.maximum.reduceat(samples * above, starts) <= p.peak_cap_khz
+    sustained = np.add.reduceat(above & (samples >= p.sustained_freq_khz), starts, dtype=np.int64)
+    stays_high = sustained > p.max_single_pulse_samples
     events: list[KeystrokeEvent] = []
     presses: list[int] = []
-    for start, seg in _runs_above(trace.samples, p.threshold_khz):
-        length = len(seg)
+    for start, length, quiet, high in zip(starts.tolist(), (ends - starts).tolist(),
+                                          under_cap.tolist(), stays_high.tolist()):
         if length < p.min_pulse_samples:
             continue  # too short: scheduler noise
         if length <= p.max_single_pulse_samples:
-            if max(seg) <= p.peak_cap_khz:
+            if quiet:
                 events.append(KeystrokeEvent(start, length, 1))
                 presses.append(start * p.sample_interval_ms)
             # over-cap short runs are background interference, not keys
             continue
-        sustained = sum(1 for s in seg if s >= p.sustained_freq_khz)
-        if sustained > p.max_single_pulse_samples:
+        if high:
             # fused presses: the run never settles, so split it evenly
             count = math.ceil(length / p.max_single_pulse_samples)
             events.append(KeystrokeEvent(start, length, count, extrapolated=count > 2))
@@ -143,19 +138,8 @@ def detect_keystrokes(trace: FrequencyTrace, p: KeystrokeParams | None = None) -
     return KeystrokeReport(
         events=events,
         press_times_ms=presses,
-        inter_key_timings_ms=timings_from_presses(presses),
+        inter_key_timings_ms=[b - a for a, b in zip(presses, presses[1:])],
     )
-
-
-def timings_from_presses(press_times_ms: list[int]) -> list[int]:
-    return [b - a for a, b in zip(press_times_ms, press_times_ms[1:])]
-
-
-def timings(report: KeystrokeReport) -> list[int]:
-    """Consecutive press-time differences; empty when under two presses."""
-    if report.press_count < 2:
-        return []
-    return timings_from_presses(report.press_times_ms)
 
 
 # --- password timing model ---------------------------------------------

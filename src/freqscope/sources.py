@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
+
 from .governors import SimConfig, WorkloadTrace, init_state, simulate_batch
 from .trace import FrequencyTrace
 
@@ -73,13 +75,13 @@ class SimSource(FreqSource):
         self.workload = workload
         self.device = cfg.profile.name
         self._state = init_state(cfg)  # as of the end of the latest simulated cycle
-        self._cycle: list[int] = []  # frequency during each tick of that cycle
+        self._cycle = np.empty(0, dtype=np.int64)  # frequency during each tick of that cycle
         self._cursor = 0  # ticks consumed
         self._carry_ms = 0
 
     def _read(self) -> int:
         if self._cursor:
-            return self._cycle[(self._cursor - 1) % len(self._cycle)]
+            return self._cycle.item((self._cursor - 1) % len(self._cycle))
         return self._state.current_freq_khz  # before the first tick
 
     def _advance(self, dt_ms: int) -> None:
@@ -109,7 +111,7 @@ class ReplaySource(FreqSource):
             raise ReplayExhaustedError(
                 f"replay of {len(self.trace.samples)} samples exhausted"
             )
-        return self.trace.samples[self._cursor]
+        return self.trace.samples.item(self._cursor)
 
     def _advance(self, dt_ms: int) -> None:
         self._carry_ms += dt_ms
@@ -142,9 +144,12 @@ class SysfsSource(FreqSource):
         except OSError as exc:
             raise SysfsReadError(f"cannot read {self.path}: {exc}") from exc
         try:
-            return int(text.strip())
+            value = int(text.strip())
         except ValueError:
             raise SysfsReadError(f"non-integer content in {self.path}: {text!r}") from None
+        if not 0 <= value < 2**63:
+            raise SysfsReadError(f"frequency outside [0, 2**63) in {self.path}: {value}")
+        return value
 
     def _advance(self, dt_ms: int) -> None:
         # absolute deadlines: start + cumulative dt, immune to per-sleep drift

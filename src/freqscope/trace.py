@@ -30,6 +30,8 @@ MAGIC = "#ftrace v1"
 
 _HEADER_KEYS = ("interval_ms", "device", "label", "start_index")
 
+_INT64_MAX = 2**63 - 1
+
 # `index,freq_khz` lines of ASCII digits, LF-terminated; 18 digits always fit int64
 _CANONICAL_BODY = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18}\n)+")
 
@@ -44,25 +46,45 @@ class TraceFormatError(ValueError):
 
 @dataclass
 class FrequencyTrace:
-    samples: list[int]
+    """`samples` is a read-only 1-d int64 array that the trace owns; any
+    1-d sequence of integers in [0, 2**63) may be passed in."""
+
+    samples: np.ndarray
     interval_ms: int
     device: str = "unknown"
     label: str | None = None
     start_index: int = 0
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        samples = np.asarray(self.samples)
+        if samples.ndim != 1:
+            raise ValueError("samples must be a 1-d sequence")
+        if not len(samples):
             raise ValueError("trace needs at least one sample")
         if self.interval_ms < 1:
             raise ValueError("interval_ms must be >= 1")
         if self.start_index < 0:
             raise ValueError("start_index must be >= 0")
-        if set(map(type, self.samples)) == {int} and min(self.samples) >= 0:
-            return
-        # slow path: accepts int subclasses, names the first bad sample
-        for s in self.samples:
-            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-                raise ValueError(f"samples must be non-negative integers, got {s!r}")
+        if samples.dtype.kind not in "iu":
+            # bools, floats, objects, or ints past int64 that numpy read as
+            # one of those: name the first such value
+            bad = next((v for v in self.samples if isinstance(v, bool)
+                        or not isinstance(v, (int, np.integer)) or not 0 <= v <= _INT64_MAX),
+                       samples.dtype)
+            raise ValueError(f"samples must be integers in [0, 2**63), got {bad}")
+        # signed values can only fall below 0, unsigned ones only past int64
+        worst = samples.max() if samples.dtype.kind == "u" else samples.min()
+        if worst < 0 or worst > _INT64_MAX:
+            raise ValueError(f"samples must be integers in [0, 2**63), got {worst}")
+        self.samples = samples.astype(np.int64)  # always a copy: no caller can write into it
+        self.samples.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FrequencyTrace):
+            return NotImplemented
+        return (np.array_equal(self.samples, other.samples)
+                and (self.interval_ms, self.device, self.label, self.start_index)
+                == (other.interval_ms, other.device, other.label, other.start_index))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -106,8 +128,9 @@ def save_trace(trace: FrequencyTrace, path: str | os.PathLike, *, overwrite: boo
         lines.append(f"#label={encode_label(trace.label)}")
     if trace.start_index:
         lines.append(f"#start_index={trace.start_index}")
-    # one format pass for the whole body; %s renders an int as str() does
-    pairs = chain.from_iterable(enumerate(trace.samples, start=trace.start_index))
+    # one format pass for the whole body; %s renders an int as str() does.
+    # Indices stay Python ints: start_index is not bounded by int64
+    pairs = chain.from_iterable(enumerate(trace.samples.tolist(), start=trace.start_index))
     body = "%s,%s\n" * len(trace.samples) % tuple(pairs)
     with atomic_writer(path, overwrite=overwrite) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -175,7 +198,7 @@ def load_trace(path: str | os.PathLike) -> FrequencyTrace:
         raise TraceFormatError(body_start, str(exc)) from None
 
 
-def _bulk_samples(body: str, start_index: int) -> list[int] | None:
+def _bulk_samples(body: str, start_index: int) -> np.ndarray | None:
     """The samples of a canonical body whose indices count up from
     start_index, converted in one numpy call; None for any other body."""
     if not _CANONICAL_BODY.fullmatch(body):
@@ -186,13 +209,14 @@ def _bulk_samples(body: str, start_index: int) -> list[int] | None:
         pairs[:, 0], np.arange(start_index, start_index + len(pairs))
     ):
         return None
-    return pairs[:, 1].tolist()
+    return pairs[:, 1]
 
 
 def _parse_lines(body: str, body_start: int, start_index: int) -> list[int]:
     """Line by line, for bodies the bulk path refuses: takes every spelling
-    int() accepts (signs, spaces, '_', a trailing CR, huge values) and
-    raises TraceFormatError naming the first bad line."""
+    int() accepts (signs, spaces, '_', a trailing CR) and raises
+    TraceFormatError naming the first bad line. Values outside [0, 2**63)
+    are left for FrequencyTrace to reject."""
     lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()

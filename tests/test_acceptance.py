@@ -127,7 +127,7 @@ def test_acceptance_1_governor_invariants(capsys):
                     assert all(abs(b - a) <= 1 for a, b in zip(steps, steps[1:]))
                 if i < 100:
                     again = simulate(wl, cfg)
-                    assert again.samples == trace.samples
+                    assert again.samples.tolist() == trace.samples.tolist()
 
         icfg = SimConfig(profile=cortex, governor="interactive")
         ia = default_interactive_params(cortex)
@@ -143,7 +143,7 @@ def test_acceptance_1_governor_invariants(capsys):
                     assert all(x >= ia.hispeed_freq_khz
                                for x in s[t:t + hold_samples])
             if i < 100:
-                assert simulate(wl, icfg).samples == s
+                assert simulate(wl, icfg).samples.tolist() == s.tolist()
         # at 10 ms ticks the 20 ms rate limit forbids back-to-back changes
         for i in range(1000):
             wl = noise_workload(60, tick_ms=10,

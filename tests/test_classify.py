@@ -7,12 +7,10 @@ from freqscope.classify import (
     NORM_MINMAX,
     NORM_NONE,
     EvalReport,
-    FeatureVector,
     dataset_matrix,
     evaluate,
     load_model,
     merge_datasets,
-    normalize_minmax,
     save_model,
     train_forest_model,
     train_knn_model,
@@ -49,34 +47,48 @@ def separable_dataset(n_classes=3, per_class=6, length=20, device="ryzen5"):
                           split_seed=1, split_fractions=(0.5, 0.0, 0.5))
 
 
-def test_feature_vector_validation():
-    with pytest.raises(ValueError):
-        FeatureVector(values=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        FeatureVector(values=np.array([]))
-    with pytest.raises(ValueError):
-        FeatureVector(values=np.array([1.0]), normalization="zscore")
+def one_trace_matrix(samples, device="ryzen5"):
+    ds = LabeledDataset(classes=["a"], measurements={"a": [make_trace(samples, "a", device)]})
+    X, _ = dataset_matrix(ds, NORM_MINMAX)
+    return X[0].tolist()
 
 
 def test_normalize_minmax_maps_profile_range():
-    fv = FeatureVector(values=np.array([RYZEN.min_freq_khz, RYZEN.boost_cap_khz],
-                                       dtype=np.float64))
-    out = normalize_minmax(fv, "ryzen5")
-    assert out.values.tolist() == [0.0, 1.0]
-    assert out.normalization == NORM_MINMAX
+    assert one_trace_matrix([RYZEN.min_freq_khz, RYZEN.boost_cap_khz]) == [0.0, 1.0]
 
 
 def test_normalize_minmax_clips_out_of_range():
-    fv = FeatureVector(values=np.array([0.0, 9_999_999.0]))
-    out = normalize_minmax(fv, "ryzen5")
-    assert out.values.tolist() == [0.0, 1.0]
+    assert one_trace_matrix([0, 9_999_999]) == [0.0, 1.0]
 
 
-def test_normalize_minmax_idempotent():
-    fv = FeatureVector(values=np.array([2_000_000.0, 3_000_000.0]))
-    once = normalize_minmax(fv, "ryzen5")
-    twice = normalize_minmax(once, "ryzen5")
-    assert twice.values.tolist() == once.values.tolist()
+def per_trace_matrix(ds, normalization):
+    """The per-trace rows the stacked matrix replaced: each trace cast to
+    float64 and scaled by its own profile's Python-int bounds."""
+    rows = []
+    for _, trace in ds.items():
+        values = np.array(trace.samples.tolist(), dtype=np.float64)
+        if normalization == NORM_MINMAX:
+            profile = get_profile(trace.device)
+            lo, hi = profile.min_freq_khz, profile.boost_cap_khz
+            values = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+        rows.append(values)
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("normalization", [NORM_NONE, NORM_MINMAX])
+def test_dataset_matrix_is_bit_identical_to_per_trace_rows(normalization):
+    rng = np.random.default_rng(8)
+    devices = ["ryzen5", "cortex_a73", "comet_lake"]
+    measurements = {
+        label: [make_trace(rng.integers(0, 6_000_000, 50), label, devices[(i + j) % 3])
+                for j in range(4)]
+        for i, label in enumerate(["b", "a", "c"])
+    }
+    ds = LabeledDataset(classes=["b", "a", "c"], measurements=measurements)
+    X, labels = dataset_matrix(ds, normalization)
+    assert labels == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
+    assert X.dtype == np.float64
+    assert X.tobytes() == per_trace_matrix(ds, normalization).tobytes()
 
 
 def test_dataset_matrix_orders_by_label():

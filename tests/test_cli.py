@@ -292,6 +292,9 @@ MALFORMED_DATASETS = {  # case: (relative path -> file text, stderr message)
     "bad_body_line": ({"a/0000.ftrace": GOOD_TRACE,
                        "a/0001.ftrace": "#ftrace v1\n#interval_ms=10\n 0,+100\n1,2x0\n"},
                       "{root}/a/0001.ftrace: line 4: non-numeric sample line: '1,2x0'"),
+    "sample_past_int64": ({"a/0000.ftrace": GOOD_TRACE.replace(",200", ",9223372036854775808")},
+                          "{root}/a/0000.ftrace: line 3: samples must be integers in"
+                          " [0, 2**63), got 9223372036854775808"),
 }
 
 
@@ -357,7 +360,7 @@ def test_save_trace_without_overwrite_keeps_existing(tmp_path):
     save_trace(FrequencyTrace(samples=[1], interval_ms=10), path)
     with pytest.raises(FileExistsError):
         save_trace(FrequencyTrace(samples=[2], interval_ms=10), path, overwrite=False)
-    assert load_trace(path).samples == [1]
+    assert load_trace(path).samples.tolist() == [1]
     assert os.listdir(tmp_path) == ["0000.ftrace"]
 
 
@@ -379,7 +382,7 @@ def test_collect_replay_is_bit_exact(tmp_path):
                  "--sleep-ms", "0", "--out", out)
     assert rc == 0
     got = load_trace(out / "copy" / "0000.ftrace")
-    assert got.samples == src.samples
+    assert got.samples.tolist() == src.samples.tolist()
 
 
 def test_collect_replay_exhausted_exits_3(tmp_path):
@@ -411,7 +414,26 @@ def test_collect_sysfs_fixture(tmp_path, monkeypatch):
                  "--sleep-ms", "0", "--out", out)
     assert rc == 0
     got = load_trace(out / "live" / "0000.ftrace")
-    assert got.samples == [2_500_000] * 3
+    assert got.samples.tolist() == [2_500_000] * 3
+
+
+@pytest.mark.parametrize("reading", ["-5", "9223372036854775808", "99999999999999999999999"])
+def test_collect_sysfs_reading_out_of_range_exits_3(tmp_path, monkeypatch, capsys, reading):
+    policy = tmp_path / "cpufreq" / "policy0"
+    policy.mkdir(parents=True)
+    (policy / "scaling_cur_freq").write_text(reading + "\n")
+    monkeypatch.setenv("FREQSCOPE_SYSFS_ROOT", str(tmp_path))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli("collect", "--source", "sysfs", "--samples", "3",
+                 "--measurements", "1", "--interval-ms", "1", "--label", "live",
+                 "--sleep-ms", "0", "--out", out)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == (f"freqscope: frequency outside [0, 2**63) in"
+                   f" {policy / 'scaling_cur_freq'}: {reading}\n")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_keystrokes_single_trace(tmp_path, capsys):

@@ -68,8 +68,8 @@ def test_split_is_pure_function_of_seed_label_index():
     b = split_dataset(make_ds(split_seed=5))
     for part_a, part_b in zip(a, b):
         for label in part_a.classes:
-            sa = [t.samples for t in part_a.measurements[label]]
-            sb = [t.samples for t in part_b.measurements[label]]
+            sa = [t.samples.tolist() for t in part_a.measurements[label]]
+            sb = [t.samples.tolist() for t in part_b.measurements[label]]
             assert sa == sb
 
 
@@ -77,7 +77,8 @@ def test_split_changes_with_seed():
     a, _, _ = split_dataset(make_ds(split_seed=0))
     b, _, _ = split_dataset(make_ds(split_seed=1))
     same = all(
-        [t.samples for t in a.measurements[l]] == [t.samples for t in b.measurements[l]]
+        [t.samples.tolist() for t in a.measurements[l]]
+        == [t.samples.tolist() for t in b.measurements[l]]
         for l in a.classes
     )
     assert not same
@@ -113,8 +114,8 @@ def test_save_load_roundtrip(tmp_path):
     back = load_dataset(root, split_seed=ds.split_seed)
     assert back.classes == ds.classes
     for label in ds.classes:
-        assert [t.samples for t in back.measurements[label]] == [
-            t.samples for t in ds.measurements[label]
+        assert [t.samples.tolist() for t in back.measurements[label]] == [
+            t.samples.tolist() for t in ds.measurements[label]
         ]
         assert all(t.label == label for t in back.measurements[label])
 

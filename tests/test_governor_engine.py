@@ -72,9 +72,10 @@ def test_engine_matches_oracle(profile, governor):
                     loads = load_matrix(kind, rows, 120, seed)
                     got, ends = simulate_batch(loads, tick_ms, cfg)
                     want, want_ends = oracle_rows(loads, cfg, tick_ms)
-                    assert got == want, (cfg.turbo, tick_ms, rows, kind)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == want, (cfg.turbo, tick_ms, rows, kind)
                     assert ends == want_ends
-                    assert all(type(f) is int for row in got for f in row)
+                    assert all(type(s.current_freq_khz) is int for s in ends)
 
 
 @pytest.mark.parametrize("governor", GOVERNORS)
@@ -86,7 +87,7 @@ def test_chunked_runs_equal_one_run(governor):
             for split in (1, 37, 89):
                 head, mid = simulate_batch(loads[:, :split], 20, cfg)
                 tail, ends = simulate_batch(loads[:, split:], 20, cfg, mid)
-                assert [a + b for a, b in zip(head, tail)] == whole
+                assert np.hstack([head, tail]).tolist() == whole.tolist()
                 assert ends == whole_ends
                 assert mid == oracle_rows(loads[:, :split], cfg, 20)[1]
 
@@ -111,7 +112,7 @@ def test_simulate_is_the_single_row_call():
         for cfg in configs(profile, profile.default_governor):
             loads = load_matrix("random", 1, 200, 3)
             trace = simulate(WorkloadTrace(loads=tuple(loads[0].tolist()), tick_ms=10), cfg)
-            assert trace.samples == oracle_rows(loads, cfg, 10)[0][0]
+            assert trace.samples.tolist() == oracle_rows(loads, cfg, 10)[0][0]
 
 
 def test_engine_rejects_bad_input():

@@ -28,7 +28,7 @@ def cfg_for(profile, governor, **kw):
 
 
 def run(cfg, loads, tick_ms=10):
-    return simulate(WorkloadTrace(loads=tuple(loads), tick_ms=tick_ms), cfg).samples
+    return simulate(WorkloadTrace(loads=tuple(loads), tick_ms=tick_ms), cfg).samples.tolist()
 
 
 def test_workload_validation():
@@ -274,7 +274,7 @@ def test_simulate_deterministic():
         cfg = cfg_for(RYZEN, governor)
         a = simulate(WorkloadTrace(loads=loads, tick_ms=10), cfg)
         b = simulate(WorkloadTrace(loads=loads, tick_ms=10), cfg)
-        assert a.samples == b.samples
+        assert a.samples.tolist() == b.samples.tolist()
 
 
 def _all_governor_configs():

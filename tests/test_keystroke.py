@@ -16,7 +16,6 @@ from freqscope.keystroke import (
     password_gap_means,
     password_press_schedule,
     password_timing_vectors,
-    timings,
     train_password_model,
 )
 from freqscope.profiles import get_profile
@@ -36,7 +35,7 @@ def test_flat_trace_has_no_presses():
     report = detect_keystrokes(trace20([IDLE] * 100))
     assert report.press_count == 0
     assert report.events == []
-    assert timings(report) == []
+    assert report.inter_key_timings_ms == []
 
 
 def test_single_pulse_of_ten_samples_is_one_press():
@@ -84,7 +83,7 @@ def test_sixteen_sample_fused_run_at_2000ms():
     samples = [IDLE] * 100 + [1_250_000] * 16 + [IDLE] * 20
     report = detect_keystrokes(trace20(samples))
     assert report.press_times_ms == [2000, 2160]
-    assert timings(report) == [160]
+    assert report.inter_key_timings_ms == [160]
 
 
 def test_offset_invariance_with_clear_margins():
@@ -126,14 +125,18 @@ def test_governor_pipeline_recovers_press_times():
     wl = keystroke_workload([1000, 1400, 3000], 220, tick_ms=20, seed=5)
     report = detect_keystrokes(simulate(wl, cfg))
     assert report.press_times_ms == [1000, 1400, 3000]
-    assert timings(report) == [400, 1600]
+    assert report.inter_key_timings_ms == [400, 1600]
 
 
 def test_timings_need_two_presses():
-    report = KeystrokeReport(press_times_ms=[500])
-    assert timings(report) == []
-    report3 = KeystrokeReport(press_times_ms=[1000, 1300, 1900])
-    assert timings(report3) == [300, 600]
+    pulse = [PEAK] * 10
+    report = detect_keystrokes(trace20([IDLE] * 25 + pulse + [IDLE] * 20))
+    assert report.press_times_ms == [500]
+    assert report.inter_key_timings_ms == []
+    report3 = detect_keystrokes(trace20(
+        [IDLE] * 50 + pulse + [IDLE] * 5 + pulse + [IDLE] * 20 + pulse + [IDLE] * 20))
+    assert report3.press_times_ms == [1000, 1300, 1900]
+    assert report3.inter_key_timings_ms == [300, 600]
 
 
 def test_key_distance_and_gap_model():

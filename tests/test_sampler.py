@@ -46,8 +46,8 @@ def test_collect_shapes_and_labels():
         assert t.label == "unit"
         assert t.device == "scripted"
     # second measurement starts after 4 reads + the 20 ms sleep = slot 6
-    assert traces[0].samples == [1_000_000, 1_000_001, 1_000_002, 1_000_003]
-    assert traces[1].samples == [1_000_006, 1_000_007, 1_000_008, 1_000_009]
+    assert traces[0].samples.tolist() == [1_000_000, 1_000_001, 1_000_002, 1_000_003]
+    assert traces[1].samples.tolist() == [1_000_006, 1_000_007, 1_000_008, 1_000_009]
 
 
 def test_failing_pre_hook_skips_measurement_only():

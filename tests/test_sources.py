@@ -145,6 +145,17 @@ def test_sysfs_garbage_content(tmp_path):
         src.read_freq()
 
 
+@pytest.mark.parametrize("value", ["-5", "-0", "0", "9223372036854775807", "9223372036854775808"])
+def test_sysfs_reading_range(tmp_path, value):
+    write_sysfs_fixture(str(tmp_path), value=value + "\n")
+    src = SysfsSource(root=str(tmp_path))
+    if 0 <= int(value) < 2**63:
+        assert src.read_freq() == int(value)
+    else:
+        with pytest.raises(SysfsReadError, match=r"outside \[0, 2\*\*63\)"):
+            src.read_freq()
+
+
 def test_sysfs_masked_policy(tmp_path):
     write_sysfs_fixture(str(tmp_path))
     src = SysfsSource(root=str(tmp_path), policy=POLICY_MASKED)

@@ -1,6 +1,7 @@
 """Property tests for the .ftrace codec: every trace survives a save and a
-load, and any body, well formed or not, reads as the line-by-line parser
-(`tests/trace_oracle.py`) reads it: the same samples or the same error."""
+load, samples of 2**63 and above never make a trace, and any body, well
+formed or not, reads as the line-by-line parser (`tests/trace_oracle.py`)
+reads it: the same samples or the same error."""
 
 import os
 import re
@@ -16,7 +17,8 @@ st = hypothesis.strategies
 
 TEXT = st.text(st.one_of(st.sampled_from(",\n\r%#=/ é€\U0001f600"),
                          st.characters(blacklist_categories=("Cs",))), max_size=12)
-SAMPLES = st.one_of(st.integers(0, 5_000_000), st.integers(0, 2**64 + 5), st.just(2**63))
+SAMPLES = st.one_of(st.integers(0, 5_000_000), st.integers(0, 2**63 - 1), st.just(2**63 - 1))
+PAST_INT64 = st.one_of(st.integers(2**63, 2**64 + 5), st.just(2**63), st.just(2**64))
 
 
 @st.composite
@@ -40,7 +42,7 @@ def roundtrip(text: str, load):
         return ("error", exc.line, str(exc))
     finally:
         os.unlink(path)
-    return ("trace", t.samples, t.interval_ms, t.device, t.label, t.start_index)
+    return ("trace", t.samples.tolist(), t.interval_ms, t.device, t.label, t.start_index)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
@@ -52,6 +54,18 @@ def test_save_then_load_is_identity(trace):
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == oracle.render_trace(trace)
         assert load_trace(path) == trace
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.lists(SAMPLES, max_size=20), PAST_INT64, st.lists(SAMPLES, max_size=20))
+def test_samples_past_int64_are_rejected(before, big, after):
+    samples = before + [big] + after
+    with pytest.raises(ValueError, match=rf"\[0, 2\*\*63\), got {big}$"):
+        FrequencyTrace(samples=samples, interval_ms=10)
+    body = "".join(f"{i},{s}\n" for i, s in enumerate(samples))
+    got = roundtrip(f"{MAGIC}\n#interval_ms=10\n{body}", load_trace)
+    assert got[:2] == ("error", 3) and got[2].endswith(f"got {big}")
+    assert got == roundtrip(f"{MAGIC}\n#interval_ms=10\n{body}", oracle.load_trace)
 
 
 # one-line edits a hand-edited or foreign file may carry; they compose
