@@ -28,7 +28,7 @@ from .dataset import (
     stable_seed,
 )
 from .defend import Defense, apply_defense, defense_sweep
-from .forest import ForestModel, ForestParams, forest_predict, forest_rank, forest_train
+from .forest import ForestModel, ForestParams, forest_rank, forest_train
 from .governors import (
     InteractiveParams,
     SimConfig,
@@ -45,7 +45,7 @@ from .keystroke import (
     guess_curve,
     train_password_model,
 )
-from .knn import KnnModel, fit_knn, knn_predict, knn_rank
+from .knn import KnnModel, fit_knn, knn_rank
 from .profiles import DeviceProfile, builtin_profiles, get_profile
 from .sampler import CollectPlan, collect, repetitiveness
 from .sources import (
@@ -56,7 +56,6 @@ from .sources import (
     SysfsSource,
 )
 from .trace import FrequencyTrace, TraceFormatError, load_trace, save_trace
-from .workloads import synth_workload
 
 __version__ = "0.1.0"
 
@@ -95,12 +94,10 @@ __all__ = [
     "detect_keystrokes",
     "evaluate",
     "fit_knn",
-    "forest_predict",
     "forest_rank",
     "forest_train",
     "get_profile",
     "guess_curve",
-    "knn_predict",
     "knn_rank",
     "load_dataset",
     "load_model",
@@ -114,7 +111,6 @@ __all__ = [
     "split_dataset",
     "stable_seed",
     "step_governor",
-    "synth_workload",
     "train_forest_model",
     "train_knn_model",
     "train_password_model",

@@ -53,15 +53,7 @@ from .dataset import (
     split_dataset,
     stable_seed,
 )
-from .defend import (
-    Defense,
-    constant_mask,
-    defense_sweep,
-    noise_inject,
-    resolution_reduce,
-    sweep_csv_lines,
-    sweep_plot_lines,
-)
+from .defend import defense_sweep, parse_defense, sweep_csv_lines, sweep_plot_lines
 from .forest import ForestParams
 from .governors import InteractiveParams, SimConfig, TurboParams, simulate_batch
 from .keystroke import (
@@ -416,12 +408,12 @@ def cmd_keystrokes(args) -> int:
     ds = load_dataset(args.dataset)
     vectors: dict[str, list[np.ndarray]] = {}
     for label in ds.classes:
-        vecs = []
+        vecs, presses = [], []
         for trace in ds.measurements[label]:
             report = detect_keystrokes(trace, params)
             vecs.append(np.asarray(report.inter_key_timings_ms, dtype=np.float64))
+            presses.append(report.press_count)
         vectors[label] = vecs
-        presses = [len(v) + 1 if len(v) else 0 for v in vecs]
         print(f"{label}: traces={len(vecs)} mean_presses={np.mean(presses):.2f}")
 
     guesses = s["keystroke.guess_curve"]
@@ -441,45 +433,9 @@ def cmd_keystrokes(args) -> int:
 # --- defend --------------------------------------------------------------
 
 
-def _parse_defense(spec: str) -> list[Defense]:
-    kind, _, rest = spec.partition(":")
-    if kind == "resolution":
-        if not rest:
-            raise ConfigError("resolution defense needs factors, e.g. resolution:1,2,5")
-        return [resolution_reduce(int(f)) for f in rest.split(",")]
-    if kind == "noise":
-        if not rest:
-            raise ConfigError("noise defense needs a rate, e.g. noise:20 or noise:20:0.8")
-        parts = rest.split(":")
-        rate = float(parts[0])
-        height = float(parts[1]) if len(parts) > 1 else SCHEMA["defend.noise_height"].default
-        seed = int(parts[2]) if len(parts) > 2 else SCHEMA["defend.noise_seed"].default
-        return [noise_inject(rate, height, seed)]
-    if kind == "mask":
-        if not rest:
-            raise ConfigError("mask defense needs a frequency, e.g. mask:2200000")
-        return [constant_mask(int(rest))]
-    if kind == "restrict":
-        raise ConfigError(
-            "access_restrict is a source policy, not a trace transform;"
-            " demonstrate it with: freqscope collect --policy masked"
-        )
-    raise ConfigError(f"unknown defense spec {spec!r} (resolution: | noise: | mask:)")
-
-
-def _config_defenses(s: Settings) -> list[Defense]:
-    defenses = [resolution_reduce(f) for f in s["defend.resolution_factors"] or []]
-    for rate in s["defend.noise_rates"] or []:
-        defenses.append(noise_inject(rate, s["defend.noise_height"], s["defend.noise_seed"]))
-    if s["defend.mask_freq_khz"]:
-        defenses.append(constant_mask(s["defend.mask_freq_khz"]))
-    return defenses
-
-
 def cmd_defend(args) -> int:
     s = resolve("defend", args)
-    defenses = [d for spec in args.defense or [] for d in _parse_defense(spec)]
-    defenses = defenses or _config_defenses(s)
+    defenses = [d for spec in s["defend.defenses"] or [] for d in parse_defense(spec)]
     if not defenses:
         raise ConfigError("no defenses given (--defense resolution:1,2,5 ...)")
 
@@ -593,8 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("defend", help="sweep countermeasures against a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--defense", action="append",
-                   help="resolution:F1,F2,... | noise:RATE[:HEIGHT[:SEED]] | mask:FREQ")
     p.add_argument("--out")
     p.set_defaults(func=cmd_defend)
 
@@ -625,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    const=False, help=f"the opposite of {s.flag} [{s.key} = false]")
             else:
                 p.add_argument(s.flag, dest=s.dest, type=s.parse, choices=s.choices,
-                               help=s.flag_help())
+                               action="extend" if s.repeat else "store", help=s.flag_help())
     return parser
 
 

@@ -8,12 +8,13 @@ derive it (the profile's governor, the keystroke trace length, the model's
 split for `eval`). `resolve` merges flag > config file > default.
 
 Config files hold one `section.key = value` per line. Blank lines and
-lines starting with `#` are skipped. Keys must appear in the table
-(unknown keys are rejected so typos fail loudly) and at most once. Every
-command that writes outputs drops the settings it used next to them so a
-run can be reproduced from its artifacts alone; output paths are
-deliberately not part of the resolved file, keeping repeated runs
-byte-identical.
+lines starting with `#` are skipped. A list value is comma separated,
+except a list of strings (the defense specs), which is space separated.
+Keys must appear in the table (unknown keys are rejected so typos fail
+loudly) and at most once. Every command that writes outputs drops the
+settings it used next to them so a run can be reproduced from its
+artifacts alone; output paths are deliberately not part of the resolved
+file, keeping repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class Setting:
     commands: tuple[str, ...]
     choices: tuple[str, ...] | None = None
     dest: str | None = None  # argparse dest; None: from the flag
+    repeat: bool = False  # the flag may be given again; each value extends the list
 
     def __post_init__(self) -> None:
         if self.dest is None and self.flag:
@@ -193,14 +195,9 @@ SETTINGS = (
             "emit cumulative accuracy up to N guesses", ("keystrokes",)),
     Setting("keystroke.split_seed", "--split-seed", int, 0, "password model split seed",
             ("keystrokes",)),
-    Setting("defend.resolution_factors", None, int_list, None,
-            "resolution_reduce factors", ("defend",)),
-    Setting("defend.noise_rates", None, float_list, None, "noise_inject rates",
-            ("defend",)),
-    Setting("defend.noise_height", None, float, 0.5, "noise_inject height", ("defend",)),
-    Setting("defend.noise_seed", None, int, 0, "noise_inject seed", ("defend",)),
-    Setting("defend.mask_freq_khz", None, int, None, "constant_mask frequency",
-            ("defend",)),
+    Setting("defend.defenses", "--defense", str.split, None,
+            "defense specs, swept in order: resolution:F1,F2,... |"
+            " noise:RATE[:HEIGHT[:SEED]] | mask:FREQ", ("defend",), repeat=True),
 )
 
 SCHEMA = {s.key: s for s in SETTINGS}
@@ -283,7 +280,9 @@ def _render(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
-        return ",".join(_render(v) for v in value)
+        # strings such as defense specs may hold commas themselves
+        sep = " " if all(isinstance(v, str) for v in value) else ","
+        return sep.join(_render(v) for v in value)
     return str(value)
 
 

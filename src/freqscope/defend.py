@@ -78,6 +78,34 @@ def constant_mask(freq_khz: int) -> Defense:
     return Defense(kind=KIND_MASK, mask_freq_khz=freq_khz)
 
 
+def parse_defense(spec: str) -> list[Defense]:
+    """`resolution:F1,F2,...` (one defense per factor),
+    `noise:RATE[:HEIGHT[:SEED]]` or `mask:FREQ`."""
+    kind, _, rest = spec.partition(":")
+    if kind == "resolution":
+        if not rest:
+            raise ValueError("resolution defense needs factors, e.g. resolution:1,2,5")
+        return [resolution_reduce(int(f)) for f in rest.split(",")]
+    if kind == "noise":
+        if not rest:
+            raise ValueError("noise defense needs a rate, e.g. noise:20 or noise:20:0.8")
+        rate, *options = rest.split(":")
+        if len(options) > 2:
+            raise ValueError(f"noise defense is noise:RATE[:HEIGHT[:SEED]], got {spec!r}")
+        # HEIGHT and SEED left out keep noise_inject's defaults
+        return [noise_inject(float(rate), *(f(o) for f, o in zip((float, int), options)))]
+    if kind == "mask":
+        if not rest:
+            raise ValueError("mask defense needs a frequency, e.g. mask:2200000")
+        return [constant_mask(int(rest))]
+    if kind == "restrict":
+        raise ValueError(
+            "access_restrict is a source policy, not a trace transform;"
+            " demonstrate it with: freqscope collect --policy masked"
+        )
+    raise ValueError(f"unknown defense spec {spec!r} (resolution: | noise: | mask:)")
+
+
 def _freq_range(trace: FrequencyTrace) -> tuple[int, int]:
     # known devices clip against the profile; ad-hoc devices fall back to
     # the observed range of the trace itself

@@ -163,9 +163,3 @@ def forest_rank(model: ForestModel, x) -> list[tuple[str, float]]:
     order = sorted(range(len(model.classes)), key=lambda c: (-votes[c], c))
     n = len(model.trees)
     return [(model.classes[c], votes[c] / n) for c in order]
-
-
-def forest_predict(model: ForestModel, x, k_out: int = 1) -> list[tuple[str, float]]:
-    if k_out < 1:
-        raise ValueError("k_out must be >= 1")
-    return forest_rank(model, x)[:k_out]

@@ -101,12 +101,11 @@ class SimConfig:
     interactive: InteractiveParams | None = None
     turbo: TurboParams | None = None
     set_speed_khz: int | None = None
-    allow_unsupported_governor: bool = False
 
     def __post_init__(self) -> None:
         if self.governor not in GOVERNORS:
             raise ValueError(f"unknown governor {self.governor!r}")
-        if self.governor not in self.profile.supported_governors and not self.allow_unsupported_governor:
+        if self.governor not in self.profile.supported_governors:
             raise ValueError(
                 f"governor {self.governor!r} not supported by {self.profile.name} "
                 f"(supported: {', '.join(self.profile.supported_governors)})"

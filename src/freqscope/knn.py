@@ -86,10 +86,3 @@ def knn_rank(model: KnnModel, x) -> list[tuple[str, float]]:
     ranking = [(lb, votes[lb] / model.k) for lb in voted]
     ranking.extend((lb, 0.0) for lb in unvoted)
     return ranking
-
-
-def knn_predict(model: KnnModel, x, k_out: int = 1) -> list[tuple[str, float]]:
-    """Top k_out entries of the full ranking."""
-    if k_out < 1:
-        raise ValueError("k_out must be >= 1")
-    return knn_rank(model, x)[:k_out]

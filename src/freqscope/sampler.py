@@ -14,6 +14,8 @@ import os
 import subprocess
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sources import FreqSource
 from .trace import FrequencyTrace
 
@@ -92,7 +94,7 @@ def collect(plan: CollectPlan, src: FreqSource) -> list[FrequencyTrace]:
         src.advance(plan.inter_measurement_sleep_ms)
         traces.append(
             FrequencyTrace(
-                samples=samples,
+                samples=np.array(samples),  # sources read ints: no per-value check
                 interval_ms=plan.interval_ms,
                 device=src.device,
                 label=plan.label,

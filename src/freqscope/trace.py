@@ -65,13 +65,14 @@ class FrequencyTrace:
             raise ValueError("interval_ms must be >= 1")
         if self.start_index < 0:
             raise ValueError("start_index must be >= 0")
-        if samples.dtype.kind not in "iu":
-            # bools, floats, objects, or ints past int64 that numpy read as
-            # one of those: name the first such value
-            bad = next((v for v in self.samples if isinstance(v, bool)
-                        or not isinstance(v, (int, np.integer)) or not 0 <= v <= _INT64_MAX),
-                       samples.dtype)
-            raise ValueError(f"samples must be integers in [0, 2**63), got {bad}")
+        if samples.dtype.kind not in "iu" or not isinstance(self.samples, np.ndarray):
+            # numpy reads a bool among ints as an int and mixed numpy integer
+            # types as floats, so all but integer arrays are judged value by value
+            for v in self.samples:
+                if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                        or not 0 <= v <= _INT64_MAX):
+                    raise ValueError(f"samples must be integers in [0, 2**63), got {v}")
+            samples = np.array(self.samples, dtype=np.int64)
         # signed values can only fall below 0, unsigned ones only past int64
         worst = samples.max() if samples.dtype.kind == "u" else samples.min()
         if worst < 0 or worst > _INT64_MAX:

@@ -30,19 +30,6 @@ KEYSTROKE_LOADS = (0.33, 0.50)
 IDLE_LOAD_MAX = 0.02
 
 
-def synth_workload(kind: str, params: dict, seed: int) -> WorkloadTrace:
-    """Dispatch on kind; params are the keyword arguments of the generator."""
-    generators = {
-        "website": website_workload,
-        "keystrokes": keystroke_workload,
-        "idle": idle_workload,
-        "noise": noise_workload,
-    }
-    if kind not in generators:
-        raise ValueError(f"unknown workload kind {kind!r}")
-    return generators[kind](seed=seed, **params)
-
-
 def _burst_overlay(loads: np.ndarray, rng: np.random.Generator, count: int,
                    widths: tuple[int, int], heights: tuple[float, float]) -> None:
     n = len(loads)

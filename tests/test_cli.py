@@ -114,39 +114,89 @@ def test_bad_config_file_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_removed_conservative_step_key_exits_2(tmp_path, capsys):
-    conf = tmp_path / "old.conf"
-    conf.write_text("sim.conservative_step_khz = 100000\n")
-    rc = run_cli("simulate", "--kind", "website", "--config", conf,
-                 "--out", tmp_path / "x")
-    assert rc == 2
-    assert "unknown key 'sim.conservative_step_khz'" in capsys.readouterr().err
-
-
-def test_removed_decay_key_exits_2(tmp_path, capsys):
-    conf = tmp_path / "old.conf"
-    conf.write_text("keystroke.decay_ms = 200\n")
-    assert run_cli("keystrokes", "--config", conf, "--dataset", tmp_path) == 2
-    assert "unknown key 'keystroke.decay_ms'" in capsys.readouterr().err
-
-
-RERUN_CASES = {  # case: simulate flags whose settings the resolved conf must carry
-    "set_speed": ("--governor", "userspace", "--set-speed-khz", "2200000",
-                  "--classes", "2", "--measurements", "2", "--samples", "60"),
-    "hispeed": ("--profile", "cortex_a73", "--hispeed-khz", "2361000",
-                "--classes", "2", "--measurements", "2", "--samples", "60"),
-    "keystrokes_no_turbo": ("--kind", "keystrokes", "--profile", "comet_lake",
-                            "--governor", "performance", "--no-turbo", "--per-label", "2"),
+REMOVED_KEYS = {  # a setting that was deleted: the command that took it
+    "sim.conservative_step_khz = 100000": ("simulate", "--out"),
+    "keystroke.decay_ms = 200": ("keystrokes", "--dataset"),
+    "defend.resolution_factors = 1,5": ("defend", "--dataset"),
+    "defend.noise_rates = 20": ("defend", "--dataset"),
+    "defend.noise_height = 0.5": ("defend", "--dataset"),
+    "defend.noise_seed = 0": ("defend", "--dataset"),
+    "defend.mask_freq_khz = 2200000": ("defend", "--dataset"),
 }
 
 
+@pytest.mark.parametrize("line", REMOVED_KEYS, ids=lambda line: line.partition(" ")[0])
+def test_removed_key_exits_2(tmp_path, capsys, line):
+    conf = tmp_path / "old.conf"
+    conf.write_text(line + "\n")
+    command, path_flag = REMOVED_KEYS[line]
+    assert run_cli(command, "--config", conf, path_flag, tmp_path / "x") == 2
+    assert f"unknown key {line.partition(' ')[0]!r}" in capsys.readouterr().err
+
+
+DEFEND_CONF = """\
+defend.defenses = resolution:1,4 noise:20:0.8:7 mask:1700000
+classifier.kind = forest
+classifier.trees = 3
+split.train = 0.5
+split.val = 0.25
+split.test = 0.25
+"""
+
+# case: a command and its flags, whose settings the resolved conf must carry.
+# `collect` is left out: its conf records only the sampler's settings, and
+# recording the source's would change the bench's typing dataset digest.
+RERUN_CASES = {
+    "simulate-set_speed": ("simulate", "--governor", "userspace", "--set-speed-khz",
+                           "2200000", "--classes", "2", "--measurements", "2",
+                           "--samples", "60", "--passwords", "{pw}"),
+    "simulate-hispeed": ("simulate", "--profile", "cortex_a73", "--hispeed-khz", "2361000",
+                         "--classes", "2", "--measurements", "2", "--samples", "60",
+                         "--passwords", "{pw}"),
+    "simulate-keystrokes_no_turbo": ("simulate", "--kind", "keystrokes", "--profile",
+                                     "comet_lake", "--governor", "performance", "--no-turbo",
+                                     "--per-label", "2", "--passwords", "{pw}"),
+    "train": ("train", "--dataset", "{web}", "--classifier", "forest", "--trees", "3",
+              "--max-depth", "4", "--split-seed", "5", "--fractions", "0.5,0.25,0.25"),
+    "eval": ("eval", "--dataset", "{web}", "--model", "{model}", "--split", "val",
+             "--topk", "3", "--split-seed", "2"),
+    "keystrokes": ("keystrokes", "--dataset", "{keys}", "--guess-curve", "2",
+                   "--split-seed", "3", "--min-pulse", "7"),
+    "defend-flags": ("defend", "--dataset", "{web}", "--defense", "resolution:1,4",
+                     "--defense", "noise:20:0.8:7", "--defense", "mask:1700000",
+                     "--classifier", "forest", "--trees", "3",
+                     "--fractions", "0.5,0.25,0.25"),
+    "defend-config": ("defend", "--dataset", "{web}", "--config", "{conf}"),
+}
+# input paths are given to both runs; the resolved conf leaves them out
+PATH_FLAGS = ("--dataset", "--model")
+
+
 @pytest.mark.parametrize("case", sorted(RERUN_CASES))
-def test_simulate_reruns_from_its_resolved_conf_alone(tmp_path, case):
-    pwfile = tmp_path / "pw.txt"
+def test_command_reruns_from_its_resolved_conf_alone(tmp_path, website_ds, case):
+    pwfile, conf, model = tmp_path / "pw.txt", tmp_path / "defend.conf", tmp_path / "m.json"
     pwfile.write_text("monkey\nvelvet\n")
+    conf.write_text(DEFEND_CONF)
+    paths = {"{pw}": pwfile, "{web}": website_ds, "{conf}": conf, "{model}": model,
+             "{keys}": tmp_path / "keys"}
+    if case == "eval":
+        assert run_cli("train", "--dataset", website_ds, "--model", model) == 0
+    if case == "keystrokes":
+        assert run_cli("simulate", "--kind", "keystrokes", "--passwords", pwfile,
+                       "--per-label", "10", "--out", paths["{keys}"]) == 0
+    command, *flags = [paths.get(a, a) for a in RERUN_CASES[case]]
+    inputs = [a for flag, path in zip(flags, flags[1:]) if flag in PATH_FLAGS
+              for a in (flag, path)]
+
+    def run(out, *settings):
+        # train writes a model and its conf; every other command an --out directory
+        dest = ("--model", out / "m.json") if command == "train" else ("--out", out)
+        assert run_cli(command, *settings, *dest) == 0
+        return out / ("m.json.resolved.conf" if command == "train" else RESOLVED_CONFIG_NAME)
+
     first, second = tmp_path / "first", tmp_path / "second"
-    assert run_cli("simulate", *RERUN_CASES[case], "--passwords", pwfile, "--out", first) == 0
-    assert run_cli("simulate", "--config", first / RESOLVED_CONFIG_NAME, "--out", second) == 0
+    resolved = run(first, *flags)
+    run(second, *inputs, "--config", resolved)
     assert tree_bytes(first) == tree_bytes(second)
 
 
@@ -447,6 +497,11 @@ def test_keystrokes_single_trace(tmp_path, capsys):
     assert rc == 0
     assert "presses = 1" in (out / "keystrokes.kv").read_text()
     assert "presses" in capsys.readouterr().out
+    # a dataset of that one trace counts the same press
+    (tmp_path / "ds" / "typed").mkdir(parents=True)
+    save_trace(t, tmp_path / "ds" / "typed" / "0000.ftrace")
+    assert run_cli("keystrokes", "--dataset", tmp_path / "ds") == 0
+    assert "typed: traces=1 mean_presses=1.00" in capsys.readouterr().out
 
 
 def test_keystrokes_needs_trace_or_dataset():
@@ -478,7 +533,8 @@ def test_defend_sweep(tmp_path, website_ds, capsys):
     assert csv[0] == "defense,param,top1_clean,top1_defended"
     assert len(csv) == 4
     assert (out / "sweep.dat").exists()
-    assert (out / RESOLVED_CONFIG_NAME).exists()
+    conf = (out / RESOLVED_CONFIG_NAME).read_text()
+    assert "defend.defenses = resolution:1,4 mask:1700000\n" in conf
     assert "resolution_reduce" in capsys.readouterr().out
 
 

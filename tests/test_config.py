@@ -76,6 +76,7 @@ def test_round_trip_through_resolved_file(tmp_path):
         "eval.topk": [1, 5],
         "split.train": 0.7,
         "sim.profile": "cortex_a73",
+        "defend.defenses": ["resolution:1,5,25", "noise:20:0.8:7", "mask:2200000"],
     }
     path = tmp_path / "out.conf"
     write_resolved(path, values)

@@ -14,6 +14,7 @@ from freqscope.defend import (
     defended_dataset,
     defense_sweep,
     noise_inject,
+    parse_defense,
     resolution_reduce,
     sweep_csv_lines,
     sweep_plot_lines,
@@ -56,6 +57,31 @@ def test_defense_validation():
         noise_inject(1.0, burst_height=1.5)
     with pytest.raises(ValueError):
         constant_mask(0)
+
+
+@pytest.mark.parametrize("spec, defenses", [
+    ("resolution:1,5,25", [resolution_reduce(1), resolution_reduce(5), resolution_reduce(25)]),
+    ("noise:20", [noise_inject(20.0)]),
+    ("noise:20:0.8", [noise_inject(20.0, 0.8)]),
+    ("noise:20:0.8:7", [noise_inject(20.0, 0.8, 7)]),
+    ("mask:2200000", [constant_mask(2_200_000)]),
+])
+def test_parse_defense(spec, defenses):
+    assert parse_defense(spec) == defenses
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("restrict", "collect --policy masked"),
+    ("resolution", "needs factors"),
+    ("resolution:1,0", "factor must be"),
+    ("noise:", "needs a rate"),
+    ("noise:20:0.5:0:9", "noise:RATE"),
+    ("mask:fast", "invalid literal"),
+    ("blur:3", "unknown defense spec"),
+])
+def test_parse_defense_rejects(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_defense(spec)
 
 
 def test_resolution_sample_and_hold():

@@ -8,7 +8,6 @@ import pytest
 from freqscope.forest import (
     ForestParams,
     _gini_pair,
-    forest_predict,
     forest_rank,
     forest_train,
 )
@@ -50,7 +49,7 @@ def test_forest_fits_xor():
     x, labels = xor_data()
     model = forest_train(x, labels, ForestParams(n_trees=30, seed=1))
     correct = sum(
-        forest_predict(model, row)[0][0] == lb for row, lb in zip(x, labels)
+        forest_rank(model, row)[0][0] == lb for row, lb in zip(x, labels)
     )
     assert correct / len(x) > 0.9  # a single axis split cannot do this
 
@@ -143,12 +142,6 @@ def test_train_validation():
         forest_train(np.zeros((3, 2)), ["a", "a", "a"], ForestParams())
     with pytest.raises(ValueError):
         forest_train(np.zeros((3, 2)), ["a", "b"], ForestParams())
-    with pytest.raises(ValueError):
-        forest_predict(
-            forest_train(np.array([[0.0], [1.0]]), ["a", "b"], ForestParams(n_trees=1)),
-            [0.0],
-            k_out=0,
-        )
 
 
 def test_constant_feature_yields_leaf():

@@ -51,10 +51,6 @@ def test_unknown_and_unsupported_governor():
         SimConfig(profile=RYZEN, governor="warp")
     with pytest.raises(ValueError, match="not supported"):
         SimConfig(profile=RYZEN, governor="interactive")
-    # the override hatch
-    SimConfig(profile=RYZEN, governor="interactive", allow_unsupported_governor=True,
-              turbo=NO_TURBO,
-              interactive=InteractiveParams(hispeed_freq_khz=RYZEN.quantize(1_200_000)))
 
 
 def test_performance_pins_max():

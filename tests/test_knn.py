@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from freqscope.knn import KnnModel, fit_knn, knn_predict, knn_rank
+from freqscope.knn import KnnModel, fit_knn, knn_rank
 
 
 def oracle_rank(train_x, train_labels, k, query):
@@ -89,14 +89,6 @@ def test_unvoted_labels_complete_the_ranking():
     ranking = knn_rank(model, [0.0])
     assert [lb for lb, _ in ranking] == ["a", "b", "c"]
     assert [s for _, s in ranking] == [1.0, 0.0, 0.0]
-
-
-def test_predict_truncates():
-    x = np.array([[0.0], [1.0], [2.0]])
-    model = fit_knn(x, ["a", "b", "c"], k=1)
-    assert len(knn_predict(model, [0.0], k_out=2)) == 2
-    with pytest.raises(ValueError):
-        knn_predict(model, [0.0], k_out=0)
 
 
 def test_model_validation():

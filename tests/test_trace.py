@@ -147,12 +147,19 @@ def test_samples_outside_int64_or_not_integers_are_rejected(bad, as_array):
         FrequencyTrace(samples=samples, interval_ms=10)
 
 
+def test_a_bool_among_integers_is_rejected():
+    # as an array it would be the integers [1400000, 1]: only a list shows the bool
+    with pytest.raises(ValueError, match=r"samples must be integers in \[0, 2\*\*63\), got True$"):
+        FrequencyTrace(samples=[1_400_000, True], interval_ms=10)
+
+
 @pytest.mark.parametrize("samples", [
     [0, 1_400_000, 2**63 - 1],
     np.array([0, 1_400_000, 2**63 - 1]),
     np.array([5, 6], dtype=np.uint64),
     np.array([5, 6], dtype=np.int32),
     range(3),
+    [np.uint64(5), np.int64(3)],  # numpy alone would read these as floats
 ])
 def test_samples_become_a_read_only_int64_array(samples):
     t = FrequencyTrace(samples=samples, interval_ms=10)

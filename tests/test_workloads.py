@@ -11,7 +11,6 @@ from freqscope.workloads import (
     idle_workload,
     keystroke_workload,
     noise_workload,
-    synth_workload,
     website_workload,
 )
 
@@ -87,13 +86,6 @@ def test_noise_has_no_class_skeleton():
     a = noise_workload(300, seed=1)
     b = noise_workload(300, seed=2)
     assert a.loads != b.loads
-
-
-def test_synth_dispatch():
-    wl = synth_workload("idle", {"n_ticks": 50}, seed=3)
-    assert len(wl.loads) == 50
-    with pytest.raises(ValueError, match="unknown workload kind"):
-        synth_workload("bogus", {}, seed=0)
 
 
 def test_n_ticks_validated():
