@@ -49,8 +49,8 @@ class Defense:
             if not isinstance(self.factor, int) or self.factor < 1:
                 raise ValueError("resolution factor must be an integer >= 1")
         elif self.kind == KIND_NOISE:
-            if self.burst_rate_hz < 0:
-                raise ValueError("burst_rate_hz must be >= 0")
+            if not 0 <= self.burst_rate_hz < np.inf:  # also rejects NaN
+                raise ValueError("burst_rate_hz must be finite and >= 0")
             if not 0.0 <= self.burst_height <= 1.0:
                 raise ValueError("burst_height must be a fraction of range in [0, 1]")
         elif self.kind == KIND_MASK:
@@ -78,6 +78,14 @@ def constant_mask(freq_khz: int) -> Defense:
     return Defense(kind=KIND_MASK, mask_freq_khz=freq_khz)
 
 
+def _number(cast: type, text: str, spec: str):
+    try:
+        return cast(text)
+    except ValueError:
+        what = "an integer" if cast is int else "a number"
+        raise ValueError(f"defend.defenses: {text!r} in defense spec {spec!r} is not {what}")
+
+
 def parse_defense(spec: str) -> list[Defense]:
     """`resolution:F1,F2,...` (one defense per factor),
     `noise:RATE[:HEIGHT[:SEED]]` or `mask:FREQ`."""
@@ -85,19 +93,19 @@ def parse_defense(spec: str) -> list[Defense]:
     if kind == "resolution":
         if not rest:
             raise ValueError("resolution defense needs factors, e.g. resolution:1,2,5")
-        return [resolution_reduce(int(f)) for f in rest.split(",")]
+        return [resolution_reduce(_number(int, f, spec)) for f in rest.split(",")]
     if kind == "noise":
         if not rest:
             raise ValueError("noise defense needs a rate, e.g. noise:20 or noise:20:0.8")
-        rate, *options = rest.split(":")
-        if len(options) > 2:
+        fields = rest.split(":")
+        if len(fields) > 3:
             raise ValueError(f"noise defense is noise:RATE[:HEIGHT[:SEED]], got {spec!r}")
         # HEIGHT and SEED left out keep noise_inject's defaults
-        return [noise_inject(float(rate), *(f(o) for f, o in zip((float, int), options)))]
+        return [noise_inject(*(_number(f, o, spec) for f, o in zip((float, float, int), fields)))]
     if kind == "mask":
         if not rest:
             raise ValueError("mask defense needs a frequency, e.g. mask:2200000")
-        return [constant_mask(int(rest))]
+        return [constant_mask(_number(int, rest, spec))]
     if kind == "restrict":
         raise ValueError(
             "access_restrict is a source policy, not a trace transform;"

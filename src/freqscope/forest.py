@@ -2,10 +2,10 @@
 splits, seeded bootstrap per tree, per-node feature subsampling.
 
 Everything is deterministic under the seed: bootstraps, feature subsets,
-split selection (lowest weighted Gini; ties go to the lowest feature index,
-then the lowest boundary), and voting (plurality, ties to the smallest label in
-sort order). Trees serialize to plain dicts so models round-trip through
-the JSON container.
+split selection (lowest weighted Gini, from exact int64 sums of squared class
+counts; ties go to the lowest feature index, then the lowest boundary), and
+voting (plurality, ties to the smallest label in sort order). Trees
+serialize to plain dicts so models round-trip through the JSON container.
 """
 
 from __future__ import annotations
@@ -52,26 +52,18 @@ class ForestModel:
         return len(self.trees)
 
 
-def _gini_pair(cum: np.ndarray, total: np.ndarray, n_left: np.ndarray, n: int):
-    """Weighted Gini impurity for every candidate boundary at once.
-
-    cum[i] holds class counts (last axis) of the first i+1 sorted samples;
-    boundary i splits into left size i+1 and right size n-i-1. Counts are
-    whole numbers, so the sums are exact in any order.
-    """
-    n_right = n - n_left
-    left_sq = np.einsum("...c,...c->...", cum, cum)
-    right = total - cum
-    right_sq = np.einsum("...c,...c->...", right, right)
-    gini_left = 1.0 - left_sq / (n_left * n_left)
-    gini_right = 1.0 - right_sq / (n_right * n_right)
-    return (n_left * gini_left + n_right * gini_right) / n
-
-
-def _leaf(y: np.ndarray, n_classes: int) -> dict:
-    counts = np.bincount(y, minlength=n_classes)
-    # argmax returns the first maximum: smallest class code wins ties
-    return {"label": int(np.argmax(counts))}
+def _square_sums(ys: np.ndarray, total: np.ndarray):
+    """sum_c count_c**2 left and right of every boundary of every column of
+    the sorted class codes `ys`, without a class axis (CART's incremental
+    update): a sample joining a class that holds k on the left adds 2k+1."""
+    by_class = np.argsort(ys, axis=0, kind="stable")
+    # k[i, j]: samples of ys[i, j]'s class above row i in column j
+    rank = np.arange(len(ys)) - np.repeat(np.cumsum(total) - total, total)
+    k = np.empty(ys.shape, dtype=np.int64)
+    np.put_along_axis(k, by_class, rank[:, None], axis=0)
+    left_sq = np.cumsum(2 * k + 1, axis=0)[:-1]
+    right_sq = total @ total - 2 * np.cumsum(total[ys], axis=0)[:-1] + left_sq
+    return left_sq, right_sq
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray,
@@ -79,20 +71,21 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndar
     """Lowest-impurity split of node `idx` over the ascending `features`, as
     (feature, boundary, threshold, node order sorted by that feature), or
     None when no boundary separates two values and respects min_leaf.
-
-    Every candidate feature is scored in one pass; among equal impurities
-    the flat argmin over the feature-major [m, n-1] array picks the lowest
-    feature, then the lowest boundary.
-    """
+    Equal impurities go to the lowest feature, then the lowest boundary: the
+    flat argmin over the feature-major [m, n-1] array."""
     n = len(idx)
     y_node = y[idx]
     cols = X[idx[:, None], features]  # [n, m]
     order = np.argsort(cols, axis=0, kind="stable")
     xs = np.take_along_axis(cols, order, axis=0)
-    cum = np.cumsum(np.eye(n_classes)[y_node[order[:-1]]], axis=0)  # [n-1, m, C]
-    total = np.bincount(y_node, minlength=n_classes).astype(np.float64)
+    total = np.bincount(y_node, minlength=n_classes)
+    # the narrowest code dtype lets the stable argsort of the labels radix sort
+    ys = y_node.astype(np.min_scalar_type(n_classes - 1))[order]
+    left_sq, right_sq = _square_sums(ys, total)
     n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    impurity = _gini_pair(cum, total, n_left, n)  # [n-1, m]
+    n_right = n - n_left
+    impurity = (n_left * (1.0 - left_sq / (n_left * n_left))  # weighted Gini, [n-1, m]
+                + n_right * (1.0 - right_sq / (n_right * n_right))) / n
     # a boundary must fall between two distinct values and leave min_leaf a side
     impurity[xs[:-1] == xs[1:]] = np.inf
     impurity[: min_leaf - 1] = np.inf
@@ -108,17 +101,15 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndar
 def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
                 params: ForestParams, n_classes: int, rng: np.random.Generator) -> dict:
     y_node = y[idx]
-    if depth >= params.max_depth or len(idx) < 2 * params.min_leaf:
-        return _leaf(y_node, n_classes)
-    first = y_node[0]
-    if np.all(y_node == first):
-        return {"label": int(first)}
-
-    m = params.features_per_split(X.shape[1])
-    features = np.sort(rng.choice(X.shape[1], size=m, replace=False))
-    split = _best_split(X, y, idx, features, params.min_leaf, n_classes)
+    split = None
+    can_split = depth < params.max_depth and len(idx) >= 2 * params.min_leaf
+    if can_split and np.any(y_node != y_node[0]):  # pure nodes stay leaves
+        m = params.features_per_split(X.shape[1])
+        features = np.sort(rng.choice(X.shape[1], size=m, replace=False))
+        split = _best_split(X, y, idx, features, params.min_leaf, n_classes)
     if split is None:
-        return _leaf(y_node, n_classes)
+        # argmax returns the first maximum: smallest class code wins ties
+        return {"label": int(np.argmax(np.bincount(y_node)))}
 
     feature, b, threshold, order = split
     left = _build_tree(X, y, order[: b + 1], depth + 1, params, n_classes, rng)

@@ -1,10 +1,10 @@
 """Reference forest split search: one candidate feature at a time.
 
 This is the per-feature loop the batched split search in `freqscope.forest`
-replaced, kept verbatim as the oracle the new code is compared against
-byte for byte. Each node argsorts, one-hot encodes, cumsums and scores
-every candidate feature on its own, in ascending feature order, and keeps
-a split only on strict improvement.
+replaced, kept as the oracle the new code is compared against byte for
+byte. `best_split` argsorts, one-hot encodes, cumsums and scores every
+candidate feature on its own, in ascending feature order, and keeps a
+split only on strict improvement.
 """
 
 from __future__ import annotations
@@ -35,20 +35,13 @@ def _leaf(y: np.ndarray, n_classes: int) -> dict:
     return {"label": int(np.argmax(counts))}
 
 
-def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
-                params: ForestParams, n_classes: int, rng: np.random.Generator) -> dict:
-    y_node = y[idx]
-    if depth >= params.max_depth or len(idx) < 2 * params.min_leaf:
-        return _leaf(y_node, n_classes)
-    first = y_node[0]
-    if np.all(y_node == first):
-        return {"label": int(first)}
-
+def best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray,
+               min_leaf: int, n_classes: int):
+    """(feature, boundary, threshold, node order) of the lowest-impurity
+    split, feature by feature, or None: the contract of
+    `freqscope.forest._best_split`."""
     n = len(idx)
-    m = params.features_per_split(X.shape[1])
-    features = np.sort(rng.choice(X.shape[1], size=m, replace=False))
-
-    total = np.bincount(y_node, minlength=n_classes).astype(np.float64)
+    total = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
     best = None  # (impurity, feature, threshold, sorted order, boundary)
     for f in features:
         order = idx[np.argsort(X[idx, f], kind="stable")]
@@ -61,7 +54,7 @@ def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
 
         boundaries = np.nonzero(xs[:-1] != xs[1:])[0]
         boundaries = boundaries[
-            (boundaries + 1 >= params.min_leaf) & (n - boundaries - 1 >= params.min_leaf)
+            (boundaries + 1 >= min_leaf) & (n - boundaries - 1 >= min_leaf)
         ]
         if len(boundaries) == 0:
             continue
@@ -73,9 +66,35 @@ def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
             best = (float(impurity[i]), int(f), (float(xs[b]) + float(xs[b + 1])) / 2.0, order, b)
 
     if best is None:
+        return None
+    _, feature, threshold, order, b = best
+    return feature, b, threshold, order
+
+
+def plain(split):
+    """A split tuple with its order as a list, so splits compare with ==."""
+    if split is None:
+        return None
+    feature, b, threshold, order = split
+    return feature, b, threshold, order.tolist()
+
+
+def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
+                params: ForestParams, n_classes: int, rng: np.random.Generator) -> dict:
+    y_node = y[idx]
+    if depth >= params.max_depth or len(idx) < 2 * params.min_leaf:
+        return _leaf(y_node, n_classes)
+    first = y_node[0]
+    if np.all(y_node == first):
+        return {"label": int(first)}
+
+    m = params.features_per_split(X.shape[1])
+    features = np.sort(rng.choice(X.shape[1], size=m, replace=False))
+    split = best_split(X, y, idx, features, params.min_leaf, n_classes)
+    if split is None:
         return _leaf(y_node, n_classes)
 
-    _, feature, threshold, order, b = best
+    feature, b, threshold, order = split
     left = _build_tree(X, y, order[: b + 1], depth + 1, params, n_classes, rng)
     right = _build_tree(X, y, order[b + 1 :], depth + 1, params, n_classes, rng)
     return {"f": feature, "t": threshold, "l": left, "r": right}

@@ -544,6 +544,24 @@ def test_defend_restrict_is_a_usage_error(tmp_path, website_ds):
     assert rc == 2
 
 
+@pytest.mark.parametrize("where, spec, bad", [
+    ("config", "noise:x", "'x'"),
+    ("flag", "resolution:a", "'a'"),
+])
+def test_bad_defense_number_names_the_spec(tmp_path, website_ds, capsys, where, spec, bad):
+    if where == "config":
+        conf = tmp_path / "d.conf"
+        conf.write_text(f"defend.defenses = resolution:1,5 {spec}\n")
+        argv = ("--config", conf)
+    else:
+        argv = ("--defense", spec)
+    rc = run_cli("defend", "--dataset", website_ds, *argv, "--out", tmp_path / "x")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"defend.defenses: {bad} in defense spec {spec!r}" in err
+    assert "Traceback" not in err
+
+
 def test_report_from_eval_kv(tmp_path, website_ds, capsys):
     model = tmp_path / "m.json"
     assert run_cli("train", "--dataset", website_ds, "--model", model,

@@ -51,8 +51,9 @@ def test_defense_validation():
         resolution_reduce(0)
     with pytest.raises(ValueError):
         Defense(kind="resolution_reduce", factor=2.5)
-    with pytest.raises(ValueError):
-        noise_inject(-1.0)
+    for rate in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            noise_inject(rate)
     with pytest.raises(ValueError):
         noise_inject(1.0, burst_height=1.5)
     with pytest.raises(ValueError):
@@ -76,7 +77,8 @@ def test_parse_defense(spec, defenses):
     ("resolution:1,0", "factor must be"),
     ("noise:", "needs a rate"),
     ("noise:20:0.5:0:9", "noise:RATE"),
-    ("mask:fast", "invalid literal"),
+    ("mask:fast", "spec 'mask:fast' is not an integer"),
+    ("noise:20:high", "spec 'noise:20:high' is not a number"),
     ("blur:3", "unknown defense spec"),
 ])
 def test_parse_defense_rejects(spec, message):

@@ -1,13 +1,16 @@
 """Random forest: determinism, fit quality, Gini oracle, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from forest_oracle import _gini_pair
 from freqscope.forest import (
     ForestParams,
-    _gini_pair,
+    _best_split,
+    _square_sums,
     forest_rank,
     forest_train,
 )
@@ -36,6 +39,52 @@ def test_gini_pair_matches_oracle():
         for b in boundaries:
             want = gini_oracle(y[: b + 1].tolist(), y[b + 1 :].tolist())
             assert got[b] == pytest.approx(want, abs=1e-12)
+
+
+def square_counts(labels):
+    """sum over classes of count**2, counted label by label."""
+    return sum(labels.count(c) ** 2 for c in set(labels))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_square_sums_are_exact(seed):
+    rng = np.random.default_rng(seed)
+    n, n_classes, m = int(rng.integers(2, 80)), int(rng.integers(2, 51)), int(rng.integers(1, 5))
+    y = rng.integers(0, n_classes, size=n)
+    # columns of few distinct values: ties keep the node's original order
+    cols = rng.integers(0, 4, size=(n, m))
+    ys = y[np.argsort(cols, axis=0, kind="stable")]
+    total = np.bincount(y, minlength=n_classes)
+    left_sq, right_sq = _square_sums(ys.astype(np.uint8), total)
+    assert left_sq.dtype == right_sq.dtype == np.int64
+    onehot = np.eye(n_classes)[ys]  # [n, m, C]
+    cum = np.cumsum(onehot, axis=0)[:-1]
+    assert np.array_equal(left_sq, np.sum(cum * cum, axis=2))
+    assert np.array_equal(right_sq, np.sum((total - cum) ** 2, axis=2))
+    for j in range(m):
+        col = ys[:, j].tolist()
+        for b in range(n - 1):
+            left, right = col[: b + 1], col[b + 1 :]
+            assert (left_sq[b, j], right_sq[b, j]) == (square_counts(left), square_counts(right))
+            gini = (len(left) * (1 - left_sq[b, j] / len(left) ** 2)
+                    + len(right) * (1 - right_sq[b, j] / len(right) ** 2)) / n
+            assert gini == pytest.approx(gini_oracle(left, right), abs=1e-12)
+
+
+def test_best_split_memory_has_no_class_axis():
+    # a [n-1, m, C] float64 class-count tensor here would be 41 MB
+    rng = np.random.default_rng(0)
+    n, m, n_classes = 400, 32, 400
+    X = rng.integers(0, 50, size=(n, m)).astype(np.float64)
+    y = rng.integers(0, n_classes, size=n)
+    idx, features = np.arange(n), np.arange(m)
+    tracemalloc.start()
+    try:
+        assert _best_split(X, y, idx, features, 1, n_classes) is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def xor_data(n=200, seed=0):

@@ -1,5 +1,5 @@
 """The batched forest split search against the per-feature reference loop:
-the tree JSON must be byte-identical."""
+single splits and the tree JSON must be identical."""
 
 import json
 
@@ -10,7 +10,7 @@ import forest_oracle as oracle
 from freqscope.classify import dataset_matrix
 from freqscope.dataset import LabeledDataset, stable_seed
 from freqscope.defend import constant_mask, defended_dataset, noise_inject, resolution_reduce
-from freqscope.forest import ForestParams, forest_train
+from freqscope.forest import ForestParams, _best_split, forest_train
 from freqscope.governors import SimConfig, simulate
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
@@ -60,6 +60,39 @@ def test_constant_columns_only_yield_leaves():
     params = ForestParams(n_trees=2, seed=0)
     assert_same_trees(X, labels, params)
     assert all("f" not in t for t in forest_train(X, labels, params).trees)
+
+
+def wide_codes(rng, n):
+    # class codes above 2**15 would wrap in an int16 label copy
+    return rng.choice([0, 1, 2**15 - 1, 2**15, 2**15 + 1, 39_999], size=n), 40_000
+
+
+def all_but_one(rng, n):
+    y = np.full(n, 3)
+    y[rng.integers(n)] = 0
+    return y, 4
+
+
+def many_classes(rng, n):
+    return rng.integers(0, 60, size=n), 60
+
+
+@pytest.mark.parametrize("labels, min_leaf", [
+    (wide_codes, 1), (wide_codes, 3), (all_but_one, 1), (all_but_one, 2),
+    (many_classes, 2), (many_classes, 5),
+])
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_node_splits_identical(labels, min_leaf, seed):
+    rng = np.random.default_rng(seed)
+    n_rows = 48
+    X = rng.integers(0, 6, size=(n_rows, 10)).astype(np.float64)
+    X[:, 2] = 1.0  # one constant column
+    y, n_classes = labels(rng, n_rows)
+    idx = rng.integers(0, n_rows, size=n_rows)  # a bootstrap: repeated rows
+    features = np.sort(rng.choice(10, size=int(rng.integers(1, 11)), replace=False))
+    want = oracle.best_split(X, y, idx, features, min_leaf, n_classes)
+    got = _best_split(X, y, idx, features, min_leaf, n_classes)
+    assert oracle.plain(got) == oracle.plain(want)
 
 
 @pytest.fixture(scope="module")
