@@ -45,7 +45,7 @@ from .keystroke import (
     guess_curve,
     train_password_model,
 )
-from .knn import KnnModel, fit_knn, knn_rank
+from .knn import KnnModel, fit_knn, knn_rank, rank_many
 from .profiles import DeviceProfile, builtin_profiles, get_profile
 from .sampler import CollectPlan, collect, repetitiveness
 from .sources import (
@@ -103,6 +103,7 @@ __all__ = [
     "load_model",
     "load_trace",
     "merge_datasets",
+    "rank_many",
     "repetitiveness",
     "save_dataset",
     "save_model",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .forest import ForestModel, ForestParams, forest_rank, forest_train
-from .knn import KnnModel, fit_knn, knn_rank
+from .knn import KnnModel, fit_knn, rank_many
 from .profiles import get_profile
 from .trace import atomic_writer
 
@@ -60,10 +60,15 @@ class TrainedModel:
     classes: list[str]
     metadata: dict = field(default_factory=dict)
 
-    def rank(self, x) -> list[tuple[str, float]]:
+    def rank_many(self, X) -> np.ndarray:
+        """[Q, C] rankings of the rows of X: indices into the classifier's
+        `classes`, best first."""
         if self.kind == "knn":
-            return knn_rank(self.classifier, x)
-        return forest_rank(self.classifier, x)
+            return rank_many(self.classifier, X)[0]
+        classes = self.classifier.classes
+        index = {label: c for c, label in enumerate(classes)}
+        return np.array([[index[label] for label, _ in forest_rank(self.classifier, x)]
+                         for x in X], dtype=np.intp).reshape(len(X), len(classes))
 
 
 def train_knn_model(train_ds: LabeledDataset, k: int = 4,
@@ -146,16 +151,12 @@ def evaluate(model: TrainedModel, test_ds: LabeledDataset,
         )
     labels = sorted(set(model.classes) | set(truth))
     index = {label: i for i, label in enumerate(labels)}
+    true_idx = np.array([index[label] for label in truth])
+    ranked = np.array([index[label] for label in model.classifier.classes])[model.rank_many(X)]
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    max_k = max(topk) if topk else 1
-    hits = {k: 0 for k in topk}
-
-    for x, true_label in zip(X, truth):
-        ranking = [label for label, _ in model.rank(x)]
-        confusion[index[true_label], index[ranking[0]]] += 1
-        for k in topk:
-            if true_label in ranking[: max(k, 1)]:
-                hits[k] += 1
+    np.add.at(confusion, (true_idx, ranked[:, 0]), 1)
+    found = ranked == true_idx[:, None]
+    hits = {k: int(np.count_nonzero(found[:, :max(k, 1)].any(axis=1))) for k in topk}
 
     total = len(truth)
     per_class = {}
@@ -299,6 +300,14 @@ def _model_from_doc(doc: dict, path: str | os.PathLike) -> TrainedModel:
             train_labels=list(payload["train_labels"]),
             metric=payload["metric"],
         )
+        # min and max propagate NaN: both are finite only if every value is
+        if not np.isfinite([classifier.train_x.min(), classifier.train_x.max()]).all():
+            raise ModelFormatError(f"{path}: train_x holds non-finite values")
+        if doc["feature_length"] != classifier.train_x.shape[1]:
+            raise ModelFormatError(
+                f"{path}: feature_length {doc['feature_length']} != training matrix"
+                f" width {classifier.train_x.shape[1]}"
+            )
     elif doc["kind"] == "forest":
         p = payload["params"]
         if not all(isinstance(tree, dict) for tree in payload["trees"]):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import stable_seed
-from .knn import KnnModel, fit_knn, knn_rank
+from .knn import KnnModel, fit_knn, rank_many
 from .trace import FrequencyTrace
 
 PASSWORD_K = 4
@@ -276,11 +276,12 @@ def guess_curve(model: PasswordModel, test_pairs: list[tuple[str, np.ndarray]],
         raise ValueError(
             f"max_guesses must be in [1, {len(model.password_labels)}], got {max_guesses}"
         )
-    hits = np.zeros(max_guesses, dtype=np.int64)
-    for label, vec in test_pairs:
-        x = _pad(np.asarray(vec, dtype=np.float64), model.timing_length)
-        ranking = [lab for lab, _ in knn_rank(model.knn, x)]
-        pos = ranking.index(label) if label in ranking else max_guesses
-        if pos < max_guesses:
-            hits[pos:] += 1
+    X = np.stack([_pad(np.asarray(vec, dtype=np.float64), model.timing_length)
+                  for _, vec in test_pairs])
+    order, _ = rank_many(model.knn, X)
+    index = {label: c for c, label in enumerate(model.knn.classes)}
+    truth = np.array([index.get(label, -1) for label, _ in test_pairs])
+    # found[q, g]: query q's true password is its guess g + 1
+    found = order[:, :max_guesses] == truth[:, None]
+    hits = np.cumsum(found.sum(axis=0))
     return [h / len(test_pairs) for h in hits]

@@ -81,10 +81,7 @@ def collect(plan: CollectPlan, src: FreqSource) -> list[FrequencyTrace]:
         try:
             if plan.pre_hook:
                 run_hook(plan.pre_hook)
-            samples = []
-            for _ in range(plan.samples_per_measurement):
-                samples.append(src.read_freq())
-                src.advance(plan.interval_ms)
+            samples = src.read_series(plan.samples_per_measurement, plan.interval_ms)
             if plan.post_hook:
                 run_hook(plan.post_hook)
         except HookError as exc:
@@ -94,7 +91,7 @@ def collect(plan: CollectPlan, src: FreqSource) -> list[FrequencyTrace]:
         src.advance(plan.inter_measurement_sleep_ms)
         traces.append(
             FrequencyTrace(
-                samples=np.array(samples),  # sources read ints: no per-value check
+                samples=samples,  # an int64 array: no per-value check
                 interval_ms=plan.interval_ms,
                 device=src.device,
                 label=plan.label,
@@ -115,10 +112,7 @@ def repetitiveness(src: FreqSource, delays_ms: list[int], reads_per_delay: int) 
         raise ValueError("reads_per_delay must be >= 2")
     result: dict[int, float] = {}
     for delay in delays_ms:
-        values = []
-        for _ in range(reads_per_delay):
-            values.append(src.read_freq())
-            src.advance(delay)
-        runs = 1 + sum(1 for a, b in zip(values, values[1:]) if a != b)
+        values = src.read_series(reads_per_delay, delay)
+        runs = 1 + int(np.count_nonzero(values[1:] != values[:-1]))
         result[delay] = len(values) / runs
     return result

@@ -1,10 +1,12 @@
 """Frequency reading backends behind one small interface.
 
 Three backends: live sysfs, governor simulation, and recorded-trace replay.
-All expose read_freq() and advance(dt_ms); virtual backends move simulated
-time, the sysfs backend sleeps toward absolute deadlines so long runs do
-not drift. A source constructed with the masked policy refuses every read,
-modeling the access-restriction countermeasure.
+All expose read_freq() and advance(dt_ms), plus read_series(n, interval_ms)
+for n reads each followed by an advance. Virtual backends move simulated
+time and compute a whole series by index arithmetic; the sysfs backend
+sleeps toward absolute deadlines so long runs do not drift. A source
+constructed with the masked policy refuses every read, modeling the
+access-restriction countermeasure.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class SysfsReadError(RuntimeError):
 
 
 class FreqSource:
-    """Base: policy gate plus the two-method contract."""
+    """Base: policy gate plus the two-method contract; read_series is a loop
+    over the two unless a backend can compute the series whole."""
 
     device = "unknown"
 
@@ -47,8 +50,7 @@ class FreqSource:
         self.policy = policy
 
     def read_freq(self) -> int:
-        if self.policy == POLICY_MASKED:
-            raise AccessDeniedError("frequency interface access is restricted")
+        self._check_access()
         return self._read()
 
     def advance(self, dt_ms: int) -> None:
@@ -57,11 +59,39 @@ class FreqSource:
         if dt_ms:
             self._advance(dt_ms)
 
+    def read_series(self, n: int, interval_ms: int) -> np.ndarray:
+        """n reads as an int64 array, each followed by advance(interval_ms);
+        the source ends where that loop leaves it."""
+        if n < 0 or interval_ms < 0:
+            raise ValueError("n and interval_ms must be >= 0")
+        if n:
+            self._check_access()
+        return self._read_series(n, interval_ms)
+
+    def _check_access(self) -> None:
+        if self.policy == POLICY_MASKED:
+            raise AccessDeniedError("frequency interface access is restricted")
+
     def _read(self) -> int:
         raise NotImplementedError
 
     def _advance(self, dt_ms: int) -> None:
         raise NotImplementedError
+
+    def _read_series(self, n: int, interval_ms: int) -> np.ndarray:
+        out = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            out[i] = self._read()
+            self.advance(interval_ms)
+        return out
+
+
+def _steps(carry_ms: int, step_ms: int, n: int, interval_ms: int):
+    """Whole steps of step_ms that n advances of interval_ms, from a carry
+    of carry_ms, complete before each read and after the last advance
+    ([n + 1] int64), and the carry left at the end."""
+    ms = carry_ms + interval_ms * np.arange(n + 1, dtype=np.int64)
+    return ms // step_ms, int(ms[-1] % step_ms)
 
 
 class SimSource(FreqSource):
@@ -85,14 +115,28 @@ class SimSource(FreqSource):
         return self._state.current_freq_khz  # before the first tick
 
     def _advance(self, dt_ms: int) -> None:
-        self._carry_ms += dt_ms
-        ticks, self._carry_ms = divmod(self._carry_ms, self.workload.tick_ms)
-        n = len(self.workload.loads)
-        # tick k lies in cycle k // n: simulate each cycle the new ticks enter
-        for _ in range((self._cursor + ticks - 1) // n - (self._cursor - 1) // n):
-            (self._cycle,), (self._state,) = simulate_batch(
-                [self.workload.loads], self.workload.tick_ms, self.cfg, [self._state])
-        self._cursor += ticks
+        self._read_series(1, dt_ms)  # reading the current tick changes nothing
+
+    def _read_series(self, n: int, interval_ms: int) -> np.ndarray:
+        steps, carry = _steps(self._carry_ms, self.workload.tick_ms, n, interval_ms)
+        ticks = self._cursor + steps  # ticks consumed before read i, and at the end
+        # tick k lies in cycle k // len(loads): the latest tick's cycle at each read
+        cycle = (ticks - 1) // len(self.workload.loads)
+        now = (self._cursor - 1) // len(self.workload.loads)  # -1: none simulated yet
+        # reads [bounds[j], bounds[j + 1]) fall in cycle now + j; simulate each
+        # cycle the series enters, the last advance's included
+        bounds = np.searchsorted(cycle[:n], np.arange(now, cycle[-1] + 2))
+        out = np.empty(n, dtype=np.int64)
+        for j, (lo, hi) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
+            if j:
+                (self._cycle,), (self._state,) = simulate_batch(
+                    [self.workload.loads], self.workload.tick_ms, self.cfg, [self._state])
+            if now + j < 0:
+                out[lo:hi] = self._state.current_freq_khz  # before the first tick
+            else:
+                out[lo:hi] = self._cycle[(ticks[lo:hi] - 1) % len(self._cycle)]
+        self._cursor, self._carry_ms = int(ticks[-1]), carry
+        return out
 
 
 class ReplaySource(FreqSource):
@@ -108,15 +152,27 @@ class ReplaySource(FreqSource):
 
     def _read(self) -> int:
         if self._cursor >= len(self.trace.samples):
-            raise ReplayExhaustedError(
-                f"replay of {len(self.trace.samples)} samples exhausted"
-            )
+            raise self._exhausted()
         return self.trace.samples.item(self._cursor)
 
     def _advance(self, dt_ms: int) -> None:
         self._carry_ms += dt_ms
         steps, self._carry_ms = divmod(self._carry_ms, self.trace.interval_ms)
         self._cursor = min(len(self.trace.samples), self._cursor + steps)
+
+    def _read_series(self, n: int, interval_ms: int) -> np.ndarray:
+        total = len(self.trace.samples)
+        steps, carry = _steps(self._carry_ms, self.trace.interval_ms, n, interval_ms)
+        at = self._cursor + steps  # unsaturated cursor before read i, and at the end
+        done = int(np.searchsorted(at[:n], total))  # reads before the first past the end
+        if done < n:  # stop where the per-read loop raises
+            self._advance(done * interval_ms)
+            raise self._exhausted()
+        self._cursor, self._carry_ms = min(total, int(at[-1])), carry
+        return self.trace.samples[at[:n]]
+
+    def _exhausted(self) -> ReplayExhaustedError:
+        return ReplayExhaustedError(f"replay of {len(self.trace.samples)} samples exhausted")
 
 
 class SysfsSource(FreqSource):

@@ -43,6 +43,7 @@ from freqscope.sampler import CollectPlan, collect, repetitiveness
 from freqscope.sources import ReplaySource, SimSource
 from freqscope.trace import FrequencyTrace
 from freqscope.workloads import keystroke_workload, noise_workload, website_workload
+from knn_oracle import oracle_rank
 
 WEBSITE_JITTER = 0.3  # per-measurement load jitter sigma for the fingerprint runs
 CHANCE_Z = 2.576  # 99% two-sided normal quantile
@@ -154,29 +155,6 @@ def test_acceptance_1_governor_invariants(capsys):
                     assert s[t + 1] == s[t]
 
 
-def oracle_rank(train_x, train_labels, k, query):
-    """Brute-force restatement of the documented ranking rule."""
-    dists = [
-        (math.sqrt(sum((a - b) ** 2 for a, b in zip(row, query))), i)
-        for i, row in enumerate(train_x)
-    ]
-    neighbors = sorted(dists)[:k]
-    votes, sums = {}, {}
-    for d, i in neighbors:
-        lb = train_labels[i]
-        votes[lb] = votes.get(lb, 0) + 1
-        sums[lb] = sums.get(lb, 0.0) + d
-    voted = sorted(votes, key=lambda lb: (-votes[lb], sums[lb] / votes[lb], lb))
-    nearest = {}
-    for d, i in dists:
-        lb = train_labels[i]
-        if lb not in nearest or d < nearest[lb]:
-            nearest[lb] = d
-    unvoted = sorted((lb for lb in set(train_labels) if lb not in votes),
-                     key=lambda lb: (nearest[lb], lb))
-    return [(lb, votes[lb] / k) for lb in voted] + [(lb, 0.0) for lb in unvoted]
-
-
 def test_acceptance_2_knn_oracle(capsys):
     with verdict(capsys, 2, "knn oracle equivalence"):
         rng = np.random.default_rng(777)
@@ -192,9 +170,7 @@ def test_acceptance_2_knn_oracle(capsys):
                 q = rng.integers(0, 4, size=dim).astype(np.float64)
                 got = knn_rank(model, q)
                 want = oracle_rank(x.tolist(), labels, k, q.tolist())
-                assert [lb for lb, _ in got] == [lb for lb, _ in want]
-                for (_, gs), (_, ws) in zip(got, want):
-                    assert gs == pytest.approx(ws)
+                assert got == want
                 checked += 1
 
 

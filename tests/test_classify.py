@@ -16,9 +16,10 @@ from freqscope.classify import (
     train_knn_model,
 )
 from freqscope.dataset import LabeledDataset, split_dataset
-from freqscope.forest import ForestParams
+from freqscope.forest import ForestParams, forest_rank
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
+from knn_oracle import loop_rank
 
 RYZEN = get_profile("ryzen5")
 
@@ -152,6 +153,44 @@ def test_topk_accuracy_non_decreasing():
     assert report.topk_accuracy[4] == 1.0  # 4 classes: top-4 covers all
 
 
+def noisy_dataset(classes, per_class=8, length=12, seed=0):
+    """Random pstates per trace: classes overlap, so rankings vary."""
+    rng = np.random.default_rng(seed)
+    return LabeledDataset(classes=classes, measurements={
+        label: [make_trace(rng.choice(RYZEN.pstates, size=length).tolist(), label)
+                for _ in range(per_class)]
+        for label in classes
+    })
+
+
+@pytest.mark.parametrize("kind", ["knn", "forest"])
+def test_evaluate_matches_per_query_rankings(kind):
+    train = noisy_dataset(["a", "b", "c", "d"], seed=1)
+    test = noisy_dataset(["a", "b", "c", "d", "unseen"], per_class=5, seed=2)
+    if kind == "knn":
+        model = train_knn_model(train, k=3)
+        rank = lambda x: loop_rank(model.classifier, x)  # noqa: E731
+    else:
+        model = train_forest_model(train, ForestParams(n_trees=5, seed=4))
+        rank = lambda x: forest_rank(model.classifier, x)  # noqa: E731
+    topk = (0, 1, 2, 9)
+    report = evaluate(model, test, topk=topk)
+
+    X, truth = dataset_matrix(test)
+    labels = sorted(set(model.classes) | set(truth))
+    confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    hits = dict.fromkeys(topk, 0)
+    for x, true_label in zip(X, truth):
+        ranking = [label for label, _ in rank(x)]
+        confusion[labels.index(true_label), labels.index(ranking[0])] += 1
+        for k in topk:
+            hits[k] += true_label in ranking[:max(k, 1)]
+    assert report.labels == labels
+    assert report.confusion.tobytes() == confusion.tobytes()
+    assert report.topk_accuracy == {k: hits[k] / len(truth) for k in topk}
+    assert 0 < report.top1_accuracy < 1
+
+
 def test_feature_length_mismatch_rejected():
     train, _, _ = split_dataset(separable_dataset(length=20))
     _, _, other_test = split_dataset(separable_dataset(length=24))
@@ -215,8 +254,7 @@ def test_model_round_trip_preserves_predictions(tmp_path, kind):
     assert loaded.classes == model.classes
     assert loaded.metadata == model.metadata
     X, _ = dataset_matrix(test, NORM_MINMAX)
-    for x in X:
-        assert loaded.rank(x) == model.rank(x)
+    assert loaded.rank_many(X).tobytes() == model.rank_many(X).tobytes()
 
 
 def test_model_file_rejects_other_formats(tmp_path):

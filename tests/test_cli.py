@@ -278,6 +278,18 @@ def _ragged_train_x(doc):
     return doc
 
 
+def _non_finite_train_x(doc):
+    doc["classifier"]["train_x"][1][0] = float("nan")  # json writes NaN
+    return doc
+
+
+def _k_set(value):
+    def edit(doc):
+        doc["classifier"]["k"] = value
+        return doc
+    return edit
+
+
 def _zero_trees(doc):
     doc["classifier"]["params"]["n_trees"] = 0
     return doc
@@ -292,6 +304,10 @@ MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
     "no_classifier": ("knn", _drop("classifier")),
     "no_knn_k": ("knn", _drop("classifier", "k")),
     "ragged_train_x": ("knn", _ragged_train_x),
+    "non_finite_train_x": ("knn", _non_finite_train_x),
+    "feature_length_not_train_x_width":
+        ("knn", lambda doc: _with("feature_length", doc["feature_length"] - 1)(doc)),
+    "knn_k_not_an_int": ("knn", _k_set(True)),
     "no_forest_max_depth": ("forest", _drop("classifier", "params", "max_depth")),
     "zero_forest_trees": ("forest", _zero_trees),
     "forest_trees_not_objects": ("forest", _trees_not_objects),

@@ -21,6 +21,7 @@ from freqscope.keystroke import (
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
 from freqscope.workloads import keystroke_workload
+from knn_oracle import loop_rank
 
 CORTEX = get_profile("cortex_a73")
 IDLE = 806_000
@@ -206,6 +207,22 @@ def test_guess_curve_shape():
     assert len(curve) == 5
     assert all(a <= b for a, b in zip(curve, curve[1:]))
     assert curve[-1] == 1.0  # the ranking is total over all labels
+
+
+def test_guess_curve_matches_per_query_rankings():
+    pws = [f"{a}{b}pass" for a in "qazwsx" for b in "plmokn"]
+    ds = password_timing_vectors(pws, seed=11)
+    model, held_out = train_password_model(ds, split_seed=3)
+    held_out.append(("notamodelpassword", held_out[0][1]))  # never ranked
+    hits = np.zeros(len(pws), dtype=np.int64)
+    for label, vec in held_out:
+        ranking = [lb for lb, _ in loop_rank(model.knn, vec)]
+        if label in ranking:
+            hits[ranking.index(label):] += 1
+    want = [h / len(held_out) for h in hits]
+    assert guess_curve(model, held_out, max_guesses=len(pws)) == want
+    assert guess_curve(model, held_out, max_guesses=4) == want[:4]
+    assert 0 < want[0] < want[-1] < 1
 
 
 def test_guess_curve_validation():

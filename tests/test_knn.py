@@ -1,38 +1,11 @@
-"""KNN ranking verified against an independent brute-force implementation."""
-
-import math
+"""KNN ranking verified against an independent brute-force implementation,
+and the batched `rank_many` against the per-query loop it replaced."""
 
 import numpy as np
 import pytest
 
-from freqscope.knn import KnnModel, fit_knn, knn_rank
-
-
-def oracle_rank(train_x, train_labels, k, query):
-    """Straight-line reimplementation of the documented ranking rule."""
-    dists = [
-        (math.sqrt(sum((a - b) ** 2 for a, b in zip(row, query))), i)
-        for i, row in enumerate(train_x)
-    ]
-    neighbors = sorted(dists)[:k]
-
-    votes, sums = {}, {}
-    for d, i in neighbors:
-        lb = train_labels[i]
-        votes[lb] = votes.get(lb, 0) + 1
-        sums[lb] = sums.get(lb, 0.0) + d
-    voted = sorted(votes, key=lambda lb: (-votes[lb], sums[lb] / votes[lb], lb))
-
-    nearest = {}
-    for d, i in dists:
-        lb = train_labels[i]
-        if lb not in nearest or d < nearest[lb]:
-            nearest[lb] = d
-    unvoted = sorted(
-        (lb for lb in set(train_labels) if lb not in votes),
-        key=lambda lb: (nearest[lb], lb),
-    )
-    return [(lb, votes[lb] / k) for lb in voted] + [(lb, 0.0) for lb in unvoted]
+from freqscope.knn import BLOCK_BYTES, KnnModel, fit_knn, knn_rank, rank_many
+from knn_oracle import loop_rank_many, oracle_rank
 
 
 def test_ranking_matches_oracle_on_random_data():
@@ -48,9 +21,7 @@ def test_ranking_matches_oracle_on_random_data():
             q = rng.integers(0, 4, size=dim).astype(np.float64)
             got = knn_rank(model, q)
             want = oracle_rank(x.tolist(), labels, k, q.tolist())
-            assert [lb for lb, _ in got] == [lb for lb, _ in want], f"trial {trial}"
-            for (_, gs), (_, ws) in zip(got, want):
-                assert gs == pytest.approx(ws)
+            assert got == want, f"trial {trial}"
 
 
 def test_vote_majority_wins():
@@ -106,3 +77,101 @@ def test_query_length_checked():
     model = fit_knn(np.zeros((2, 3)), ["a", "b"], k=1)
     with pytest.raises(ValueError, match="length"):
         knn_rank(model, [0.0, 0.0])
+
+
+def test_model_rejects_non_integer_k():
+    x = np.zeros((3, 2))
+    for k in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            KnnModel(k=k, train_x=x, train_labels=["a", "b", "c"])
+    assert KnnModel(k=np.int64(2), train_x=x, train_labels=["a", "b", "c"]).k == 2
+
+
+def assert_matches_loop(model, Q):
+    order, votes = rank_many(model, Q)
+    want_order, want_votes = loop_rank_many(model, Q)
+    assert order.shape == votes.shape == (len(Q), len(model.classes))
+    assert order.tobytes() == want_order.tobytes()
+    assert votes.tobytes() == want_votes.tobytes()
+
+
+def labels_for(rng, n, n_classes):
+    return [f"c{int(v):02d}" for v in rng.integers(0, n_classes, size=n)]
+
+
+RANK_CASES = {  # case: (n, d, queries, classes, k or None for n, integer coordinates)
+    "continuous": (60, 7, 200, 6, 5, False),
+    "integer_ties": (40, 3, 300, 5, 4, True),
+    "k_equals_n": (25, 4, 100, 4, None, True),
+    "single_class": (30, 5, 50, 1, 3, False),
+    "no_features": (6, 0, 4, 3, 2, False),
+    "three_blocks": (50, 10, 600, 8, 4, True),  # 262 queries a block
+    "one_query_a_block": (400, 400, 5, 12, 7, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_rank_many_matches_loop(case):
+    n, d, queries, n_classes, k, integer = RANK_CASES[case]
+    rng = np.random.default_rng(sorted(RANK_CASES).index(case))
+    draw = (lambda *shape: rng.integers(0, 3, size=shape).astype(np.float64)) if integer \
+        else (lambda *shape: rng.normal(size=shape))
+    model = fit_knn(draw(n, d), labels_for(rng, n, n_classes), k=k or n)
+    assert_matches_loop(model, draw(queries, d))
+
+
+def test_rank_many_block_sizes():
+    assert BLOCK_BYTES // (8 * 50 * 10) == 262
+    assert BLOCK_BYTES // (8 * 400 * 400) == 0  # still one query a block
+
+
+def test_rank_many_duplicate_rows():
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 3, size=(10, 4)).astype(np.float64)
+    x = np.vstack([base, base, base[:5]])
+    model = fit_knn(x, labels_for(rng, len(x), 4), k=6)
+    assert_matches_loop(model, np.vstack([base, rng.integers(0, 3, size=(40, 4))]))
+
+
+def test_rank_many_of_no_queries():
+    model = fit_knn(np.zeros((3, 2)), ["a", "b", "a"], k=2)
+    order, votes = rank_many(model, np.zeros((0, 2)))
+    assert order.shape == votes.shape == (0, 2)
+
+
+def test_rank_many_rejects_bad_queries():
+    model = fit_knn(np.array([[0.0, 0.0], [1e200, 0.0]]), ["a", "b"], k=1)
+    with pytest.raises(ValueError, match="shape"):
+        rank_many(model, np.zeros(2))
+    with pytest.raises(ValueError, match="shape"):
+        rank_many(model, np.zeros((1, 3)))
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [-1e200, 0.0]):  # the last overflows
+        with pytest.raises(ValueError, match="finite"):
+            rank_many(model, np.array([[0.0, 0.0], bad]))
+    nan_row = fit_knn(np.array([[0.0, 0.0], [np.nan, 0.0]]), ["a", "b"], k=1)
+    with pytest.raises(ValueError, match="finite"):
+        rank_many(nan_row, np.zeros((1, 2)))
+
+
+def test_rank_many_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def problems(draw):
+        n, d = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+        levels = draw(st.integers(1, 4))  # few levels: many exact ties
+        cell = st.integers(0, levels - 1)
+        x = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n))
+        labels = draw(st.lists(st.sampled_from("abcde"), min_size=n, max_size=n))
+        q = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=1, max_size=20))
+        k = draw(st.integers(1, n))
+        return (fit_knn(np.array(x, dtype=np.float64), labels, k=k),
+                np.array(q, dtype=np.float64))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(problem=problems())
+    def check(problem):
+        assert_matches_loop(*problem)
+
+    check()

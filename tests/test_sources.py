@@ -2,14 +2,17 @@
 
 import os
 
+import numpy as np
 import pytest
 
-from freqscope.governors import SimConfig, TurboParams, WorkloadTrace
+from freqscope.governors import SimConfig, TurboParams, WorkloadTrace, simulate_batch
 from freqscope.profiles import get_profile
+from freqscope.sampler import CollectPlan, collect
 from freqscope.sources import (
     ENV_SYSFS_ROOT,
     POLICY_MASKED,
     AccessDeniedError,
+    FreqSource,
     ReplayExhaustedError,
     SimSource,
     SysfsReadError,
@@ -161,3 +164,133 @@ def test_sysfs_masked_policy(tmp_path):
     src = SysfsSource(root=str(tmp_path), policy=POLICY_MASKED)
     with pytest.raises(AccessDeniedError):
         src.read_freq()
+
+
+def loop_series(src, n, interval_ms):
+    """The per-read loop that read_series replaces."""
+    out = []
+    for _ in range(n):
+        out.append(src.read_freq())
+        src.advance(interval_ms)
+    return out
+
+
+class LoopSimSource(SimSource):
+    """SimSource stepped as before read_series: a base-class loop of reads
+    and advances, each advance simulating the cycles its ticks enter."""
+
+    _read_series = FreqSource._read_series
+
+    def _advance(self, dt_ms):
+        self._carry_ms += dt_ms
+        ticks, self._carry_ms = divmod(self._carry_ms, self.workload.tick_ms)
+        n = len(self.workload.loads)
+        for _ in range((self._cursor + ticks - 1) // n - (self._cursor - 1) // n):
+            (self._cycle,), (self._state,) = simulate_batch(
+                [self.workload.loads], self.workload.tick_ms, self.cfg, [self._state])
+        self._cursor += ticks
+
+
+def sim_pair(tick_ms, n_loads, seed, governor="interactive"):
+    cfg = SimConfig(profile=get_profile("cortex_a73"), governor=governor)
+    loads = np.random.default_rng(seed).random(n_loads)
+    wl = WorkloadTrace(loads=tuple(loads.tolist()), tick_ms=tick_ms)
+    return SimSource(cfg, wl), LoopSimSource(cfg, wl)
+
+
+def assert_same_sim_state(src, ref):
+    assert (src._cursor, src._carry_ms, src._state) == (ref._cursor, ref._carry_ms, ref._state)
+    assert src._cycle.tolist() == ref._cycle.tolist()
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_sim_read_series_matches_read_loop(case):
+    """Random sessions: short workloads wrap often, intervals off the tick
+    grid and of 0, series spanning several cycles, sleeps in between."""
+    rng = np.random.default_rng(case)
+    src, ref = sim_pair(int(rng.choice([10, 20, 25])), int(rng.integers(1, 12)), case,
+                        governor=str(rng.choice(["interactive", "ondemand", "conservative"])))
+    for _ in range(5):
+        n, interval = int(rng.integers(0, 40)), int(rng.integers(0, 50))
+        got = src.read_series(n, interval)
+        assert got.dtype == np.int64
+        assert got.tolist() == loop_series(ref, n, interval)
+        assert_same_sim_state(src, ref)
+        sleep = int(rng.integers(0, 120))
+        src.advance(sleep)
+        ref.advance(sleep)
+    assert src.read_freq() == ref.read_freq()
+
+
+@pytest.mark.parametrize("n,interval", [
+    (1, 0),  # a first read before any tick, and no advance
+    (3, 0),
+    (4, 7),  # the first reads see the initial state, off the tick grid
+    (30, 10),  # wraps the 4-tick workload several times
+    (2, 1000),  # each advance crosses many cycles, the last one too
+])
+def test_sim_read_series_edges(n, interval):
+    src, ref = sim_pair(10, 4, 1)
+    assert src.read_series(n, interval).tolist() == loop_series(ref, n, interval)
+    assert_same_sim_state(src, ref)
+
+
+def test_read_series_of_no_reads_leaves_source_alone():
+    src, ref = sim_pair(10, 3, 2)
+    src.advance(15)
+    ref.advance(15)
+    assert src.read_series(0, 10).tolist() == []
+    assert_same_sim_state(src, ref)
+
+
+def test_read_series_masked_fails_on_first_read():
+    src = sim_source(policy=POLICY_MASKED)
+    with pytest.raises(AccessDeniedError):
+        src.read_series(5, 10)
+    assert src._cursor == 0
+    with pytest.raises(ValueError):
+        sim_source().read_series(3, -1)
+
+
+@pytest.mark.parametrize("interval", [0, 3, 10, 15, 25, 30])  # 30: the last advance saturates
+def test_replay_read_series_matches_read_loop(interval):
+    trace = FrequencyTrace(samples=list(range(1_000_000, 1_000_040)), interval_ms=10,
+                           device="ryzen5", label="x")
+    src, ref = ReplaySource(trace), ReplaySource(trace)
+    src.advance(4)
+    ref.advance(4)
+    n = (400 - 4 - 1) // interval + 1 if interval else 12  # the last read is in range
+    assert src.read_series(n, interval).tolist() == loop_series(ref, n, interval)
+    assert (src._cursor, src._carry_ms) == (ref._cursor, ref._carry_ms)
+
+
+@pytest.mark.parametrize("interval", [3, 10, 25])
+def test_replay_read_series_exhausts_at_the_same_sample(interval):
+    trace = FrequencyTrace(samples=list(range(1_000_000, 1_000_040)), interval_ms=10,
+                           device="ryzen5", label="x")
+    src, ref = ReplaySource(trace), ReplaySource(trace)
+    src.advance(4)
+    ref.advance(4)
+    with pytest.raises(ReplayExhaustedError) as want:
+        loop_series(ref, 1000, interval)
+    with pytest.raises(ReplayExhaustedError) as got:
+        src.read_series(1000, interval)
+    assert str(got.value) == str(want.value) == "replay of 40 samples exhausted"
+    assert (src._cursor, src._carry_ms) == (ref._cursor, ref._carry_ms)
+
+
+def test_collect_with_mid_plan_hook_failure_matches_read_loop(tmp_path):
+    """The second of four measurements loses its pre hook; both sources see
+    the same reads, skipped measurement and final state."""
+    counter = tmp_path / "calls"
+    hook = (f'n=$(cat "{counter}" 2>/dev/null || echo 0); n=$((n + 1)); '
+            f'echo $n > "{counter}"; [ $((n % 4)) -ne 2 ]')
+    cfg = SimConfig(profile=get_profile("cortex_a73"), governor="interactive")
+    wl = WorkloadTrace(loads=tuple(np.random.default_rng(3).random(17).tolist()), tick_ms=10)
+    plan = CollectPlan(interval_ms=15, samples_per_measurement=20, measurements=4,
+                       label="x", pre_hook=hook, inter_measurement_sleep_ms=35)
+    src, ref = SimSource(cfg, wl), LoopSimSource(cfg, wl)
+    got, want = collect(plan, src), collect(plan, ref)
+    assert len(got) == len(want) == 3
+    assert [t.samples.tolist() for t in got] == [t.samples.tolist() for t in want]
+    assert_same_sim_state(src, ref)
