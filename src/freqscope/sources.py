@@ -3,10 +3,10 @@
 Three backends: live sysfs, governor simulation, and recorded-trace replay.
 All expose read_freq() and advance(dt_ms), plus read_series(n, interval_ms)
 for n reads each followed by an advance. Virtual backends move simulated
-time and compute a whole series by index arithmetic; the sysfs backend
-sleeps toward absolute deadlines so long runs do not drift. A source
-constructed with the masked policy refuses every read, modeling the
-access-restriction countermeasure.
+time, and the simulation computes a whole series by index arithmetic; the
+sysfs backend sleeps toward absolute deadlines so long runs do not drift.
+A source constructed with the masked policy refuses every read, modeling
+the access-restriction countermeasure.
 """
 
 from __future__ import annotations
@@ -86,14 +86,6 @@ class FreqSource:
         return out
 
 
-def _steps(carry_ms: int, step_ms: int, n: int, interval_ms: int):
-    """Whole steps of step_ms that n advances of interval_ms, from a carry
-    of carry_ms, complete before each read and after the last advance
-    ([n + 1] int64), and the carry left at the end."""
-    ms = carry_ms + interval_ms * np.arange(n + 1, dtype=np.int64)
-    return ms // step_ms, int(ms[-1] % step_ms)
-
-
 class SimSource(FreqSource):
     """Governor simulation; the workload cycles when exhausted so arbitrarily
     long sampling sessions stay live. Each cycle is simulated in one engine
@@ -118,8 +110,9 @@ class SimSource(FreqSource):
         self._read_series(1, dt_ms)  # reading the current tick changes nothing
 
     def _read_series(self, n: int, interval_ms: int) -> np.ndarray:
-        steps, carry = _steps(self._carry_ms, self.workload.tick_ms, n, interval_ms)
-        ticks = self._cursor + steps  # ticks consumed before read i, and at the end
+        # ms advanced before read i, and after the last advance
+        ms = self._carry_ms + interval_ms * np.arange(n + 1, dtype=np.int64)
+        ticks = self._cursor + ms // self.workload.tick_ms  # ticks consumed by then
         # tick k lies in cycle k // len(loads): the latest tick's cycle at each read
         cycle = (ticks - 1) // len(self.workload.loads)
         now = (self._cursor - 1) // len(self.workload.loads)  # -1: none simulated yet
@@ -135,7 +128,7 @@ class SimSource(FreqSource):
                 out[lo:hi] = self._state.current_freq_khz  # before the first tick
             else:
                 out[lo:hi] = self._cycle[(ticks[lo:hi] - 1) % len(self._cycle)]
-        self._cursor, self._carry_ms = int(ticks[-1]), carry
+        self._cursor, self._carry_ms = int(ticks[-1]), int(ms[-1] % self.workload.tick_ms)
         return out
 
 
@@ -152,27 +145,15 @@ class ReplaySource(FreqSource):
 
     def _read(self) -> int:
         if self._cursor >= len(self.trace.samples):
-            raise self._exhausted()
+            raise ReplayExhaustedError(
+                f"replay of {len(self.trace.samples)} samples exhausted"
+            )
         return self.trace.samples.item(self._cursor)
 
     def _advance(self, dt_ms: int) -> None:
         self._carry_ms += dt_ms
         steps, self._carry_ms = divmod(self._carry_ms, self.trace.interval_ms)
         self._cursor = min(len(self.trace.samples), self._cursor + steps)
-
-    def _read_series(self, n: int, interval_ms: int) -> np.ndarray:
-        total = len(self.trace.samples)
-        steps, carry = _steps(self._carry_ms, self.trace.interval_ms, n, interval_ms)
-        at = self._cursor + steps  # unsaturated cursor before read i, and at the end
-        done = int(np.searchsorted(at[:n], total))  # reads before the first past the end
-        if done < n:  # stop where the per-read loop raises
-            self._advance(done * interval_ms)
-            raise self._exhausted()
-        self._cursor, self._carry_ms = min(total, int(at[-1])), carry
-        return self.trace.samples[at[:n]]
-
-    def _exhausted(self) -> ReplayExhaustedError:
-        return ReplayExhaustedError(f"replay of {len(self.trace.samples)} samples exhausted")
 
 
 class SysfsSource(FreqSource):

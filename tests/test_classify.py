@@ -17,6 +17,7 @@ from freqscope.classify import (
 )
 from freqscope.dataset import LabeledDataset, split_dataset
 from freqscope.forest import ForestParams, forest_rank
+from freqscope.knn import knn_rank
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
 from knn_oracle import loop_rank
@@ -255,6 +256,9 @@ def test_model_round_trip_preserves_predictions(tmp_path, kind):
     assert loaded.metadata == model.metadata
     X, _ = dataset_matrix(test, NORM_MINMAX)
     assert loaded.rank_many(X).tobytes() == model.rank_many(X).tobytes()
+    # the scores too: (label, score) pairs, scores compared exactly
+    rank = knn_rank if kind == "knn" else forest_rank
+    assert [rank(loaded.classifier, x) for x in X] == [rank(model.classifier, x) for x in X]
 
 
 def test_model_file_rejects_other_formats(tmp_path):

@@ -4,7 +4,8 @@ and the batched `rank_many` against the per-query loop it replaced."""
 import numpy as np
 import pytest
 
-from freqscope.knn import BLOCK_BYTES, KnnModel, fit_knn, knn_rank, rank_many
+from freqscope import knn
+from freqscope.knn import KnnModel, fit_knn, knn_rank, rank_many
 from knn_oracle import loop_rank_many, oracle_rank
 
 
@@ -120,9 +121,20 @@ def test_rank_many_matches_loop(case):
     assert_matches_loop(model, draw(queries, d))
 
 
-def test_rank_many_block_sizes():
-    assert BLOCK_BYTES // (8 * 50 * 10) == 262
-    assert BLOCK_BYTES // (8 * 400 * 400) == 0  # still one query a block
+@pytest.mark.parametrize("case, blocks", [("three_blocks", 3), ("one_query_a_block", 5)])
+def test_rank_many_ranks_a_block_at_a_time(monkeypatch, case, blocks):
+    n, d, queries, n_classes, k, _ = RANK_CASES[case]
+    rng = np.random.default_rng(0)
+    model = fit_knn(rng.normal(size=(n, d)), labels_for(rng, n, n_classes), k=k)
+    distances, sizes = knn._distances, []
+
+    def counted(train_x, Q):
+        sizes.append(len(Q))
+        return distances(train_x, Q)
+
+    monkeypatch.setattr(knn, "_distances", counted)
+    rank_many(model, rng.normal(size=(queries, d)))
+    assert len(sizes) == blocks and sum(sizes) == queries
 
 
 def test_rank_many_duplicate_rows():
