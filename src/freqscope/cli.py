@@ -106,15 +106,13 @@ class LockError(RuntimeError):
 @contextmanager
 def dataset_lock(root: Path):
     """One dataset directory, one writer. Stale locks (crashed runs) must be
-    removed by hand; the error says which file."""
+    removed by hand; the error names the pid the lock records and the file."""
     root.mkdir(parents=True, exist_ok=True)
     lock = root / LOCK_NAME
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise LockError(
-            f"{root} is being written by another run (or a stale lock; remove {lock})"
-        ) from None
+        raise LockError(_lock_holder(root, lock)) from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         os.close(fd)
@@ -124,6 +122,21 @@ def dataset_lock(root: Path):
             lock.unlink()
         except OSError:
             pass
+
+
+def _lock_holder(root: Path, lock: Path) -> str:
+    """The error for an existing lock, from the pid it records."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+    except (OSError, ValueError):  # gone again, or its writer has not written the pid yet
+        return f"{root} is being written by another run (or a stale lock; remove {lock})"
+    try:
+        os.kill(pid, 0)  # signal 0 only checks that the process exists
+    except (ProcessLookupError, OverflowError):
+        return f"stale lock left by pid {pid} (not running); remove {lock}"
+    except PermissionError:  # it runs, under another user
+        pass
+    return f"{root} is being written by pid {pid} (lock {lock})"
 
 
 def _err(message: str) -> None:

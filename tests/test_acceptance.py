@@ -30,6 +30,7 @@ from freqscope.governors import (
     TurboParams,
     default_interactive_params,
     simulate,
+    simulate_batch,
 )
 from freqscope.keystroke import (
     detect_keystrokes,
@@ -66,17 +67,17 @@ def website_dataset(profile_name: str, governor: str, *, jitter: float = WEBSITE
                     n_samples: int = 1000, interval_ms: int = 10) -> LabeledDataset:
     cfg = SimConfig(profile=get_profile(profile_name), governor=governor)
     labels = [f"site-{i:02d}" for i in range(n_classes)]
-    measurements = {}
-    for label in labels:
-        rows = []
-        for m in range(per_class):
-            wl = website_workload(label, n_samples, tick_ms=interval_ms,
-                                  seed=stable_seed(seed, "website", label, m),
-                                  jitter=jitter)
-            sim = simulate(wl, cfg)
-            rows.append(FrequencyTrace(samples=sim.samples, interval_ms=interval_ms,
-                                       device=sim.device, label=label))
-        measurements[label] = rows
+    # every trace in one engine call, one matrix row each, as the `simulate` command does
+    loads = np.array([website_workload(label, n_samples, tick_ms=interval_ms,
+                                       seed=stable_seed(seed, "website", label, m),
+                                       jitter=jitter).loads
+                      for label in labels for m in range(per_class)])
+    rows = simulate_batch(loads, interval_ms, cfg)[0].reshape(n_classes, per_class, n_samples)
+    measurements = {
+        label: [FrequencyTrace(samples=samples, interval_ms=interval_ms,
+                               device=profile_name, label=label) for samples in rows[c]]
+        for c, label in enumerate(labels)
+    }
     return LabeledDataset(classes=labels, measurements=measurements,
                           split_seed=0, split_fractions=(0.8, 0.1, 0.1))
 
@@ -105,51 +106,46 @@ def test_acceptance_1_governor_invariants(capsys):
         no_turbo = TurboParams(enabled=False)
         ryzen_index = {f: i for i, f in enumerate(ryzen.pstates)}
 
-        def assert_bounded(profile, trace):
+        def assert_bounded(profile, samples):
             pstates = set(profile.pstates)
-            assert all(s in pstates for s in trace.samples)
+            assert all(s in pstates for s in samples)
             assert all(profile.min_freq_khz <= s <= profile.max_freq_khz
-                       for s in trace.samples)
+                       for s in samples)
+
+        def simulate_all(cfg, key, tick_ms):
+            """1000 noise workloads simulated as one matrix; the first 100
+            again as a matrix of their own, which must give the same rows."""
+            loads = np.array([noise_workload(60, tick_ms=tick_ms,
+                                             seed=stable_seed(1, "invariant", key, i)).loads
+                              for i in range(1000)])
+            samples = simulate_batch(loads, tick_ms, cfg)[0]
+            assert simulate_batch(loads[:100], tick_ms, cfg)[0].tolist() == samples[:100].tolist()
+            return loads, samples
 
         for gov in ("performance", "powersave", "userspace", "ondemand",
                     "conservative", "schedutil"):
             cfg = SimConfig(profile=ryzen, governor=gov, turbo=no_turbo)
-            for i in range(1000):
-                wl = noise_workload(60, seed=stable_seed(1, "invariant", gov, i))
-                trace = simulate(wl, cfg)
-                assert_bounded(ryzen, trace)
+            for loads, samples in zip(*simulate_all(cfg, gov, 10)):
+                assert_bounded(ryzen, samples)
                 if gov == "ondemand":
                     # memoryless law: larger load never maps to a lower state
-                    order = np.argsort(np.array(wl.loads), kind="stable")
-                    ordered = np.array(trace.samples)[order]
-                    assert (np.diff(ordered) >= 0).all()
+                    order = np.argsort(loads, kind="stable")
+                    assert (np.diff(samples[order]) >= 0).all()
                 elif gov == "conservative":
-                    steps = [ryzen_index[s] for s in trace.samples]
+                    steps = [ryzen_index[s] for s in samples]
                     assert all(abs(b - a) <= 1 for a, b in zip(steps, steps[1:]))
-                if i < 100:
-                    again = simulate(wl, cfg)
-                    assert again.samples.tolist() == trace.samples.tolist()
 
         icfg = SimConfig(profile=cortex, governor="interactive")
         ia = default_interactive_params(cortex)
         hold_samples = ia.boostpulse_duration_ms // 20
-        for i in range(1000):
-            wl = noise_workload(60, tick_ms=20,
-                                seed=stable_seed(1, "invariant", "boost", i))
-            trace = simulate(wl, icfg)
-            assert_bounded(cortex, trace)
-            s = trace.samples
-            for t, load in enumerate(wl.loads):
+        for loads, s in zip(*simulate_all(icfg, "boost", 20)):
+            assert_bounded(cortex, s)
+            for t, load in enumerate(loads):
                 if load >= ia.load_trigger and s[t] >= ia.hispeed_freq_khz:
                     assert all(x >= ia.hispeed_freq_khz
                                for x in s[t:t + hold_samples])
-            if i < 100:
-                assert simulate(wl, icfg).samples.tolist() == s.tolist()
         # at 10 ms ticks the 20 ms rate limit forbids back-to-back changes
-        for i in range(1000):
-            wl = noise_workload(60, tick_ms=10,
-                                seed=stable_seed(1, "invariant", "rate", i))
-            s = simulate(wl, icfg).samples
+        for _, s in zip(*simulate_all(icfg, "rate", 10)):
             for t in range(1, len(s) - 1):
                 if s[t] != s[t - 1]:
                     assert s[t + 1] == s[t]
@@ -229,25 +225,34 @@ def test_acceptance_5_keystroke_detection(capsys):
     with verdict(capsys, 5, "keystroke detection"):
         cfg = SimConfig(profile=get_profile("cortex_a73"), governor="interactive")
 
-        def run(times, seed):
-            wl = keystroke_workload(times, times[-1] // 20 + 20, tick_ms=20, seed=seed)
-            return detect_keystrokes(simulate(wl, cfg))
+        def run(kind, with_short_gaps):
+            """200 press schedules and the keystroke reports of their traces.
+            The workloads differ in length, so they are simulated as one
+            zero-padded matrix and each row is cut back to its own length: a
+            tick's frequency depends only on the loads up to that tick."""
+            schedules, workloads = [], []
+            for t in range(200):
+                rng = np.random.default_rng(stable_seed(42, "keystrokes", kind, t))
+                times = press_schedule(rng, with_short_gaps=with_short_gaps)
+                schedules.append(times)
+                workloads.append(keystroke_workload(times, times[-1] // 20 + 20, tick_ms=20,
+                                                    seed=int(rng.integers(2**31))))
+            loads = np.zeros((len(workloads), max(map(len, workloads))))
+            for row, wl in zip(loads, workloads):
+                row[:len(wl)] = wl.loads
+            rows = simulate_batch(loads, 20, cfg)[0]
+            return [(times, detect_keystrokes(FrequencyTrace(
+                        samples=samples[:len(wl)], interval_ms=20, device=cfg.profile.name)))
+                    for times, wl, samples in zip(schedules, workloads, rows)]
 
-        for t in range(200):
-            rng = np.random.default_rng(stable_seed(42, "keystrokes", "clean", t))
-            times = press_schedule(rng, with_short_gaps=False)
-            report = run(times, int(rng.integers(2**31)))
+        for times, report in run("clean", False):
             # precision = recall = 1.0: same count, every press within a sample
             assert len(report.press_times_ms) == len(times)
             assert all(abs(a - b) <= 20
                        for a, b in zip(report.press_times_ms, times))
 
-        count_correct = 0
-        for t in range(200):
-            rng = np.random.default_rng(stable_seed(42, "keystrokes", "short", t))
-            times = press_schedule(rng, with_short_gaps=True)
-            report = run(times, int(rng.integers(2**31)))
-            count_correct += report.press_count == len(times)
+        count_correct = sum(report.press_count == len(times)
+                            for times, report in run("short", True))
         assert count_correct / 200 >= 0.95
 
 

@@ -72,16 +72,38 @@ def test_simulate_seed_changes_bytes(tmp_path):
     assert outs[0] != outs[1]
 
 
+def locked_simulate(out, pid):
+    out.mkdir()
+    (out / LOCK_NAME).write_text(f"{pid}\n")
+    return run_cli("simulate", "--kind", "website", "--classes", "2",
+                   "--measurements", "2", "--samples", "40", "--out", out)
+
+
 def test_simulate_respects_lock(tmp_path):
     out = tmp_path / "locked"
-    out.mkdir()
-    (out / LOCK_NAME).write_text("424242\n")
-    rc = run_cli("simulate", "--kind", "website", "--classes", "2",
-                 "--measurements", "2", "--samples", "40", "--out", out)
-    assert rc == 3
+    assert locked_simulate(out, 424242) == 3
     (out / LOCK_NAME).unlink()
     assert run_cli("simulate", "--kind", "website", "--classes", "2",
                    "--measurements", "2", "--samples", "40", "--out", out) == 0
+
+
+def test_lock_error_names_the_running_writer(tmp_path, capsys):
+    out = tmp_path / "locked"
+    assert locked_simulate(out, os.getpid()) == 3
+    err = capsys.readouterr().err
+    assert f"{out} is being written by pid {os.getpid()} (lock {out / LOCK_NAME})" in err
+    assert (out / LOCK_NAME).read_text() == f"{os.getpid()}\n"  # never removed
+
+
+def test_lock_error_names_a_stale_lock(tmp_path, capsys):
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    pid = int(child.stdout)  # finished and reaped: no process has this pid now
+    out = tmp_path / "locked"
+    assert locked_simulate(out, pid) == 3
+    err = capsys.readouterr().err
+    assert f"stale lock left by pid {pid} (not running); remove {out / LOCK_NAME}" in err
+    assert (out / LOCK_NAME).read_text() == f"{pid}\n"  # never removed
 
 
 def test_simulate_keystrokes_kind(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 import governor_oracle as oracle
 from freqscope.governors import (
     GOVERNORS,
+    InteractiveParams,
     SimConfig,
     TurboParams,
     WorkloadTrace,
@@ -46,6 +47,9 @@ def load_matrix(kind: str, rows: int, ticks: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "random":
         return rng.uniform(0.0, 1.0, size=(rows, ticks))
+    if kind == "steps":  # 32-tick runs at one level: the conservative walk reaches both ends
+        levels = rng.choice([0.0, 0.05, 0.5, 1.0], size=(rows, ticks // 32 + 1))
+        return np.repeat(levels, 32, axis=1)[:, :ticks]
     # bursty: idle stretches (below the turbo idle threshold) with bursts,
     # plus the exact values the laws compare against
     loads = np.where(rng.random((rows, ticks)) < 0.25,
@@ -81,18 +85,104 @@ def test_engine_matches_oracle(profile, governor):
                     assert all(type(s.current_freq_khz) is int for s in ends)
 
 
+# (governor, index into `configs(profile, governor)`): each law with each turbo variant
+VARIANTS = sorted({(governor, i) for profile in PROFILES for governor in GOVERNORS
+                   for i, _ in enumerate(configs(profile, governor))})
+
+
+def variant_configs(governor, variant):
+    return [cfg for profile in PROFILES
+            for i, cfg in enumerate(configs(profile, governor)) if i == variant]
+
+
+def state_types(states):
+    return [tuple(type(v) for v in vars(s).values()) for s in states]
+
+
+@pytest.mark.parametrize("governor,variant", VARIANTS)
+def test_engine_matches_oracle_property(governor, variant):
+    """Random B, T and tick; every row starts from its own state, reached by
+    a random prefix of 2-200 ticks; the interactive rate limit both binds
+    and does not. The interactive law has one variant and more examples."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def runs(draw):
+        cfg = draw(st.sampled_from(variant_configs(governor, variant)))
+        if governor == "interactive":
+            cfg = replace(cfg, interactive=InteractiveParams(
+                hispeed_freq_khz=draw(st.sampled_from(cfg.profile.pstates)),
+                boostpulse_duration_ms=draw(st.sampled_from([0, 20, 80, 130])),
+                min_sample_time_ms=draw(st.sampled_from([0, 10, 20, 45])),
+                load_trigger=draw(st.sampled_from([0.05, 0.3, 1.0]))))
+        rows, ticks, prefix_ticks = (draw(st.integers(1, 64)), draw(st.integers(1, 40)),
+                                     draw(st.integers(2, 200)))
+        kind = draw(st.sampled_from(["random", "bursty", "steps"]))
+        return (cfg, draw(st.integers(1, 50)), kind, rows, ticks, prefix_ticks,
+                draw(st.integers(0, 2**32 - 2)))
+
+    @hypothesis.settings(max_examples=25 if governor == "interactive" else 10, deadline=None)
+    @hypothesis.given(run=runs())
+    def check(run):
+        cfg, tick_ms, kind, rows, ticks, prefix_ticks, seed = run
+        loads = load_matrix(kind, rows, ticks, seed)
+        prefix = load_matrix(kind, rows, prefix_ticks, seed + 1)
+        # half the prefixes end on an idle tick, which may change the frequency,
+        # then a full-load one: rows start mid-boost, some with it still pending
+        prefix[np.random.default_rng(seed).random(rows) < 0.5, -2:] = (0.0, 1.0)
+        _, starts = simulate_batch(prefix, tick_ms, cfg)
+        got, ends = simulate_batch(loads, tick_ms, cfg, starts)
+        want, want_ends = oracle_rows(loads, cfg, tick_ms, starts)
+        assert got.dtype == np.int64 and got.shape == loads.shape
+        assert got.tolist() == want
+        assert ends == want_ends
+        # the field types of a fresh state: Python ints, floats and bools
+        assert state_types(starts + ends) == state_types([init_state(cfg)] * 2 * rows)
+
+    check()
+
+
+def test_conservative_walks_down_from_an_off_grid_ceiling():
+    """Under a ceiling between two pstates the walk climbs past it while the
+    output stays capped; each tick re-anchors it to the ceiling's nearest
+    pstate, so it starts down from there as soon as the load drops."""
+    for profile in PROFILES:
+        if profile.base_freq_khz is None:
+            continue
+        profile = replace(profile, supported_governors=GOVERNORS)
+        ceiling = (profile.pstates[-2] + profile.pstates[-1]) // 2 - 1
+        cfg = SimConfig(profile=profile, governor="conservative",
+                        turbo=TurboParams(enabled=True, ceiling_khz=ceiling))
+        loads = np.repeat([[1.0, 0.0, 0.5]], [len(profile.pstates) + 5, 20, 20], axis=1)
+        got, ends = simulate_batch(loads, 10, cfg)
+        assert (got.tolist(), ends) == oracle_rows(loads, cfg, 10)
+        assert ceiling in got[0] and got[0, len(profile.pstates) + 5] < ceiling
+
+
 @pytest.mark.parametrize("governor", GOVERNORS)
 def test_chunked_runs_equal_one_run(governor):
-    for profile in PROFILES:
-        for cfg in configs(profile, governor):
-            loads = load_matrix("bursty", 5, 90, 7)
-            whole, whole_ends = simulate_batch(loads, 20, cfg)
-            for split in (1, 37, 89):
-                head, mid = simulate_batch(loads[:, :split], 20, cfg)
-                tail, ends = simulate_batch(loads[:, split:], 20, cfg, mid)
-                assert np.hstack([head, tail]).tolist() == whole.tolist()
-                assert ends == whole_ends
-                assert mid == oracle_rows(loads[:, :split], cfg, 20)[1]
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cfgs = [cfg for profile in PROFILES for cfg in configs(profile, governor)]
+
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @hypothesis.given(cfg=st.sampled_from(cfgs), seed=st.integers(0, 2**32 - 1),
+                      splits=st.lists(st.integers(1, 89), min_size=1, max_size=4, unique=True))
+    def check(cfg, seed, splits):
+        loads = load_matrix("bursty", 5, 90, seed)
+        whole, whole_ends = simulate_batch(loads, 20, cfg)
+        bounds = [0, *sorted(splits), 90]
+        parts, states = [], None
+        for lo, hi in zip(bounds, bounds[1:]):
+            part, states = simulate_batch(loads[:, lo:hi], 20, cfg, states)
+            parts.append(part)
+            if lo == 0:
+                assert states == oracle_rows(loads[:, :hi], cfg, 20)[1]
+        assert np.hstack(parts).tolist() == whole.tolist()
+        assert states == whole_ends
+
+    check()
 
 
 def test_step_governor_matches_oracle():

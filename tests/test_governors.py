@@ -38,6 +38,8 @@ def test_workload_validation():
         WorkloadTrace(loads=(0.5, 1.2), tick_ms=10)
     with pytest.raises(ValueError):
         WorkloadTrace(loads=(0.5,), tick_ms=0)
+    with pytest.raises(ValueError, match="1-d"):
+        WorkloadTrace(loads=[[0.5, 0.5]], tick_ms=10)
 
 
 @pytest.mark.parametrize("load", [float("nan"), -1e-9, 1.0 + 1e-9, float("inf")])

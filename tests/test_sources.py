@@ -1,10 +1,12 @@
 """Frequency-source backends: simulation, replay, sysfs, and the masked policy."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from freqscope import sources
 from freqscope.governors import SimConfig, TurboParams, WorkloadTrace, simulate_batch
 from freqscope.profiles import get_profile
 from freqscope.sampler import CollectPlan, collect
@@ -20,6 +22,7 @@ from freqscope.sources import (
     ReplaySource,
 )
 from freqscope.trace import FrequencyTrace
+from freqscope.workloads import keystroke_workload
 
 RYZEN = get_profile("ryzen5")
 
@@ -294,3 +297,59 @@ def test_collect_with_mid_plan_hook_failure_matches_read_loop(tmp_path):
     assert len(got) == len(want) == 3
     assert [t.samples.tolist() for t in got] == [t.samples.tolist() for t in want]
     assert_same_sim_state(src, ref)
+
+
+def count_engine_calls(monkeypatch):
+    """The start state of every engine call SimSource makes from now on."""
+    starts, engine = [], sources.simulate_batch
+
+    def counted(loads, tick_ms, cfg, states=None):
+        starts.extend(states)
+        return engine(loads, tick_ms, cfg, states)
+
+    monkeypatch.setattr(sources, "simulate_batch", counted)
+    return starts
+
+
+def typing_collect():
+    """A typing-shaped collect: key presses 250-700 ms apart over a minute
+    on cortex_a73 under interactive, 150 reads at 20 ms per measurement and
+    the default second between measurements, so about 66 workload cycles
+    in 1000 measurements."""
+    gaps = np.random.default_rng(5).integers(25, 71, 200) * 10
+    presses = [p for p in (400 + np.cumsum([0, *gaps])).tolist() if p < 60_500]
+    cfg = SimConfig(profile=get_profile("cortex_a73"), governor="interactive")
+    wl = keystroke_workload(presses, n_ticks=max(presses) // 20 + 24, tick_ms=20, seed=0)
+    return cfg, wl, CollectPlan(interval_ms=20, samples_per_measurement=150,
+                                measurements=1000, label="typing")
+
+
+def test_sim_source_simulates_a_cycle_once_per_start_state(monkeypatch):
+    cfg, wl, plan = typing_collect()
+    starts = count_engine_calls(monkeypatch)
+    got = collect(plan, SimSource(cfg, wl))
+    assert len(got) == 1000
+    assert len(starts) <= 2  # the first cycle, and the one every later cycle starts as
+    # the per-read loop makes one single-row engine call for each of the ~66
+    # cycles, too slow for the suite, so it is compared on the first 50
+    # measurements, whose 4 cycles include 2 repeats
+    starts.clear()
+    short = replace(plan, measurements=50)
+    src, ref = SimSource(cfg, wl), LoopSimSource(cfg, wl)
+    head, want = collect(short, src), collect(short, ref)
+    assert len(starts) <= 2 and ref._cursor > 3 * len(wl)  # into the fourth cycle
+    assert b"".join(t.samples.tobytes() for t in head) == b"".join(t.samples.tobytes() for t in want)
+    assert [t.samples.tobytes() for t in got[:50]] == [t.samples.tobytes() for t in head]
+    assert_same_sim_state(src, ref)
+
+
+def test_sim_source_simulates_a_cycle_that_starts_from_a_new_state(monkeypatch):
+    # PELT climbs a little further every cycle, so no cycle starts as the last did
+    cfg = SimConfig(profile=RYZEN, governor="schedutil", turbo=TurboParams(enabled=False))
+    wl = WorkloadTrace(loads=(1.0, 0.0, 1.0, 1.0, 0.5), tick_ms=10)
+    starts = count_engine_calls(monkeypatch)
+    src, ref = SimSource(cfg, wl), LoopSimSource(cfg, wl)
+    assert src.read_series(40, 25).tolist() == loop_series(ref, 40, 25)  # 100 ticks, 20 cycles
+    assert_same_sim_state(src, ref)
+    assert len(starts) == 20
+    assert len({s.pelt_load for s in starts}) == 20

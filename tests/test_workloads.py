@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from freqscope.governors import SimConfig, simulate
+from freqscope.governors import SimConfig, WorkloadTrace, simulate
 from freqscope.profiles import get_profile
 from freqscope.workloads import (
     IDLE_LOAD_MAX,
@@ -27,32 +27,48 @@ def test_loads_stay_in_unit_interval():
         assert all(0.0 <= x <= 1.0 for x in wl.loads)
 
 
+def test_loads_are_a_read_only_float64_array_the_workload_owns():
+    given = np.array([0.25, 0.5, 1.0])
+    wl = WorkloadTrace(loads=given, tick_ms=10)
+    given[0] = 0.75
+    assert wl.loads.dtype == np.float64 and wl.loads.tolist() == [0.25, 0.5, 1.0]
+    with pytest.raises(ValueError, match="read-only"):
+        wl.loads[0] = 0.0
+    assert wl == WorkloadTrace(loads=(0.25, 0.5, 1), tick_ms=10)
+    assert wl != WorkloadTrace(loads=(0.25, 0.5, 1.0), tick_ms=20)
+    assert wl != WorkloadTrace(loads=(0.25, 0.5), tick_ms=10)
+    for made in (website_workload("site-03", 50, seed=1), keystroke_workload([100], 60, seed=2),
+                 idle_workload(30, seed=3), noise_workload(30, seed=4)):
+        assert isinstance(made.loads, np.ndarray) and made.loads.dtype == np.float64
+        assert made.loads.ndim == 1 and not made.loads.flags.writeable
+
+
 def test_website_skeleton_shared_across_seeds():
     a = website_workload("site-07", 400, seed=10, jitter=0.0)
     b = website_workload("site-07", 400, seed=99, jitter=0.0)
-    assert a.loads == b.loads  # class alone fixes the burst pattern
+    assert np.array_equal(a.loads, b.loads)  # class alone fixes the burst pattern
     c = website_workload("site-08", 400, seed=10, jitter=0.0)
-    assert c.loads != a.loads
+    assert not np.array_equal(c.loads, a.loads)
 
 
 def test_website_jitter_differs_by_seed():
     a = website_workload("site-07", 400, seed=10)
     b = website_workload("site-07", 400, seed=99)
-    assert a.loads != b.loads
+    assert not np.array_equal(a.loads, b.loads)
     # jitter is small: same skeleton, deviations bounded by a few sigma
-    diff = np.abs(np.array(a.loads) - np.array(b.loads))
+    diff = np.abs(a.loads - b.loads)
     assert diff.max() < 0.5
 
 
 def test_website_deterministic():
     a = website_workload("site-01", 300, seed=5)
     b = website_workload("site-01", 300, seed=5)
-    assert a.loads == b.loads
+    assert np.array_equal(a.loads, b.loads)
 
 
 def test_keystroke_pulses_at_press_times():
     wl = keystroke_workload([1000, 2000], 200, tick_ms=20, seed=6)
-    loads = np.array(wl.loads)
+    loads = wl.loads
     elevated = loads >= KEYSTROKE_LOADS[0]
     # exactly two pulse runs, starting at ticks 50 and 100
     edges = np.flatnonzero(np.diff(np.concatenate(([0], elevated.view(np.int8)))) == 1)
@@ -85,7 +101,7 @@ def test_idle_keeps_cortex_interactive_at_min():
 def test_noise_has_no_class_skeleton():
     a = noise_workload(300, seed=1)
     b = noise_workload(300, seed=2)
-    assert a.loads != b.loads
+    assert not np.array_equal(a.loads, b.loads)
 
 
 def test_n_ticks_validated():
