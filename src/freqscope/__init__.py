@@ -14,7 +14,6 @@ from .classify import (
     TrainedModel,
     evaluate,
     load_model,
-    merge_datasets,
     save_model,
     train_forest_model,
     train_knn_model,
@@ -35,7 +34,6 @@ from .governors import (
     TurboParams,
     WorkloadTrace,
     simulate,
-    step_governor,
 )
 from .keystroke import (
     KeystrokeParams,
@@ -102,7 +100,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "load_trace",
-    "merge_datasets",
     "rank_many",
     "repetitiveness",
     "save_dataset",
@@ -111,7 +108,6 @@ __all__ = [
     "simulate",
     "split_dataset",
     "stable_seed",
-    "step_governor",
     "train_forest_model",
     "train_knn_model",
     "train_password_model",

@@ -176,33 +176,6 @@ def evaluate(model: TrainedModel, test_ds: LabeledDataset,
     )
 
 
-def merge_datasets(datasets: list[LabeledDataset]) -> LabeledDataset:
-    """Union measurements per class; inputs must agree on classes and shape."""
-    if not datasets:
-        raise ValueError("nothing to merge")
-    first = datasets[0]
-    classes = sorted(first.classes)
-    for ds in datasets[1:]:
-        if sorted(ds.classes) != classes:
-            raise ValueError("datasets disagree on class sets")
-        if ds.n_samples != first.n_samples:
-            raise ValueError(
-                f"datasets disagree on sample count: {ds.n_samples} != {first.n_samples}"
-            )
-        if ds.interval_ms != first.interval_ms:
-            raise ValueError("datasets disagree on interval_ms")
-    merged = {label: [] for label in classes}
-    for ds in datasets:
-        for label in classes:
-            merged[label].extend(ds.measurements[label])
-    return LabeledDataset(
-        classes=classes,
-        measurements=merged,
-        split_seed=first.split_seed,
-        split_fractions=first.split_fractions,
-    )
-
-
 def _classifier_payload(model: TrainedModel) -> dict:
     if model.kind == "knn":
         knn: KnnModel = model.classifier

@@ -8,7 +8,8 @@ artifacts also writes the resolved settings next to them.
 Exit codes:
   0  success
   2  configuration or usage error
-  3  data error (unreadable trace/dataset/model, exhausted replay, busy dir)
+  3  data error (unreadable trace/dataset/model, exhausted replay, busy dir,
+     a dataset already in the simulate output, a lost defend worker)
   4  access restricted by the source policy
   5  every measurement was lost to hook failures
 """
@@ -241,6 +242,8 @@ def cmd_simulate(args) -> int:
         ds = LabeledDataset(classes=sorted(words), measurements=measurements)
 
     with dataset_lock(out):
+        if (out / RESOLVED_CONFIG_NAME).exists() or any(out.glob("*/*.ftrace")):
+            raise FileExistsError(f"{out} already holds a dataset; simulate into a new directory")
         save_dataset(ds, out)
         write_resolved(out / RESOLVED_CONFIG_NAME, s.used())
     print(

@@ -61,10 +61,7 @@ class LabeledDataset:
             raise DatasetFormatError(f"traces disagree on sample count: {sorted(lengths)}")
         if len(intervals) > 1:
             raise DatasetFormatError(f"traces disagree on interval_ms: {sorted(intervals)}")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise ValueError(f"split fractions must sum to 1: {self.split_fractions}")
-        if any(f < 0 for f in self.split_fractions):
-            raise ValueError("split fractions must be non-negative")
+        _check_fractions(self.split_fractions)
 
     @property
     def n_samples(self) -> int:
@@ -90,12 +87,19 @@ class LabeledDataset:
                 yield label, trace
 
 
-def _partition_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
-    train_f, val_f, test_f = fractions
-    if abs(train_f + val_f + test_f - 1.0) > 1e-9:
+def _check_fractions(fractions: tuple[float, float, float]) -> None:
+    """ValueError naming the split key of a negative, infinite or NaN
+    fraction, or for fractions that do not sum to 1."""
+    for name, f in zip(("train", "val", "test"), fractions):
+        if not 0 <= f < np.inf:  # also rejects NaN
+            raise ValueError(f"split.{name} must be a finite fraction >= 0, got {f}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {fractions}")
-    if min(fractions) < 0:
-        raise ValueError("split fractions must be non-negative")
+
+
+def _partition_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
+    _check_fractions(fractions)
+    train_f, val_f, test_f = fractions
     n_val = int(n * val_f)
     n_test = int(n * test_f)
     n_train = n - n_val - n_test  # rounding remainder goes to train

@@ -14,6 +14,7 @@ attacker profiles the system as deployed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -211,24 +212,49 @@ class SweepRow:
     top1_defended: float
 
 
+_inherited: tuple | None = None  # a worker process's sweep, set once by _inherit
+
+
+def _inherit(sweep: tuple) -> None:
+    global _inherited
+    _inherited = sweep
+
+
+def _sweep_job(i: int, sweep: tuple | None = None) -> float:
+    """Top-1 accuracy of job i of a sweep: -1 is the clean baseline, i >= 0
+    is `defenses[i]`. A worker process runs the sweep it inherited."""
+    defenses, ds, trainer, topk = sweep or _inherited
+    view = ds if i < 0 else defended_dataset(defenses[i], ds)
+    train, _, test = split_dataset(view)
+    return evaluate(trainer(train), test, topk=topk).top1_accuracy
+
+
 def defense_sweep(defenses: list[Defense], ds: LabeledDataset, trainer: Trainer,
                   topk: tuple[int, ...] = (1, 5)) -> list[SweepRow]:
     """Evaluate several defenses against one dataset; the clean baseline is
-    trained once and shared across rows."""
-    clean_train, _, clean_test = split_dataset(ds)
-    clean_report = evaluate(trainer(clean_train), clean_test, topk=topk)
-    rows = []
-    for d in defenses:
-        dds = defended_dataset(d, ds)
-        def_train, _, def_test = split_dataset(dds)
-        report = evaluate(trainer(def_train), def_test, topk=topk)
-        rows.append(SweepRow(
-            kind=d.kind,
-            param=d.param_label(),
-            top1_clean=clean_report.top1_accuracy,
-            top1_defended=report.top1_accuracy,
-        ))
-    return rows
+    trained once and shared across rows. The baseline and each row are jobs
+    for forked workers, one per usable CPU, which inherit the dataset and the
+    trainer; rows do not depend on the worker count. A job's exception reaches
+    the caller as raised; a worker that dies raises ChildProcessError."""
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    sweep, jobs = (defenses, ds, trainer, topk), range(-1, len(defenses))
+    # without CPU affinity (macOS, Windows) the jobs run in this process
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(jobs))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        accuracies = [_sweep_job(i, sweep) for i in jobs]
+    else:
+        try:
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_inherit, initargs=(sweep,)) as pool:
+                accuracies = list(pool.map(_sweep_job, jobs))
+        except BrokenExecutor as exc:
+            raise ChildProcessError(f"defense sweep lost a worker process: {exc}") from None
+    clean, *defended = accuracies
+    return [SweepRow(kind=d.kind, param=d.param_label(), top1_clean=clean, top1_defended=acc)
+            for d, acc in zip(defenses, defended)]
 
 
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:

@@ -19,8 +19,8 @@ Turbo, when enabled, caps output at the ceiling and charges a leaky-bucket
 budget for every tick spent above base frequency; with the budget drained
 the output is clamped to base until idle ticks (load < 0.1) refill it.
 
-One engine, `simulate_batch`, runs every law over a [B, T] load matrix;
-`simulate` and `step_governor` are its single-trace and single-tick calls.
+One engine, `simulate_batch`, runs every law over a [B, T] load matrix,
+from given states or the initial ones; `simulate` is its single-trace call.
 """
 
 from __future__ import annotations
@@ -299,12 +299,6 @@ def _interactive_law(want: np.ndarray, trigger: np.ndarray, states: list[Governo
     ends = zip(states, out[-1].tolist(), remaining.tolist(), since.tolist(), pending.tolist())
     return out.T, [replace(s, current_freq_khz=f, boost_remaining_ms=r, ms_since_change=m,
                            boost_pending=p) for s, f, r, m, p in ends]
-
-
-def step_governor(state: GovernorState, load: float, cfg: SimConfig, tick_ms: int = 10) -> GovernorState:
-    """Advance one tick; returns the next state, input state untouched."""
-    _, (nxt,) = simulate_batch([[load]], tick_ms, cfg, [state])
-    return nxt
 
 
 def simulate(workload: WorkloadTrace, cfg: SimConfig) -> FrequencyTrace:

@@ -185,21 +185,6 @@ def sample_timing_vector(password: str, rng: np.random.Generator,
     return np.maximum(gaps, GAP_MIN_MS)
 
 
-def password_timing_vectors(passwords: list[str], per_label: int = MEASUREMENTS_PER_LABEL,
-                            sigma_ms: float = GAP_SIGMA_MS, seed: int = 0
-                            ) -> dict[str, list[np.ndarray]]:
-    """Synthetic measurement set: per-gap means from key adjacency, gaussian
-    jitter per measurement. Deterministic per (seed, password, index)."""
-    out: dict[str, list[np.ndarray]] = {}
-    for pw in passwords:
-        vecs = []
-        for i in range(per_label):
-            rng = np.random.default_rng(stable_seed(seed, "password-timing", pw, i))
-            vecs.append(sample_timing_vector(pw, rng, sigma_ms))
-        out[pw] = vecs
-    return out
-
-
 def password_press_schedule(password: str, seed: int = 0,
                             sigma_ms: float = GAP_SIGMA_MS,
                             first_press_ms: int = FIRST_PRESS_MS) -> list[int]:

@@ -63,7 +63,7 @@ class DeviceProfile:
 
     def quantize(self, freq_khz: float) -> int:
         """Snap a frequency to the nearest P-state, ties rounding upward."""
-        return quantize_to_pstate(self.pstates, freq_khz)
+        return self.pstates[quantize_indices(self.pstates, freq_khz)]
 
     def pstate_index(self, freq_khz: int) -> int:
         i = bisect.bisect_left(self.pstates, freq_khz)
@@ -77,18 +77,8 @@ def _midpoints(pstates: tuple[int, ...]) -> tuple[float, ...]:
     return tuple((a + b) / 2.0 for a, b in zip(pstates, pstates[1:]))
 
 
-def quantize_to_pstate(pstates: tuple[int, ...], freq_khz: float) -> int:
-    """Nearest member of the table; exact midpoints round to the higher state."""
-    if freq_khz <= pstates[0]:
-        return pstates[0]
-    if freq_khz >= pstates[-1]:
-        return pstates[-1]
-    # bisect_right sends a value equal to a midpoint to the upper neighbor
-    return pstates[bisect.bisect_right(_midpoints(pstates), freq_khz)]
-
-
 def quantize_indices(pstates: tuple[int, ...], freqs_khz) -> np.ndarray:
-    """Vectorised quantize_to_pstate: the table index for every frequency."""
+    """Index of the nearest P-state for every frequency, ties rounding upward."""
     return np.searchsorted(np.array(_midpoints(pstates)), freqs_khz, side="right")
 
 

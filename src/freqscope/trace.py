@@ -21,6 +21,7 @@ import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from urllib.parse import quote, unquote
 
@@ -104,16 +105,26 @@ def decode_label(text: str) -> str:
     return unquote(text)
 
 
+@cache
+def _file_mode() -> int:
+    """0o666 less the umask, which can only be read by setting it."""
+    umask = os.umask(0o022)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 @contextmanager
 def atomic_writer(path: str | os.PathLike, *, overwrite: bool = True):
     """Text handle on a temp file beside `path` that becomes `path` only
     when the block completes; on any error `path` is untouched and the temp
     file is removed. With overwrite=False an existing `path` is left alone
-    (FileExistsError)."""
+    (FileExistsError). The file gets the mode the umask gives new files,
+    not mkstemp's 0600."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fd, _file_mode())
             yield fh
         (os.replace if overwrite else os.link)(tmp, path)  # a link never replaces path
     finally:

@@ -18,7 +18,6 @@ import pytest
 from freqscope.classify import (
     NORM_MINMAX,
     evaluate,
-    merge_datasets,
     train_forest_model,
     train_knn_model,
 )
@@ -35,7 +34,6 @@ from freqscope.governors import (
 from freqscope.keystroke import (
     detect_keystrokes,
     guess_curve,
-    password_timing_vectors,
     train_password_model,
 )
 from freqscope.knn import fit_knn, knn_rank
@@ -44,6 +42,7 @@ from freqscope.sampler import CollectPlan, collect, repetitiveness
 from freqscope.sources import ReplaySource, SimSource
 from freqscope.trace import FrequencyTrace
 from freqscope.workloads import keystroke_workload, noise_workload, website_workload
+from helpers import merge_datasets, password_timing_vectors
 from knn_oracle import oracle_rank
 
 WEBSITE_JITTER = 0.3  # per-measurement load jitter sigma for the fingerprint runs

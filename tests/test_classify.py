@@ -10,7 +10,6 @@ from freqscope.classify import (
     dataset_matrix,
     evaluate,
     load_model,
-    merge_datasets,
     save_model,
     train_forest_model,
     train_knn_model,
@@ -20,6 +19,7 @@ from freqscope.forest import ForestParams, forest_rank
 from freqscope.knn import knn_rank
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
+from helpers import merge_datasets
 from knn_oracle import loop_rank
 
 RYZEN = get_profile("ryzen5")

@@ -9,7 +9,7 @@ import pytest
 
 from freqscope.cli import LOCK_NAME, main
 from freqscope.config import RESOLVED_CONFIG_NAME
-from freqscope.trace import load_trace, save_trace, FrequencyTrace
+from freqscope.trace import _file_mode, load_trace, save_trace, FrequencyTrace
 
 
 def run_cli(*argv):
@@ -104,6 +104,49 @@ def test_lock_error_names_a_stale_lock(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"stale lock left by pid {pid} (not running); remove {out / LOCK_NAME}" in err
     assert (out / LOCK_NAME).read_text() == f"{pid}\n"  # never removed
+
+
+@pytest.mark.parametrize("leftover", ["traces", "resolved_conf"])
+def test_simulate_into_an_existing_dataset_exits_3(tmp_path, website_ds, leftover, capsys):
+    out = tmp_path / "web"
+    if leftover == "traces":
+        (out / "site00").mkdir(parents=True)
+        (out / "site00" / "0007.ftrace").write_bytes((website_ds / "site00" / "0000.ftrace").read_bytes())
+    else:
+        out.mkdir()
+        (out / RESOLVED_CONFIG_NAME).write_text("run.seed = 4\n")
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert run_cli("simulate", "--kind", "website", "--classes", "2", "--measurements", "2",
+                   "--samples", "40", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err == f"freqscope: {out} already holds a dataset; simulate into a new directory\n"
+    assert tree_bytes(out) == before
+
+
+def test_simulate_into_an_existing_empty_directory(tmp_path):
+    out = tmp_path / "web"
+    out.mkdir()
+    assert run_cli("simulate", "--kind", "website", "--classes", "2", "--measurements", "2",
+                   "--samples", "40", "--out", out) == 0
+    assert (out / RESOLVED_CONFIG_NAME).exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_artifacts_honour_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    _file_mode.cache_clear()  # read once per process, so forget the last test's umask
+    try:
+        assert run_cli("simulate", "--kind", "website", "--classes", "2", "--measurements", "4",
+                       "--samples", "40", "--out", tmp_path / "ds") == 0
+        assert run_cli("train", "--dataset", tmp_path / "ds", "--model",
+                       tmp_path / "m" / "model.json", "--fractions", "0.5,0.25,0.25") == 0
+    finally:
+        os.umask(old)
+        _file_mode.cache_clear()
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert len(files) == 2 * 4 + 3  # traces, the dataset's conf, the model and its conf
+    assert {oct(p.stat().st_mode & 0o777) for p in files} == {oct(0o666 & ~umask)}
 
 
 def test_simulate_keystrokes_kind(tmp_path):
@@ -397,6 +440,31 @@ def test_train_malformed_dataset_exits_3(tmp_path, case, capsys):
     assert run_cli("train", "--dataset", root, "--model", tmp_path / "m.json") == 3
     err = capsys.readouterr().err
     assert err == f"freqscope: {message.format(root=str(root))}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+MALFORMED_SPLITS = {  # case: (--fractions value, or config file text; stderr message)
+    "flag_nan": ("nan,0.1,0.1", "split.train must be a finite fraction >= 0, got nan"),
+    "flag_inf": ("0.5,0.5,inf", "split.test must be a finite fraction >= 0, got inf"),
+    "flag_negative": ("1.2,-0.1,-0.1", "split.val must be a finite fraction >= 0, got -0.1"),
+    "config_nan": ("split.train = nan\nsplit.val = 0.5\nsplit.test = 0.5\n",
+                   "split.train must be a finite fraction >= 0, got nan"),
+    "config_inf": ("split.train = 0.5\nsplit.val = -inf\nsplit.test = 0.5\n",
+                   "split.val must be a finite fraction >= 0, got -inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPLITS))
+def test_train_malformed_split_exits_2(tmp_path, website_ds, case, capsys):
+    value, message = MALFORMED_SPLITS[case]
+    if "=" in value:
+        (tmp_path / "c.conf").write_text(value)
+        argv = ("--config", tmp_path / "c.conf")
+    else:
+        argv = ("--fractions", value)
+    capsys.readouterr()
+    assert run_cli("train", "--dataset", website_ds, "--model", tmp_path / "m.json", *argv) == 2
+    assert capsys.readouterr().err == f"freqscope: {message}\n"
     assert not (tmp_path / "m.json").exists()
 
 

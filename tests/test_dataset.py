@@ -1,9 +1,12 @@
 """Dataset container, deterministic splitting, and the directory layout."""
 
+import re
+
 import pytest
 
 from freqscope.dataset import (
     LabeledDataset,
+    _partition_counts,
     load_dataset,
     measurement_filename,
     save_dataset,
@@ -100,6 +103,16 @@ def test_zero_fraction_is_allowed():
 def test_fractions_must_sum_to_one():
     with pytest.raises(ValueError):
         make_ds(fractions=(0.5, 0.2, 0.2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_fraction_outside_zero_to_finite_names_its_key(bad):
+    fractions = (0.5, bad, 0.5)
+    message = f"split.val must be a finite fraction >= 0, got {bad}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_ds(fractions=fractions)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _partition_counts(10, fractions)
 
 
 def test_measurement_filename():

@@ -15,7 +15,6 @@ from freqscope.governors import (
     init_state,
     simulate,
     simulate_batch,
-    step_governor,
 )
 from freqscope.profiles import builtin_profiles
 from freqscope.sources import SimSource
@@ -194,7 +193,7 @@ def test_step_governor_matches_oracle():
                 assert state == ref
                 for load in rng.uniform(0.0, 1.0, 40).tolist():
                     before = state
-                    state = step_governor(state, load, cfg, 20)
+                    _, (state,) = simulate_batch([[load]], 20, cfg, [state])
                     ref = oracle.step_governor(ref, load, cfg, 20)
                     assert state == ref
                     assert before is not state

@@ -11,7 +11,7 @@ from freqscope.governors import (
     default_interactive_params,
     init_state,
     simulate,
-    step_governor,
+    simulate_batch,
 )
 from freqscope.profiles import get_profile
 
@@ -20,6 +20,12 @@ CORTEX = get_profile("cortex_a73")
 COMET = get_profile("comet_lake")
 
 NO_TURBO = TurboParams(enabled=False)
+
+
+def step_governor(state, load, cfg, tick_ms=10):
+    """One tick through the batch engine: the state after it."""
+    _, (nxt,) = simulate_batch([[load]], tick_ms, cfg, [state])
+    return nxt
 
 
 def cfg_for(profile, governor, **kw):
@@ -247,14 +253,14 @@ def test_turbo_ceiling_validation():
 def test_state_mismatch_rejected():
     cfg = cfg_for(RYZEN, "ondemand")
     state = init_state(cfg_for(RYZEN, "performance"))
-    with pytest.raises(ValueError):
-        step_governor(state, 0.5, cfg)
+    with pytest.raises(ValueError, match="governor mismatch"):
+        simulate_batch([[0.5]], 10, cfg, [state])
 
 
 def test_load_out_of_range_rejected():
     cfg = cfg_for(RYZEN, "ondemand")
     with pytest.raises(ValueError):
-        step_governor(init_state(cfg), 1.5, cfg)
+        simulate_batch([[1.5]], 10, cfg, [init_state(cfg)])
 
 
 def test_simulate_shape_and_metadata():

@@ -15,12 +15,12 @@ from freqscope.keystroke import (
     key_distance,
     password_gap_means,
     password_press_schedule,
-    password_timing_vectors,
     train_password_model,
 )
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
 from freqscope.workloads import keystroke_workload
+from helpers import password_timing_vectors
 from knn_oracle import loop_rank
 
 CORTEX = get_profile("cortex_a73")

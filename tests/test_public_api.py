@@ -12,6 +12,7 @@ def test_every_exported_name_resolves_once():
 
 def test_removed_names_are_not_exported():
     for name in ("FeatureVector", "evaluate_defense", "timings", "access_restrict",
-                 "synth_workload", "knn_predict", "forest_predict"):
+                 "synth_workload", "knn_predict", "forest_predict", "step_governor",
+                 "merge_datasets"):
         assert name not in freqscope.__all__
         assert not hasattr(freqscope, name)

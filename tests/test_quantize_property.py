@@ -1,14 +1,27 @@
-"""The vectorised quantiser agrees with the scalar one on arbitrary floats."""
+"""The vectorised quantiser agrees with a scalar one on arbitrary floats."""
+
+import bisect
 
 import numpy as np
 import pytest
 
-from freqscope.profiles import _midpoints, builtin_profiles, quantize_indices, quantize_to_pstate
+from freqscope.profiles import _midpoints, builtin_profiles, quantize_indices
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 PROFILES = sorted(builtin_profiles().values(), key=lambda p: p.name)
+
+
+def quantize_to_pstate(pstates, freq_khz):
+    """Oracle: nearest member of the table; exact midpoints round to the
+    higher state."""
+    if freq_khz <= pstates[0]:
+        return pstates[0]
+    if freq_khz >= pstates[-1]:
+        return pstates[-1]
+    # bisect_right sends a value equal to a midpoint to the upper neighbor
+    return pstates[bisect.bisect_right(_midpoints(pstates), freq_khz)]
 
 
 def landmarks(pstates):
