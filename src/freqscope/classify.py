@@ -1,5 +1,5 @@
-"""Fingerprinting pipeline: feature handling, evaluation, dataset merging,
-and the model file container.
+"""Fingerprinting pipeline: feature handling, evaluation and the model file
+container.
 
 A feature vector is the raw samples of one trace, as float64. The only
 transform is min-max normalization against the trace's device profile,
@@ -74,25 +74,23 @@ class TrainedModel:
 def train_knn_model(train_ds: LabeledDataset, k: int = 4,
                     normalization: str = NORM_NONE,
                     metadata: dict | None = None) -> TrainedModel:
-    X, labels = dataset_matrix(train_ds, normalization)
-    model = fit_knn(X, labels, k=k)
-    return TrainedModel(
-        kind="knn",
-        classifier=model,
-        normalization=normalization,
-        feature_length=X.shape[1],
-        classes=model.classes,
-        metadata=dict(metadata or {}),
-    )
+    return _train("knn", fit_knn, k, train_ds, normalization, metadata)
 
 
 def train_forest_model(train_ds: LabeledDataset, params: ForestParams | None = None,
                        normalization: str = NORM_NONE,
                        metadata: dict | None = None) -> TrainedModel:
+    return _train("forest", forest_train, params or ForestParams(), train_ds, normalization,
+                  metadata)
+
+
+def _train(kind: str, fit, param, train_ds: LabeledDataset, normalization: str,
+           metadata: dict | None) -> TrainedModel:
+    """`fit(X, labels, param)` on the dataset's feature matrix."""
     X, labels = dataset_matrix(train_ds, normalization)
-    model = forest_train(X, labels, params or ForestParams())
+    model = fit(X, labels, param)
     return TrainedModel(
-        kind="forest",
+        kind=kind,
         classifier=model,
         normalization=normalization,
         feature_length=X.shape[1],
@@ -117,11 +115,7 @@ class EvalReport:
                 lines.append(f"top-{k} accuracy: {self.topk_accuracy[k]:.4f}")
         lines.append("")
         lines.append(f"{'class':<30} {'accuracy':>8} {'n':>5}")
-        for i, label in enumerate(self.labels):
-            row_sum = int(self.confusion[i].sum())
-            if row_sum == 0:
-                continue
-            lines.append(f"{label:<30} {self.per_class_accuracy[label]:>8.4f} {row_sum:>5}")
+        lines += [f"{label:<30} {acc:>8.4f} {n:>5}" for label, acc, n in self._class_rows()]
         return "\n".join(lines) + "\n"
 
     def key_value_lines(self) -> list[str]:
@@ -129,10 +123,13 @@ class EvalReport:
         for k in sorted(self.topk_accuracy):
             if k != 1:
                 lines.append(f"top{k} = {self.topk_accuracy[k]:.6f}")
-        for label in self.labels:
-            if int(self.confusion[self.labels.index(label)].sum()):
-                lines.append(f"class.{label} = {self.per_class_accuracy[label]:.6f}")
+        lines += [f"class.{label} = {acc:.6f}" for label, acc, _ in self._class_rows()]
         return lines
+
+    def _class_rows(self) -> list[tuple[str, float, int]]:
+        """(label, accuracy, test vectors) of each class that has test vectors."""
+        counts = dict(zip(self.labels, self.confusion.sum(axis=1).tolist()))
+        return [(label, acc, counts[label]) for label, acc in self.per_class_accuracy.items()]
 
     def confusion_csv_lines(self) -> list[str]:
         header = "true\\pred," + ",".join(self.labels)

@@ -608,10 +608,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
-    except (TraceFormatError, DatasetFormatError, ModelFormatError) as exc:
-        _err(str(exc))
-        return EXIT_DATA
-    except (ReplayExhaustedError, SysfsReadError, LockError) as exc:
+    except (TraceFormatError, DatasetFormatError, ModelFormatError, ReplayExhaustedError,
+            SysfsReadError, LockError) as exc:
         _err(str(exc))
         return EXIT_DATA
     except AccessDeniedError as exc:

@@ -46,6 +46,13 @@ def parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def int_list(text: str) -> list[int]:
     return [int(part.strip()) for part in text.split(",") if part.strip()]
 
@@ -56,7 +63,7 @@ def float_list(text: str) -> list[float]:
 
 def topk(text: str) -> list[int]:
     """`N` means top-1 and top-N; a list means exactly those ranks."""
-    ks = int_list(text)
+    ks = [positive_int(part) for part in text.split(",") if part.strip()]
     if len(ks) == 1:
         return [1, ks[0]] if ks[0] > 1 else [1]
     return sorted(set(ks))
@@ -113,11 +120,11 @@ SETTINGS = (
             ("simulate",)),
     Setting("simulate.kind", "--kind", str, "website", "dataset kind", ("simulate",),
             choices=("website", "keystrokes")),
-    Setting("simulate.classes", "--classes", int, 20, "number of website classes",
+    Setting("simulate.classes", "--classes", positive_int, 20, "number of website classes",
             ("simulate",)),
-    Setting("simulate.measurements", "--measurements", int, 30, "traces per class",
+    Setting("simulate.measurements", "--measurements", positive_int, 30, "traces per class",
             ("simulate",)),
-    Setting("simulate.per_label", "--per-label", int, 10, "traces per password",
+    Setting("simulate.per_label", "--per-label", positive_int, 10, "traces per password",
             ("simulate",)),
     Setting("simulate.passwords", "--passwords", str, None,
             "password list file (keystrokes kind)", ("simulate",)),
@@ -191,7 +198,7 @@ SETTINGS = (
             ("keystrokes",)),
     Setting("keystroke.hysteresis_khz", "--hysteresis-khz", int, 100_000,
             "pulse threshold above idle", ("keystrokes",)),
-    Setting("keystroke.guess_curve", "--guess-curve", int, None,
+    Setting("keystroke.guess_curve", "--guess-curve", positive_int, None,
             "emit cumulative accuracy up to N guesses", ("keystrokes",)),
     Setting("keystroke.split_seed", "--split-seed", int, 0, "password model split seed",
             ("keystrokes",)),

@@ -63,20 +63,6 @@ class LabeledDataset:
             raise DatasetFormatError(f"traces disagree on interval_ms: {sorted(intervals)}")
         _check_fractions(self.split_fractions)
 
-    @property
-    def n_samples(self) -> int:
-        for traces in self.measurements.values():
-            if traces:
-                return len(traces[0])
-        return 0
-
-    @property
-    def interval_ms(self) -> int:
-        for traces in self.measurements.values():
-            if traces:
-                return traces[0].interval_ms
-        return 0
-
     def total_measurements(self) -> int:
         return sum(len(v) for v in self.measurements.values())
 

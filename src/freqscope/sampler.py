@@ -3,8 +3,7 @@
 One measurement is: run the pre hook, take N_s reads spaced T_i apart, run
 the post hook, then rest for the inter-measurement sleep. Hooks are external
 commands (e.g. open/close a browser) and a failing hook aborts only the
-current measurement. The repetitiveness diagnostic estimates how much of a
-sampling rate is wasted on duplicate readings.
+current measurement.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import logging
 import os
 import subprocess
 from dataclasses import dataclass
-
-import numpy as np
 
 from .sources import FreqSource
 from .trace import FrequencyTrace
@@ -99,20 +96,3 @@ def collect(plan: CollectPlan, src: FreqSource) -> list[FrequencyTrace]:
         )
     return traces
 
-
-def repetitiveness(src: FreqSource, delays_ms: list[int], reads_per_delay: int) -> dict[int, float]:
-    """Mean run length of identical consecutive readings per delay.
-
-    1.0 means every reading was unique; reads_per_delay means the source
-    never changed. Lower is better for an attacker sampling at that delay.
-    """
-    if not delays_ms:
-        raise ValueError("delays_ms must be non-empty")
-    if reads_per_delay < 2:
-        raise ValueError("reads_per_delay must be >= 2")
-    result: dict[int, float] = {}
-    for delay in delays_ms:
-        values = src.read_series(reads_per_delay, delay)
-        runs = 1 + int(np.count_nonzero(values[1:] != values[:-1]))
-        result[delay] = len(values) / runs
-    return result

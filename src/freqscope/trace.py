@@ -91,10 +91,6 @@ class FrequencyTrace:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_ms(self) -> int:
-        return len(self.samples) * self.interval_ms
-
 
 def encode_label(label: str) -> str:
     """Percent-encode so commas, newlines and separators survive the format."""

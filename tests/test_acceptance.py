@@ -38,11 +38,11 @@ from freqscope.keystroke import (
 )
 from freqscope.knn import fit_knn, knn_rank
 from freqscope.profiles import get_profile
-from freqscope.sampler import CollectPlan, collect, repetitiveness
+from freqscope.sampler import CollectPlan, collect
 from freqscope.sources import ReplaySource, SimSource
 from freqscope.trace import FrequencyTrace
 from freqscope.workloads import keystroke_workload, noise_workload, website_workload
-from helpers import merge_datasets, password_timing_vectors
+from helpers import merge_datasets, password_timing_vectors, repetitiveness
 from knn_oracle import oracle_rank
 
 WEBSITE_JITTER = 0.3  # per-measurement load jitter sigma for the fingerprint runs

@@ -468,6 +468,50 @@ def test_train_malformed_split_exits_2(tmp_path, website_ds, case, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+BAD_COUNTS = {  # case: (command, flag, config key, value below 1)
+    "classes": ("simulate", "--classes", "simulate.classes", "0"),
+    "measurements": ("simulate", "--measurements", "simulate.measurements", "0"),
+    "per_label": ("simulate", "--per-label", "simulate.per_label", "0"),
+    "topk": ("eval", "--topk", "eval.topk", "0,-2"),
+    "guess_curve_zero": ("keystrokes", "--guess-curve", "keystroke.guess_curve", "0"),
+    "guess_curve_negative": ("keystrokes", "--guess-curve", "keystroke.guess_curve", "-1"),
+}
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_count_below_1_exits_2(tmp_path, website_ds, capsys, case, where):
+    command, flag, key, value = BAD_COUNTS[case]
+    out = tmp_path / "out"
+    if command == "simulate":
+        (tmp_path / "pw.txt").write_text("monkey\ndragon\n")
+        inputs = ("--kind", "keystrokes", "--passwords", tmp_path / "pw.txt", "--out", out)
+    elif command == "eval":
+        assert run_cli("train", "--dataset", website_ds, "--model", tmp_path / "m.json",
+                       "--fractions", "0.5,0.25,0.25") == 0
+        inputs = ("--dataset", website_ds, "--model", tmp_path / "m.json", "--out", out)
+    else:
+        inputs = ("--dataset", website_ds, "--out", out)
+    if where == "config":
+        (tmp_path / "c.conf").write_text(f"{key} = {value}\n")
+        setting = ("--config", tmp_path / "c.conf")
+    else:
+        setting = (f"{flag}={value}",)
+    capsys.readouterr()
+    try:
+        rc = run_cli(command, *inputs, *setting)
+    except SystemExit as exc:  # argparse rejects a bad flag value itself
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    if where == "config":
+        assert f"bad value for {key!r}: expected an integer >= 1, got {int(value.split(',')[0])}" in err
+    else:
+        assert f"argument {flag}: invalid" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_forest_kind(tmp_path, website_ds):
     model = tmp_path / "forest.json"
     rc = run_cli("train", "--dataset", website_ds, "--model", model,

@@ -117,6 +117,11 @@ RETYPED = {
     "--presses": "int_list",  # the same comma list, blanks around parts allowed
     "--normalization": "normalization",  # aliases resolved when parsed
     "--topk": "topk",  # N still means top-1 and top-N
+    # counts below 1 are rejected (collect's --measurements is still an int)
+    "--classes": "positive_int",
+    ("simulate", "--measurements"): "positive_int",
+    "--per-label": "positive_int",
+    "--guess-curve": "positive_int",
 }
 
 
@@ -143,7 +148,8 @@ def _flags() -> dict[str, dict[str, tuple[str, str]]]:
 
 def test_parser_keeps_every_flag_dest_and_type():
     expected = {
-        command: {flag: (dest, RETYPED.get(flag, kind)) for flag, (dest, kind) in flags.items()}
+        command: {flag: (dest, RETYPED.get((command, flag), RETYPED.get(flag, kind)))
+                  for flag, (dest, kind) in flags.items()}
         for command, flags in ORACLE.items()
     }
     assert _flags() == expected

@@ -121,6 +121,21 @@ def test_single_topk_means_top1_and_topn():
     assert parse_config("eval.topk = 5,1,3,5\n")["eval.topk"] == [1, 3, 5]
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("simulate.classes = 0", 0),
+    ("simulate.measurements = -1", -1),
+    ("simulate.per_label = 0", 0),
+    ("keystroke.guess_curve = 0", 0),
+    ("eval.topk = 0", 0),
+    ("eval.topk = 5,-2", -2),
+])
+def test_counts_and_ranks_below_1_rejected(line, bad):
+    key = line.partition(" ")[0]
+    with pytest.raises(ConfigError,
+                       match=f"line 1: bad value for '{key}': expected an integer >= 1, got {bad}$"):
+        parse_config(line + "\n")
+
+
 def test_choice_keys_are_checked_like_their_flags():
     with pytest.raises(ConfigError, match="line 1.*expected one of open, masked"):
         parse_config("collect.policy = closed\n")

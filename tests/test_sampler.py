@@ -2,8 +2,9 @@
 
 import pytest
 
-from freqscope.sampler import CollectPlan, HookError, collect, repetitiveness, run_hook
+from freqscope.sampler import CollectPlan, HookError, collect, run_hook
 from freqscope.sources import POLICY_MASKED, AccessDeniedError, FreqSource
+from helpers import repetitiveness
 
 
 class ScriptedSource(FreqSource):

@@ -32,10 +32,8 @@ def test_trace_validation():
         FrequencyTrace(samples=[100], interval_ms=0)
 
 
-def test_duration():
-    t = make_trace()
-    assert len(t) == 3
-    assert t.duration_ms == 30
+def test_length():
+    assert len(make_trace()) == 3
 
 
 def test_roundtrip(tmp_path):
