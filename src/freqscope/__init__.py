@@ -25,11 +25,11 @@ _NAMES = {
     "dataset": ("DatasetFormatError", "LabeledDataset", "load_dataset", "save_dataset",
                 "split_dataset", "stable_seed"),
     "defend": ("Defense", "apply_defense", "defense_sweep"),
-    "forest": ("ForestModel", "ForestParams", "forest_rank", "forest_train"),
-    "governors": ("InteractiveParams", "SimConfig", "TurboParams", "WorkloadTrace", "simulate"),
+    "forest": ("ForestModel", "ForestParams", "forest_train"),
+    "governors": ("InteractiveParams", "SimConfig", "TurboParams", "WorkloadTrace"),
     "keystroke": ("KeystrokeParams", "KeystrokeReport", "PasswordModel", "detect_keystrokes",
                   "guess_curve", "train_password_model"),
-    "knn": ("KnnModel", "fit_knn", "knn_rank", "rank_many"),
+    "knn": ("KnnModel", "fit_knn", "rank_many"),
     "profiles": ("DeviceProfile", "builtin_profiles", "get_profile"),
     "sampler": ("CollectPlan", "collect"),
     "sources": ("AccessDeniedError", "FreqSource", "ReplaySource", "SimSource", "SysfsSource"),

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import forest, knn
 from .dataset import LabeledDataset
-from .forest import ForestModel, ForestParams, forest_rank, forest_train
-from .knn import KnnModel, fit_knn, rank_many
+from .forest import ForestModel, ForestParams, forest_train
+from .knn import KnnModel, fit_knn
 from .profiles import get_profile
 from .trace import atomic_writer
 
@@ -63,12 +64,7 @@ class TrainedModel:
     def rank_many(self, X) -> np.ndarray:
         """[Q, C] rankings of the rows of X: indices into the classifier's
         `classes`, best first."""
-        if self.kind == "knn":
-            return rank_many(self.classifier, X)[0]
-        classes = self.classifier.classes
-        index = {label: c for c, label in enumerate(classes)}
-        return np.array([[index[label] for label, _ in forest_rank(self.classifier, x)]
-                         for x in X], dtype=np.intp).reshape(len(X), len(classes))
+        return (knn if self.kind == "knn" else forest).rank_many(self.classifier, X)[0]
 
 
 def train_knn_model(train_ds: LabeledDataset, k: int = 4,
@@ -175,15 +171,15 @@ def evaluate(model: TrainedModel, test_ds: LabeledDataset,
 
 def _classifier_payload(model: TrainedModel) -> dict:
     if model.kind == "knn":
-        knn: KnnModel = model.classifier
+        nn: KnnModel = model.classifier
         return {
-            "k": knn.k,
-            "metric": knn.metric,
-            "train_x": knn.train_x,
-            "train_labels": list(knn.train_labels),
+            "k": nn.k,
+            "metric": nn.metric,
+            "train_x": nn.train_x,
+            "train_labels": list(nn.train_labels),
         }
-    forest: ForestModel = model.classifier
-    p = forest.params
+    rf: ForestModel = model.classifier
+    p = rf.params
     return {
         "params": {
             "n_trees": p.n_trees,
@@ -192,8 +188,8 @@ def _classifier_payload(model: TrainedModel) -> dict:
             "feature_subsample": p.feature_subsample,
             "seed": p.seed,
         },
-        "classes": forest.classes,
-        "trees": forest.trees,
+        "classes": rf.classes,
+        "trees": rf.trees,
     }
 
 

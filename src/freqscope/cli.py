@@ -83,6 +83,7 @@ from .trace import (
     save_trace,
 )
 from .workloads import (
+    KEYSTROKE_TAIL_TICKS,
     idle_workload,
     keystroke_workload,
     noise_workload,
@@ -231,7 +232,7 @@ def cmd_simulate(args) -> int:
             for m in range(per_label)
         }
         last = max(presses[-1] for presses in schedules.values())
-        samples = s.derive("sim.samples", last // interval + 24)  # room for the last pulse + decay
+        samples = s.derive("sim.samples", last // interval + KEYSTROKE_TAIL_TICKS)
         measurements = _simulate_labels(
             sim_cfg, words, per_label, samples, interval,
             lambda c, m: keystroke_workload(
@@ -267,7 +268,7 @@ def _collect_workload(s: Settings):
         presses = s["collect.presses"]
         if not presses:
             raise ConfigError("--presses is required for the keystrokes workload")
-        ticks = max(ticks, max(presses) // tick + 24)
+        ticks = max(ticks, max(presses) // tick + KEYSTROKE_TAIL_TICKS)
         return keystroke_workload(presses, n_ticks=ticks, tick_ms=tick, seed=seed)
     if kind == "noise":
         return noise_workload(ticks, tick_ms=tick, seed=seed)
@@ -333,15 +334,13 @@ def _split(s: Settings, seed: int = 0, fractions=DEFAULT_FRACTIONS):
 def _make_trainer(s: Settings, metadata: dict):
     # every classifier setting is read, so the resolved conf records all of them
     normalization, k = s["classifier.normalization"], s["classifier.k"]
-    subsample = s["classifier.feature_subsample"]
     forest = {"n_trees": s["classifier.trees"], "max_depth": s["classifier.max_depth"],
-              "min_leaf": s["classifier.min_leaf"], "seed": s["classifier.seed"]}
+              "min_leaf": s["classifier.min_leaf"], "seed": s["classifier.seed"],
+              "feature_subsample": s["classifier.feature_subsample"]}
     if s["classifier.kind"] == "knn":
         return lambda view: train_knn_model(
             view, k=k, normalization=normalization, metadata=metadata)
-    if subsample != "sqrt":
-        subsample = float(subsample)
-    params = ForestParams(feature_subsample=subsample, **forest)
+    params = ForestParams(**forest)
     return lambda view: train_forest_model(
         view, params=params, normalization=normalization, metadata=metadata)
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .classify import NORM_MINMAX, NORM_NONE
+from .forest import ForestParams
 from .trace import atomic_writer
 
 RESOLVED_CONFIG_NAME = "freqscope.resolved.conf"
@@ -67,6 +68,13 @@ def topk(text: str) -> list[int]:
     if len(ks) == 1:
         return [1, ks[0]] if ks[0] > 1 else [1]
     return sorted(set(ks))
+
+
+def feature_subsample(text: str) -> float | str:
+    """`sqrt`, or a fraction in (0, 1], as ForestParams checks it."""
+    value = text if text == "sqrt" else float(text)
+    ForestParams(feature_subsample=value)
+    return value
 
 
 def normalization(text: str) -> str:
@@ -113,9 +121,9 @@ SETTINGS = (
             "pinned frequency for the userspace governor", SIM),
     Setting("sim.hispeed_freq_khz", "--hispeed-khz", int, None,
             "interactive governor boost floor", SIM),
-    Setting("sim.interval_ms", "--interval-ms", int, None,
+    Setting("sim.interval_ms", "--interval-ms", positive_int, None,
             "sample interval (10; 20 for keystroke datasets)", ("simulate",)),
-    Setting("sim.samples", "--samples", int, None,
+    Setting("sim.samples", "--samples", positive_int, None,
             "samples per trace (1000; keystroke datasets fit the longest password)",
             ("simulate",)),
     Setting("simulate.kind", "--kind", str, "website", "dataset kind", ("simulate",),
@@ -132,11 +140,11 @@ SETTINGS = (
             ("simulate",)),
     Setting("collect.source", "--source", str, "sim", "frequency source", ("collect",),
             choices=("sim", "replay", "sysfs")),
-    Setting("collect.interval_ms", "--interval-ms", int, 10, "sample interval",
+    Setting("collect.interval_ms", "--interval-ms", positive_int, 10, "sample interval",
             ("collect",)),
-    Setting("collect.samples", "--samples", int, 1000, "samples per measurement",
+    Setting("collect.samples", "--samples", positive_int, 1000, "samples per measurement",
             ("collect",)),
-    Setting("collect.measurements", "--measurements", int, 1, "measurements to take",
+    Setting("collect.measurements", "--measurements", positive_int, 1, "measurements to take",
             ("collect",)),
     Setting("collect.label", "--label", str, "unlabeled", "label of the traces",
             ("collect",)),
@@ -158,7 +166,7 @@ SETTINGS = (
             ("collect",), choices=("website", "keystrokes", "idle", "noise")),
     Setting("collect.workload_class", "--workload-class", int, 0,
             "website class of the workload", ("collect",)),
-    Setting("collect.workload_ticks", "--workload-ticks", int, 1000,
+    Setting("collect.workload_ticks", "--workload-ticks", positive_int, 1000,
             "workload length in ticks", ("collect",)),
     Setting("collect.presses", "--presses", int_list, None,
             "press times in ms, comma separated (keystrokes workload)", ("collect",)),
@@ -169,15 +177,15 @@ SETTINGS = (
     Setting("split.test", None, float, None, "test fraction", SPLIT),
     Setting("classifier.kind", "--classifier", str, "knn", "classifier", CLASSIFY,
             choices=("knn", "forest"), dest="classifier_kind"),
-    Setting("classifier.k", "--k", int, 4, "KNN neighbor count", CLASSIFY),
+    Setting("classifier.k", "--k", positive_int, 4, "KNN neighbor count", CLASSIFY),
     Setting("classifier.normalization", "--normalization", normalization, NORM_NONE,
             "none | minmax", CLASSIFY),
-    Setting("classifier.trees", "--trees", int, 100, "forest size", CLASSIFY),
-    Setting("classifier.max_depth", "--max-depth", int, 20, "forest tree depth limit",
+    Setting("classifier.trees", "--trees", positive_int, 100, "forest size", CLASSIFY),
+    Setting("classifier.max_depth", "--max-depth", positive_int, 20, "forest tree depth limit",
             CLASSIFY),
-    Setting("classifier.min_leaf", "--min-leaf", int, 1, "forest leaf size floor",
+    Setting("classifier.min_leaf", "--min-leaf", positive_int, 1, "forest leaf size floor",
             CLASSIFY),
-    Setting("classifier.feature_subsample", "--feature-subsample", str, "sqrt",
+    Setting("classifier.feature_subsample", "--feature-subsample", feature_subsample, "sqrt",
             "'sqrt' or a fraction in (0,1]", CLASSIFY),
     Setting("classifier.seed", "--classifier-seed", int, 0, "forest seed", CLASSIFY),
     Setting("eval.topk", "--topk", topk, (1, 5),
@@ -194,7 +202,7 @@ SETTINGS = (
             ("keystrokes",)),
     Setting("keystroke.max_single", "--max-single", int, 12,
             "longest single-press pulse in samples", ("keystrokes",)),
-    Setting("keystroke.interval_ms", "--interval-ms", int, 20, "sample interval",
+    Setting("keystroke.interval_ms", "--interval-ms", positive_int, 20, "sample interval",
             ("keystrokes",)),
     Setting("keystroke.hysteresis_khz", "--hysteresis-khz", int, 100_000,
             "pulse threshold above idle", ("keystrokes",)),

@@ -223,14 +223,13 @@ def _inherit(sweep: tuple) -> None:
 def _sweep_job(i: int, sweep: tuple | None = None) -> float:
     """Top-1 accuracy of job i of a sweep: -1 is the clean baseline, i >= 0
     is `defenses[i]`. A worker process runs the sweep it inherited."""
-    defenses, ds, trainer, topk = sweep or _inherited
+    defenses, ds, trainer = sweep or _inherited
     view = ds if i < 0 else defended_dataset(defenses[i], ds)
     train, _, test = split_dataset(view)
-    return evaluate(trainer(train), test, topk=topk).top1_accuracy
+    return evaluate(trainer(train), test, topk=(1,)).top1_accuracy
 
 
-def defense_sweep(defenses: list[Defense], ds: LabeledDataset, trainer: Trainer,
-                  topk: tuple[int, ...] = (1, 5)) -> list[SweepRow]:
+def defense_sweep(defenses: list[Defense], ds: LabeledDataset, trainer: Trainer) -> list[SweepRow]:
     """Evaluate several defenses against one dataset; the clean baseline is
     trained once and shared across rows. The baseline and each row are jobs
     for forked workers, one per usable CPU, which inherit the dataset and the
@@ -239,7 +238,7 @@ def defense_sweep(defenses: list[Defense], ds: LabeledDataset, trainer: Trainer,
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    sweep, jobs = (defenses, ds, trainer, topk), range(-1, len(defenses))
+    sweep, jobs = (defenses, ds, trainer), range(-1, len(defenses))
     # without CPU affinity (macOS, Windows) the jobs run in this process
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(jobs))

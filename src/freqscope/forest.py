@@ -4,7 +4,7 @@ splits, seeded bootstrap per tree, per-node feature subsampling.
 Everything is deterministic under the seed: bootstraps, feature subsets,
 split selection (lowest weighted Gini, from exact int64 sums of squared class
 counts; ties go to the lowest feature index, then the lowest boundary), and
-voting (plurality, ties to the smallest label in sort order). Trees
+ranking (by votes, ties to the smallest label in sort order). Trees
 serialize to plain dicts so models round-trip through the JSON container.
 """
 
@@ -46,10 +46,6 @@ class ForestModel:
     params: ForestParams
     classes: list[str]
     trees: list[dict] = field(default_factory=list)
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
 
 
 def _square_sums(ys: np.ndarray, total: np.ndarray):
@@ -137,20 +133,23 @@ def forest_train(X: np.ndarray, labels: list[str], params: ForestParams) -> Fore
     return ForestModel(params=params, classes=classes, trees=trees)
 
 
-def _tree_predict(tree: dict, x: np.ndarray) -> int:
-    node = tree
-    while "label" not in node:
-        node = node["l"] if x[node["f"]] <= node["t"] else node["r"]
-    return node["label"]
+def rank_many(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Full label rankings for every row of the [Q, d] query matrix.
 
-
-def forest_rank(model: ForestModel, x) -> list[tuple[str, float]]:
-    """Labels ranked by vote share; ties and zero-vote labels fall back to
-    label sort order."""
-    x = np.asarray(x, dtype=np.float64)
-    votes = np.zeros(len(model.classes))
-    for tree in model.trees:
-        votes[_tree_predict(tree, x)] += 1
-    order = sorted(range(len(model.classes)), key=lambda c: (-votes[c], c))
-    n = len(model.trees)
-    return [(model.classes[c], votes[c] / n) for c in order]
+    Returns (order, votes), both [Q, C]: order[q] holds indices into
+    model.classes best first (most votes; ties and zero-vote classes in
+    label order), and votes[q, j] the votes of class order[q, j] (its score
+    is votes / len(model.trees)). Each row walks each tree in Python: with
+    far more nodes than queries, numpy passes node by node cost more.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"query matrix must be 2-d, got shape {X.shape}")
+    votes = np.zeros((len(X), len(model.classes)), dtype=np.int64)
+    for q, x in enumerate(X):
+        for node in model.trees:
+            while "label" not in node:
+                node = node["l"] if x[node["f"]] <= node["t"] else node["r"]
+            votes[q, node["label"]] += 1
+    order = np.argsort(-votes, axis=1, kind="stable")
+    return order, np.take_along_axis(votes, order, axis=1)

@@ -20,7 +20,7 @@ budget for every tick spent above base frequency; with the budget drained
 the output is clamped to base until idle ticks (load < 0.1) refill it.
 
 One engine, `simulate_batch`, runs every law over a [B, T] load matrix,
-from given states or the initial ones; `simulate` is its single-trace call.
+from given states or the initial ones; one trace is a one-row matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .profiles import GOVERNORS, DeviceProfile, quantize_indices
-from .trace import FrequencyTrace
 
 PELT_HALF_LIFE_MS = 32
 SCHEDUTIL_MARGIN = 1.25
@@ -300,9 +299,3 @@ def _interactive_law(want: np.ndarray, trigger: np.ndarray, states: list[Governo
     return out.T, [replace(s, current_freq_khz=f, boost_remaining_ms=r, ms_since_change=m,
                            boost_pending=p) for s, f, r, m, p in ends]
 
-
-def simulate(workload: WorkloadTrace, cfg: SimConfig) -> FrequencyTrace:
-    """Run the governor over a workload; output sample k is the frequency
-    during workload tick k."""
-    (samples,), _ = simulate_batch([workload.loads], workload.tick_ms, cfg)
-    return FrequencyTrace(samples=samples, interval_ms=workload.tick_ms, device=cfg.profile.name)

@@ -12,7 +12,8 @@ bit for bit:
   5. score = votes / k for voted labels, 0.0 otherwise
 
 Step 4 makes the ranking total over all training labels, which top-k
-scoring relies on.
+scoring relies on. `rank_many` ranks a whole query matrix; one query is a
+one-row matrix.
 """
 
 from __future__ import annotations
@@ -104,15 +105,3 @@ def rank_many(model: KnnModel, Q) -> tuple[np.ndarray, np.ndarray]:
         votes[lo:lo + b] = np.take_along_axis(count, order[lo:lo + b], axis=1)
     return order, votes
 
-
-def knn_rank(model: KnnModel, x) -> list[tuple[str, float]]:
-    """Full label ranking for one query, per the module rule."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.train_x.shape[1],):
-        raise ValueError(
-            f"query length {x.shape} does not match training length "
-            f"({model.train_x.shape[1]},)"
-        )
-    (order,), (votes,) = rank_many(model, x[None])
-    return [(model.classes[c], score)
-            for c, score in zip(order.tolist(), (votes / model.k).tolist())]

@@ -1,10 +1,11 @@
 """Frequency reading backends behind one small interface.
 
 Three backends: live sysfs, governor simulation, and recorded-trace replay.
-All expose read_freq() and advance(dt_ms), plus read_series(n, interval_ms)
-for n reads each followed by an advance. Virtual backends move simulated
-time, and the simulation computes a whole series by index arithmetic; the
-sysfs backend sleeps toward absolute deadlines so long runs do not drift.
+All expose advance(dt_ms) and read_series(n, interval_ms), n reads each
+followed by advance(interval_ms); a single read that moves no time is
+read_series(1, 0). Virtual backends move simulated time, and the
+simulation computes a whole series by index arithmetic; the sysfs backend
+sleeps toward absolute deadlines so long runs do not drift.
 A source constructed with the masked policy refuses every read, modeling
 the access-restriction countermeasure.
 """
@@ -40,7 +41,7 @@ class SysfsReadError(RuntimeError):
 
 class FreqSource:
     """Base: policy gate plus the two-method contract; read_series is a loop
-    over the two unless a backend can compute the series whole."""
+    of _read and advance unless a backend can compute the series whole."""
 
     device = "unknown"
 
@@ -48,10 +49,6 @@ class FreqSource:
         if policy not in (POLICY_OPEN, POLICY_MASKED):
             raise ValueError(f"unknown policy {policy!r}")
         self.policy = policy
-
-    def read_freq(self) -> int:
-        self._check_access()
-        return self._read()
 
     def advance(self, dt_ms: int) -> None:
         if dt_ms < 0:
@@ -102,11 +99,6 @@ class SimSource(FreqSource):
         self._last = None  # (start state, frequencies, end state) of the last cycle simulated
         self._cursor = 0  # ticks consumed
         self._carry_ms = 0
-
-    def _read(self) -> int:
-        if self._cursor:
-            return self._cycle.item((self._cursor - 1) % len(self._cycle))
-        return self._state.current_freq_khz  # before the first tick
 
     def _advance(self, dt_ms: int) -> None:
         self._read_series(1, dt_ms)  # reading the current tick changes nothing

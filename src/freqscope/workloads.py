@@ -27,6 +27,7 @@ WEBSITE_JITTER = 0.03
 
 KEYSTROKE_WIDTHS = (4, 8)  # ticks; yields 8-12 elevated samples at 20 ms
 KEYSTROKE_LOADS = (0.33, 0.50)
+KEYSTROKE_TAIL_TICKS = 24  # ticks a trace runs past its last press: the pulse and its decay
 IDLE_LOAD_MAX = 0.02
 
 

@@ -1,10 +1,12 @@
-"""Reference forest split search: one candidate feature at a time.
+"""Reference forest split search and ranking: one candidate feature, and
+one query, at a time.
 
-This is the per-feature loop the batched split search in `freqscope.forest`
-replaced, kept as the oracle the new code is compared against byte for
-byte. `best_split` argsorts, one-hot encodes, cumsums and scores every
-candidate feature on its own, in ascending feature order, and keeps a
-split only on strict improvement.
+These are the loops the batched code in `freqscope.forest` replaced, kept
+as the oracles the new code is compared against byte for byte.
+`best_split` argsorts, one-hot encodes, cumsums and scores every candidate
+feature on its own, in ascending feature order, and keeps a split only on
+strict improvement. `forest_rank` walks every tree from the root for one
+query and sorts the labels by vote share.
 """
 
 from __future__ import annotations
@@ -119,3 +121,21 @@ def forest_train(X: np.ndarray, labels: list[str], params: ForestParams) -> Fore
         trees.append(_build_tree(X, y, bootstrap, 0, params, len(classes), rng))
     return ForestModel(params=params, classes=classes, trees=trees)
 
+
+def _tree_predict(tree: dict, x: np.ndarray) -> int:
+    node = tree
+    while "label" not in node:
+        node = node["l"] if x[node["f"]] <= node["t"] else node["r"]
+    return node["label"]
+
+
+def forest_rank(model: ForestModel, x) -> list[tuple[str, float]]:
+    """Labels ranked by vote share; ties and zero-vote labels fall back to
+    label sort order."""
+    x = np.asarray(x, dtype=np.float64)
+    votes = np.zeros(len(model.classes))
+    for tree in model.trees:
+        votes[_tree_predict(tree, x)] += 1
+    order = sorted(range(len(model.classes)), key=lambda c: (-votes[c], c))
+    n = len(model.trees)
+    return [(model.classes[c], votes[c] / n) for c in order]

@@ -1,13 +1,35 @@
 """Library functions that only the tests call: merging datasets in memory
 (the CLI merges dataset trees by copying files), synthetic timing vectors
-(the CLI measures timings from simulated traces) and the sampling-rate
-repetitiveness diagnostic."""
+(the CLI measures timings from simulated traces), the sampling-rate
+repetitiveness diagnostic, and one-row calls of the batch entry points."""
 
 import numpy as np
 
 from freqscope.dataset import LabeledDataset, stable_seed
+from freqscope.governors import SimConfig, WorkloadTrace, simulate_batch
 from freqscope.keystroke import GAP_SIGMA_MS, MEASUREMENTS_PER_LABEL, sample_timing_vector
+from freqscope.knn import KnnModel, rank_many
 from freqscope.sources import FreqSource
+from freqscope.trace import FrequencyTrace
+
+
+def simulate(workload: WorkloadTrace, cfg: SimConfig) -> FrequencyTrace:
+    """One workload as a one-row `simulate_batch`: sample k is the frequency
+    during workload tick k."""
+    (samples,), _ = simulate_batch([workload.loads], workload.tick_ms, cfg)
+    return FrequencyTrace(samples=samples, interval_ms=workload.tick_ms, device=cfg.profile.name)
+
+
+def read_freq(src: FreqSource) -> int:
+    """One reading that moves no time."""
+    return int(src.read_series(1, 0)[0])
+
+
+def knn_rank(model: KnnModel, x) -> list[tuple[str, float]]:
+    """One query's ranking from a one-row `knn.rank_many`: every class as
+    (label, score), best first."""
+    (order,), (votes,) = rank_many(model, np.asarray(x, dtype=np.float64)[None])
+    return [(model.classes[c], v / model.k) for c, v in zip(order.tolist(), votes.tolist())]
 
 
 def merge_datasets(datasets: list[LabeledDataset]) -> LabeledDataset:

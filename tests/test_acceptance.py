@@ -28,7 +28,6 @@ from freqscope.governors import (
     SimConfig,
     TurboParams,
     default_interactive_params,
-    simulate,
     simulate_batch,
 )
 from freqscope.keystroke import (
@@ -36,13 +35,13 @@ from freqscope.keystroke import (
     guess_curve,
     train_password_model,
 )
-from freqscope.knn import fit_knn, knn_rank
+from freqscope.knn import fit_knn
 from freqscope.profiles import get_profile
 from freqscope.sampler import CollectPlan, collect
 from freqscope.sources import ReplaySource, SimSource
 from freqscope.trace import FrequencyTrace
 from freqscope.workloads import keystroke_workload, noise_workload, website_workload
-from helpers import merge_datasets, password_timing_vectors, repetitiveness
+from helpers import knn_rank, merge_datasets, password_timing_vectors, repetitiveness, simulate
 from knn_oracle import oracle_rank
 
 WEBSITE_JITTER = 0.3  # per-measurement load jitter sigma for the fingerprint runs
@@ -274,7 +273,7 @@ def test_acceptance_7_countermeasure_efficacy(capsys, ryzen_ondemand):
         defenses = [resolution_reduce(f) for f in factors]
         defenses.append(constant_mask(1_700_000))
         rows = defense_sweep(defenses, ryzen_ondemand,
-                             lambda ds: train_knn_model(ds, k=4), topk=(1,))
+                             lambda ds: train_knn_model(ds, k=4))
         by_factor = {int(r.param): r.top1_defended for r in rows
                      if r.kind == "resolution_reduce"}
         masked = next(r for r in rows if r.kind == "constant_mask")

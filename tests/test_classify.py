@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from freqscope import forest, knn
 from freqscope.classify import (
     NORM_MINMAX,
     NORM_NONE,
@@ -15,10 +16,10 @@ from freqscope.classify import (
     train_knn_model,
 )
 from freqscope.dataset import LabeledDataset, split_dataset
-from freqscope.forest import ForestParams, forest_rank
-from freqscope.knn import knn_rank
+from freqscope.forest import ForestParams
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
+from forest_oracle import forest_rank
 from helpers import merge_datasets
 from knn_oracle import loop_rank
 
@@ -256,9 +257,10 @@ def test_model_round_trip_preserves_predictions(tmp_path, kind):
     assert loaded.metadata == model.metadata
     X, _ = dataset_matrix(test, NORM_MINMAX)
     assert loaded.rank_many(X).tobytes() == model.rank_many(X).tobytes()
-    # the scores too: (label, score) pairs, scores compared exactly
-    rank = knn_rank if kind == "knn" else forest_rank
-    assert [rank(loaded.classifier, x) for x in X] == [rank(model.classifier, x) for x in X]
+    # the votes too: each score is votes / k, or votes / trees
+    ranker = knn if kind == "knn" else forest
+    assert ranker.rank_many(loaded.classifier, X)[1].tobytes() == \
+        ranker.rank_many(model.classifier, X)[1].tobytes()
 
 
 def test_model_file_rejects_other_formats(tmp_path):

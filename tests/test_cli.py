@@ -475,6 +475,17 @@ BAD_COUNTS = {  # case: (command, flag, config key, value below 1)
     "topk": ("eval", "--topk", "eval.topk", "0,-2"),
     "guess_curve_zero": ("keystrokes", "--guess-curve", "keystroke.guess_curve", "0"),
     "guess_curve_negative": ("keystrokes", "--guess-curve", "keystroke.guess_curve", "-1"),
+    "sim_samples": ("simulate", "--samples", "sim.samples", "-5"),
+    "sim_interval": ("simulate", "--interval-ms", "sim.interval_ms", "0"),
+    "collect_interval": ("collect", "--interval-ms", "collect.interval_ms", "0"),
+    "collect_samples": ("collect", "--samples", "collect.samples", "0"),
+    "collect_measurements": ("collect", "--measurements", "collect.measurements", "0"),
+    "workload_ticks": ("collect", "--workload-ticks", "collect.workload_ticks", "0"),
+    "k": ("train", "--k", "classifier.k", "0"),
+    "trees": ("train", "--trees", "classifier.trees", "0"),
+    "max_depth": ("defend", "--max-depth", "classifier.max_depth", "0"),
+    "min_leaf": ("defend", "--min-leaf", "classifier.min_leaf", "-1"),
+    "keystroke_interval": ("keystrokes", "--interval-ms", "keystroke.interval_ms", "0"),
 }
 
 
@@ -490,6 +501,10 @@ def test_count_below_1_exits_2(tmp_path, website_ds, capsys, case, where):
         assert run_cli("train", "--dataset", website_ds, "--model", tmp_path / "m.json",
                        "--fractions", "0.5,0.25,0.25") == 0
         inputs = ("--dataset", website_ds, "--model", tmp_path / "m.json", "--out", out)
+    elif command == "collect":
+        inputs = ("--out", out)
+    elif command == "train":
+        inputs = ("--dataset", website_ds, "--model", out / "m.json")
     else:
         inputs = ("--dataset", website_ds, "--out", out)
     if where == "config":
@@ -510,6 +525,28 @@ def test_count_below_1_exits_2(tmp_path, website_ds, capsys, case, where):
         assert f"argument {flag}: invalid" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_bad_feature_subsample_exits_2(tmp_path, website_ds, capsys, where):
+    if where == "config":
+        (tmp_path / "c.conf").write_text("classifier.feature_subsample = x\n")
+        setting = ("--config", tmp_path / "c.conf")
+    else:
+        setting = ("--feature-subsample", "x")
+    capsys.readouterr()
+    try:
+        rc = run_cli("train", "--dataset", website_ds, "--model", tmp_path / "m.json",
+                     "--classifier", "forest", *setting)
+    except SystemExit as exc:  # argparse rejects a bad flag value itself
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    if where == "config":
+        assert "line 1: bad value for 'classifier.feature_subsample'" in err
+    else:
+        assert "argument --feature-subsample: invalid feature_subsample value: 'x'" in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_train_forest_kind(tmp_path, website_ds):

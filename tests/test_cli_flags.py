@@ -117,11 +117,19 @@ RETYPED = {
     "--presses": "int_list",  # the same comma list, blanks around parts allowed
     "--normalization": "normalization",  # aliases resolved when parsed
     "--topk": "topk",  # N still means top-1 and top-N
-    # counts below 1 are rejected (collect's --measurements is still an int)
+    # counts below 1 are rejected
     "--classes": "positive_int",
-    ("simulate", "--measurements"): "positive_int",
+    "--measurements": "positive_int",
     "--per-label": "positive_int",
     "--guess-curve": "positive_int",
+    "--interval-ms": "positive_int",
+    "--samples": "positive_int",
+    "--workload-ticks": "positive_int",
+    "--k": "positive_int",
+    "--trees": "positive_int",
+    "--max-depth": "positive_int",
+    "--min-leaf": "positive_int",
+    "--feature-subsample": "feature_subsample",  # 'sqrt' or a fraction in (0, 1]
 }
 
 

@@ -136,6 +136,16 @@ def test_counts_and_ranks_below_1_rejected(line, bad):
         parse_config(line + "\n")
 
 
+def test_feature_subsample_is_sqrt_or_a_fraction():
+    key = "classifier.feature_subsample"
+    assert parse_config(f"{key} = sqrt\n")[key] == "sqrt"
+    assert parse_config(f"{key} = 0.50\n")[key] == 0.5
+    assert resolved_lines(parse_config(f"{key} = 0.50\n")) == [f"{key} = 0.5"]
+    for value in ("x", "log2", "0", "1.5", "nan", "-inf"):
+        with pytest.raises(ConfigError, match=f"^line 2: bad value for '{key}'"):
+            parse_config(f"# forest\n{key} = {value}\n")
+
+
 def test_choice_keys_are_checked_like_their_flags():
     with pytest.raises(ConfigError, match="line 1.*expected one of open, masked"):
         parse_config("collect.policy = closed\n")

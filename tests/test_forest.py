@@ -1,4 +1,5 @@
-"""Random forest: determinism, fit quality, Gini oracle, serialization."""
+"""Random forest: determinism, fit quality, Gini oracle, serialization, and
+the batched `rank_many` against the per-query ranking it replaced."""
 
 import json
 import tracemalloc
@@ -6,13 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import forest_oracle as oracle
 from forest_oracle import _gini_pair
 from freqscope.forest import (
+    ForestModel,
     ForestParams,
     _best_split,
     _square_sums,
-    forest_rank,
     forest_train,
+    rank_many,
 )
 
 
@@ -97,9 +100,8 @@ def xor_data(n=200, seed=0):
 def test_forest_fits_xor():
     x, labels = xor_data()
     model = forest_train(x, labels, ForestParams(n_trees=30, seed=1))
-    correct = sum(
-        forest_rank(model, row)[0][0] == lb for row, lb in zip(x, labels)
-    )
+    order, _ = rank_many(model, x)
+    correct = sum(model.classes[c] == lb for c, lb in zip(order[:, 0].tolist(), labels))
     assert correct / len(x) > 0.9  # a single axis split cannot do this
 
 
@@ -108,8 +110,8 @@ def test_forest_deterministic():
     a = forest_train(x, labels, ForestParams(n_trees=10, seed=7))
     b = forest_train(x, labels, ForestParams(n_trees=10, seed=7))
     assert a.trees == b.trees
-    q = np.array([0.3, -0.4])
-    assert forest_rank(a, q) == forest_rank(b, q)
+    q = np.array([[0.3, -0.4]])
+    assert [r.tobytes() for r in rank_many(a, q)] == [r.tobytes() for r in rank_many(b, q)]
 
 
 def test_forest_seed_changes_trees():
@@ -129,19 +131,19 @@ def test_trees_are_json_serializable():
 def test_rank_is_total_and_scores_sum_to_one():
     x, labels = xor_data(n=80)
     model = forest_train(x, labels, ForestParams(n_trees=9, seed=4))
-    ranking = forest_rank(model, x[0])
-    assert [lb for lb, _ in ranking] in (["pos", "neg"], ["neg", "pos"])
-    assert sum(s for _, s in ranking) == pytest.approx(1.0)
-    assert ranking[0][1] >= ranking[1][1]
+    (order,), (votes,) = rank_many(model, x[:1])
+    assert sorted(order.tolist()) == [0, 1]
+    assert votes.sum() == len(model.trees)
+    assert votes[0] >= votes[1]
 
 
 def test_vote_tie_falls_to_smaller_label():
     # one-feature data separable at 0; even tree count can tie exactly
     x = np.array([[-1.0], [1.0]])
     model = forest_train(x, ["b_right", "a_left"], ForestParams(n_trees=50, seed=0))
-    ranking = forest_rank(model, np.array([0.0]))
-    if ranking[0][1] == ranking[1][1]:
-        assert ranking[0][0] == "a_left"
+    (order,), (votes,) = rank_many(model, np.array([[0.0]]))
+    if votes[0] == votes[1]:
+        assert model.classes[order[0]] == "a_left"
 
 
 def test_min_leaf_respected():
@@ -199,3 +201,90 @@ def test_constant_feature_yields_leaf():
     model = forest_train(x, labels, ForestParams(n_trees=3, seed=0))
     # nothing to split on: every tree is a single leaf
     assert all("label" in t and "f" not in t for t in model.trees)
+
+
+def assert_matches_oracle(model, Q):
+    """rank_many against the per-query ranking, bit for bit: the label
+    order, and votes / trees against the oracle's scores."""
+    order, votes = rank_many(model, Q)
+    assert order.shape == votes.shape == (len(Q), len(model.classes))
+    assert votes.dtype == np.int64
+    want = [oracle.forest_rank(model, q) for q in Q]
+    assert [[model.classes[c] for c in row] for row in order.tolist()] == \
+        [[label for label, _ in ranking] for ranking in want]
+    scores = np.array([[score for _, score in ranking] for ranking in want])
+    assert (votes / len(model.trees)).tobytes() == scores.reshape(votes.shape).tobytes()
+
+
+def hand_forest(classes, trees):
+    return ForestModel(params=ForestParams(n_trees=len(trees)), classes=classes, trees=trees)
+
+
+STUMP = {"f": 0, "t": 0.5, "l": {"label": 0}, "r": {"f": 1, "t": -1.0, "l": {"label": 1},
+                                                     "r": {"label": 3}}}
+
+
+def test_rank_many_vote_ties_and_zero_vote_classes():
+    # a and c tie on one vote each; b and d get none: label order breaks both ties
+    model = hand_forest(["a", "b", "c", "d"], [{"label": 2}, {"label": 0}])
+    order, votes = rank_many(model, np.zeros((3, 2)))
+    assert order.tolist() == [[0, 2, 1, 3]] * 3
+    assert votes.tolist() == [[1, 1, 0, 0]] * 3
+    assert_matches_oracle(model, np.zeros((3, 2)))
+
+
+def test_rank_many_routes_each_row_down_its_own_path():
+    model = hand_forest(["a", "b", "c", "d"], [STUMP, STUMP, {"label": 1}])
+    # <= goes left, so a value equal to the threshold does; NaN compares false
+    Q = np.array([[0.5, 9.0], [0.6, -1.0], [0.6, -0.5], [np.nan, np.nan], [-np.inf, 0.0]])
+    order, votes = rank_many(model, Q)
+    assert order[:, 0].tolist() == [0, 1, 3, 3, 0]
+    assert votes[:, 0].tolist() == [2, 3, 2, 2, 2]
+    assert_matches_oracle(model, Q)
+
+
+def test_rank_many_one_tree_one_query_no_query():
+    x, labels = xor_data(n=60, seed=4)
+    model = forest_train(x, labels, ForestParams(n_trees=1, seed=2))
+    for Q in (x[:1], x, np.zeros((0, 2))):
+        assert_matches_oracle(model, Q)
+    model = forest_train(x, labels, ForestParams(n_trees=6, seed=2))
+    assert_matches_oracle(model, x[:1])
+    with pytest.raises(ValueError, match="2-d"):
+        rank_many(model, x[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_many_matches_oracle_on_trained_forests(seed):
+    rng = np.random.default_rng(seed)
+    n, d, n_classes = 120, 6, int(rng.integers(2, 9))
+    x = rng.integers(0, 4, size=(n, d)).astype(np.float64)  # few levels: split ties
+    labels = [f"c{int(v)}" for v in rng.integers(0, n_classes, size=n)]
+    model = forest_train(x, labels, ForestParams(n_trees=8, max_depth=6, seed=seed))
+    # half-steps hit the split thresholds exactly
+    assert_matches_oracle(model, rng.integers(-1, 9, size=(200, d)) / 2.0)
+
+
+def test_rank_many_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def problems(draw):
+        n, d = draw(st.integers(2, 30)), draw(st.integers(1, 4))
+        cell = st.integers(0, draw(st.integers(1, 4)))
+        x = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n))
+        labels = draw(st.lists(st.sampled_from("abcde"), min_size=n, max_size=n)
+                      .filter(lambda ls: len(set(ls)) > 1))
+        params = ForestParams(n_trees=draw(st.integers(1, 6)), max_depth=draw(st.integers(1, 5)),
+                              min_leaf=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
+        q = draw(st.lists(st.lists(st.integers(-1, 9), min_size=d, max_size=d), max_size=15))
+        model = forest_train(np.array(x, dtype=np.float64), labels, params)
+        return model, np.array(q, dtype=np.float64).reshape(len(q), d) / 2.0
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(problem=problems())
+    def check(problem):
+        assert_matches_oracle(*problem)
+
+    check()

@@ -11,10 +11,11 @@ from freqscope.classify import dataset_matrix
 from freqscope.dataset import LabeledDataset, stable_seed
 from freqscope.defend import constant_mask, defended_dataset, noise_inject, resolution_reduce
 from freqscope.forest import ForestParams, _best_split, forest_train
-from freqscope.governors import SimConfig, simulate
+from freqscope.governors import SimConfig
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
 from freqscope.workloads import website_workload
+from helpers import simulate
 
 
 def assert_same_trees(X, labels, params):

@@ -10,10 +10,10 @@ from freqscope.governors import (
     WorkloadTrace,
     default_interactive_params,
     init_state,
-    simulate,
     simulate_batch,
 )
 from freqscope.profiles import get_profile
+from helpers import simulate
 
 RYZEN = get_profile("ryzen5")
 CORTEX = get_profile("cortex_a73")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from freqscope.governors import SimConfig, simulate
+from freqscope.governors import SimConfig
 from freqscope.keystroke import (
     GAP_MIN_MS,
     MEASUREMENTS_PER_LABEL,
@@ -20,7 +20,7 @@ from freqscope.keystroke import (
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
 from freqscope.workloads import keystroke_workload
-from helpers import password_timing_vectors
+from helpers import password_timing_vectors, simulate
 from knn_oracle import loop_rank
 
 CORTEX = get_profile("cortex_a73")

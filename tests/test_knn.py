@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from freqscope import knn
-from freqscope.knn import KnnModel, fit_knn, knn_rank, rank_many
+from freqscope.knn import KnnModel, fit_knn, rank_many
+from helpers import knn_rank
 from knn_oracle import loop_rank_many, oracle_rank
 
 
@@ -77,7 +78,7 @@ def test_model_validation():
 def test_query_length_checked():
     model = fit_knn(np.zeros((2, 3)), ["a", "b"], k=1)
     with pytest.raises(ValueError, match="length"):
-        knn_rank(model, [0.0, 0.0])
+        rank_many(model, [[0.0, 0.0]])
 
 
 def test_model_rejects_non_integer_k():

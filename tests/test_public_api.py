@@ -19,9 +19,10 @@ def test_every_exported_name_resolves_once():
 def test_removed_names_are_not_exported():
     for name in ("FeatureVector", "evaluate_defense", "timings", "access_restrict",
                  "synth_workload", "knn_predict", "forest_predict", "step_governor",
-                 "merge_datasets", "repetitiveness"):
+                 "merge_datasets", "repetitiveness", "knn_rank", "forest_rank", "simulate"):
         assert name not in freqscope.__all__
         assert not hasattr(freqscope, name)
+    assert not hasattr(freqscope.FreqSource, "read_freq")
 
 
 def test_import_loads_no_submodule():

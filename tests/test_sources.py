@@ -22,7 +22,8 @@ from freqscope.sources import (
     ReplaySource,
 )
 from freqscope.trace import FrequencyTrace
-from freqscope.workloads import keystroke_workload
+from freqscope.workloads import KEYSTROKE_TAIL_TICKS, keystroke_workload
+from helpers import read_freq
 
 RYZEN = get_profile("ryzen5")
 
@@ -35,28 +36,28 @@ def sim_source(**kw):
 
 def test_sim_source_steps_workload():
     src = sim_source()
-    first = src.read_freq()
+    first = read_freq(src)
     assert first == RYZEN.min_freq_khz  # initial state, before any tick
     src.advance(10)  # consumes load 0.0
-    assert src.read_freq() == RYZEN.min_freq_khz
+    assert read_freq(src) == RYZEN.min_freq_khz
     src.advance(10)  # consumes load 1.0
-    assert src.read_freq() == RYZEN.max_freq_khz
+    assert read_freq(src) == RYZEN.max_freq_khz
 
 
 def test_sim_source_carries_partial_intervals():
     src = sim_source()
     src.advance(10)
     src.advance(5)  # half a tick pending
-    before = src.read_freq()
+    before = read_freq(src)
     src.advance(5)  # completes the 1.0 tick
     assert before == RYZEN.min_freq_khz
-    assert src.read_freq() == RYZEN.max_freq_khz
+    assert read_freq(src) == RYZEN.max_freq_khz
 
 
 def test_sim_source_cycles_workload():
     src = sim_source()
     src.advance(10 * 2 * 50)  # 50 full cycles of the 2-tick workload
-    assert src.read_freq() in RYZEN.pstates
+    assert read_freq(src) in RYZEN.pstates
 
 
 def test_sim_source_device_name():
@@ -72,7 +73,7 @@ def test_replay_plays_back_samples():
     src = ReplaySource(replay_trace())
     got = []
     for _ in range(3):
-        got.append(src.read_freq())
+        got.append(read_freq(src))
         src.advance(10)
     assert got == [1_400_000, 2_000_000, 2_600_000]
 
@@ -81,28 +82,28 @@ def test_replay_exhaustion_raises_on_read():
     src = ReplaySource(replay_trace())
     src.advance(30)
     with pytest.raises(ReplayExhaustedError):
-        src.read_freq()
+        read_freq(src)
 
 
 def test_replay_advance_saturates():
     src = ReplaySource(replay_trace())
     src.advance(10_000)  # far past the end: no error until a read happens
     with pytest.raises(ReplayExhaustedError):
-        src.read_freq()
+        read_freq(src)
 
 
 def test_replay_sub_interval_advance_accumulates():
     src = ReplaySource(replay_trace())
     src.advance(5)
-    assert src.read_freq() == 1_400_000
+    assert read_freq(src) == 1_400_000
     src.advance(5)
-    assert src.read_freq() == 2_000_000
+    assert read_freq(src) == 2_000_000
 
 
 def test_masked_policy_denies_reads():
     src = sim_source(policy=POLICY_MASKED)
     with pytest.raises(AccessDeniedError):
-        src.read_freq()
+        read_freq(src)
     # advancing is fine; only reads are gated
     src.advance(10)
 
@@ -127,28 +128,28 @@ def write_sysfs_fixture(root, value="2300000\n", policy_index=0):
 def test_sysfs_reads_fixture_via_explicit_root(tmp_path):
     write_sysfs_fixture(str(tmp_path))
     src = SysfsSource(root=str(tmp_path))
-    assert src.read_freq() == 2_300_000
+    assert read_freq(src) == 2_300_000
 
 
 def test_sysfs_env_var_root(tmp_path, monkeypatch):
     write_sysfs_fixture(str(tmp_path), value="1800000\n", policy_index=2)
     monkeypatch.setenv(ENV_SYSFS_ROOT, str(tmp_path))
     src = SysfsSource(policy_index=2)
-    assert src.read_freq() == 1_800_000
+    assert read_freq(src) == 1_800_000
     assert src.device == "sysfs-policy2"
 
 
 def test_sysfs_missing_file(tmp_path):
     src = SysfsSource(root=str(tmp_path))
     with pytest.raises(SysfsReadError, match="cannot read"):
-        src.read_freq()
+        read_freq(src)
 
 
 def test_sysfs_garbage_content(tmp_path):
     write_sysfs_fixture(str(tmp_path), value="not-a-number\n")
     src = SysfsSource(root=str(tmp_path))
     with pytest.raises(SysfsReadError, match="non-integer"):
-        src.read_freq()
+        read_freq(src)
 
 
 @pytest.mark.parametrize("value", ["-5", "-0", "0", "9223372036854775807", "9223372036854775808"])
@@ -156,24 +157,24 @@ def test_sysfs_reading_range(tmp_path, value):
     write_sysfs_fixture(str(tmp_path), value=value + "\n")
     src = SysfsSource(root=str(tmp_path))
     if 0 <= int(value) < 2**63:
-        assert src.read_freq() == int(value)
+        assert read_freq(src) == int(value)
     else:
         with pytest.raises(SysfsReadError, match=r"outside \[0, 2\*\*63\)"):
-            src.read_freq()
+            read_freq(src)
 
 
 def test_sysfs_masked_policy(tmp_path):
     write_sysfs_fixture(str(tmp_path))
     src = SysfsSource(root=str(tmp_path), policy=POLICY_MASKED)
     with pytest.raises(AccessDeniedError):
-        src.read_freq()
+        read_freq(src)
 
 
 def loop_series(src, n, interval_ms):
     """The per-read loop that read_series replaces."""
     out = []
     for _ in range(n):
-        out.append(src.read_freq())
+        out.append(read_freq(src))
         src.advance(interval_ms)
     return out
 
@@ -183,6 +184,11 @@ class LoopSimSource(SimSource):
     and advances, each advance simulating the cycles its ticks enter."""
 
     _read_series = FreqSource._read_series
+
+    def _read(self):
+        if self._cursor:
+            return self._cycle.item((self._cursor - 1) % len(self._cycle))
+        return self._state.current_freq_khz  # before the first tick
 
     def _advance(self, dt_ms):
         self._carry_ms += dt_ms
@@ -222,7 +228,7 @@ def test_sim_read_series_matches_read_loop(case):
         sleep = int(rng.integers(0, 120))
         src.advance(sleep)
         ref.advance(sleep)
-    assert src.read_freq() == ref.read_freq()
+    assert read_freq(src) == read_freq(ref)
 
 
 @pytest.mark.parametrize("n,interval", [
@@ -319,7 +325,8 @@ def typing_collect():
     gaps = np.random.default_rng(5).integers(25, 71, 200) * 10
     presses = [p for p in (400 + np.cumsum([0, *gaps])).tolist() if p < 60_500]
     cfg = SimConfig(profile=get_profile("cortex_a73"), governor="interactive")
-    wl = keystroke_workload(presses, n_ticks=max(presses) // 20 + 24, tick_ms=20, seed=0)
+    wl = keystroke_workload(presses, n_ticks=max(presses) // 20 + KEYSTROKE_TAIL_TICKS,
+                            tick_ms=20, seed=0)
     return cfg, wl, CollectPlan(interval_ms=20, samples_per_measurement=150,
                                 measurements=1000, label="typing")
 

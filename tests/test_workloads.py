@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from freqscope.governors import SimConfig, WorkloadTrace, simulate
+from freqscope.governors import SimConfig, WorkloadTrace
 from freqscope.profiles import get_profile
 from freqscope.workloads import (
     IDLE_LOAD_MAX,
@@ -13,6 +13,7 @@ from freqscope.workloads import (
     noise_workload,
     website_workload,
 )
+from helpers import simulate
 
 CORTEX = get_profile("cortex_a73")
 
