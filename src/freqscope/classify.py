@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -179,18 +179,7 @@ def _classifier_payload(model: TrainedModel) -> dict:
             "train_labels": list(nn.train_labels),
         }
     rf: ForestModel = model.classifier
-    p = rf.params
-    return {
-        "params": {
-            "n_trees": p.n_trees,
-            "max_depth": p.max_depth,
-            "min_leaf": p.min_leaf,
-            "feature_subsample": p.feature_subsample,
-            "seed": p.seed,
-        },
-        "classes": rf.classes,
-        "trees": rf.trees,
-    }
+    return {"params": asdict(rf.params), "classes": rf.classes, "trees": rf.trees}
 
 
 class ModelFormatError(ValueError):
@@ -253,6 +242,28 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
 
 
+def _check_nodes(trees: list, n_features: int, n_classes: int, path) -> None:
+    """Every node must be a JSON object: a leaf with an integer label below
+    n_classes, or a split with an integer f below n_features, a numeric t and
+    objects l and r."""
+    nodes = list(trees)
+    while nodes:  # depth first, without recursion
+        node = nodes.pop()
+        if not isinstance(node, dict):
+            raise ModelFormatError(f"{path}: forest node is not a JSON object")
+        if "label" in node:
+            ok = type(node["label"]) is int and 0 <= node["label"] < n_classes
+        else:
+            ok = type(node["f"]) is int and 0 <= node["f"] < n_features
+            ok = ok and type(node["t"]) in (int, float)
+            nodes += node["l"], node["r"]
+        if not ok:
+            raise ModelFormatError(
+                f"{path}: forest node needs an integer label in [0, {n_classes}), or an"
+                f" integer f in [0, {n_features}) and a numeric t, got"
+                f" {({k: v for k, v in node.items() if k in ('label', 'f', 't')})}")
+
+
 def _model_from_doc(doc: dict, path: str | os.PathLike) -> TrainedModel:
     if doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
@@ -276,16 +287,9 @@ def _model_from_doc(doc: dict, path: str | os.PathLike) -> TrainedModel:
             )
     elif doc["kind"] == "forest":
         p = payload["params"]
-        if not all(isinstance(tree, dict) for tree in payload["trees"]):
-            raise ModelFormatError(f"{path}: forest trees must be JSON objects")
+        _check_nodes(payload["trees"], doc["feature_length"], len(payload["classes"]), path)
         classifier = ForestModel(
-            params=ForestParams(
-                n_trees=p["n_trees"],
-                max_depth=p["max_depth"],
-                min_leaf=p["min_leaf"],
-                feature_subsample=p["feature_subsample"],
-                seed=p["seed"],
-            ),
+            params=ForestParams(**{f.name: p[f.name] for f in fields(ForestParams)}),
             classes=list(payload["classes"]),
             trees=payload["trees"],
         )

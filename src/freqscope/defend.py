@@ -15,14 +15,14 @@ attacker profiles the system as deployed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .classify import TrainedModel, evaluate
 from .dataset import LabeledDataset, split_dataset, stable_seed
-from .profiles import get_profile
+from .profiles import builtin_profiles
 from .trace import FrequencyTrace
 
 KIND_RESOLUTION = "resolution_reduce"
@@ -118,9 +118,8 @@ def parse_defense(spec: str) -> list[Defense]:
 def _freq_range(trace: FrequencyTrace) -> tuple[int, int]:
     # known devices clip against the profile; ad-hoc devices fall back to
     # the observed range of the trace itself
-    try:
-        profile = get_profile(trace.device)
-    except KeyError:
+    profile = builtin_profiles().get(trace.device)
+    if profile is None:
         return int(trace.samples.min()), int(trace.samples.max())
     return profile.min_freq_khz, profile.boost_cap_khz
 
@@ -128,77 +127,75 @@ def _freq_range(trace: FrequencyTrace) -> tuple[int, int]:
 def apply_defense(d: Defense, t: FrequencyTrace, salt: int = 0) -> FrequencyTrace:
     """Transform one trace. `salt` decorrelates the noise pattern between
     traces that share a defense seed; other kinds ignore it."""
+    return replace(t, samples=_defended_samples(d, [t], [salt])[0])
+
+
+def _defended_samples(d: Defense, traces: list[FrequencyTrace], salts: list[int]):
+    """The defended samples of traces of one length and interval, one row
+    per trace, trace i salted by salts[i]. Only noise works on the [traces,
+    samples] matrix: for the other kinds it saved no time and raised the
+    peak RSS of defend's workers."""
+    n = len(traces[0].samples)
     if d.kind == KIND_RESOLUTION:
-        f = d.factor
-        samples = t.samples[(np.arange(len(t.samples)) // f) * f]
-    elif d.kind == KIND_MASK:
-        try:
-            profile = get_profile(t.device)
-        except KeyError:
-            profile = None
-        if profile is not None and d.mask_freq_khz not in profile.pstates:
-            raise ValueError(
-                f"mask frequency {d.mask_freq_khz} is not a pstate of {t.device}"
-            )
-        samples = np.full(len(t.samples), d.mask_freq_khz)
-    else:
-        samples = _inject_noise(d, t, salt)
-    return FrequencyTrace(
-        samples=samples,
-        interval_ms=t.interval_ms,
-        device=t.device,
-        label=t.label,
-        start_index=t.start_index,
-    )
-
-
-def _inject_noise(d: Defense, t: FrequencyTrace, salt: int) -> np.ndarray:
-    n = len(t.samples)
-    duration_s = n * t.interval_ms / 1000.0
-    n_bursts = int(round(d.burst_rate_hz * duration_s))
+        keep = (np.arange(n) // d.factor) * d.factor
+        return [t.samples[keep] for t in traces]
+    if d.kind == KIND_MASK:
+        for t in traces:
+            profile = builtin_profiles().get(t.device)
+            if profile is not None and d.mask_freq_khz not in profile.pstates:
+                raise ValueError(f"mask frequency {d.mask_freq_khz} is not a pstate of {t.device}")
+        return [np.full(n, d.mask_freq_khz)] * len(traces)
+    n_bursts = _burst_count(d, traces[0])
     if n_bursts == 0:
-        return t.samples
-    lo, hi = _freq_range(t)
-    span = hi - lo
-    rng = np.random.default_rng(stable_seed(d.seed, "noise-inject", salt))
-    positions = rng.integers(0, n, n_bursts)
-    widths = rng.integers(NOISE_WIDTHS[0], NOISE_WIDTHS[1] + 1, n_bursts)
-    scales = rng.uniform(0.5, 1.0, n_bursts)
-    deltas = np.round(d.burst_height * scales * span).astype(np.int64)
-    # every (sample, delta) a burst adds, burst-major, then stably grouped by
-    # sample: bursts that overlap a sample stay in burst order, so round k
-    # adds and clamps each sample's k-th burst, as the bursts compound one
-    # after another
-    offsets = np.arange(NOISE_WIDTHS[1])
-    cells = positions[:, None] + offsets
-    covered = (offsets < widths[:, None]) & (cells < n)
-    order = np.argsort(cells[covered], kind="stable")
-    at = cells[covered][order]
-    add = np.broadcast_to(deltas[:, None], cells.shape)[covered][order]
-    depth = np.arange(len(at)) - np.searchsorted(at, at)
-    out = t.samples.copy()
-    for k in range(depth.max() + 1):
-        hit = depth == k
-        out[at[hit]] = np.clip(out[at[hit]] + add[hit], lo, hi)
-    return out
+        return [t.samples for t in traces]
+    samples = np.array([t.samples for t in traces])
+    lo, hi = np.array([_freq_range(t) for t in traces], dtype=np.int64).T
+    # each trace draws positions, widths and scales, in turn, from its own stream
+    rngs = [np.random.default_rng(stable_seed(d.seed, "noise-inject", salt)) for salt in salts]
+    positions = np.array([rng.integers(0, n, n_bursts) for rng in rngs])  # [T, bursts]
+    low, high = NOISE_WIDTHS
+    widths = np.array([rng.integers(low, high + 1, n_bursts) for rng in rngs])
+    scales = np.array([rng.uniform(0.5, 1.0, n_bursts) for rng in rngs])
+    deltas = np.round(d.burst_height * scales * (hi - lo)[:, None]).astype(np.int64)
+    # every (sample, delta) a burst adds, trace- then burst-major
+    offsets = np.arange(high)
+    cells = positions[:, :, None] + offsets
+    covered = (offsets < widths[:, :, None]) & (cells < n)
+    flat = (cells + n * np.arange(len(traces))[:, None, None])[covered]
+    add = np.broadcast_to(deltas[:, :, None], cells.shape)[covered]
+    # Bursts compound one after another, each clamped to [lo, hi]. Every
+    # delta is >= 0, so only a sample's first burst can meet the lower clamp,
+    # and the upper one acts once on the sum: the sample becomes
+    # min(max(x + first, lo) + rest, hi), arranged so that no step leaves int64.
+    cell, first_at, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    wide = int(add.max()) * n_bursts >= 2**63  # a sample's deltas could sum past int64
+    rest = np.zeros(len(cell), dtype=object if wide else np.int64)
+    np.add.at(rest, inverse, add)
+    rest -= add[first_at]
+    out = samples.reshape(-1)
+    x, row = out[cell], cell // n
+    lo, hi = lo[row], hi[row]
+    v = np.maximum(x + np.minimum(add[first_at], hi - x), lo)
+    out[cell] = v + np.minimum(rest, hi - v)
+    return samples
+
+
+def _burst_count(d: Defense, t: FrequencyTrace) -> int:
+    duration_s = len(t.samples) * t.interval_ms / 1000.0
+    return int(round(d.burst_rate_hz * duration_s))
 
 
 def defended_dataset(d: Defense, ds: LabeledDataset) -> LabeledDataset:
-    """Apply a defense to every measurement; per-trace salts keep noise
-    patterns independent across traces while staying reproducible."""
+    """Apply a defense to every measurement, one label at a time; per-trace
+    salts keep noise patterns independent across traces while staying
+    reproducible."""
     measurements = {}
     for label in ds.classes:
         traces = ds.measurements[label]
-        measurements[label] = [
-            apply_defense(d, t, salt=stable_seed("trace-salt", label, i))
-            for i, t in enumerate(traces)
-        ]
-    return LabeledDataset(
-        classes=list(ds.classes),
-        measurements=measurements,
-        split_seed=ds.split_seed,
-        split_fractions=ds.split_fractions,
-    )
+        salts = [stable_seed("trace-salt", label, i) for i in range(len(traces))]
+        rows = _defended_samples(d, traces, salts) if traces else []
+        measurements[label] = [replace(t, samples=row) for t, row in zip(traces, rows)]
+    return replace(ds, classes=list(ds.classes), measurements=measurements)
 
 
 Trainer = Callable[[LabeledDataset], TrainedModel]
@@ -229,16 +226,28 @@ def _sweep_job(i: int, sweep: tuple | None = None) -> float:
     return evaluate(trainer(train), test, topk=(1,)).top1_accuracy
 
 
+def _changes_samples(d: Defense, ds: LabeledDataset) -> bool:
+    """False when d leaves every sample of ds as it is: resolution factor 1,
+    and noise whose burst count rounds to 0."""
+    if d.kind == KIND_RESOLUTION:
+        return d.factor > 1
+    first = next((t for _, t in ds.items()), None)
+    return d.kind != KIND_NOISE or first is None or _burst_count(d, first) > 0
+
+
 def defense_sweep(defenses: list[Defense], ds: LabeledDataset, trainer: Trainer) -> list[SweepRow]:
     """Evaluate several defenses against one dataset; the clean baseline is
-    trained once and shared across rows. The baseline and each row are jobs
-    for forked workers, one per usable CPU, which inherit the dataset and the
-    trainer; rows do not depend on the worker count. A job's exception reaches
-    the caller as raised; a worker that dies raises ChildProcessError."""
+    trained once and shared across rows. The baseline and each distinct
+    defense that changes some sample are jobs for forked workers, one per
+    usable CPU, which inherit the dataset and the trainer; an identity
+    defense reads the baseline. Rows do not depend on the worker count. A
+    job's exception reaches the caller as raised; a worker that dies raises
+    ChildProcessError."""
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    sweep, jobs = (defenses, ds, trainer), range(-1, len(defenses))
+    distinct = list(dict.fromkeys(d for d in defenses if _changes_samples(d, ds)))
+    sweep, jobs = (distinct, ds, trainer), range(-1, len(distinct))
     # without CPU affinity (macOS, Windows) the jobs run in this process
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(jobs))
@@ -252,8 +261,9 @@ def defense_sweep(defenses: list[Defense], ds: LabeledDataset, trainer: Trainer)
         except BrokenExecutor as exc:
             raise ChildProcessError(f"defense sweep lost a worker process: {exc}") from None
     clean, *defended = accuracies
-    return [SweepRow(kind=d.kind, param=d.param_label(), top1_clean=clean, top1_defended=acc)
-            for d, acc in zip(defenses, defended)]
+    accuracy = dict(zip(distinct, defended))
+    return [SweepRow(kind=d.kind, param=d.param_label(), top1_clean=clean,
+                     top1_defended=accuracy.get(d, clean)) for d in defenses]
 
 
 def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:

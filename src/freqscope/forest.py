@@ -56,7 +56,7 @@ def _square_sums(ys: np.ndarray, total: np.ndarray):
     # k[i, j]: samples of ys[i, j]'s class above row i in column j
     rank = np.arange(len(ys)) - np.repeat(np.cumsum(total) - total, total)
     k = np.empty(ys.shape, dtype=np.int64)
-    np.put_along_axis(k, by_class, rank[:, None], axis=0)
+    k[by_class, np.arange(ys.shape[1])] = rank[:, None]
     left_sq = np.cumsum(2 * k + 1, axis=0)[:-1]
     right_sq = total @ total - 2 * np.cumsum(total[ys], axis=0)[:-1] + left_sq
     return left_sq, right_sq
@@ -68,12 +68,17 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndar
     (feature, boundary, threshold, node order sorted by that feature), or
     None when no boundary separates two values and respects min_leaf.
     Equal impurities go to the lowest feature, then the lowest boundary: the
-    flat argmin over the feature-major [m, n-1] array."""
+    flat argmin over the feature-major [m, n-1] array.
+
+    Scoring sorts unstably: a boundary between two distinct values has the
+    same samples on each side whatever the order of ties, and boundaries
+    between equal values are masked. Only the winning column is sorted
+    stably, for the node order the children inherit."""
     n = len(idx)
     y_node = y[idx]
     cols = X[idx[:, None], features]  # [n, m]
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0)
+    order = cols.argsort(axis=0)
+    xs = cols[order, np.arange(len(features))]
     total = np.bincount(y_node, minlength=n_classes)
     # the narrowest code dtype lets the stable argsort of the labels radix sort
     ys = y_node.astype(np.min_scalar_type(n_classes - 1))[order]
@@ -91,21 +96,21 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndar
     if flat[j, b] == np.inf:
         return None
     threshold = (float(xs[b, j]) + float(xs[b + 1, j])) / 2.0
-    return int(features[j]), b, threshold, idx[order[:, j]]
+    return int(features[j]), b, threshold, idx[np.argsort(cols[:, j], kind="stable")]
 
 
 def _build_tree(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
                 params: ForestParams, n_classes: int, rng: np.random.Generator) -> dict:
-    y_node = y[idx]
+    counts = np.bincount(y[idx])
     split = None
     can_split = depth < params.max_depth and len(idx) >= 2 * params.min_leaf
-    if can_split and np.any(y_node != y_node[0]):  # pure nodes stay leaves
+    if can_split and counts.max() < len(idx):  # pure nodes stay leaves
         m = params.features_per_split(X.shape[1])
         features = np.sort(rng.choice(X.shape[1], size=m, replace=False))
         split = _best_split(X, y, idx, features, params.min_leaf, n_classes)
     if split is None:
         # argmax returns the first maximum: smallest class code wins ties
-        return {"label": int(np.argmax(np.bincount(y_node)))}
+        return {"label": int(np.argmax(counts))}
 
     feature, b, threshold, order = split
     left = _build_tree(X, y, order[: b + 1], depth + 1, params, n_classes, rng)

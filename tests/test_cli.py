@@ -365,6 +365,26 @@ def _trees_not_objects(doc):
     return doc
 
 
+def _first_leaf(node):
+    while "label" not in node:
+        node = node["l"]
+    return node
+
+
+def _node_set(key, value, leaf=False):
+    """Set `key` of the first tree's root split, or of its leftmost leaf."""
+    def edit(doc):
+        root = doc["classifier"]["trees"][0]
+        (_first_leaf(root) if leaf else root)[key] = value(doc) if callable(value) else value
+        return doc
+    return edit
+
+
+def _no_right_child(doc):
+    del doc["classifier"]["trees"][0]["r"]
+    return doc
+
+
 MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
     "no_classifier": ("knn", _drop("classifier")),
     "no_knn_k": ("knn", _drop("classifier", "k")),
@@ -376,6 +396,13 @@ MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
     "no_forest_max_depth": ("forest", _drop("classifier", "params", "max_depth")),
     "zero_forest_trees": ("forest", _zero_trees),
     "forest_trees_not_objects": ("forest", _trees_not_objects),
+    "forest_label_past_classes": ("forest", _node_set("label", 99, leaf=True)),
+    "forest_label_negative": ("forest", _node_set("label", -1, leaf=True)),
+    "forest_feature_not_an_int": ("forest", _node_set("f", 1.5)),
+    "forest_feature_negative": ("forest", _node_set("f", -1)),
+    "forest_feature_past_length": ("forest", _node_set("f", lambda doc: doc["feature_length"])),
+    "forest_split_without_right": ("forest", _no_right_child),
+    "forest_threshold_a_string": ("forest", _node_set("t", "0.5")),
     "unknown_kind": ("knn", _with("kind", "svm")),
     "other_format": ("knn", _with("format", "something-else")),
     "other_version": ("knn", _with("version", 99)),

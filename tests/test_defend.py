@@ -167,14 +167,14 @@ def noise_loop(d, t, salt):
     duration_s = n * t.interval_ms / 1000.0
     n_bursts = int(round(d.burst_rate_hz * duration_s))
     if n_bursts == 0:
-        return list(t.samples)
+        return t.samples.tolist()
     lo, hi = _freq_range(t)
     span = hi - lo
     rng = np.random.default_rng(stable_seed(d.seed, "noise-inject", salt))
     positions = rng.integers(0, n, n_bursts)
     widths = rng.integers(NOISE_WIDTHS[0], NOISE_WIDTHS[1] + 1, n_bursts)
     scales = rng.uniform(0.5, 1.0, n_bursts)
-    out = list(t.samples)
+    out = t.samples.tolist()
     for pos, width, scale in zip(positions, widths, scales):
         delta = int(round(d.burst_height * scale * span))
         for i in range(pos, min(pos + width, n)):
@@ -195,6 +195,8 @@ NOISE_CASES = {  # case: (device, samples, rate Hz, height); 10 ms ticks
     "mixed_levels": ("comet_lake", [800_000, 2_600_000, 4_900_000, 1_200_000] * 75, 30.0, 0.45),
     "unknown_device": ("prototype-board", [1_000, 5_000, 3_000, 7_000] * 60, 40.0, 0.6),
     "unknown_device_flat": ("prototype-board", [42] * 50, 100.0, 1.0),
+    # a sample plus its bursts passes 2**63 before the clamp brings it back
+    "unknown_device_near_int64": ("prototype-board", [0, 2**62 + 2**61] * 50, 100.0, 1.0),
 }
 
 
@@ -208,6 +210,26 @@ def test_noise_matches_the_per_sample_loop(case, seed):
         got = apply_defense(d, t, salt=salt).samples
         assert got.tolist() == noise_loop(d, t, salt)
         assert got.dtype == np.int64
+
+
+def test_defended_dataset_matches_the_per_sample_loop_trace_by_trace():
+    # each label mixes ryzen5 traces with an unknown device at other levels,
+    # so one trace's bounds or noise stream reaching another's shows
+    rng = np.random.default_rng(11)
+    measurements = {}
+    for label in ("a", "b", "c"):
+        measurements[label] = [
+            make_trace(rng.integers(1_000_000, 5_000_000, 120).tolist(), label)
+            if i % 2 else make_trace(rng.integers(10 * i, 900 + 10 * i, 120).tolist(), label,
+                                     device="prototype-board")
+            for i in range(5)
+        ]
+    ds = LabeledDataset(classes=["a", "b", "c"], measurements=measurements)
+    d = noise_inject(60.0, burst_height=0.4, seed=2)
+    out = defended_dataset(d, ds)
+    for label, traces in ds.measurements.items():
+        for i, (t, got) in enumerate(zip(traces, out.measurements[label])):
+            assert got.samples.tolist() == noise_loop(d, t, stable_seed("trace-salt", label, i))
 
 
 def test_restrict_is_not_a_trace_transform():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from defend_oracle import serial_sweep
-from freqscope import cli
+from freqscope import cli, defend
 from freqscope.classify import NORM_MINMAX, train_forest_model, train_knn_model
 from freqscope.dataset import LabeledDataset
 from freqscope.defend import constant_mask, defense_sweep, noise_inject, resolution_reduce
@@ -24,6 +24,9 @@ DEFENSES = {  # case: the defenses of one sweep
     "resolution": [resolution_reduce(1), resolution_reduce(4), resolution_reduce(9)],
     "mixed": [noise_inject(20.0, 0.8, seed=3), resolution_reduce(5), constant_mask(2_200_000),
               noise_inject(5.0)],
+    # factor 1 and a burst count that rounds to 0 leave every sample as it is
+    "identity": [resolution_reduce(1), noise_inject(0.5), resolution_reduce(4),
+                 resolution_reduce(4)],
 }
 
 TRAINERS = {
@@ -77,6 +80,22 @@ def test_jobs_run_in_workers_only_with_two_cpus(monkeypatch, tmp_path, workers):
     seen = pids.read_text().split()
     assert len(seen) == 3  # the baseline and two defenses
     assert (str(os.getpid()) in seen) == (workers == 1)
+
+
+@pytest.mark.parametrize("case, jobs", [("one", 2), ("resolution", 3), ("mixed", 5),
+                                         ("identity", 2)])
+def test_one_job_per_distinct_defended_dataset(monkeypatch, case, jobs):
+    # the clean baseline, then each distinct defense that changes a sample
+    calls, job = [], defend._sweep_job
+
+    def counted(i, sweep=None):
+        calls.append(i)
+        return job(i, sweep)
+
+    monkeypatch.setattr(defend, "_sweep_job", counted)
+    use_cpus(monkeypatch, 1)
+    defense_sweep(DEFENSES[case], noisy_dataset(), TRAINERS["knn"])
+    assert calls == list(range(-1, jobs - 1))
 
 
 def simulate_small(out):
