@@ -24,9 +24,9 @@ _NAMES = {
                  "train_knn_model"),
     "dataset": ("DatasetFormatError", "LabeledDataset", "load_dataset", "save_dataset",
                 "split_dataset", "stable_seed"),
-    "defend": ("Defense", "apply_defense", "defense_sweep"),
+    "defend": ("Defense", "defense_sweep"),
     "forest": ("ForestModel", "ForestParams", "forest_train"),
-    "governors": ("InteractiveParams", "SimConfig", "TurboParams", "WorkloadTrace"),
+    "governors": ("SimConfig", "WorkloadTrace"),
     "keystroke": ("KeystrokeParams", "KeystrokeReport", "PasswordModel", "detect_keystrokes",
                   "guess_curve", "train_password_model"),
     "knn": ("KnnModel", "fit_knn", "rank_many"),

@@ -58,7 +58,6 @@ class TrainedModel:
     classifier: KnnModel | ForestModel
     normalization: str
     feature_length: int
-    classes: list[str]
     metadata: dict = field(default_factory=dict)
 
     def rank_many(self, X) -> np.ndarray:
@@ -90,7 +89,6 @@ def _train(kind: str, fit, param, train_ds: LabeledDataset, normalization: str,
         classifier=model,
         normalization=normalization,
         feature_length=X.shape[1],
-        classes=model.classes,
         metadata=dict(metadata or {}),
     )
 
@@ -142,7 +140,7 @@ def evaluate(model: TrainedModel, test_ds: LabeledDataset,
         raise ValueError(
             f"test feature length {X.shape[1]} != model feature length {model.feature_length}"
         )
-    labels = sorted(set(model.classes) | set(truth))
+    labels = sorted(set(model.classifier.classes) | set(truth))
     index = {label: i for i, label in enumerate(labels)}
     true_idx = np.array([index[label] for label in truth])
     ranked = np.array([index[label] for label in model.classifier.classes])[model.rank_many(X)]
@@ -195,7 +193,7 @@ def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
         "kind": model.kind,
         "normalization": model.normalization,
         "feature_length": model.feature_length,
-        "classes": model.classes,
+        "classes": model.classifier.classes,
         "metadata": model.metadata,
         "classifier": _classifier_payload(model),
     }
@@ -295,11 +293,12 @@ def _model_from_doc(doc: dict, path: str | os.PathLike) -> TrainedModel:
         )
     else:
         raise ModelFormatError(f"{path}: unknown model kind {doc['kind']!r}")
+    if doc["classes"] != classifier.classes:
+        raise ModelFormatError(f"{path}: classes differ from the classifier's {classifier.classes}")
     return TrainedModel(
         kind=doc["kind"],
         classifier=classifier,
         normalization=doc["normalization"],
         feature_length=doc["feature_length"],
-        classes=list(doc["classes"]),
         metadata=dict(doc.get("metadata", {})),
     )

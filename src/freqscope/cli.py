@@ -56,7 +56,7 @@ from .dataset import (
 )
 from .defend import defense_sweep, parse_defense, sweep_csv_lines, sweep_plot_lines
 from .forest import ForestParams
-from .governors import InteractiveParams, SimConfig, TurboParams, simulate_batch
+from .governors import SimConfig, simulate_batch
 from .keystroke import (
     KeystrokeParams,
     detect_keystrokes,
@@ -163,12 +163,11 @@ def _write_outputs(out: Path, files: dict[str, list[str]], s: Settings | None = 
 
 def _sim_config(s: Settings, default_profile: str) -> SimConfig:
     profile = get_profile(s.derive("sim.profile", default_profile))
-    hispeed, turbo = s["sim.hispeed_freq_khz"], s["sim.turbo"]
-    return SimConfig(
+    return SimConfig(  # unset values: the profile decides
         profile=profile,
         governor=s.derive("sim.governor", profile.default_governor),
-        interactive=None if hispeed is None else InteractiveParams(hispeed_freq_khz=hispeed),
-        turbo=None if turbo is None else TurboParams(enabled=turbo),  # None: the profile decides
+        turbo=s["sim.turbo"],
+        hispeed_freq_khz=s["sim.hispeed_freq_khz"],
         set_speed_khz=s["sim.set_speed_khz"],
     )
 
@@ -206,7 +205,7 @@ def cmd_simulate(args) -> int:
 
     if s["simulate.kind"] == "website":
         sim_cfg = _sim_config(s, default_profile="ryzen5")
-        s["sim.turbo"] = sim_cfg.effective_turbo().enabled
+        s["sim.turbo"] = sim_cfg.turbo
         interval = s.derive("sim.interval_ms", 10)
         samples = s.derive("sim.samples", 1000)
         jitter = s["simulate.jitter"]
@@ -469,13 +468,26 @@ def cmd_defend(args) -> int:
 # --- report --------------------------------------------------------------
 
 
+def _check_report_value(path, n: int, name: str, text: str) -> None:
+    """`total` must be an integer >= 0, any other value an accuracy in [0, 1]."""
+    try:  # NaN is no accuracy
+        ok = text.isascii() and text.isdigit() if name == "total" else 0.0 <= float(text) <= 1.0
+    except ValueError:
+        ok = False
+    if not ok:
+        want = "an integer >= 0" if name == "total" else "a number in [0, 1]"
+        raise TraceFormatError(n, f"{path}: {name} must be {want}, got {text!r}")
+
+
 def _parse_kv_file(path: Path) -> dict[str, str]:
     values = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or "=" not in line:
             continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in ("top1", "top5", "total"):
+            _check_report_value(path, n, key, value)
+        values[key] = value
     return values
 
 
@@ -513,6 +525,8 @@ def cmd_report(args) -> int:
                 cells = line.split(",")
                 if len(cells) != 4:
                     raise TraceFormatError(n, f"{path_text}: malformed sweep row {line!r}")
+                for name, cell in zip(("top1_clean", "top1_defended"), cells[2:]):
+                    _check_report_value(path_text, n, name, cell)
                 rows.append(cells)
                 plot.append(" ".join(cells))
         table = "\n".join(_align(rows))

@@ -285,10 +285,16 @@ def parse_config(text: str) -> dict[str, object]:
 
 def load_config(path: str | os.PathLike) -> dict[str, object]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {os.fspath(path)!r}: {exc}") from exc
+    try:
+        return parse_config(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        bad = f"{exc.reason} 0x{data[exc.start]:02x}"
+        raise ConfigError(f"config {os.fspath(path)!r} is not UTF-8: {bad}",
+                          data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _render(value: object) -> str:

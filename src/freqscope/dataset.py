@@ -117,8 +117,8 @@ def split_dataset(ds: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset, L
     )
 
 
-def measurement_filename(index: int, width: int = 4) -> str:
-    return f"{index:0{width}d}.ftrace"
+def measurement_filename(index: int) -> str:
+    return f"{index:04d}.ftrace"
 
 
 def save_dataset(ds: LabeledDataset, root: str | os.PathLike) -> None:

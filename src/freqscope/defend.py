@@ -124,12 +124,6 @@ def _freq_range(trace: FrequencyTrace) -> tuple[int, int]:
     return profile.min_freq_khz, profile.boost_cap_khz
 
 
-def apply_defense(d: Defense, t: FrequencyTrace, salt: int = 0) -> FrequencyTrace:
-    """Transform one trace. `salt` decorrelates the noise pattern between
-    traces that share a defense seed; other kinds ignore it."""
-    return replace(t, samples=_defended_samples(d, [t], [salt])[0])
-
-
 def _defended_samples(d: Defense, traces: list[FrequencyTrace], salts: list[int]):
     """The defended samples of traces of one length and interval, one row
     per trace, trace i salted by salts[i]. Only noise works on the [traces,

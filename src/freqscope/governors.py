@@ -10,14 +10,15 @@ exact midpoints rounding upward. The normative laws:
   userspace     set_speed plus at most one load-dependent pstate step
   ondemand      min + load * (max - min)
   conservative  walk one pstate index per tick toward the ondemand target
-  interactive   boost to hispeed_freq on load >= trigger, hold for the
-                boostpulse duration, change at most once per min_sample_time,
-                decay three pstate indices per tick
+  interactive   boost to hispeed_freq on load >= 0.3, hold it for 80 ms,
+                change at most once per 20 ms, decay three pstate indices
+                per tick
   schedutil     PELT tracking (half-life 32 ms), freq = min + 1.25*pelt*span
 
-Turbo, when enabled, caps output at the ceiling and charges a leaky-bucket
-budget for every tick spent above base frequency; with the budget drained
-the output is clamped to base until idle ticks (load < 0.1) refill it.
+Turbo, when enabled, caps output at the profile's boost cap and charges a
+leaky-bucket budget 0.02 for every tick spent above base frequency; with the
+budget drained the output is clamped to base until idle ticks (load < 0.1)
+refill it by 0.05 each.
 
 One engine, `simulate_batch`, runs every law over a [B, T] load matrix,
 from given states or the initial ones; one trace is a one-row matrix.
@@ -33,8 +34,13 @@ from .profiles import GOVERNORS, DeviceProfile, quantize_indices
 
 PELT_HALF_LIFE_MS = 32
 SCHEDUTIL_MARGIN = 1.25
-TURBO_IDLE_LOAD = 0.1
+INTERACTIVE_BOOSTPULSE_MS = 80
+INTERACTIVE_MIN_SAMPLE_TIME_MS = 20
+INTERACTIVE_LOAD_TRIGGER = 0.3
 INTERACTIVE_DECAY_STEPS = 3  # pstate indices shed per tick on the way down
+TURBO_IDLE_LOAD = 0.1
+TURBO_GAIN_PER_IDLE_TICK = 0.05
+TURBO_COST_PER_BOOST_TICK = 0.02
 
 
 def _check_loads(loads: np.ndarray) -> None:
@@ -69,84 +75,37 @@ class WorkloadTrace:
 
 
 @dataclass(frozen=True)
-class InteractiveParams:
-    hispeed_freq_khz: int
-    boostpulse_duration_ms: int = 80
-    min_sample_time_ms: int = 20
-    load_trigger: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.boostpulse_duration_ms < 0 or self.min_sample_time_ms < 0:
-            raise ValueError("interactive durations must be non-negative")
-        if not 0.0 < self.load_trigger <= 1.0:
-            raise ValueError("load_trigger must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class TurboParams:
-    enabled: bool = False
-    ceiling_khz: int | None = None
-    budget_gain_per_idle_tick: float = 0.05
-    budget_cost_per_boost_tick: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.budget_gain_per_idle_tick < 0 or self.budget_cost_per_boost_tick < 0:
-            raise ValueError("turbo budget rates must be non-negative")
-
-
-def default_interactive_params(profile: DeviceProfile) -> InteractiveParams:
-    # 1.2 GHz is off most grids; quantize so hispeed is a real pstate.
-    return InteractiveParams(hispeed_freq_khz=profile.quantize(1_200_000))
-
-
-def default_turbo_params(profile: DeviceProfile) -> TurboParams:
-    return TurboParams(enabled=profile.turbo_boost, ceiling_khz=profile.boost_cap_khz)
-
-
-@dataclass(frozen=True)
 class SimConfig:
+    """A governor on a profile. Unset values come from the profile: turbo
+    from `turbo_boost`, the interactive hispeed from 1.2 GHz quantized (so it
+    is a pstate), the userspace pin from the quantized base, else the middle pstate."""
+
     profile: DeviceProfile
     governor: str
-    interactive: InteractiveParams | None = None
-    turbo: TurboParams | None = None
+    turbo: bool | None = None
+    hispeed_freq_khz: int | None = None
     set_speed_khz: int | None = None
 
     def __post_init__(self) -> None:
+        profile, base = self.profile, self.profile.base_freq_khz
+        mid = profile.pstates[len(profile.pstates) // 2]
+        for name, default in (("turbo", profile.turbo_boost),
+                              ("hispeed_freq_khz", profile.quantize(1_200_000)),
+                              ("set_speed_khz", mid if base is None else profile.quantize(base))):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.governor not in GOVERNORS:
             raise ValueError(f"unknown governor {self.governor!r}")
-        if self.governor not in self.profile.supported_governors:
-            raise ValueError(
-                f"governor {self.governor!r} not supported by {self.profile.name} "
-                f"(supported: {', '.join(self.profile.supported_governors)})"
-            )
-        turbo = self.effective_turbo()
-        if turbo.enabled:
-            if self.profile.base_freq_khz is None:
-                raise ValueError(f"turbo requires a base frequency; {self.profile.name} has none")
-            if turbo.ceiling_khz is not None and turbo.ceiling_khz > self.profile.max_freq_khz:
-                raise ValueError("turbo ceiling above profile max")
+        if self.governor not in profile.supported_governors:
+            raise ValueError(f"governor {self.governor!r} not supported by {profile.name} "
+                             f"(supported: {', '.join(profile.supported_governors)})")
+        if self.turbo:
+            if base is None:
+                raise ValueError(f"turbo requires a base frequency; {profile.name} has none")
             if self.governor == "interactive":
                 raise ValueError("turbo is not modeled under the interactive governor")
-        ia = self.effective_interactive()
-        if ia.hispeed_freq_khz not in self.profile.pstates:
+        if self.hispeed_freq_khz not in profile.pstates:
             raise ValueError("hispeed_freq_khz must be a profile pstate")
-
-    def effective_interactive(self) -> InteractiveParams:
-        return self.interactive or default_interactive_params(self.profile)
-
-    def effective_turbo(self) -> TurboParams:
-        turbo = self.turbo or default_turbo_params(self.profile)
-        if turbo.enabled and turbo.ceiling_khz is None:
-            turbo = replace(turbo, ceiling_khz=self.profile.boost_cap_khz)
-        return turbo
-
-    def effective_set_speed(self) -> int:
-        if self.set_speed_khz is not None:
-            return self.set_speed_khz
-        if self.profile.base_freq_khz is not None:
-            return self.profile.quantize(self.profile.base_freq_khz)
-        mid = len(self.profile.pstates) // 2
-        return self.profile.pstates[mid]
 
 
 @dataclass
@@ -164,8 +123,7 @@ class GovernorState:
 def init_state(cfg: SimConfig) -> GovernorState:
     profile, governor = cfg.profile, cfg.governor
     if governor == "userspace":
-        set_speed = cfg.effective_set_speed()
-        return GovernorState(governor, profile.quantize(set_speed), set_speed)
+        return GovernorState(governor, profile.quantize(cfg.set_speed_khz), cfg.set_speed_khz)
     start = profile.max_freq_khz if governor == "performance" else profile.min_freq_khz
     return GovernorState(governor, start)
 
@@ -223,9 +181,9 @@ def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
     del target
 
     if governor == "interactive":
-        trigger = loads >= cfg.effective_interactive().load_trigger
+        trigger = loads >= INTERACTIVE_LOAD_TRIGGER
         return _interactive_law(want, trigger, states, cfg, tick_ms)
-    if governor == "conservative" or cfg.effective_turbo().enabled:
+    if governor == "conservative" or cfg.turbo:
         return _pstate_law(want, loads < TURBO_IDLE_LOAD, states, cfg)
     freqs = np.asarray(profile.pstates, dtype=np.int64)[want]
     return freqs, [replace(s, current_freq_khz=int(f)) for s, f in zip(states, freqs[:, -1])]
@@ -235,23 +193,23 @@ def _pstate_law(want: np.ndarray, idle: np.ndarray, states: list[GovernorState],
                 cfg: SimConfig) -> tuple[np.ndarray, list[GovernorState]]:
     """The conservative walk (one index per tick toward `want`; other laws go
     straight to it) and the turbo bucket, one tick at a time over all rows."""
-    profile, turbo = cfg.profile, cfg.effective_turbo()
+    profile = cfg.profile
     # turbo clamping can leave current off-grid; re-anchor before walking
     cur = quantize_indices(profile.pstates, [s.current_freq_khz for s in states])
     budget = np.array([s.turbo_budget for s in states], dtype=np.float64)
     capped = np.asarray(profile.pstates, dtype=np.int64)
-    if turbo.enabled:
+    if cfg.turbo:
         base = profile.base_freq_khz  # not None: SimConfig enforces it under turbo
         base_q = profile.quantize(base)
-        cost, gain = turbo.budget_cost_per_boost_tick, turbo.budget_gain_per_idle_tick
-        capped = np.minimum(capped, turbo.ceiling_khz)
+        cost, gain = TURBO_COST_PER_BOOST_TICK, TURBO_GAIN_PER_IDLE_TICK
+        capped = np.minimum(capped, profile.boost_cap_khz)
         anchor = quantize_indices(profile.pstates, capped)  # where each output re-anchors
         base_index = profile.pstate_index(base_q)
     out = np.empty(want.shape[::-1], dtype=np.int64)  # [T, B]: a tick's row is contiguous
     for t, (w, is_idle) in enumerate(zip(want.T, idle.T)):
         cur = cur + np.sign(w - cur) if cfg.governor == "conservative" else w
         freq = capped[cur]
-        if turbo.enabled:
+        if cfg.turbo:
             boosted = freq > base
             paid = boosted & (budget > cost)
             budget = np.where(paid, np.maximum(0.0, budget - cost), budget)
@@ -270,9 +228,8 @@ def _interactive_law(want: np.ndarray, trigger: np.ndarray, states: list[Governo
     a trigger tick and hold it for the boostpulse once reached, change at most
     once per min_sample_time, shed at most INTERACTIVE_DECAY_STEPS a tick."""
     profile = cfg.profile
-    ia = cfg.effective_interactive()
     pstates = np.asarray(profile.pstates, dtype=np.int64)
-    hispeed = profile.pstate_index(ia.hispeed_freq_khz)
+    hispeed = profile.pstate_index(cfg.hispeed_freq_khz)
     cur = np.array([profile.pstate_index(s.current_freq_khz) for s in states], dtype=np.int64)
     remaining = np.array([s.boost_remaining_ms for s in states], dtype=np.int64)
     since = np.array([s.ms_since_change for s in states], dtype=np.int64)
@@ -286,12 +243,12 @@ def _interactive_law(want: np.ndarray, trigger: np.ndarray, states: list[Governo
         # this tick's time elapses before the change decision, so a change is
         # legal once a full min_sample_time window has passed since the last one
         since = np.minimum(since + tick_ms, 1 << 30)
-        changed = (w != cur) & (since >= ia.min_sample_time_ms)
+        changed = (w != cur) & (since >= INTERACTIVE_MIN_SAMPLE_TIME_MS)
         since[changed] = 0
         cur = np.where(changed, w, cur)
         # boost countdown starts once the frequency actually reaches hispeed
         reached = pending & (cur >= hispeed)
-        remaining[reached] = ia.boostpulse_duration_ms
+        remaining[reached] = INTERACTIVE_BOOSTPULSE_MS
         pending = pending ^ reached  # reached rows were pending
         remaining = np.maximum(0, remaining - tick_ms)
         out[t] = pstates[cur]

@@ -178,20 +178,17 @@ def password_gap_means(password: str) -> list[float]:
     return [gap_mean_ms(a, b) for a, b in zip(password, password[1:])]
 
 
-def sample_timing_vector(password: str, rng: np.random.Generator,
-                         sigma_ms: float = GAP_SIGMA_MS) -> np.ndarray:
+def sample_timing_vector(password: str, rng: np.random.Generator) -> np.ndarray:
     means = np.array(password_gap_means(password))
-    gaps = rng.normal(means, sigma_ms)
+    gaps = rng.normal(means, GAP_SIGMA_MS)
     return np.maximum(gaps, GAP_MIN_MS)
 
 
-def password_press_schedule(password: str, seed: int = 0,
-                            sigma_ms: float = GAP_SIGMA_MS,
-                            first_press_ms: int = FIRST_PRESS_MS) -> list[int]:
+def password_press_schedule(password: str, seed: int = 0) -> list[int]:
     """Press times (ms) for typing one password, for the workload generator."""
     rng = np.random.default_rng(stable_seed(seed, "password-schedule", password))
-    gaps = sample_timing_vector(password, rng, sigma_ms)
-    out = [first_press_ms]
+    gaps = sample_timing_vector(password, rng)
+    out = [FIRST_PRESS_MS]
     for g in gaps:
         out.append(out[-1] + int(round(g)))
     return out

@@ -84,15 +84,13 @@ def idle_workload(n_ticks: int, tick_ms: int = 10, *, seed: int) -> WorkloadTrac
     return WorkloadTrace(loads=loads, tick_ms=tick_ms)
 
 
-def noise_workload(n_ticks: int, tick_ms: int = 10, *, seed: int,
-                   burst_count: int | None = None) -> WorkloadTrace:
+def noise_workload(n_ticks: int, tick_ms: int = 10, *, seed: int) -> WorkloadTrace:
     """Random bursts entirely from the seed; no reproducible class skeleton."""
     if n_ticks < 1:
         raise ValueError("n_ticks must be >= 1")
     rng = np.random.default_rng(seed)
     loads = np.full(n_ticks, WEBSITE_BASE_LOAD)
-    if burst_count is None:
-        burst_count = int(rng.integers(*WEBSITE_BURSTS))
-    _burst_overlay(loads, rng, burst_count, WEBSITE_WIDTHS, WEBSITE_HEIGHTS)
+    _burst_overlay(loads, rng, int(rng.integers(*WEBSITE_BURSTS)), WEBSITE_WIDTHS,
+                   WEBSITE_HEIGHTS)
     loads = loads + rng.normal(0.0, WEBSITE_JITTER, size=n_ticks)
     return WorkloadTrace(loads=np.clip(loads, 0.0, 1.0), tick_ms=tick_ms)

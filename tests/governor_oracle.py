@@ -1,21 +1,17 @@
 """Reference scalar governor laws: one tick at a time, one trace at a time.
 
 This is the per-tick implementation the batch engine in
-`freqscope.governors` replaced, kept verbatim as the oracle the engine is
-compared against bit for bit. It is deliberately slow and simple: every
-tick copies the state, resolves the config and applies the law.
+`freqscope.governors` replaced, kept as the oracle the engine is compared
+against bit for bit. It is deliberately slow and simple: every
+tick copies the state and applies the law. The law constants are read
+from `freqscope.governors` at every tick, so a test that patches one there
+changes it for the engine and the oracle alike.
 """
 
 from __future__ import annotations
 
-from freqscope.governors import (
-    INTERACTIVE_DECAY_STEPS,
-    PELT_HALF_LIFE_MS,
-    SCHEDUTIL_MARGIN,
-    TURBO_IDLE_LOAD,
-    GovernorState,
-    SimConfig,
-)
+from freqscope import governors as laws
+from freqscope.governors import GovernorState, SimConfig
 from freqscope.profiles import DeviceProfile
 
 
@@ -25,13 +21,13 @@ def init_state(cfg: SimConfig) -> GovernorState:
     if governor == "performance":
         start = profile.max_freq_khz
     elif governor == "userspace":
-        start = profile.quantize(cfg.effective_set_speed())
+        start = profile.quantize(cfg.set_speed_khz)
     else:
         start = profile.min_freq_khz
     return GovernorState(
         governor=governor,
         current_freq_khz=start,
-        set_speed_khz=cfg.effective_set_speed() if governor == "userspace" else None,
+        set_speed_khz=cfg.set_speed_khz if governor == "userspace" else None,
     )
 
 
@@ -40,7 +36,7 @@ def _ondemand_target(profile: DeviceProfile, load: float) -> float:
 
 
 def _pelt_alpha(tick_ms: int) -> float:
-    return 1.0 - 2.0 ** (-tick_ms / PELT_HALF_LIFE_MS)
+    return 1.0 - 2.0 ** (-tick_ms / laws.PELT_HALF_LIFE_MS)
 
 
 def step_governor(state: GovernorState, load: float, cfg: SimConfig, tick_ms: int = 10) -> GovernorState:
@@ -86,7 +82,7 @@ def step_governor(state: GovernorState, load: float, cfg: SimConfig, tick_ms: in
         alpha = _pelt_alpha(tick_ms)
         nxt.pelt_load = alpha * load + (1.0 - alpha) * nxt.pelt_load
         span = profile.max_freq_khz - profile.min_freq_khz
-        target = profile.min_freq_khz + SCHEDUTIL_MARGIN * nxt.pelt_load * span
+        target = profile.min_freq_khz + laws.SCHEDUTIL_MARGIN * nxt.pelt_load * span
         target = min(target, float(profile.max_freq_khz))
     else:
         raise ValueError(f"unknown governor {governor!r}")
@@ -115,40 +111,38 @@ def _grid_step(profile: DeviceProfile) -> float:
 
 
 def _apply_turbo(state: GovernorState, load: float, cfg: SimConfig, tick_ms: int) -> None:
-    turbo = cfg.effective_turbo()
-    if not turbo.enabled:
+    if not cfg.turbo:
         return
     profile = cfg.profile
     base = profile.base_freq_khz
     assert base is not None  # enforced by SimConfig
-    freq = min(state.current_freq_khz, turbo.ceiling_khz)
+    freq = min(state.current_freq_khz, profile.boost_cap_khz)
     if freq > base:
-        if state.turbo_budget > turbo.budget_cost_per_boost_tick:
-            state.turbo_budget = max(0.0, state.turbo_budget - turbo.budget_cost_per_boost_tick)
+        if state.turbo_budget > laws.TURBO_COST_PER_BOOST_TICK:
+            state.turbo_budget = max(0.0, state.turbo_budget - laws.TURBO_COST_PER_BOOST_TICK)
         else:
             freq = profile.quantize(base)
     state.current_freq_khz = freq
-    if load < TURBO_IDLE_LOAD:
-        state.turbo_budget = min(1.0, state.turbo_budget + turbo.budget_gain_per_idle_tick)
+    if load < laws.TURBO_IDLE_LOAD:
+        state.turbo_budget = min(1.0, state.turbo_budget + laws.TURBO_GAIN_PER_IDLE_TICK)
 
 
 def _step_interactive(state: GovernorState, load: float, cfg: SimConfig, tick_ms: int) -> None:
     profile = cfg.profile
-    ia = cfg.effective_interactive()
 
-    if load >= ia.load_trigger:
+    if load >= laws.INTERACTIVE_LOAD_TRIGGER:
         state.boost_pending = True
 
     desired = profile.quantize(_ondemand_target(profile, load))
     if state.boost_pending or state.boost_remaining_ms > 0:
-        desired = max(desired, ia.hispeed_freq_khz)
+        desired = max(desired, cfg.hispeed_freq_khz)
 
     cur_idx = profile.pstate_index(state.current_freq_khz)
     want_idx = profile.pstate_index(desired)
     if want_idx > cur_idx:
         next_idx = want_idx  # upward moves are immediate
     elif want_idx < cur_idx:
-        next_idx = max(want_idx, cur_idx - INTERACTIVE_DECAY_STEPS)
+        next_idx = max(want_idx, cur_idx - laws.INTERACTIVE_DECAY_STEPS)
     else:
         next_idx = cur_idx
     next_freq = profile.pstates[next_idx]
@@ -156,7 +150,8 @@ def _step_interactive(state: GovernorState, load: float, cfg: SimConfig, tick_ms
     # this tick's time elapses before the change decision, so a change is
     # legal once a full min_sample_time window has passed since the last one
     state.ms_since_change = min(state.ms_since_change + tick_ms, 1 << 30)
-    if next_freq != state.current_freq_khz and state.ms_since_change < ia.min_sample_time_ms:
+    rate_limited = state.ms_since_change < laws.INTERACTIVE_MIN_SAMPLE_TIME_MS
+    if next_freq != state.current_freq_khz and rate_limited:
         next_freq = state.current_freq_khz  # rate limited, retry next tick
 
     if next_freq != state.current_freq_khz:
@@ -164,8 +159,8 @@ def _step_interactive(state: GovernorState, load: float, cfg: SimConfig, tick_ms
     state.current_freq_khz = next_freq
 
     # boost countdown starts once the frequency actually reaches hispeed
-    if state.boost_pending and state.current_freq_khz >= ia.hispeed_freq_khz:
-        state.boost_remaining_ms = ia.boostpulse_duration_ms
+    if state.boost_pending and state.current_freq_khz >= cfg.hispeed_freq_khz:
+        state.boost_remaining_ms = laws.INTERACTIVE_BOOSTPULSE_MS
         state.boost_pending = False
     state.boost_remaining_ms = max(0, state.boost_remaining_ms - tick_ms)
 

@@ -3,11 +3,14 @@
 (the CLI measures timings from simulated traces), the sampling-rate
 repetitiveness diagnostic, and one-row calls of the batch entry points."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from freqscope.dataset import LabeledDataset, stable_seed
+from freqscope.defend import Defense, _defended_samples
 from freqscope.governors import SimConfig, WorkloadTrace, simulate_batch
-from freqscope.keystroke import GAP_SIGMA_MS, MEASUREMENTS_PER_LABEL, sample_timing_vector
+from freqscope.keystroke import MEASUREMENTS_PER_LABEL, sample_timing_vector
 from freqscope.knn import KnnModel, rank_many
 from freqscope.sources import FreqSource
 from freqscope.trace import FrequencyTrace
@@ -30,6 +33,13 @@ def knn_rank(model: KnnModel, x) -> list[tuple[str, float]]:
     (label, score), best first."""
     (order,), (votes,) = rank_many(model, np.asarray(x, dtype=np.float64)[None])
     return [(model.classes[c], v / model.k) for c, v in zip(order.tolist(), votes.tolist())]
+
+
+def apply_defense(d: Defense, t: FrequencyTrace, salt: int = 0) -> FrequencyTrace:
+    """One trace defended, as a one-row `defend._defended_samples`. `salt`
+    decorrelates the noise pattern between traces that share a defense seed;
+    other kinds ignore it."""
+    return replace(t, samples=_defended_samples(d, [t], [salt])[0])
 
 
 def merge_datasets(datasets: list[LabeledDataset]) -> LabeledDataset:
@@ -55,8 +65,7 @@ def merge_datasets(datasets: list[LabeledDataset]) -> LabeledDataset:
 
 
 def password_timing_vectors(passwords: list[str], per_label: int = MEASUREMENTS_PER_LABEL,
-                            sigma_ms: float = GAP_SIGMA_MS, seed: int = 0
-                            ) -> dict[str, list[np.ndarray]]:
+                            seed: int = 0) -> dict[str, list[np.ndarray]]:
     """Synthetic measurement set: per-gap means from key adjacency, gaussian
     jitter per measurement. Deterministic per (seed, password, index)."""
     out: dict[str, list[np.ndarray]] = {}
@@ -64,7 +73,7 @@ def password_timing_vectors(passwords: list[str], per_label: int = MEASUREMENTS_
         vecs = []
         for i in range(per_label):
             rng = np.random.default_rng(stable_seed(seed, "password-timing", pw, i))
-            vecs.append(sample_timing_vector(pw, rng, sigma_ms))
+            vecs.append(sample_timing_vector(pw, rng))
         out[pw] = vecs
     return out
 

@@ -25,9 +25,9 @@ from freqscope.dataset import LabeledDataset, split_dataset, stable_seed
 from freqscope.defend import constant_mask, defense_sweep, resolution_reduce
 from freqscope.forest import ForestParams
 from freqscope.governors import (
+    INTERACTIVE_BOOSTPULSE_MS,
+    INTERACTIVE_LOAD_TRIGGER,
     SimConfig,
-    TurboParams,
-    default_interactive_params,
     simulate_batch,
 )
 from freqscope.keystroke import (
@@ -101,7 +101,6 @@ def test_acceptance_1_governor_invariants(capsys):
     with verdict(capsys, 1, "governor invariants"):
         ryzen = get_profile("ryzen5")
         cortex = get_profile("cortex_a73")
-        no_turbo = TurboParams(enabled=False)
         ryzen_index = {f: i for i, f in enumerate(ryzen.pstates)}
 
         def assert_bounded(profile, samples):
@@ -122,7 +121,7 @@ def test_acceptance_1_governor_invariants(capsys):
 
         for gov in ("performance", "powersave", "userspace", "ondemand",
                     "conservative", "schedutil"):
-            cfg = SimConfig(profile=ryzen, governor=gov, turbo=no_turbo)
+            cfg = SimConfig(profile=ryzen, governor=gov, turbo=False)
             for loads, samples in zip(*simulate_all(cfg, gov, 10)):
                 assert_bounded(ryzen, samples)
                 if gov == "ondemand":
@@ -134,14 +133,13 @@ def test_acceptance_1_governor_invariants(capsys):
                     assert all(abs(b - a) <= 1 for a, b in zip(steps, steps[1:]))
 
         icfg = SimConfig(profile=cortex, governor="interactive")
-        ia = default_interactive_params(cortex)
-        hold_samples = ia.boostpulse_duration_ms // 20
+        hispeed = icfg.hispeed_freq_khz
+        hold_samples = INTERACTIVE_BOOSTPULSE_MS // 20
         for loads, s in zip(*simulate_all(icfg, "boost", 20)):
             assert_bounded(cortex, s)
             for t, load in enumerate(loads):
-                if load >= ia.load_trigger and s[t] >= ia.hispeed_freq_khz:
-                    assert all(x >= ia.hispeed_freq_khz
-                               for x in s[t:t + hold_samples])
+                if load >= INTERACTIVE_LOAD_TRIGGER and s[t] >= hispeed:
+                    assert all(x >= hispeed for x in s[t:t + hold_samples])
         # at 10 ms ticks the 20 ms rate limit forbids back-to-back changes
         for _, s in zip(*simulate_all(icfg, "rate", 10)):
             for t in range(1, len(s) - 1):
@@ -259,7 +257,7 @@ def test_acceptance_6_password_recovery(capsys):
         text = (resources.files("freqscope") / "data" / "passwords.txt").read_text()
         passwords = [line.strip() for line in text.splitlines() if line.strip()]
         assert len(passwords) == 50
-        ds = password_timing_vectors(passwords, per_label=10, sigma_ms=30.0, seed=3)
+        ds = password_timing_vectors(passwords, per_label=10, seed=3)
         model, held_out = train_password_model(ds, split_seed=3)
         curve = guess_curve(model, held_out, 5)
         assert curve[0] >= 0.80

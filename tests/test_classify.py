@@ -123,7 +123,7 @@ def test_knn_model_end_to_end():
     train, _, test = split_dataset(separable_dataset())
     model = train_knn_model(train, k=3)
     assert model.kind == "knn"
-    assert model.classes == ["c0", "c1", "c2"]
+    assert model.classifier.classes == ["c0", "c1", "c2"]
     report = evaluate(model, test, topk=(1, 2))
     assert report.top1_accuracy == 1.0
     assert report.topk_accuracy[2] == 1.0
@@ -179,7 +179,7 @@ def test_evaluate_matches_per_query_rankings(kind):
     report = evaluate(model, test, topk=topk)
 
     X, truth = dataset_matrix(test)
-    labels = sorted(set(model.classes) | set(truth))
+    labels = sorted(set(model.classifier.classes) | set(truth))
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     hits = dict.fromkeys(topk, 0)
     for x, true_label in zip(X, truth):
@@ -253,7 +253,7 @@ def test_model_round_trip_preserves_predictions(tmp_path, kind):
     loaded = load_model(path)
     assert loaded.kind == model.kind
     assert loaded.normalization == NORM_MINMAX
-    assert loaded.classes == model.classes
+    assert loaded.classifier.classes == model.classifier.classes
     assert loaded.metadata == model.metadata
     X, _ = dataset_matrix(test, NORM_MINMAX)
     assert loaded.rank_many(X).tobytes() == model.rank_many(X).tobytes()

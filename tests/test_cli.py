@@ -179,6 +179,16 @@ def test_bad_config_file_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"run.seed = 3\n\xff\n")
+    rc = run_cli("simulate", "--config", conf, "--out", tmp_path / "x")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"line 2: config {str(conf)!r} is not UTF-8: invalid start byte 0xff" in err
+    assert "Traceback" not in err and not (tmp_path / "x").exists()
+
+
 REMOVED_KEYS = {  # a setting that was deleted: the command that took it
     "sim.conservative_step_khz = 100000": ("simulate", "--out"),
     "keystroke.decay_ms = 200": ("keystrokes", "--dataset"),
@@ -393,6 +403,8 @@ MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
     "feature_length_not_train_x_width":
         ("knn", lambda doc: _with("feature_length", doc["feature_length"] - 1)(doc)),
     "knn_k_not_an_int": ("knn", _k_set(True)),
+    "knn_classes_disagree": ("knn", _with("classes", ["a"])),
+    "forest_classes_disagree": ("forest", _with("classes", ["a"])),
     "no_forest_max_depth": ("forest", _drop("classifier", "params", "max_depth")),
     "zero_forest_trees": ("forest", _zero_trees),
     "forest_trees_not_objects": ("forest", _trees_not_objects),
@@ -793,6 +805,42 @@ def test_report_from_eval_kv(tmp_path, website_ds, capsys):
     text = capsys.readouterr().out
     assert "run_a" in text and "run_b" in text
     assert (tmp_path / "rpt" / "eval.dat").exists()
+
+
+def test_report_renders_missing_keys_as_blanks(tmp_path, capsys):
+    kv = tmp_path / "only_top1.kv"
+    kv.write_text("top1 = 0.5\nnote = anything\n")
+    assert run_cli("report", "--eval-kv", kv, "--out", tmp_path / "rpt") == 0
+    assert "only_top1  0.5   -     -" in capsys.readouterr().out
+    assert (tmp_path / "rpt" / "eval.dat").read_text() == "# name top1\nonly_top1 0.5\n"
+
+
+SWEEP_HEADER = "defense,param,top1_clean,top1_defended\n"
+
+MALFORMED_REPORTS = {  # case: (flag, file text, line of the fault)
+    "top1_not_a_number": ("--eval-kv", "total = 4\ntop1 = x\n", 2),
+    "top1_nan": ("--eval-kv", "top1 = nan\n", 1),
+    "top5_above_one": ("--eval-kv", "top1 = 0.5\ntop5 = 1.5\n", 2),
+    "top1_negative": ("--eval-kv", "top1 = -0.1\n", 1),
+    "total_negative": ("--eval-kv", "\ntotal = -3\n", 2),
+    "total_not_an_int": ("--eval-kv", "total = 2.5\n", 1),
+    "sweep_clean_not_a_number": ("--sweep-csv", SWEEP_HEADER + "noise_inject,20,abc,1.5\n", 2),
+    "sweep_defended_above_one": ("--sweep-csv", SWEEP_HEADER + "resolution_reduce,1,0.9,0.9\n"
+                                 "noise_inject,20,0.5,1.5\n", 3),
+    "sweep_defended_empty": ("--sweep-csv", SWEEP_HEADER + "noise_inject,20,0.5,\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_report_malformed_value_exits_3(tmp_path, case, capsys):
+    flag, text, line = MALFORMED_REPORTS[case]
+    path = tmp_path / ("sweep.csv" if flag == "--sweep-csv" else "run.kv")
+    path.write_text(text)
+    capsys.readouterr()
+    assert run_cli("report", flag, path, "--out", tmp_path / "rpt") == 3
+    err = capsys.readouterr().err
+    assert f"line {line}: {path}: " in err and "Traceback" not in err
+    assert not (tmp_path / "rpt").exists()
 
 
 def test_report_malformed_sweep_row_exits_3(tmp_path):

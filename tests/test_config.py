@@ -98,6 +98,17 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "absent.conf")
 
 
+@pytest.mark.parametrize("data,line", [(b"\xff", 1), (b"run.seed = 1\n\n# caf\xe9\n", 3),
+                                       (b"run.seed = 1\n\xe2\x82", 2)])
+def test_load_config_not_utf8_names_path_and_line(tmp_path, data, line):
+    path = tmp_path / "bad.conf"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"line {line}: config {str(path)!r} is not UTF-8: ")
+    assert info.value.line_no == line
+
+
 def test_rejected_write_leaves_existing_resolved_file(tmp_path):
     path = tmp_path / RESOLVED_CONFIG_NAME
     write_resolved(path, {"run.seed": 1})

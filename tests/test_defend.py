@@ -9,7 +9,6 @@ from freqscope.defend import (
     NOISE_WIDTHS,
     Defense,
     _freq_range,
-    apply_defense,
     constant_mask,
     defended_dataset,
     defense_sweep,
@@ -21,6 +20,7 @@ from freqscope.defend import (
 )
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
+from helpers import apply_defense
 
 RYZEN = get_profile("ryzen5")
 

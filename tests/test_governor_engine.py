@@ -1,16 +1,17 @@
 """The batch governor engine against the scalar reference laws, bit for bit."""
 
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import governor_oracle as oracle
+from freqscope import governors
 from freqscope.governors import (
     GOVERNORS,
-    InteractiveParams,
     SimConfig,
-    TurboParams,
     WorkloadTrace,
     init_state,
     simulate_batch,
@@ -23,23 +24,34 @@ PROFILES = sorted(builtin_profiles().values(), key=lambda p: p.name)
 TICKS_MS = (10, 20, 25)
 
 
+@contextmanager
+def law_constants(**values):
+    """Patch law constants of `freqscope.governors`, which the engine and the
+    oracle both read at run time."""
+    with ExitStack() as stack:
+        for name, value in values.items():
+            stack.enter_context(patch.object(governors, name, value))
+        yield
+
+
 def turbo_variants(profile, governor):
-    yield TurboParams(enabled=False)
+    """(profile, turbo on, law constants) of each turbo variant."""
+    yield profile, False, {}
     if profile.base_freq_khz is None or governor == "interactive":
         return
-    yield TurboParams(enabled=True, ceiling_khz=profile.boost_cap_khz)
+    yield profile, True, {}
     # off the pstate grid: clamped output must be re-anchored by conservative
-    yield TurboParams(enabled=True, ceiling_khz=profile.boost_cap_khz - 50_000)
+    yield replace(profile, turbo_ceiling_khz=profile.boost_cap_khz - 50_000), True, {}
     # binary fractions: the budget lands exactly on the cost and on 1.0
-    yield TurboParams(enabled=True, ceiling_khz=profile.boost_cap_khz,
-                      budget_gain_per_idle_tick=0.125, budget_cost_per_boost_tick=0.25)
+    yield profile, True, {"TURBO_GAIN_PER_IDLE_TICK": 0.125, "TURBO_COST_PER_BOOST_TICK": 0.25}
 
 
 def configs(profile, governor):
+    """(config, law constants to patch) of each turbo variant."""
     # every law on every profile, supported by it or not
     profile = replace(profile, supported_governors=GOVERNORS)
-    for turbo in turbo_variants(profile, governor):
-        yield SimConfig(profile=profile, governor=governor, turbo=turbo)
+    for variant, turbo, constants in turbo_variants(profile, governor):
+        yield SimConfig(profile=variant, governor=governor, turbo=turbo), constants
 
 
 def load_matrix(kind: str, rows: int, ticks: int, seed: int) -> np.ndarray:
@@ -70,16 +82,17 @@ def oracle_rows(loads, cfg, tick_ms, states=None):
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
 def test_engine_matches_oracle(profile, governor):
     seed = 0
-    for cfg in configs(profile, governor):
+    for cfg, constants in configs(profile, governor):
         for tick_ms in TICKS_MS:
             for rows in (1, 5):
                 for kind in ("random", "bursty"):
                     seed += 1
                     loads = load_matrix(kind, rows, 120, seed)
-                    got, ends = simulate_batch(loads, tick_ms, cfg)
-                    want, want_ends = oracle_rows(loads, cfg, tick_ms)
+                    with law_constants(**constants):
+                        got, ends = simulate_batch(loads, tick_ms, cfg)
+                        want, want_ends = oracle_rows(loads, cfg, tick_ms)
                     assert got.dtype == np.int64
-                    assert got.tolist() == want, (cfg.turbo, tick_ms, rows, kind)
+                    assert got.tolist() == want, (cfg, constants, tick_ms, rows, kind)
                     assert ends == want_ends
                     assert all(type(s.current_freq_khz) is int for s in ends)
 
@@ -108,31 +121,33 @@ def test_engine_matches_oracle_property(governor, variant):
 
     @st.composite
     def runs(draw):
-        cfg = draw(st.sampled_from(variant_configs(governor, variant)))
+        cfg, constants = draw(st.sampled_from(variant_configs(governor, variant)))
         if governor == "interactive":
-            cfg = replace(cfg, interactive=InteractiveParams(
-                hispeed_freq_khz=draw(st.sampled_from(cfg.profile.pstates)),
-                boostpulse_duration_ms=draw(st.sampled_from([0, 20, 80, 130])),
-                min_sample_time_ms=draw(st.sampled_from([0, 10, 20, 45])),
-                load_trigger=draw(st.sampled_from([0.05, 0.3, 1.0]))))
+            cfg = replace(cfg, hispeed_freq_khz=draw(st.sampled_from(cfg.profile.pstates)))
+            constants = {
+                "INTERACTIVE_BOOSTPULSE_MS": draw(st.sampled_from([0, 20, 80, 130])),
+                "INTERACTIVE_MIN_SAMPLE_TIME_MS": draw(st.sampled_from([0, 10, 20, 45])),
+                "INTERACTIVE_LOAD_TRIGGER": draw(st.sampled_from([0.05, 0.3, 1.0])),
+            }
         rows, ticks, prefix_ticks = (draw(st.integers(1, 64)), draw(st.integers(1, 40)),
                                      draw(st.integers(2, 200)))
         kind = draw(st.sampled_from(["random", "bursty", "steps"]))
-        return (cfg, draw(st.integers(1, 50)), kind, rows, ticks, prefix_ticks,
+        return (cfg, constants, draw(st.integers(1, 50)), kind, rows, ticks, prefix_ticks,
                 draw(st.integers(0, 2**32 - 2)))
 
     @hypothesis.settings(max_examples=25 if governor == "interactive" else 10, deadline=None)
     @hypothesis.given(run=runs())
     def check(run):
-        cfg, tick_ms, kind, rows, ticks, prefix_ticks, seed = run
+        cfg, constants, tick_ms, kind, rows, ticks, prefix_ticks, seed = run
         loads = load_matrix(kind, rows, ticks, seed)
         prefix = load_matrix(kind, rows, prefix_ticks, seed + 1)
         # half the prefixes end on an idle tick, which may change the frequency,
         # then a full-load one: rows start mid-boost, some with it still pending
         prefix[np.random.default_rng(seed).random(rows) < 0.5, -2:] = (0.0, 1.0)
-        _, starts = simulate_batch(prefix, tick_ms, cfg)
-        got, ends = simulate_batch(loads, tick_ms, cfg, starts)
-        want, want_ends = oracle_rows(loads, cfg, tick_ms, starts)
+        with law_constants(**constants):
+            _, starts = simulate_batch(prefix, tick_ms, cfg)
+            got, ends = simulate_batch(loads, tick_ms, cfg, starts)
+            want, want_ends = oracle_rows(loads, cfg, tick_ms, starts)
         assert got.dtype == np.int64 and got.shape == loads.shape
         assert got.tolist() == want
         assert ends == want_ends
@@ -149,10 +164,9 @@ def test_conservative_walks_down_from_an_off_grid_ceiling():
     for profile in PROFILES:
         if profile.base_freq_khz is None:
             continue
-        profile = replace(profile, supported_governors=GOVERNORS)
         ceiling = (profile.pstates[-2] + profile.pstates[-1]) // 2 - 1
-        cfg = SimConfig(profile=profile, governor="conservative",
-                        turbo=TurboParams(enabled=True, ceiling_khz=ceiling))
+        profile = replace(profile, supported_governors=GOVERNORS, turbo_ceiling_khz=ceiling)
+        cfg = SimConfig(profile=profile, governor="conservative", turbo=True)
         loads = np.repeat([[1.0, 0.0, 0.5]], [len(profile.pstates) + 5, 20, 20], axis=1)
         got, ends = simulate_batch(loads, 10, cfg)
         assert (got.tolist(), ends) == oracle_rows(loads, cfg, 10)
@@ -163,21 +177,23 @@ def test_conservative_walks_down_from_an_off_grid_ceiling():
 def test_chunked_runs_equal_one_run(governor):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    cfgs = [cfg for profile in PROFILES for cfg in configs(profile, governor)]
+    cfgs = [variant for profile in PROFILES for variant in configs(profile, governor)]
 
     @hypothesis.settings(max_examples=20, deadline=None)
-    @hypothesis.given(cfg=st.sampled_from(cfgs), seed=st.integers(0, 2**32 - 1),
+    @hypothesis.given(variant=st.sampled_from(cfgs), seed=st.integers(0, 2**32 - 1),
                       splits=st.lists(st.integers(1, 89), min_size=1, max_size=4, unique=True))
-    def check(cfg, seed, splits):
+    def check(variant, seed, splits):
+        cfg, constants = variant
         loads = load_matrix("bursty", 5, 90, seed)
-        whole, whole_ends = simulate_batch(loads, 20, cfg)
         bounds = [0, *sorted(splits), 90]
         parts, states = [], None
-        for lo, hi in zip(bounds, bounds[1:]):
-            part, states = simulate_batch(loads[:, lo:hi], 20, cfg, states)
-            parts.append(part)
-            if lo == 0:
-                assert states == oracle_rows(loads[:, :hi], cfg, 20)[1]
+        with law_constants(**constants):
+            whole, whole_ends = simulate_batch(loads, 20, cfg)
+            for lo, hi in zip(bounds, bounds[1:]):
+                part, states = simulate_batch(loads[:, lo:hi], 20, cfg, states)
+                parts.append(part)
+                if lo == 0:
+                    assert states == oracle_rows(loads[:, :hi], cfg, 20)[1]
         assert np.hstack(parts).tolist() == whole.tolist()
         assert states == whole_ends
 
@@ -188,23 +204,25 @@ def test_step_governor_matches_oracle():
     rng = np.random.default_rng(5)
     for profile in PROFILES:
         for governor in GOVERNORS:
-            for cfg in configs(profile, governor):
+            for cfg, constants in configs(profile, governor):
                 state, ref = init_state(cfg), oracle.init_state(cfg)
                 assert state == ref
                 for load in rng.uniform(0.0, 1.0, 40).tolist():
                     before = state
-                    _, (state,) = simulate_batch([[load]], 20, cfg, [state])
-                    ref = oracle.step_governor(ref, load, cfg, 20)
+                    with law_constants(**constants):
+                        _, (state,) = simulate_batch([[load]], 20, cfg, [state])
+                        ref = oracle.step_governor(ref, load, cfg, 20)
                     assert state == ref
                     assert before is not state
 
 
 def test_simulate_is_the_single_row_call():
     for profile in PROFILES:
-        for cfg in configs(profile, profile.default_governor):
+        for cfg, constants in configs(profile, profile.default_governor):
             loads = load_matrix("random", 1, 200, 3)
-            trace = simulate(WorkloadTrace(loads=tuple(loads[0].tolist()), tick_ms=10), cfg)
-            assert trace.samples.tolist() == oracle_rows(loads, cfg, 10)[0][0]
+            with law_constants(**constants):
+                trace = simulate(WorkloadTrace(loads=tuple(loads[0].tolist()), tick_ms=10), cfg)
+                assert trace.samples.tolist() == oracle_rows(loads, cfg, 10)[0][0]
 
 
 def test_engine_rejects_bad_input():

@@ -1,14 +1,16 @@
 """Governor update laws: hand-computed oracles plus seeded property loops."""
 
+from dataclasses import replace
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from freqscope import governors
 from freqscope.governors import (
-    InteractiveParams,
+    INTERACTIVE_BOOSTPULSE_MS,
     SimConfig,
-    TurboParams,
     WorkloadTrace,
-    default_interactive_params,
     init_state,
     simulate_batch,
 )
@@ -19,8 +21,6 @@ RYZEN = get_profile("ryzen5")
 CORTEX = get_profile("cortex_a73")
 COMET = get_profile("comet_lake")
 
-NO_TURBO = TurboParams(enabled=False)
-
 
 def step_governor(state, load, cfg, tick_ms=10):
     """One tick through the batch engine: the state after it."""
@@ -29,7 +29,7 @@ def step_governor(state, load, cfg, tick_ms=10):
 
 
 def cfg_for(profile, governor, **kw):
-    kw.setdefault("turbo", NO_TURBO)
+    kw.setdefault("turbo", False)
     return SimConfig(profile=profile, governor=governor, **kw)
 
 
@@ -159,7 +159,7 @@ def test_schedutil_saturates_under_full_load():
 
 def test_interactive_spike_holds_hispeed_for_80ms():
     cfg = SimConfig(profile=CORTEX, governor="interactive")
-    hispeed = default_interactive_params(CORTEX).hispeed_freq_khz
+    hispeed = cfg.hispeed_freq_khz
     assert hispeed == 1_230_091  # quantized 1.2 GHz
     loads = [0.0] * 30
     loads[5] = 0.9  # single trigger tick
@@ -188,10 +188,10 @@ def test_interactive_decay_is_limited_to_three_states():
 
 
 def test_interactive_rate_limit_spacing():
-    ia = InteractiveParams(hispeed_freq_khz=1_230_091, min_sample_time_ms=40)
-    cfg = SimConfig(profile=CORTEX, governor="interactive", interactive=ia)
+    cfg = SimConfig(profile=CORTEX, governor="interactive", hispeed_freq_khz=1_230_091)
     rng = np.random.default_rng(11)
-    samples = run(cfg, rng.uniform(0, 1, 120).tolist(), tick_ms=20)
+    with patch.object(governors, "INTERACTIVE_MIN_SAMPLE_TIME_MS", 40):
+        samples = run(cfg, rng.uniform(0, 1, 120).tolist(), tick_ms=20)
     changes = [i for i in range(1, len(samples)) if samples[i] != samples[i - 1]]
     gaps = [b - a for a, b in zip(changes, changes[1:])]
     assert gaps and min(gaps) >= 2  # 40 ms = 2 ticks between changes
@@ -199,25 +199,19 @@ def test_interactive_rate_limit_spacing():
 
 def test_interactive_hispeed_must_be_pstate():
     with pytest.raises(ValueError, match="pstate"):
-        SimConfig(
-            profile=CORTEX,
-            governor="interactive",
-            interactive=InteractiveParams(hispeed_freq_khz=1_200_000),
-        )
+        SimConfig(profile=CORTEX, governor="interactive", hispeed_freq_khz=1_200_000)
 
 
 def test_turbo_forbidden_with_interactive():
     with pytest.raises(ValueError, match="turbo"):
-        SimConfig(
-            profile=CORTEX,
-            governor="interactive",
-            turbo=TurboParams(enabled=True, ceiling_khz=2_361_000),
-        )
+        SimConfig(profile=CORTEX, governor="interactive", turbo=True)
+    ryzen_all = replace(RYZEN, supported_governors=CORTEX.supported_governors)
+    with pytest.raises(ValueError, match="not modeled under the interactive governor"):
+        SimConfig(profile=ryzen_all, governor="interactive", turbo=True)
 
 
 def test_turbo_budget_drains_then_clamps_to_base():
-    cfg = SimConfig(profile=RYZEN, governor="ondemand",
-                    turbo=TurboParams(enabled=True, ceiling_khz=4_060_000))
+    cfg = SimConfig(profile=RYZEN, governor="ondemand", turbo=True)  # boost cap 4.06 GHz
     samples = run(cfg, [1.0] * 120)
     assert samples[0] == 4_060_000
     boost_run = 0
@@ -229,8 +223,7 @@ def test_turbo_budget_drains_then_clamps_to_base():
 
 
 def test_turbo_budget_regains_when_idle():
-    cfg = SimConfig(profile=RYZEN, governor="ondemand",
-                    turbo=TurboParams(enabled=True, ceiling_khz=4_060_000))
+    cfg = SimConfig(profile=RYZEN, governor="ondemand", turbo=True)
     loads = [1.0] * 60 + [0.0] * 30 + [1.0] * 10
     samples = run(cfg, loads)
     assert samples[59] == 1_700_000  # drained
@@ -238,16 +231,14 @@ def test_turbo_budget_regains_when_idle():
 
 
 def test_turbo_ceiling_caps_law_target():
-    cfg = SimConfig(profile=COMET, governor="powersave",
-                    turbo=TurboParams(enabled=True, ceiling_khz=3_600_000))
+    cfg = SimConfig(profile=COMET, governor="powersave", turbo=True)  # boost cap 3.6 GHz
     samples = run(cfg, [1.0] * 10)
     assert max(samples) == 3_600_000
 
 
 def test_turbo_ceiling_validation():
-    with pytest.raises(ValueError):
-        SimConfig(profile=RYZEN, governor="ondemand",
-                  turbo=TurboParams(enabled=True, ceiling_khz=5_000_000))
+    with pytest.raises(ValueError, match="turbo ceiling above max"):
+        replace(RYZEN, turbo_ceiling_khz=5_000_000)
 
 
 def test_state_mismatch_rejected():
@@ -286,10 +277,8 @@ def _all_governor_configs():
         for governor in profile.supported_governors:
             yield cfg_for(profile, governor)
     # turbo overlays
-    yield SimConfig(profile=RYZEN, governor="ondemand",
-                    turbo=TurboParams(enabled=True, ceiling_khz=4_060_000))
-    yield SimConfig(profile=COMET, governor="powersave",
-                    turbo=TurboParams(enabled=True, ceiling_khz=3_600_000))
+    yield SimConfig(profile=RYZEN, governor="ondemand", turbo=True)
+    yield SimConfig(profile=COMET, governor="powersave", turbo=True)
 
 
 def test_property_samples_on_grid_and_bounded():
@@ -297,8 +286,7 @@ def test_property_samples_on_grid_and_bounded():
     rng = np.random.default_rng(1234)
     for cfg in _all_governor_configs():
         profile = cfg.profile
-        cap = cfg.effective_turbo().ceiling_khz if cfg.effective_turbo().enabled \
-            else profile.max_freq_khz
+        cap = profile.boost_cap_khz if cfg.turbo else profile.max_freq_khz
         for _ in range(5):
             loads = rng.uniform(0, 1, 80).tolist()
             tick = 20 if cfg.governor == "interactive" else 10
@@ -308,8 +296,7 @@ def test_property_samples_on_grid_and_bounded():
 
 
 def test_property_turbo_budget_stays_in_unit_interval():
-    cfg = SimConfig(profile=RYZEN, governor="ondemand",
-                    turbo=TurboParams(enabled=True, ceiling_khz=4_060_000))
+    cfg = SimConfig(profile=RYZEN, governor="ondemand", turbo=True)
     state = init_state(cfg)
     rng = np.random.default_rng(77)
     for _ in range(2000):
@@ -319,9 +306,8 @@ def test_property_turbo_budget_stays_in_unit_interval():
 
 def test_property_interactive_boost_bounded():
     cfg = SimConfig(profile=CORTEX, governor="interactive")
-    ia = cfg.effective_interactive()
     state = init_state(cfg)
     rng = np.random.default_rng(78)
     for _ in range(2000):
         state = step_governor(state, float(rng.uniform(0, 1)), cfg, 20)
-        assert 0 <= state.boost_remaining_ms <= ia.boostpulse_duration_ms
+        assert 0 <= state.boost_remaining_ms <= INTERACTIVE_BOOSTPULSE_MS

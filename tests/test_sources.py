@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from freqscope import sources
-from freqscope.governors import SimConfig, TurboParams, WorkloadTrace, simulate_batch
+from freqscope.governors import SimConfig, WorkloadTrace, simulate_batch
 from freqscope.profiles import get_profile
 from freqscope.sampler import CollectPlan, collect
 from freqscope.sources import (
@@ -29,7 +29,7 @@ RYZEN = get_profile("ryzen5")
 
 
 def sim_source(**kw):
-    cfg = SimConfig(profile=RYZEN, governor="ondemand", turbo=TurboParams(enabled=False))
+    cfg = SimConfig(profile=RYZEN, governor="ondemand", turbo=False)
     wl = WorkloadTrace(loads=(0.0, 1.0), tick_ms=10)
     return SimSource(cfg, wl, **kw)
 
@@ -352,7 +352,7 @@ def test_sim_source_simulates_a_cycle_once_per_start_state(monkeypatch):
 
 def test_sim_source_simulates_a_cycle_that_starts_from_a_new_state(monkeypatch):
     # PELT climbs a little further every cycle, so no cycle starts as the last did
-    cfg = SimConfig(profile=RYZEN, governor="schedutil", turbo=TurboParams(enabled=False))
+    cfg = SimConfig(profile=RYZEN, governor="schedutil", turbo=False)
     wl = WorkloadTrace(loads=(1.0, 0.0, 1.0, 1.0, 0.5), tick_ms=10)
     starts = count_engine_calls(monkeypatch)
     src, ref = SimSource(cfg, wl), LoopSimSource(cfg, wl)

@@ -123,7 +123,7 @@ def test_canonical_bodies_skip_the_line_parser(tmp_path, monkeypatch, case):
 def _knn_with_odd_floats():
     x = np.array([[0.1, 1e300, -0.0], [np.nan, np.inf, -np.inf], [1 / 3, 5e-324, 2.0]])
     return TrainedModel(kind="knn", classifier=KnnModel(k=2, train_x=x, train_labels=["a", "b", "a"]),
-                        normalization="none", feature_length=3, classes=["a", "b"],
+                        normalization="none", feature_length=3,
                         metadata={"note": 'é "q"', "ints": {2: [1, 2.5], 1: None}, "z": {"b": 1, "a": 0}})
 
 

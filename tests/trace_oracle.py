@@ -140,7 +140,7 @@ def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
         "kind": model.kind,
         "normalization": model.normalization,
         "feature_length": model.feature_length,
-        "classes": model.classes,
+        "classes": model.classifier.classes,
         "metadata": model.metadata,
         "classifier": _classifier_payload(model),
     }
