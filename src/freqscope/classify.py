@@ -48,7 +48,9 @@ def dataset_matrix(ds: LabeledDataset, normalization: str = NORM_NONE):
                 raise ValueError(f"cannot normalize trace with unknown device {device!r}") from exc
             bounds[device] = (profile.min_freq_khz, profile.boost_cap_khz)
         lo, hi = np.array([bounds[trace.device] for _, trace in pairs]).T[:, :, None]
-        X = np.clip((X - lo) / (hi - lo), 0.0, 1.0)
+        X -= lo
+        X /= hi - lo
+        np.clip(X, 0.0, 1.0, out=X)
     return X, [label for label, _ in pairs]
 
 

@@ -54,11 +54,11 @@ from .dataset import (
     split_dataset,
     stable_seed,
 )
-from .defend import defense_sweep, parse_defense, sweep_csv_lines, sweep_plot_lines
+from .defend import defense_sweep, parse_defense, sweep_csv_lines
 from .forest import ForestParams
 from .governors import SimConfig, simulate_batch
 from .keystroke import (
-    KeystrokeParams,
+    KeystrokeReport,
     detect_keystrokes,
     guess_curve,
     password_press_schedule,
@@ -381,7 +381,6 @@ def cmd_eval(args) -> int:
     sys.stdout.write(report.to_text())
     if args.out:
         _write_outputs(Path(args.out), {
-            "report.txt": [report.to_text().removesuffix("\n")],
             "report.kv": report.key_value_lines(),
             "confusion.csv": report.confusion_csv_lines(),
         }, s)
@@ -392,26 +391,22 @@ def cmd_eval(args) -> int:
 # --- keystrokes ----------------------------------------------------------
 
 
-def _keystroke_params(s: Settings) -> KeystrokeParams:
-    return KeystrokeParams(
-        idle_freq_khz=s["keystroke.idle_freq_khz"],
-        peak_cap_khz=s["keystroke.peak_cap_khz"],
-        sustained_freq_khz=s["keystroke.sustained_freq_khz"],
-        min_pulse_samples=s["keystroke.min_pulse"],
-        max_single_pulse_samples=s["keystroke.max_single"],
-        sample_interval_ms=s["keystroke.interval_ms"],
-        hysteresis_khz=s["keystroke.hysteresis_khz"],
-    )
+def _detect(trace: FrequencyTrace, source: str) -> KeystrokeReport:
+    """A trace at another interval than the detector's is a data fault of
+    `source`, the trace file or dataset root."""
+    try:
+        return detect_keystrokes(trace)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{source}: {exc}") from None
 
 
 def cmd_keystrokes(args) -> int:
     s = resolve("keystrokes", args)
-    params = _keystroke_params(s)
     if bool(args.trace) == bool(args.dataset):
         raise ConfigError("exactly one of --trace or --dataset is required")
 
     if args.trace:
-        report = detect_keystrokes(load_trace(args.trace), params)
+        report = _detect(load_trace(args.trace), args.trace)
         lines = report.key_value_lines()
         print("\n".join(lines))
         if args.out:
@@ -424,7 +419,7 @@ def cmd_keystrokes(args) -> int:
     for label in ds.classes:
         vecs, presses = [], []
         for trace in ds.measurements[label]:
-            report = detect_keystrokes(trace, params)
+            report = _detect(trace, args.dataset)
             vecs.append(np.asarray(report.inter_key_timings_ms, dtype=np.float64))
             presses.append(report.press_count)
         vectors[label] = vecs
@@ -432,7 +427,10 @@ def cmd_keystrokes(args) -> int:
 
     guesses = s["keystroke.guess_curve"]
     if guesses:
-        model, held_out = train_password_model(vectors, split_seed=s["keystroke.split_seed"])
+        try:
+            model, held_out = train_password_model(vectors, split_seed=s["keystroke.split_seed"])
+        except ValueError as exc:  # too few passwords, or measurements of one
+            raise DatasetFormatError(f"{args.dataset}: {exc}") from None
         curve = guess_curve(model, held_out, guesses)
         lines = ["guess,accuracy"]
         for g, acc in enumerate(curve, start=1):
@@ -459,8 +457,7 @@ def cmd_defend(args) -> int:
     csv_lines = sweep_csv_lines(rows)
     print("\n".join(csv_lines))
     if args.out:
-        _write_outputs(Path(args.out),
-                       {"sweep.csv": csv_lines, "sweep.dat": sweep_plot_lines(rows)}, s)
+        _write_outputs(Path(args.out), {"sweep.csv": csv_lines}, s)
         print(f"sweep written to {Path(args.out)}")
     return EXIT_OK
 

@@ -192,20 +192,6 @@ SETTINGS = (
             "top-K accuracies to report; N means 1,N", ("eval",)),
     Setting("eval.split", "--split", str, "test", "split to evaluate", ("eval",),
             choices=("train", "val", "test")),
-    Setting("keystroke.idle_freq_khz", "--idle-khz", int, 800_000, "idle frequency",
-            ("keystrokes",)),
-    Setting("keystroke.peak_cap_khz", "--peak-cap-khz", int, 1_600_000,
-            "keystroke pulse peak", ("keystrokes",)),
-    Setting("keystroke.sustained_freq_khz", "--sustained-khz", int, 1_200_000,
-            "sustained typing frequency", ("keystrokes",)),
-    Setting("keystroke.min_pulse", "--min-pulse", int, 8, "shortest pulse in samples",
-            ("keystrokes",)),
-    Setting("keystroke.max_single", "--max-single", int, 12,
-            "longest single-press pulse in samples", ("keystrokes",)),
-    Setting("keystroke.interval_ms", "--interval-ms", positive_int, 20, "sample interval",
-            ("keystrokes",)),
-    Setting("keystroke.hysteresis_khz", "--hysteresis-khz", int, 100_000,
-            "pulse threshold above idle", ("keystrokes",)),
     Setting("keystroke.guess_curve", "--guess-curve", positive_int, None,
             "emit cumulative accuracy up to N guesses", ("keystrokes",)),
     Setting("keystroke.split_seed", "--split-seed", int, 0, "password model split seed",

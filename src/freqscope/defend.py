@@ -265,11 +265,3 @@ def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:
     for r in rows:
         out.append(f"{r.kind},{r.param},{r.top1_clean:.6f},{r.top1_defended:.6f}")
     return out
-
-
-def sweep_plot_lines(rows: list[SweepRow]) -> list[str]:
-    """Whitespace-separated columns, one block per defense kind."""
-    out = ["# defense param top1_clean top1_defended"]
-    for r in rows:
-        out.append(f"{r.kind} {r.param} {r.top1_clean:.6f} {r.top1_defended:.6f}")
-    return out

@@ -106,6 +106,10 @@ class SimConfig:
                 raise ValueError("turbo is not modeled under the interactive governor")
         if self.hispeed_freq_khz not in profile.pstates:
             raise ValueError("hispeed_freq_khz must be a profile pstate")
+        lo, hi = profile.min_freq_khz, profile.max_freq_khz
+        if not lo <= self.set_speed_khz <= hi:
+            raise ValueError(f"set_speed_khz must be in [{lo}, {hi}] on {profile.name},"
+                             f" got {self.set_speed_khz}")
 
 
 @dataclass

@@ -33,32 +33,16 @@ GAP_SIGMA_MS = 30.0
 GAP_MIN_MS = 120.0
 FIRST_PRESS_MS = 400
 
-
-@dataclass(frozen=True)
-class KeystrokeParams:
-    idle_freq_khz: int = 800_000
-    peak_cap_khz: int = 1_600_000
-    sustained_freq_khz: int = 1_200_000
-    min_pulse_samples: int = 8
-    max_single_pulse_samples: int = 12
-    sample_interval_ms: int = 20
-    # segmentation threshold is idle + hysteresis; 100 MHz keeps every
-    # signal level more than 50 MHz away from the threshold
-    hysteresis_khz: int = 100_000
-
-    def __post_init__(self) -> None:
-        if self.min_pulse_samples > self.max_single_pulse_samples:
-            raise ValueError("min_pulse_samples must be <= max_single_pulse_samples")
-        if not (self.idle_freq_khz < self.sustained_freq_khz < self.peak_cap_khz):
-            raise ValueError("need idle < sustained < peak_cap")
-        if self.sample_interval_ms <= 0:
-            raise ValueError("sample_interval_ms must be positive")
-        if self.hysteresis_khz < 0:
-            raise ValueError("hysteresis_khz must be >= 0")
-
-    @property
-    def threshold_khz(self) -> int:
-        return self.idle_freq_khz + self.hysteresis_khz
+# The detection law of the module docstring. The threshold is idle +
+# hysteresis; 100 MHz keeps every signal level more than 50 MHz away from
+# it. `detect_keystrokes` reads these when it is called.
+IDLE_FREQ_KHZ = 800_000
+HYSTERESIS_KHZ = 100_000
+PEAK_CAP_KHZ = 1_600_000
+SUSTAINED_FREQ_KHZ = 1_200_000
+MIN_PULSE_SAMPLES = 8
+MAX_SINGLE_PULSE_SAMPLES = 12
+SAMPLE_INTERVAL_MS = 20
 
 
 @dataclass(frozen=True)
@@ -98,42 +82,40 @@ class KeystrokeReport:
         return lines
 
 
-def detect_keystrokes(trace: FrequencyTrace, p: KeystrokeParams | None = None) -> KeystrokeReport:
-    p = p or KeystrokeParams()
-    if trace.interval_ms != p.sample_interval_ms:
+def detect_keystrokes(trace: FrequencyTrace) -> KeystrokeReport:
+    if trace.interval_ms != SAMPLE_INTERVAL_MS:
         raise ValueError(
-            f"trace interval {trace.interval_ms} ms != expected {p.sample_interval_ms} ms"
-        )
+            f"trace interval {trace.interval_ms} ms != expected {SAMPLE_INTERVAL_MS} ms")
     samples = trace.samples
     padded = np.zeros(len(samples) + 2, dtype=bool)
-    padded[1:-1] = above = samples > p.threshold_khz
+    padded[1:-1] = above = samples > IDLE_FREQ_KHZ + HYSTERESIS_KHZ
     # maximal runs of samples above the threshold: [starts[i], ends[i])
     edges = np.diff(padded).nonzero()[0]
     if not len(edges):
         return KeystrokeReport()
     starts, ends = edges[0::2], edges[1::2]
     # run i is the only stretch above the threshold in [starts[i], starts[i + 1])
-    under_cap = np.maximum.reduceat(samples * above, starts) <= p.peak_cap_khz
-    sustained = np.add.reduceat(above & (samples >= p.sustained_freq_khz), starts, dtype=np.int64)
-    stays_high = sustained > p.max_single_pulse_samples
+    under_cap = np.maximum.reduceat(samples * above, starts) <= PEAK_CAP_KHZ
+    sustained = np.add.reduceat(above & (samples >= SUSTAINED_FREQ_KHZ), starts, dtype=np.int64)
+    stays_high = sustained > MAX_SINGLE_PULSE_SAMPLES
     events: list[KeystrokeEvent] = []
     presses: list[int] = []
     for start, length, quiet, high in zip(starts.tolist(), (ends - starts).tolist(),
                                           under_cap.tolist(), stays_high.tolist()):
-        if length < p.min_pulse_samples:
+        if length < MIN_PULSE_SAMPLES:
             continue  # too short: scheduler noise
-        if length <= p.max_single_pulse_samples:
+        if length <= MAX_SINGLE_PULSE_SAMPLES:
             if quiet:
                 events.append(KeystrokeEvent(start, length, 1))
-                presses.append(start * p.sample_interval_ms)
+                presses.append(start * SAMPLE_INTERVAL_MS)
             # over-cap short runs are background interference, not keys
             continue
         if high:
             # fused presses: the run never settles, so split it evenly
-            count = math.ceil(length / p.max_single_pulse_samples)
+            count = math.ceil(length / MAX_SINGLE_PULSE_SAMPLES)
             events.append(KeystrokeEvent(start, length, count, extrapolated=count > 2))
             for i in range(count):
-                presses.append((start + i * length // count) * p.sample_interval_ms)
+                presses.append((start + i * length // count) * SAMPLE_INTERVAL_MS)
         # long but not sustained: some other workload
     return KeystrokeReport(
         events=events,

@@ -1,9 +1,12 @@
 """Library functions that only the tests call: merging datasets in memory
 (the CLI merges dataset trees by copying files), synthetic timing vectors
 (the CLI measures timings from simulated traces), the sampling-rate
-repetitiveness diagnostic, and one-row calls of the batch entry points."""
+repetitiveness diagnostic, one-row calls of the batch entry points, and a
+patcher for law constants."""
 
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 
@@ -14,6 +17,16 @@ from freqscope.keystroke import MEASUREMENTS_PER_LABEL, sample_timing_vector
 from freqscope.knn import KnnModel, rank_many
 from freqscope.sources import FreqSource
 from freqscope.trace import FrequencyTrace
+
+
+@contextmanager
+def law_constants(module, **values):
+    """Patch law constants of `module`, which its code and the test oracles
+    both read when they are called."""
+    with ExitStack() as stack:
+        for name, value in values.items():
+            stack.enter_context(patch.object(module, name, value))
+        yield
 
 
 def simulate(workload: WorkloadTrace, cfg: SimConfig) -> FrequencyTrace:

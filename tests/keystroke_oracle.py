@@ -4,14 +4,17 @@ the new code is compared against event for event.
 
 `_runs_above` walks the samples one at a time and slices out each maximal
 run above the threshold; `detect_keystrokes` classifies the runs with
-Python `max` and a counting generator.
+Python `max` and a counting generator. Both detectors read the law
+constants through the `freqscope.keystroke` module when they are called,
+so a test that patches one changes both.
 """
 
 from __future__ import annotations
 
 import math
 
-from freqscope.keystroke import KeystrokeEvent, KeystrokeParams, KeystrokeReport
+from freqscope import keystroke as law
+from freqscope.keystroke import KeystrokeEvent, KeystrokeReport
 from freqscope.trace import FrequencyTrace
 
 
@@ -31,31 +34,31 @@ def _runs_above(samples, threshold: int):
     return runs
 
 
-def detect_keystrokes(trace: FrequencyTrace, p: KeystrokeParams | None = None) -> KeystrokeReport:
-    p = p or KeystrokeParams()
-    if trace.interval_ms != p.sample_interval_ms:
+def detect_keystrokes(trace: FrequencyTrace) -> KeystrokeReport:
+    if trace.interval_ms != law.SAMPLE_INTERVAL_MS:
         raise ValueError(
-            f"trace interval {trace.interval_ms} ms != expected {p.sample_interval_ms} ms"
+            f"trace interval {trace.interval_ms} ms != expected {law.SAMPLE_INTERVAL_MS} ms"
         )
     events: list[KeystrokeEvent] = []
     presses: list[int] = []
-    for start, seg in _runs_above(trace.samples, p.threshold_khz):
+    threshold = law.IDLE_FREQ_KHZ + law.HYSTERESIS_KHZ
+    for start, seg in _runs_above(trace.samples, threshold):
         length = len(seg)
-        if length < p.min_pulse_samples:
+        if length < law.MIN_PULSE_SAMPLES:
             continue  # too short: scheduler noise
-        if length <= p.max_single_pulse_samples:
-            if max(seg) <= p.peak_cap_khz:
+        if length <= law.MAX_SINGLE_PULSE_SAMPLES:
+            if max(seg) <= law.PEAK_CAP_KHZ:
                 events.append(KeystrokeEvent(start, length, 1))
-                presses.append(start * p.sample_interval_ms)
+                presses.append(start * law.SAMPLE_INTERVAL_MS)
             # over-cap short runs are background interference, not keys
             continue
-        sustained = sum(1 for s in seg if s >= p.sustained_freq_khz)
-        if sustained > p.max_single_pulse_samples:
+        sustained = sum(1 for s in seg if s >= law.SUSTAINED_FREQ_KHZ)
+        if sustained > law.MAX_SINGLE_PULSE_SAMPLES:
             # fused presses: the run never settles, so split it evenly
-            count = math.ceil(length / p.max_single_pulse_samples)
+            count = math.ceil(length / law.MAX_SINGLE_PULSE_SAMPLES)
             events.append(KeystrokeEvent(start, length, count, extrapolated=count > 2))
             for i in range(count):
-                presses.append((start + i * length // count) * p.sample_interval_ms)
+                presses.append((start + i * length // count) * law.SAMPLE_INTERVAL_MS)
         # long but not sustained: some other workload
     return KeystrokeReport(
         events=events,

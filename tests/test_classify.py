@@ -94,6 +94,32 @@ def test_dataset_matrix_is_bit_identical_to_per_trace_rows(normalization):
     assert X.tobytes() == per_trace_matrix(ds, normalization).tobytes()
 
 
+def test_minmax_in_place_matches_the_out_of_place_expression():
+    """The in-place subtract, divide and clip give the bytes of the
+    expression they replaced, on samples below each profile's minimum, at
+    both bounds and above its boost cap, over mixed devices."""
+    devices = ["ryzen5", "cortex_a73", "comet_lake"]
+    measurements = {}
+    for i, label in enumerate(["a", "b", "c"]):
+        rows = []
+        for j, device in enumerate(devices):
+            p = get_profile(device)
+            lo, hi = p.min_freq_khz, p.boost_cap_khz
+            rows.append(make_trace([0, lo - 1, lo, lo + 7 * (i + j + 1), (lo + hi) // 3, hi - 1,
+                                    hi, hi + 1, 2 * hi, 2**62], label, device))
+        measurements[label] = rows
+    ds = LabeledDataset(classes=["a", "b", "c"], measurements=measurements)
+    X, _ = dataset_matrix(ds, NORM_MINMAX)
+    raw, _ = dataset_matrix(ds, NORM_NONE)
+    bounds = np.array([[get_profile(t.device).min_freq_khz, get_profile(t.device).boost_cap_khz]
+                       for _, t in ds.items()])
+    lo, hi = bounds.T[:, :, None]
+    want = np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
+    assert X.tobytes() == want.tobytes()
+    assert X.flags.c_contiguous and X.flags.writeable
+    assert 0.0 in X and 1.0 in X
+
+
 def test_dataset_matrix_orders_by_label():
     ds = separable_dataset()
     X, labels = dataset_matrix(ds)

@@ -9,6 +9,7 @@ import pytest
 
 from freqscope.cli import LOCK_NAME, main
 from freqscope.config import RESOLVED_CONFIG_NAME
+from freqscope.dataset import LabeledDataset, save_dataset
 from freqscope.trace import _file_mode, load_trace, save_trace, FrequencyTrace
 
 
@@ -197,6 +198,14 @@ REMOVED_KEYS = {  # a setting that was deleted: the command that took it
     "defend.noise_height = 0.5": ("defend", "--dataset"),
     "defend.noise_seed = 0": ("defend", "--dataset"),
     "defend.mask_freq_khz = 2200000": ("defend", "--dataset"),
+    # the keystroke detector's tunings, now constants of `freqscope.keystroke`
+    "keystroke.idle_freq_khz = 800000": ("keystrokes", "--dataset"),
+    "keystroke.peak_cap_khz = 1600000": ("keystrokes", "--dataset"),
+    "keystroke.sustained_freq_khz = 1200000": ("keystrokes", "--dataset"),
+    "keystroke.min_pulse = 8": ("keystrokes", "--dataset"),
+    "keystroke.max_single = 12": ("keystrokes", "--dataset"),
+    "keystroke.interval_ms = 20": ("keystrokes", "--dataset"),
+    "keystroke.hysteresis_khz = 100000": ("keystrokes", "--dataset"),
 }
 
 
@@ -207,6 +216,16 @@ def test_removed_key_exits_2(tmp_path, capsys, line):
     command, path_flag = REMOVED_KEYS[line]
     assert run_cli(command, "--config", conf, path_flag, tmp_path / "x") == 2
     assert f"unknown key {line.partition(' ')[0]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--idle-khz", "--peak-cap-khz", "--sustained-khz",
+                                  "--min-pulse", "--max-single", "--interval-ms",
+                                  "--hysteresis-khz"])
+def test_removed_keystroke_flag_exits_2(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("keystrokes", "--dataset", tmp_path / "x", flag, "1")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 DEFEND_CONF = """\
@@ -236,7 +255,7 @@ RERUN_CASES = {
     "eval": ("eval", "--dataset", "{web}", "--model", "{model}", "--split", "val",
              "--topk", "3", "--split-seed", "2"),
     "keystrokes": ("keystrokes", "--dataset", "{keys}", "--guess-curve", "2",
-                   "--split-seed", "3", "--min-pulse", "7"),
+                   "--split-seed", "3"),
     "defend-flags": ("defend", "--dataset", "{web}", "--defense", "resolution:1,4",
                      "--defense", "noise:20:0.8:7", "--defense", "mask:1700000",
                      "--classifier", "forest", "--trees", "3",
@@ -275,6 +294,44 @@ def test_command_reruns_from_its_resolved_conf_alone(tmp_path, website_ds, case)
     assert tree_bytes(first) == tree_bytes(second)
 
 
+SET_SPEED_INPUTS = {  # command: its other arguments, a userspace governor on ryzen5
+    "simulate": ("--classes", "2", "--measurements", "1", "--samples", "40"),
+    "collect": ("--samples", "40", "--sleep-ms", "0"),
+}
+
+
+@pytest.mark.parametrize("value", ["99999999", "-5"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(SET_SPEED_INPUTS))
+def test_set_speed_outside_the_profile_exits_2(tmp_path, capsys, command, where, value):
+    if where == "config":
+        (tmp_path / "c.conf").write_text(f"sim.set_speed_khz = {value}\n")
+        setting = ("--config", tmp_path / "c.conf")
+    else:
+        setting = (f"--set-speed-khz={value}",)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli(command, *SET_SPEED_INPUTS[command], "--profile", "ryzen5",
+                 "--governor", "userspace", *setting, "--out", out)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"freqscope: set_speed_khz must be in [1400000, 4060000] on ryzen5,"
+                   f" got {value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SET_SPEED_INPUTS))
+def test_off_grid_set_speed_is_quantized(tmp_path, command):
+    out = tmp_path / "out"
+    assert run_cli(command, *SET_SPEED_INPUTS[command], "--profile", "ryzen5",
+                   "--governor", "userspace", "--set-speed-khz", "1750000", "--out", out) == 0
+    samples = [s for path in sorted(out.glob("*/*.ftrace"))
+               for s in load_trace(path).samples.tolist()]
+    # 1.75 GHz plus at most one load step (98.5 MHz) is nearest 1.8 GHz
+    assert len(samples) == 40 * len(list(out.glob("*/*.ftrace")))
+    assert set(samples) == {1_800_000}
+
+
 def test_unknown_profile_exits_2(tmp_path):
     rc = run_cli("simulate", "--kind", "website", "--profile", "pentium3",
                  "--classes", "2", "--measurements", "2", "--samples", "40",
@@ -300,7 +357,8 @@ def test_train_and_eval_round_trip(tmp_path, website_ds, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "top-1 accuracy" in text
-    assert (out / "report.txt").exists()
+    # the report text is what eval printed; it is not written a second time
+    assert sorted(os.listdir(out)) == ["confusion.csv", RESOLVED_CONFIG_NAME, "report.kv"]
     kv = (out / "report.kv").read_text()
     assert any(line.startswith("top1 = ") for line in kv.splitlines())
     assert (out / "confusion.csv").read_text().startswith("true\\pred,")
@@ -524,7 +582,6 @@ BAD_COUNTS = {  # case: (command, flag, config key, value below 1)
     "trees": ("train", "--trees", "classifier.trees", "0"),
     "max_depth": ("defend", "--max-depth", "classifier.max_depth", "0"),
     "min_leaf": ("defend", "--min-leaf", "classifier.min_leaf", "-1"),
-    "keystroke_interval": ("keystrokes", "--interval-ms", "keystroke.interval_ms", "0"),
 }
 
 
@@ -748,6 +805,45 @@ def test_keystrokes_guess_curve(tmp_path, capsys):
     assert len(curve) == 3
 
 
+TYPED = [806_000] * 20 + [1_500_000] * 10 + [806_000] * 20 + [1_500_000] * 10 + [806_000] * 20
+KEYSTROKE_FAULTS = {  # case: ({password: traces}, interval, guess curve, exit code, message)
+    "trace_interval": (None, 10, None, 3, "trace interval 10 ms != expected 20 ms"),
+    "dataset_interval": ({"monkey": 10, "velvet": 10}, 10, 2, 3,
+                         "trace interval 10 ms != expected 20 ms"),
+    "few_measurements": ({"abc1": 4, "velvet": 10}, 20, 2, 3,
+                         "password 'abc1' has 4 measurements; need >= 10"),
+    "one_password": ({"monkey": 10}, 20, 1, 3, "need at least 2 passwords"),
+    # more guesses than passwords is a usage error, not a data fault
+    "guesses_above_passwords": ({"monkey": 10, "velvet": 10}, 20, 3, 2,
+                                "max_guesses must be in [1, 2], got 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYSTROKE_FAULTS))
+def test_keystrokes_data_fault_names_its_input(tmp_path, capsys, case):
+    counts, interval, guesses, code, message = KEYSTROKE_FAULTS[case]
+    if counts is None:
+        source = tmp_path / "typed.ftrace"
+        save_trace(FrequencyTrace(samples=TYPED, interval_ms=interval), source)
+        argv = ("--trace", source)
+    else:
+        source = tmp_path / "ds"
+        save_dataset(LabeledDataset(classes=sorted(counts), measurements={
+            pw: [FrequencyTrace(samples=TYPED, interval_ms=interval, label=pw)] * n
+            for pw, n in counts.items()}), source)
+        argv = ("--dataset", source, "--guess-curve", guesses)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli("keystrokes", *argv, "--out", out)
+    err = capsys.readouterr().err
+    assert rc == code
+    if code == 3:
+        assert err == f"freqscope: {source}: {message}\n"
+    else:
+        assert err == f"freqscope: {message}\n"
+    assert not out.exists()
+
+
 def test_defend_sweep(tmp_path, website_ds, capsys):
     out = tmp_path / "sweep"
     rc = run_cli("defend", "--dataset", website_ds,
@@ -758,7 +854,8 @@ def test_defend_sweep(tmp_path, website_ds, capsys):
     csv = (out / "sweep.csv").read_text().splitlines()
     assert csv[0] == "defense,param,top1_clean,top1_defended"
     assert len(csv) == 4
-    assert (out / "sweep.dat").exists()
+    # `report --sweep-csv` renders the sweep as a plot file
+    assert sorted(os.listdir(out)) == [RESOLVED_CONFIG_NAME, "sweep.csv"]
     conf = (out / RESOLVED_CONFIG_NAME).read_text()
     assert "defend.defenses = resolution:1,4 mask:1700000\n" in conf
     assert "resolution_reduce" in capsys.readouterr().out

@@ -6,7 +6,9 @@ import argparse
 from freqscope.cli import build_parser
 
 # flag: (dest, type) per subcommand, as the hand-written parser had them;
-# `--decay-ms` is left out on purpose (its setting was removed)
+# the flags of removed settings are left out on purpose: `--decay-ms`, and
+# the keystroke detector's `--idle-khz`, `--peak-cap-khz`, `--sustained-khz`,
+# `--min-pulse`, `--max-single`, `--interval-ms` and `--hysteresis-khz`
 _SIM = {
     "--profile": ("profile", "str"),
     "--governor": ("governor", "str"),
@@ -87,13 +89,6 @@ ORACLE = {
         "--dataset": ("dataset", "str"),
         "--guess-curve": ("guess_curve", "int"),
         "--split-seed": ("split_seed", "int"),
-        "--idle-khz": ("idle_khz", "int"),
-        "--peak-cap-khz": ("peak_cap_khz", "int"),
-        "--sustained-khz": ("sustained_khz", "int"),
-        "--min-pulse": ("min_pulse", "int"),
-        "--max-single": ("max_single", "int"),
-        "--interval-ms": ("interval_ms", "int"),
-        "--hysteresis-khz": ("hysteresis_khz", "int"),
         "--out": ("out", "str"),
         "--config": ("config", "str"),
     },

@@ -16,7 +16,6 @@ from freqscope.defend import (
     parse_defense,
     resolution_reduce,
     sweep_csv_lines,
-    sweep_plot_lines,
 )
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
@@ -275,9 +274,6 @@ def test_defense_sweep_rows_and_renderers():
     csv = sweep_csv_lines(rows)
     assert csv[0] == "defense,param,top1_clean,top1_defended"
     assert len(csv) == 4
-    dat = sweep_plot_lines(rows)
-    assert dat[0].startswith("#")
-    assert len(dat) == 4
 
 
 def test_param_labels():

@@ -116,7 +116,7 @@ def test_defend_outputs_do_not_depend_on_worker_count(monkeypatch, tmp_path):
         assert cli.main(["defend", "--dataset", str(tmp_path / "ds"), *DEFEND,
                          "--out", str(out)]) == 0
         outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert sorted(outputs[1]) == ["freqscope.resolved.conf", "sweep.csv", "sweep.dat"]
+    assert sorted(outputs[1]) == ["freqscope.resolved.conf", "sweep.csv"]
     assert outputs[1] == outputs[2]
 
 

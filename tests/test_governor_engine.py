@@ -1,8 +1,6 @@
 """The batch governor engine against the scalar reference laws, bit for bit."""
 
-from contextlib import ExitStack, contextmanager
 from dataclasses import replace
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,20 +16,10 @@ from freqscope.governors import (
 )
 from freqscope.profiles import builtin_profiles
 from freqscope.sources import SimSource
-from helpers import read_freq, simulate
+from helpers import law_constants, read_freq, simulate
 
 PROFILES = sorted(builtin_profiles().values(), key=lambda p: p.name)
 TICKS_MS = (10, 20, 25)
-
-
-@contextmanager
-def law_constants(**values):
-    """Patch law constants of `freqscope.governors`, which the engine and the
-    oracle both read at run time."""
-    with ExitStack() as stack:
-        for name, value in values.items():
-            stack.enter_context(patch.object(governors, name, value))
-        yield
 
 
 def turbo_variants(profile, governor):
@@ -88,7 +76,7 @@ def test_engine_matches_oracle(profile, governor):
                 for kind in ("random", "bursty"):
                     seed += 1
                     loads = load_matrix(kind, rows, 120, seed)
-                    with law_constants(**constants):
+                    with law_constants(governors, **constants):
                         got, ends = simulate_batch(loads, tick_ms, cfg)
                         want, want_ends = oracle_rows(loads, cfg, tick_ms)
                     assert got.dtype == np.int64
@@ -144,7 +132,7 @@ def test_engine_matches_oracle_property(governor, variant):
         # half the prefixes end on an idle tick, which may change the frequency,
         # then a full-load one: rows start mid-boost, some with it still pending
         prefix[np.random.default_rng(seed).random(rows) < 0.5, -2:] = (0.0, 1.0)
-        with law_constants(**constants):
+        with law_constants(governors, **constants):
             _, starts = simulate_batch(prefix, tick_ms, cfg)
             got, ends = simulate_batch(loads, tick_ms, cfg, starts)
             want, want_ends = oracle_rows(loads, cfg, tick_ms, starts)
@@ -187,7 +175,7 @@ def test_chunked_runs_equal_one_run(governor):
         loads = load_matrix("bursty", 5, 90, seed)
         bounds = [0, *sorted(splits), 90]
         parts, states = [], None
-        with law_constants(**constants):
+        with law_constants(governors, **constants):
             whole, whole_ends = simulate_batch(loads, 20, cfg)
             for lo, hi in zip(bounds, bounds[1:]):
                 part, states = simulate_batch(loads[:, lo:hi], 20, cfg, states)
@@ -209,7 +197,7 @@ def test_step_governor_matches_oracle():
                 assert state == ref
                 for load in rng.uniform(0.0, 1.0, 40).tolist():
                     before = state
-                    with law_constants(**constants):
+                    with law_constants(governors, **constants):
                         _, (state,) = simulate_batch([[load]], 20, cfg, [state])
                         ref = oracle.step_governor(ref, load, cfg, 20)
                     assert state == ref
@@ -220,7 +208,7 @@ def test_simulate_is_the_single_row_call():
     for profile in PROFILES:
         for cfg, constants in configs(profile, profile.default_governor):
             loads = load_matrix("random", 1, 200, 3)
-            with law_constants(**constants):
+            with law_constants(governors, **constants):
                 trace = simulate(WorkloadTrace(loads=tuple(loads[0].tolist()), tick_ms=10), cfg)
                 assert trace.samples.tolist() == oracle_rows(loads, cfg, 10)[0][0]
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from freqscope import keystroke
 from freqscope.governors import SimConfig
 from freqscope.keystroke import (
     GAP_MIN_MS,
     MEASUREMENTS_PER_LABEL,
-    KeystrokeParams,
     KeystrokeReport,
     detect_keystrokes,
     gap_mean_ms,
@@ -107,13 +107,10 @@ def test_interval_mismatch_rejected():
 
 
 def test_params_validation():
-    assert KeystrokeParams().threshold_khz == 900_000
-    with pytest.raises(ValueError):
-        KeystrokeParams(min_pulse_samples=13)
-    with pytest.raises(ValueError):
-        KeystrokeParams(idle_freq_khz=1_300_000)
-    with pytest.raises(ValueError):
-        KeystrokeParams(sample_interval_ms=0)
+    """The law constants keep the detector's invariants."""
+    assert keystroke.IDLE_FREQ_KHZ < keystroke.SUSTAINED_FREQ_KHZ < keystroke.PEAK_CAP_KHZ
+    assert keystroke.MIN_PULSE_SAMPLES <= keystroke.MAX_SINGLE_PULSE_SAMPLES
+    assert keystroke.IDLE_FREQ_KHZ + keystroke.HYSTERESIS_KHZ == 900_000
 
 
 def test_report_requires_increasing_press_times():

@@ -5,21 +5,23 @@ timings on simulated password datasets and on drawn traces."""
 import pytest
 
 import keystroke_oracle as oracle
+from freqscope import keystroke
 from freqscope.cli import main
 from freqscope.dataset import load_dataset
-from freqscope.keystroke import KeystrokeParams, detect_keystrokes
+from freqscope.keystroke import detect_keystrokes
 from freqscope.trace import FrequencyTrace
+from helpers import law_constants
 
-P = KeystrokeParams()
+THRESHOLD = keystroke.IDLE_FREQ_KHZ + keystroke.HYSTERESIS_KHZ
 IDLE, PEAK, SUSTAINED, OVER_CAP = 806_000, 1_500_000, 1_300_000, 2_100_000
 EDGE_LEVELS = [
-    P.threshold_khz, P.threshold_khz + 1, P.sustained_freq_khz - 1, P.sustained_freq_khz,
-    P.peak_cap_khz, P.peak_cap_khz + 1,
+    THRESHOLD, THRESHOLD + 1, keystroke.SUSTAINED_FREQ_KHZ - 1, keystroke.SUSTAINED_FREQ_KHZ,
+    keystroke.PEAK_CAP_KHZ, keystroke.PEAK_CAP_KHZ + 1,
 ]
 
 
-def assert_same_report(trace, params=P):
-    got, want = detect_keystrokes(trace, params), oracle.detect_keystrokes(trace, params)
+def assert_same_report(trace):
+    got, want = detect_keystrokes(trace), oracle.detect_keystrokes(trace)
     assert got.events == want.events
     assert got.press_times_ms == want.press_times_ms
     assert got.inter_key_timings_ms == want.inter_key_timings_ms
@@ -54,10 +56,10 @@ FIXED = {  # case: samples at 20 ms
     "one_sample": [PEAK],
     "fused_two": [IDLE] * 10 + [SUSTAINED] * 14 + [IDLE] * 10,
     "fused_extrapolated": [IDLE] * 10 + [SUSTAINED] * 40 + [IDLE] * 10,
-    "long_not_sustained": [IDLE] * 5 + [P.threshold_khz + 1] * 30 + [IDLE] * 5,
+    "long_not_sustained": [IDLE] * 5 + [THRESHOLD + 1] * 30 + [IDLE] * 5,
     "over_cap_short": [IDLE] * 5 + [OVER_CAP] * 10 + [IDLE] * 5,
     "short_noise": [IDLE] * 5 + [PEAK] * 7 + [IDLE] * 5,
-    "at_threshold_is_idle": [P.threshold_khz] * 30,
+    "at_threshold_is_idle": [THRESHOLD] * 30,
 }
 
 
@@ -87,10 +89,15 @@ def test_drawn_traces_match_the_oracle(samples):
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(st.lists(LEVELS, min_size=1, max_size=200),
-                  st.integers(1, 6), st.integers(0, 8), st.integers(0, 900_000))
-def test_drawn_params_match_the_oracle(samples, min_pulse, extra, hysteresis):
-    params = KeystrokeParams(min_pulse_samples=min_pulse,
-                             max_single_pulse_samples=min_pulse + extra,
-                             hysteresis_khz=hysteresis)
-    assert_same_report(FrequencyTrace(samples=samples, interval_ms=20), params)
+@hypothesis.given(st.one_of(run_traces(), st.lists(LEVELS, min_size=1, max_size=200)),
+                  st.integers(1, 6), st.integers(0, 8), st.integers(0, 900_000),
+                  st.integers(600_000, 1_000_000), LEVELS, LEVELS, st.sampled_from([20, 10, 40]))
+def test_drawn_params_match_the_oracle(samples, min_pulse, extra, hysteresis, idle, sustained,
+                                       peak_cap, interval):
+    """Every law constant drawn: a detector that used a value of its own
+    in place of one would disagree with the oracle."""
+    with law_constants(keystroke, MIN_PULSE_SAMPLES=min_pulse,
+                       MAX_SINGLE_PULSE_SAMPLES=min_pulse + extra, HYSTERESIS_KHZ=hysteresis,
+                       IDLE_FREQ_KHZ=idle, SUSTAINED_FREQ_KHZ=sustained, PEAK_CAP_KHZ=peak_cap,
+                       SAMPLE_INTERVAL_MS=interval):
+        assert_same_report(FrequencyTrace(samples=samples, interval_ms=interval))
