@@ -51,7 +51,6 @@ from .dataset import (
     load_dataset,
     measurement_filename,
     save_dataset,
-    split_dataset,
     stable_seed,
 )
 from .defend import defense_sweep, parse_defense, sweep_csv_lines
@@ -347,13 +346,12 @@ def _make_trainer(s: Settings, metadata: dict):
 def cmd_train(args) -> int:
     s = resolve("train", args)
     split_seed, fractions = _split(s)
-    ds = load_dataset(args.dataset, split_seed=split_seed, split_fractions=fractions)
-    train_view, _, _ = split_dataset(ds)
+    train_view = load_dataset(args.dataset, split=(split_seed, fractions, "train"))
     metadata = {
         "split_seed": split_seed,
         "split_fractions": list(fractions),
         "train_traces": train_view.total_measurements(),
-        "classes": len(ds.classes),
+        "classes": len(train_view.classes),
     }
     model = _make_trainer(s, metadata)(train_view)
     model_path = Path(args.model)
@@ -375,9 +373,8 @@ def cmd_eval(args) -> int:
         s, model.metadata.get("split_seed", 0),
         model.metadata.get("split_fractions", DEFAULT_FRACTIONS),
     )
-    ds = load_dataset(args.dataset, split_seed=split_seed, split_fractions=fractions)
-    views = dict(zip(("train", "val", "test"), split_dataset(ds)))
-    report = evaluate(model, views[s["eval.split"]], topk=tuple(s["eval.topk"]))
+    view = load_dataset(args.dataset, split=(split_seed, fractions, s["eval.split"]))
+    report = evaluate(model, view, topk=tuple(s["eval.topk"]))
     sys.stdout.write(report.to_text())
     if args.out:
         _write_outputs(Path(args.out), {
@@ -416,6 +413,7 @@ def cmd_keystrokes(args) -> int:
 
     ds = load_dataset(args.dataset)
     vectors: dict[str, list[np.ndarray]] = {}
+    summary = []
     for label in ds.classes:
         vecs, presses = [], []
         for trace in ds.measurements[label]:
@@ -423,7 +421,9 @@ def cmd_keystrokes(args) -> int:
             vecs.append(np.asarray(report.inter_key_timings_ms, dtype=np.float64))
             presses.append(report.press_count)
         vectors[label] = vecs
-        print(f"{label}: traces={len(vecs)} mean_presses={np.mean(presses):.2f}")
+        summary.append(f"{label}: traces={len(vecs)} mean_presses={np.mean(presses):.2f}")
+    print("\n".join(summary))
+    files = {"summary.txt": summary}
 
     guesses = s["keystroke.guess_curve"]
     if guesses:
@@ -432,13 +432,12 @@ def cmd_keystrokes(args) -> int:
         except ValueError as exc:  # too few passwords, or measurements of one
             raise DatasetFormatError(f"{args.dataset}: {exc}") from None
         curve = guess_curve(model, held_out, guesses)
-        lines = ["guess,accuracy"]
-        for g, acc in enumerate(curve, start=1):
-            lines.append(f"{g},{acc:.6f}")
-        print("\n".join(lines))
-        if args.out:
-            _write_outputs(Path(args.out), {"guesses.csv": lines}, s)
-            print(f"guess curve written to {Path(args.out) / 'guesses.csv'}")
+        files["guesses.csv"] = ["guess,accuracy"] + [
+            f"{g},{acc:.6f}" for g, acc in enumerate(curve, start=1)]
+        print("\n".join(files["guesses.csv"]))
+    if args.out:
+        _write_outputs(Path(args.out), files, s)
+        print(f"{', '.join(files)} written to {Path(args.out)}")
     return EXIT_OK
 
 
@@ -452,8 +451,10 @@ def cmd_defend(args) -> int:
         raise ConfigError("no defenses given (--defense resolution:1,2,5 ...)")
 
     split_seed, fractions = _split(s)
-    ds = load_dataset(args.dataset, split_seed=split_seed, split_fractions=fractions)
-    rows = defense_sweep(defenses, ds, _make_trainer(s, metadata={"split_seed": split_seed}))
+    # every trace is read: a noise salt is keyed by the trace's index in its label
+    rows = defense_sweep(defenses, load_dataset(args.dataset),
+                         _make_trainer(s, metadata={"split_seed": split_seed}),
+                         split_seed, fractions)
     csv_lines = sweep_csv_lines(rows)
     print("\n".join(csv_lines))
     if args.out:

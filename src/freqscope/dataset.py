@@ -2,9 +2,10 @@
 
 On disk a dataset is `root/<label>/<measurement_id>.ftrace` with labels
 percent-encoded in directory names and zero-padded measurement ids. In
-memory it is a map from label to an ordered list of traces. Splits are a
-pure function of (split_seed, label, measurement index), so re-splitting
-with the same seed always reproduces the same partition.
+memory it is a map from label to an ordered list of traces. A split is a
+pure function of (split seed, label, the label's trace count, fractions),
+so re-splitting with the same seed always reproduces the same partition,
+and a loader can read one part's traces without opening the others.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .trace import (
 )
 
 DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)
+SPLIT_PARTS = ("train", "val", "test")
 
 
 class DatasetFormatError(ValueError):
@@ -47,8 +49,6 @@ def stable_seed(*parts) -> int:
 class LabeledDataset:
     classes: list[str]
     measurements: dict[str, list[FrequencyTrace]]
-    split_seed: int = 0
-    split_fractions: tuple[float, float, float] = DEFAULT_FRACTIONS
 
     def __post_init__(self) -> None:
         if sorted(self.classes) != sorted(self.measurements):
@@ -61,7 +61,6 @@ class LabeledDataset:
             raise DatasetFormatError(f"traces disagree on sample count: {sorted(lengths)}")
         if len(intervals) > 1:
             raise DatasetFormatError(f"traces disagree on interval_ms: {sorted(intervals)}")
-        _check_fractions(self.split_fractions)
 
     def total_measurements(self) -> int:
         return sum(len(v) for v in self.measurements.values())
@@ -76,7 +75,7 @@ class LabeledDataset:
 def _check_fractions(fractions: tuple[float, float, float]) -> None:
     """ValueError naming the split key of a negative, infinite or NaN
     fraction, or for fractions that do not sum to 1."""
-    for name, f in zip(("train", "val", "test"), fractions):
+    for name, f in zip(SPLIT_PARTS, fractions):
         if not 0 <= f < np.inf:  # also rejects NaN
             raise ValueError(f"split.{name} must be a finite fraction >= 0, got {f}")
     if abs(sum(fractions) - 1.0) > 1e-9:
@@ -95,26 +94,25 @@ def _partition_counts(n: int, fractions: tuple[float, float, float]) -> tuple[in
     return n_train, n_val, n_test
 
 
-def split_dataset(ds: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
+def split_indices(seed: int, label: str, n: int, fractions: tuple[float, float, float]
+                  ) -> tuple[list[int], list[int], list[int]]:
+    """Sorted (train, val, test) indices into a label's n traces: one
+    permutation drawn from (seed, label), cut by the fractions' counts."""
+    n_train, n_val, _ = _partition_counts(n, fractions)
+    order = np.random.default_rng(stable_seed(seed, "split", label)).permutation(n)
+    cut1, cut2 = n_train, n_train + n_val
+    return tuple(sorted(idx.tolist()) for idx in (order[:cut1], order[cut1:cut2], order[cut2:]))
+
+
+def split_dataset(ds: LabeledDataset, seed: int, fractions: tuple[float, float, float]
+                  ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
     """Per-class deterministic partition into (train, val, test) views."""
     parts: tuple[dict, dict, dict] = ({}, {}, {})
     for label in ds.classes:
         traces = ds.measurements[label]
-        n_train, n_val, n_test = _partition_counts(len(traces), ds.split_fractions)
-        rng = np.random.default_rng(stable_seed(ds.split_seed, "split", label))
-        order = rng.permutation(len(traces))
-        cut1, cut2 = n_train, n_train + n_val
-        for part, idx in zip(parts, (order[:cut1], order[cut1:cut2], order[cut2:])):
-            part[label] = [traces[i] for i in sorted(idx)]
-    return tuple(
-        LabeledDataset(
-            classes=list(ds.classes),
-            measurements=part,
-            split_seed=ds.split_seed,
-            split_fractions=ds.split_fractions,
-        )
-        for part in parts
-    )
+        for part, idx in zip(parts, split_indices(seed, label, len(traces), fractions)):
+            part[label] = [traces[i] for i in idx]
+    return tuple(LabeledDataset(classes=list(ds.classes), measurements=part) for part in parts)
 
 
 def measurement_filename(index: int) -> str:
@@ -132,12 +130,11 @@ def save_dataset(ds: LabeledDataset, root: str | os.PathLike) -> None:
             save_trace(trace, os.path.join(label_dir, measurement_filename(i)))
 
 
-def load_dataset(
-    root: str | os.PathLike,
-    split_seed: int = 0,
-    split_fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
-) -> LabeledDataset:
-    """Read every `<label>/<id>.ftrace` under root, ids in sorted order."""
+def load_dataset(root: str | os.PathLike, split: tuple | None = None) -> LabeledDataset:
+    """Read every `<label>/<id>.ftrace` under root, ids in sorted order. A
+    split `(seed, fractions, part)`, part one of SPLIT_PARTS, reads only the
+    traces that `split_dataset` would put in that part; a label keeps its
+    (possibly empty) list even when the part takes none of its traces."""
     root = os.fspath(root)
     if not os.path.isdir(root):
         raise FileNotFoundError(f"dataset root {root!r} does not exist")
@@ -150,15 +147,14 @@ def load_dataset(
         files = sorted(f for f in os.listdir(label_dir) if f.endswith(".ftrace"))
         if not files:
             continue
+        if split is not None:
+            seed, fractions, part = split
+            chosen = split_indices(seed, label, len(files), fractions)[SPLIT_PARTS.index(part)]
+            files = [files[i] for i in chosen]
         measurements[label] = [_load_member(os.path.join(label_dir, f)) for f in files]
     if not measurements:
         raise DatasetFormatError(f"no traces found under {root!r}")
-    return LabeledDataset(
-        classes=sorted(measurements),
-        measurements=measurements,
-        split_seed=split_seed,
-        split_fractions=split_fractions,
-    )
+    return LabeledDataset(classes=sorted(measurements), measurements=measurements)
 
 
 def _load_member(path: str) -> FrequencyTrace:

@@ -189,7 +189,7 @@ def defended_dataset(d: Defense, ds: LabeledDataset) -> LabeledDataset:
         salts = [stable_seed("trace-salt", label, i) for i in range(len(traces))]
         rows = _defended_samples(d, traces, salts) if traces else []
         measurements[label] = [replace(t, samples=row) for t, row in zip(traces, rows)]
-    return replace(ds, classes=list(ds.classes), measurements=measurements)
+    return LabeledDataset(classes=list(ds.classes), measurements=measurements)
 
 
 Trainer = Callable[[LabeledDataset], TrainedModel]
@@ -214,9 +214,9 @@ def _inherit(sweep: tuple) -> None:
 def _sweep_job(i: int, sweep: tuple | None = None) -> float:
     """Top-1 accuracy of job i of a sweep: -1 is the clean baseline, i >= 0
     is `defenses[i]`. A worker process runs the sweep it inherited."""
-    defenses, ds, trainer = sweep or _inherited
+    defenses, ds, trainer, seed, fractions = sweep or _inherited
     view = ds if i < 0 else defended_dataset(defenses[i], ds)
-    train, _, test = split_dataset(view)
+    train, _, test = split_dataset(view, seed, fractions)
     return evaluate(trainer(train), test, topk=(1,)).top1_accuracy
 
 
@@ -229,19 +229,21 @@ def _changes_samples(d: Defense, ds: LabeledDataset) -> bool:
     return d.kind != KIND_NOISE or first is None or _burst_count(d, first) > 0
 
 
-def defense_sweep(defenses: list[Defense], ds: LabeledDataset, trainer: Trainer) -> list[SweepRow]:
-    """Evaluate several defenses against one dataset; the clean baseline is
-    trained once and shared across rows. The baseline and each distinct
-    defense that changes some sample are jobs for forked workers, one per
-    usable CPU, which inherit the dataset and the trainer; an identity
-    defense reads the baseline. Rows do not depend on the worker count. A
+def defense_sweep(defenses: list[Defense], ds: LabeledDataset, trainer: Trainer, seed: int,
+                  fractions: tuple[float, float, float]) -> list[SweepRow]:
+    """Evaluate several defenses against one dataset, training and testing
+    on the parts `split_dataset(view, seed, fractions)` gives; the clean
+    baseline is trained once and shared across rows. The baseline and each
+    distinct defense that changes some sample are jobs for forked workers,
+    one per usable CPU, which inherit the dataset, the trainer and the
+    split; an identity defense reads the baseline. Rows do not depend on the worker count. A
     job's exception reaches the caller as raised; a worker that dies raises
     ChildProcessError."""
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     distinct = list(dict.fromkeys(d for d in defenses if _changes_samples(d, ds)))
-    sweep, jobs = (distinct, ds, trainer), range(-1, len(distinct))
+    sweep, jobs = (distinct, ds, trainer, seed, fractions), range(-1, len(distinct))
     # without CPU affinity (macOS, Windows) the jobs run in this process
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(jobs))

@@ -4,6 +4,8 @@ the in-process tests; a bare `python -m pytest` then needs no install."""
 
 import os
 
+pytest_plugins = ["pytester"]  # tests that run pytest itself, under this suite's config
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 

@@ -69,12 +69,7 @@ def merge_datasets(datasets: list[LabeledDataset]) -> LabeledDataset:
     for ds in datasets:
         for label in classes:
             merged[label].extend(ds.measurements[label])
-    return LabeledDataset(
-        classes=classes,
-        measurements=merged,
-        split_seed=first.split_seed,
-        split_fractions=first.split_fractions,
-    )
+    return LabeledDataset(classes=classes, measurements=merged)
 
 
 def password_timing_vectors(passwords: list[str], per_label: int = MEASUREMENTS_PER_LABEL,

@@ -21,7 +21,7 @@ from freqscope.classify import (
     train_forest_model,
     train_knn_model,
 )
-from freqscope.dataset import LabeledDataset, split_dataset, stable_seed
+from freqscope.dataset import DEFAULT_FRACTIONS, LabeledDataset, split_dataset, stable_seed
 from freqscope.defend import constant_mask, defense_sweep, resolution_reduce
 from freqscope.forest import ForestParams
 from freqscope.governors import (
@@ -76,12 +76,14 @@ def website_dataset(profile_name: str, governor: str, *, jitter: float = WEBSITE
                                device=profile_name, label=label) for samples in rows[c]]
         for c, label in enumerate(labels)
     }
-    return LabeledDataset(classes=labels, measurements=measurements,
-                          split_seed=0, split_fractions=(0.8, 0.1, 0.1))
+    return LabeledDataset(classes=labels, measurements=measurements)
+
+
+SPLIT = (0, DEFAULT_FRACTIONS)  # the CLI's default split seed and fractions
 
 
 def knn_top1(ds: LabeledDataset, normalization: str | None = None) -> float:
-    train, _, test = split_dataset(ds)
+    train, _, test = split_dataset(ds, *SPLIT)
     kw = {"normalization": normalization} if normalization else {}
     model = train_knn_model(train, k=4, **kw)
     return evaluate(model, test, topk=(1,)).top1_accuracy
@@ -168,7 +170,7 @@ def test_acceptance_2_knn_oracle(capsys):
 
 def test_acceptance_3_website_fingerprinting(capsys, ryzen_ondemand):
     with verdict(capsys, 3, "website fingerprinting"):
-        train, _, test = split_dataset(ryzen_ondemand)
+        train, _, test = split_dataset(ryzen_ondemand, *SPLIT)
         knn = evaluate(train_knn_model(train, k=4), test, topk=(1, 5))
         assert knn.top1_accuracy >= 0.90
         assert knn.topk_accuracy[5] >= knn.top1_accuracy
@@ -191,7 +193,7 @@ def test_acceptance_4_governor_sweep(capsys, ryzen_ondemand):
         for gov in ("performance", "powersave"):
             ds = website_dataset("ryzen5", gov, jitter=0.0)
             acc = knn_top1(ds)
-            n_test = split_dataset(ds)[2].total_measurements()
+            n_test = split_dataset(ds, *SPLIT)[2].total_measurements()
             band = chance_band(len(ds.classes), n_test)
             assert abs(acc - 1.0 / len(ds.classes)) <= band, f"{gov}: {acc}"
 
@@ -271,13 +273,13 @@ def test_acceptance_7_countermeasure_efficacy(capsys, ryzen_ondemand):
         defenses = [resolution_reduce(f) for f in factors]
         defenses.append(constant_mask(1_700_000))
         rows = defense_sweep(defenses, ryzen_ondemand,
-                             lambda ds: train_knn_model(ds, k=4))
+                             lambda ds: train_knn_model(ds, k=4), *SPLIT)
         by_factor = {int(r.param): r.top1_defended for r in rows
                      if r.kind == "resolution_reduce"}
         masked = next(r for r in rows if r.kind == "constant_mask")
         clean = rows[0].top1_clean
 
-        n_test = split_dataset(ryzen_ondemand)[2].total_measurements()
+        n_test = split_dataset(ryzen_ondemand, *SPLIT)[2].total_measurements()
         n_classes = len(ryzen_ondemand.classes)
         band = chance_band(n_classes, n_test)
         assert abs(masked.top1_defended - 1.0 / n_classes) <= band

@@ -46,8 +46,10 @@ def separable_dataset(n_classes=3, per_class=6, length=20, device="ryzen5"):
                 label, device,
             ))
         measurements[label] = rows
-    return LabeledDataset(classes=classes, measurements=measurements,
-                          split_seed=1, split_fractions=(0.5, 0.0, 0.5))
+    return LabeledDataset(classes=classes, measurements=measurements)
+
+
+SPLIT = (1, (0.5, 0.0, 0.5))  # separable_dataset's split seed and fractions
 
 
 def one_trace_matrix(samples, device="ryzen5"):
@@ -138,15 +140,13 @@ def test_dataset_matrix_unknown_device():
     ds = separable_dataset()
     label = ds.classes[0]
     bad = [make_trace(t.samples, label, device="mystery") for t in ds.measurements[label]]
-    ds2 = LabeledDataset(classes=ds.classes,
-                         measurements={**ds.measurements, label: bad},
-                         split_seed=1, split_fractions=(0.5, 0.0, 0.5))
+    ds2 = LabeledDataset(classes=ds.classes, measurements={**ds.measurements, label: bad})
     with pytest.raises(ValueError, match="unknown device"):
         dataset_matrix(ds2, NORM_MINMAX)
 
 
 def test_knn_model_end_to_end():
-    train, _, test = split_dataset(separable_dataset())
+    train, _, test = split_dataset(separable_dataset(), *SPLIT)
     model = train_knn_model(train, k=3)
     assert model.kind == "knn"
     assert model.classifier.classes == ["c0", "c1", "c2"]
@@ -157,14 +157,14 @@ def test_knn_model_end_to_end():
 
 
 def test_forest_model_end_to_end():
-    train, _, test = split_dataset(separable_dataset())
+    train, _, test = split_dataset(separable_dataset(), *SPLIT)
     model = train_forest_model(train, ForestParams(n_trees=15, seed=3))
     report = evaluate(model, test)
     assert report.top1_accuracy == 1.0
 
 
 def test_confusion_rows_sum_to_class_counts():
-    train, _, test = split_dataset(separable_dataset(per_class=8))
+    train, _, test = split_dataset(separable_dataset(per_class=8), *SPLIT)
     model = train_knn_model(train, k=1)
     report = evaluate(model, test)
     assert report.confusion.sum() == report.total
@@ -173,7 +173,7 @@ def test_confusion_rows_sum_to_class_counts():
 
 
 def test_topk_accuracy_non_decreasing():
-    train, _, test = split_dataset(separable_dataset(n_classes=4))
+    train, _, test = split_dataset(separable_dataset(n_classes=4), *SPLIT)
     model = train_knn_model(train, k=4)
     report = evaluate(model, test, topk=(1, 2, 3, 4))
     accs = [report.topk_accuracy[k] for k in (1, 2, 3, 4)]
@@ -220,15 +220,15 @@ def test_evaluate_matches_per_query_rankings(kind):
 
 
 def test_feature_length_mismatch_rejected():
-    train, _, _ = split_dataset(separable_dataset(length=20))
-    _, _, other_test = split_dataset(separable_dataset(length=24))
+    train, _, _ = split_dataset(separable_dataset(length=20), *SPLIT)
+    _, _, other_test = split_dataset(separable_dataset(length=24), *SPLIT)
     model = train_knn_model(train)
     with pytest.raises(ValueError, match="feature length"):
         evaluate(model, other_test)
 
 
 def test_report_rendering_has_no_duplicate_topk():
-    train, _, test = split_dataset(separable_dataset())
+    train, _, test = split_dataset(separable_dataset(), *SPLIT)
     model = train_knn_model(train)
     report = evaluate(model, test, topk=(1, 2))
     text = report.to_text()
@@ -267,7 +267,7 @@ def test_merge_rejects_mismatched_trace_lengths():
 
 @pytest.mark.parametrize("kind", ["knn", "forest"])
 def test_model_round_trip_preserves_predictions(tmp_path, kind):
-    train, _, test = split_dataset(separable_dataset())
+    train, _, test = split_dataset(separable_dataset(), *SPLIT)
     if kind == "knn":
         model = train_knn_model(train, k=3, normalization=NORM_MINMAX,
                                 metadata={"note": "unit"})
@@ -300,7 +300,7 @@ def test_model_file_rejects_other_formats(tmp_path):
 
 
 def test_failed_save_model_leaves_existing_file(tmp_path):
-    train, _, _ = split_dataset(separable_dataset())
+    train, _, _ = split_dataset(separable_dataset(), *SPLIT)
     path = tmp_path / "m.json"
     save_model(train_knn_model(train, k=3), path)
     before = path.read_bytes()

@@ -2,14 +2,16 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from freqscope import dataset
 from freqscope.cli import LOCK_NAME, main
 from freqscope.config import RESOLVED_CONFIG_NAME
-from freqscope.dataset import LabeledDataset, save_dataset
+from freqscope.dataset import DEFAULT_FRACTIONS, LabeledDataset, save_dataset, split_indices
 from freqscope.trace import _file_mode, load_trace, save_trace, FrequencyTrace
 
 
@@ -379,6 +381,45 @@ def test_eval_takes_split_fractions_from_config(tmp_path, website_ds):
     assert "total = 16" in (outs[0] / "report.kv").read_text().splitlines()
 
 
+def test_train_and_eval_open_only_their_split(tmp_path, monkeypatch):
+    ds, model = tmp_path / "ds", tmp_path / "m.json"
+    assert run_cli("simulate", "--classes", "20", "--measurements", "30", "--samples", "40",
+                   "--out", ds) == 0
+    opened, load = [], dataset._load_member
+    monkeypatch.setattr(dataset, "_load_member", lambda path: opened.append(path) or load(path))
+    assert run_cli("train", "--dataset", ds, "--model", model) == 0
+    assert len(opened) == 480
+    opened.clear()
+    assert run_cli("eval", "--dataset", ds, "--model", model, "--split", "test") == 0
+    assert len(opened) == 60
+
+
+def test_a_bad_trace_outside_the_split_fails_only_the_commands_that_read_it(
+        tmp_path, website_ds, capsys):
+    ds, model = tmp_path / "ds", tmp_path / "m.json"
+    shutil.copytree(website_ds, ds)
+    _, _, test = split_indices(0, "site00", 10, DEFAULT_FRACTIONS)
+    bad = ds / "site00" / f"{test[0]:04d}.ftrace"
+    bad.write_text("#ftrace v2\n")
+    assert run_cli("train", "--dataset", ds, "--model", model) == 0
+    assert run_cli("eval", "--dataset", ds, "--model", model, "--split", "val") == 0
+    capsys.readouterr()
+    for argv in (("eval", "--model", model, "--split", "test"),
+                 ("defend", "--defense", "resolution:2")):
+        assert run_cli(*argv, "--dataset", ds) == 3
+        assert capsys.readouterr().err == (
+            f"freqscope: {bad}: line 1: missing magic header '#ftrace v1'\n")
+
+
+def test_eval_of_an_empty_split_exits_2(tmp_path, website_ds, capsys):
+    model = tmp_path / "m.json"
+    assert run_cli("train", "--dataset", website_ds, "--model", model,
+                   "--fractions", "0.9,0,0.1") == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--dataset", website_ds, "--model", model, "--split", "val") == 2
+    assert capsys.readouterr().err == "freqscope: dataset holds no traces\n"
+
+
 def test_eval_missing_dataset_exits_3(tmp_path, website_ds):
     model = tmp_path / "model.json"
     assert run_cli("train", "--dataset", website_ds, "--model", model) == 0
@@ -534,7 +575,9 @@ def test_train_malformed_dataset_exits_3(tmp_path, case, capsys):
         (root / rel).parent.mkdir(parents=True, exist_ok=True)
         (root / rel).write_text(text)
     capsys.readouterr()
-    assert run_cli("train", "--dataset", root, "--model", tmp_path / "m.json") == 3
+    # train reads only its split: with every trace in it, it reads the bad one
+    assert run_cli("train", "--dataset", root, "--model", tmp_path / "m.json",
+                   "--fractions", "1,0,0") == 3
     err = capsys.readouterr().err
     assert err == f"freqscope: {message.format(root=str(root))}\n"
     assert not (tmp_path / "m.json").exists()
@@ -803,6 +846,22 @@ def test_keystrokes_guess_curve(tmp_path, capsys):
     curve = (out / "guesses.csv").read_text().splitlines()
     assert curve[0] == "guess,accuracy"
     assert len(curve) == 3
+
+
+def test_keystrokes_dataset_writes_its_summary(tmp_path, capsys):
+    pwfile = tmp_path / "pw.txt"
+    pwfile.write_text("ffffff\nqpqpqp\n")
+    ds = tmp_path / "keys"
+    assert run_cli("simulate", "--kind", "keystrokes", "--passwords", pwfile,
+                   "--per-label", "3", "--out", ds) == 0
+    out = tmp_path / "summary"
+    capsys.readouterr()
+    assert run_cli("keystrokes", "--dataset", ds, "--out", out) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert sorted(os.listdir(out)) == [RESOLVED_CONFIG_NAME, "summary.txt"]
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert [line.split(":")[0] for line in summary] == ["ffffff", "qpqpqp"]
+    assert printed[:2] == summary
 
 
 TYPED = [806_000] * 20 + [1_500_000] * 10 + [806_000] * 20 + [1_500_000] * 10 + [806_000] * 20

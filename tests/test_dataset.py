@@ -5,6 +5,7 @@ import re
 import pytest
 
 from freqscope.dataset import (
+    DEFAULT_FRACTIONS,
     LabeledDataset,
     _partition_counts,
     load_dataset,
@@ -16,7 +17,7 @@ from freqscope.dataset import (
 from freqscope.trace import FrequencyTrace
 
 
-def make_ds(classes=3, per_class=10, n=20, split_seed=0, fractions=(0.8, 0.1, 0.1)):
+def make_ds(classes=3, per_class=10, n=20):
     labels = [f"c{i}" for i in range(classes)]
     measurements = {
         label: [
@@ -30,12 +31,7 @@ def make_ds(classes=3, per_class=10, n=20, split_seed=0, fractions=(0.8, 0.1, 0.
         ]
         for i, label in enumerate(labels)
     }
-    return LabeledDataset(
-        classes=labels,
-        measurements=measurements,
-        split_seed=split_seed,
-        split_fractions=fractions,
-    )
+    return LabeledDataset(classes=labels, measurements=measurements)
 
 
 def test_stable_seed_is_stable_and_distinct():
@@ -57,7 +53,7 @@ def test_dataset_validation():
 
 def test_split_sizes_and_disjointness():
     ds = make_ds(classes=4, per_class=10)
-    train, val, test = split_dataset(ds)
+    train, val, test = split_dataset(ds, 0, DEFAULT_FRACTIONS)
     for label in ds.classes:
         assert len(train.measurements[label]) == 8
         assert len(val.measurements[label]) == 1
@@ -67,8 +63,8 @@ def test_split_sizes_and_disjointness():
 
 
 def test_split_is_pure_function_of_seed_label_index():
-    a = split_dataset(make_ds(split_seed=5))
-    b = split_dataset(make_ds(split_seed=5))
+    a = split_dataset(make_ds(), 5, DEFAULT_FRACTIONS)
+    b = split_dataset(make_ds(), 5, DEFAULT_FRACTIONS)
     for part_a, part_b in zip(a, b):
         for label in part_a.classes:
             sa = [t.samples.tolist() for t in part_a.measurements[label]]
@@ -77,8 +73,8 @@ def test_split_is_pure_function_of_seed_label_index():
 
 
 def test_split_changes_with_seed():
-    a, _, _ = split_dataset(make_ds(split_seed=0))
-    b, _, _ = split_dataset(make_ds(split_seed=1))
+    a, _, _ = split_dataset(make_ds(), 0, DEFAULT_FRACTIONS)
+    b, _, _ = split_dataset(make_ds(), 1, DEFAULT_FRACTIONS)
     same = all(
         [t.samples.tolist() for t in a.measurements[l]]
         == [t.samples.tolist() for t in b.measurements[l]]
@@ -89,20 +85,19 @@ def test_split_changes_with_seed():
 
 def test_zero_yield_split_rejected():
     with pytest.raises(ValueError, match="fraction"):
-        split_dataset(make_ds(per_class=4))  # 0.1 of 4 floors to zero
+        split_dataset(make_ds(per_class=4), 0, DEFAULT_FRACTIONS)  # 0.1 of 4 floors to zero
 
 
 def test_zero_fraction_is_allowed():
-    ds = make_ds(per_class=4, fractions=(0.75, 0.0, 0.25))
-    train, val, test = split_dataset(ds)
+    train, val, test = split_dataset(make_ds(per_class=4), 0, (0.75, 0.0, 0.25))
     assert val.total_measurements() == 0
     assert train.total_measurements() == 3 * 3
     assert test.total_measurements() == 3 * 1
 
 
 def test_fractions_must_sum_to_one():
-    with pytest.raises(ValueError):
-        make_ds(fractions=(0.5, 0.2, 0.2))
+    with pytest.raises(ValueError, match="must sum to 1"):
+        split_dataset(make_ds(), 0, (0.5, 0.2, 0.2))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
@@ -110,7 +105,7 @@ def test_fraction_outside_zero_to_finite_names_its_key(bad):
     fractions = (0.5, bad, 0.5)
     message = f"split.val must be a finite fraction >= 0, got {bad}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        make_ds(fractions=fractions)
+        split_dataset(make_ds(), 0, fractions)
     with pytest.raises(ValueError, match=re.escape(message)):
         _partition_counts(10, fractions)
 
@@ -124,7 +119,7 @@ def test_save_load_roundtrip(tmp_path):
     ds = make_ds(classes=2, per_class=3)
     root = tmp_path / "ds"
     save_dataset(ds, root)
-    back = load_dataset(root, split_seed=ds.split_seed)
+    back = load_dataset(root)
     assert back.classes == ds.classes
     for label in ds.classes:
         assert [t.samples.tolist() for t in back.measurements[label]] == [

@@ -39,8 +39,10 @@ def sample_dataset(per_class=8, length=40, seed=0):
             idx = base_idx + rng.integers(0, 2, size=length)
             rows.append(make_trace([RYZEN.pstates[int(j)] for j in idx], label))
         measurements[label] = rows
-    return LabeledDataset(classes=classes, measurements=measurements,
-                          split_seed=7, split_fractions=(0.5, 0.0, 0.5))
+    return LabeledDataset(classes=classes, measurements=measurements)
+
+
+SPLIT = (7, (0.5, 0.0, 0.5))  # sample_dataset's split seed and fractions
 
 
 def test_defense_validation():
@@ -243,7 +245,6 @@ def test_defended_dataset_structure_and_salting():
     out = defended_dataset(d, ds)
     assert out.classes == ds.classes
     assert out.total_measurements() == ds.total_measurements()
-    assert out.split_seed == ds.split_seed
     # traces within one class get different noise
     a = out.measurements["c0"][0].samples.tolist()
     b = out.measurements["c0"][1].samples.tolist()
@@ -256,7 +257,7 @@ def test_defended_dataset_structure_and_salting():
 def test_one_defense_sweep_returns_clean_and_defended():
     ds = sample_dataset()
     trainer = lambda tr: train_knn_model(tr, k=3)
-    (row,) = defense_sweep([constant_mask(1_400_000)], ds, trainer)
+    (row,) = defense_sweep([constant_mask(1_400_000)], ds, trainer, *SPLIT)
     assert (row.kind, row.param) == ("constant_mask", "1400000")
     assert row.top1_clean == 1.0  # classes are trivially separable
     # masked traces carry no information: accuracy collapses toward chance
@@ -267,7 +268,7 @@ def test_defense_sweep_rows_and_renderers():
     ds = sample_dataset()
     trainer = lambda tr: train_knn_model(tr, k=3)
     defenses = [resolution_reduce(1), resolution_reduce(4), constant_mask(1_400_000)]
-    rows = defense_sweep(defenses, ds, trainer)
+    rows = defense_sweep(defenses, ds, trainer, *SPLIT)
     assert [r.param for r in rows] == ["1", "4", "1400000"]
     assert len({r.top1_clean for r in rows}) == 1  # shared baseline
     assert rows[0].top1_defended == rows[0].top1_clean  # factor 1 = identity

@@ -47,8 +47,10 @@ def noisy_dataset():
                            device="ryzen5", label=f"c{c}")
             for r in rows
         ]
-    return LabeledDataset(classes=sorted(measurements), measurements=measurements,
-                          split_seed=5, split_fractions=(0.5, 0.25, 0.25))
+    return LabeledDataset(classes=sorted(measurements), measurements=measurements)
+
+
+SPLIT = (5, (0.5, 0.25, 0.25))  # noisy_dataset's split seed and fractions
 
 
 def use_cpus(monkeypatch, n):
@@ -61,8 +63,8 @@ def use_cpus(monkeypatch, n):
 def test_sweep_matches_serial_oracle(monkeypatch, case, trainer, workers):
     ds = noisy_dataset()
     use_cpus(monkeypatch, workers)
-    rows = defense_sweep(DEFENSES[case], ds, TRAINERS[trainer])
-    assert rows == serial_sweep(DEFENSES[case], ds, TRAINERS[trainer])
+    rows = defense_sweep(DEFENSES[case], ds, TRAINERS[trainer], *SPLIT)
+    assert rows == serial_sweep(DEFENSES[case], ds, TRAINERS[trainer], *SPLIT)
     assert multiprocessing.active_children() == []
 
 
@@ -76,7 +78,7 @@ def test_jobs_run_in_workers_only_with_two_cpus(monkeypatch, tmp_path, workers):
         return train_knn_model(view, k=3)
 
     use_cpus(monkeypatch, workers)
-    defense_sweep([resolution_reduce(2), resolution_reduce(3)], noisy_dataset(), trainer)
+    defense_sweep([resolution_reduce(2), resolution_reduce(3)], noisy_dataset(), trainer, *SPLIT)
     seen = pids.read_text().split()
     assert len(seen) == 3  # the baseline and two defenses
     assert (str(os.getpid()) in seen) == (workers == 1)
@@ -94,7 +96,7 @@ def test_one_job_per_distinct_defended_dataset(monkeypatch, case, jobs):
 
     monkeypatch.setattr(defend, "_sweep_job", counted)
     use_cpus(monkeypatch, 1)
-    defense_sweep(DEFENSES[case], noisy_dataset(), TRAINERS["knn"])
+    defense_sweep(DEFENSES[case], noisy_dataset(), TRAINERS["knn"], *SPLIT)
     assert calls == list(range(-1, jobs - 1))
 
 

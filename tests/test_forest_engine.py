@@ -110,8 +110,7 @@ def website_small():
             rows.append(FrequencyTrace(samples=sim.samples, interval_ms=10,
                                        device=sim.device, label=label))
         measurements[label] = rows
-    return LabeledDataset(classes=labels, measurements=measurements,
-                          split_seed=0, split_fractions=(0.8, 0.1, 0.1))
+    return LabeledDataset(classes=labels, measurements=measurements)
 
 
 DEFENSES = {
