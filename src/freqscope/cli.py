@@ -474,7 +474,7 @@ def _check_report_value(path, n: int, name: str, text: str) -> None:
         ok = False
     if not ok:
         want = "an integer >= 0" if name == "total" else "a number in [0, 1]"
-        raise TraceFormatError(n, f"{path}: {name} must be {want}, got {text!r}")
+        raise TraceFormatError(path, n, f"{name} must be {want}, got {text!r}")
 
 
 def _parse_kv_file(path: Path) -> dict[str, str]:
@@ -522,7 +522,7 @@ def cmd_report(args) -> int:
                     continue
                 cells = line.split(",")
                 if len(cells) != 4:
-                    raise TraceFormatError(n, f"{path_text}: malformed sweep row {line!r}")
+                    raise TraceFormatError(path_text, n, f"malformed sweep row {line!r}")
                 for name, cell in zip(("top1_clean", "top1_defended"), cells[2:]):
                     _check_report_value(path_text, n, name, cell)
                 rows.append(cells)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .trace import (
     FrequencyTrace,
-    TraceFormatError,
     decode_label,
     encode_label,
     load_trace,
@@ -30,8 +29,8 @@ SPLIT_PARTS = ("train", "val", "test")
 
 
 class DatasetFormatError(ValueError):
-    """Raised for dataset trees without traces, with a malformed trace file,
-    or whose traces disagree on sample count or interval."""
+    """Raised for dataset trees without traces, or whose traces disagree on
+    sample count or interval; a malformed trace file raises TraceFormatError."""
 
 
 def stable_seed(*parts) -> int:
@@ -151,14 +150,8 @@ def load_dataset(root: str | os.PathLike, split: tuple | None = None) -> Labeled
             seed, fractions, part = split
             chosen = split_indices(seed, label, len(files), fractions)[SPLIT_PARTS.index(part)]
             files = [files[i] for i in chosen]
-        measurements[label] = [_load_member(os.path.join(label_dir, f)) for f in files]
+        measurements[label] = [load_trace(os.path.join(label_dir, f)) for f in files]
     if not measurements:
         raise DatasetFormatError(f"no traces found under {root!r}")
     return LabeledDataset(classes=sorted(measurements), measurements=measurements)
 
-
-def _load_member(path: str) -> FrequencyTrace:
-    try:
-        return load_trace(path)
-    except TraceFormatError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from exc

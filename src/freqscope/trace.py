@@ -10,8 +10,9 @@ The file format is line oriented so labels are percent-encoded:
     0,800000
     1,1600000
 
-Header lines start with '#'; body lines are `index,freq_khz`. Files are
-UTF-8 with LF endings and are written atomically (temp file + rename).
+Header lines start with '#'; body lines are `index,freq_khz` in ASCII
+digits, indices counting from 0. Files are UTF-8 with LF endings and are
+written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -29,19 +30,20 @@ import numpy as np
 
 MAGIC = "#ftrace v1"
 
-_HEADER_KEYS = ("interval_ms", "device", "label", "start_index")
+_HEADER_KEYS = ("interval_ms", "device", "label")
 
 _INT64_MAX = 2**63 - 1
 
-# `index,freq_khz` lines of ASCII digits, LF-terminated; 18 digits always fit int64
-_CANONICAL_BODY = re.compile(r"(?:[0-9]{1,18},[0-9]{1,18}\n)+")
+# `index,freq_khz` lines of ASCII digits, LF-terminated; 19 digits always fit uint64
+_CANONICAL_BODY = re.compile(r"(?:[0-9]{1,19},[0-9]{1,19}\n)+")
 
 
 class TraceFormatError(ValueError):
-    """Raised for malformed trace files; carries the offending line number."""
+    """Raised for malformed trace and report files; names the file and the
+    offending line, which it also carries as `line`."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path: str | os.PathLike, line: int, message: str):
+        super().__init__(f"{os.fspath(path)}: line {line}: {message}")
         self.line = line
 
 
@@ -54,7 +56,6 @@ class FrequencyTrace:
     interval_ms: int
     device: str = "unknown"
     label: str | None = None
-    start_index: int = 0
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples)
@@ -64,8 +65,6 @@ class FrequencyTrace:
             raise ValueError("trace needs at least one sample")
         if self.interval_ms < 1:
             raise ValueError("interval_ms must be >= 1")
-        if self.start_index < 0:
-            raise ValueError("start_index must be >= 0")
         if samples.dtype.kind not in "iu" or not isinstance(self.samples, np.ndarray):
             # numpy reads a bool among ints as an int and mixed numpy integer
             # types as floats, so all but integer arrays are judged value by value
@@ -85,8 +84,8 @@ class FrequencyTrace:
         if not isinstance(other, FrequencyTrace):
             return NotImplemented
         return (np.array_equal(self.samples, other.samples)
-                and (self.interval_ms, self.device, self.label, self.start_index)
-                == (other.interval_ms, other.device, other.label, other.start_index))
+                and (self.interval_ms, self.device, self.label)
+                == (other.interval_ms, other.device, other.label))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -134,11 +133,8 @@ def save_trace(trace: FrequencyTrace, path: str | os.PathLike, *, overwrite: boo
     lines = [MAGIC, f"#interval_ms={trace.interval_ms}", f"#device={encode_label(trace.device)}"]
     if trace.label is not None:
         lines.append(f"#label={encode_label(trace.label)}")
-    if trace.start_index:
-        lines.append(f"#start_index={trace.start_index}")
-    # one format pass for the whole body; %s renders an int as str() does.
-    # Indices stay Python ints: start_index is not bounded by int64
-    pairs = chain.from_iterable(enumerate(trace.samples.tolist(), start=trace.start_index))
+    # one format pass for the whole body; %s renders an int as str() does
+    pairs = chain.from_iterable(enumerate(trace.samples.tolist()))
     body = "%s,%s\n" * len(trace.samples) % tuple(pairs)
     with atomic_writer(path, overwrite=overwrite) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -146,11 +142,8 @@ def save_trace(trace: FrequencyTrace, path: str | os.PathLike, *, overwrite: boo
 
 
 def load_trace(path: str | os.PathLike) -> FrequencyTrace:
-    """Parse a .ftrace file; inverse of save_trace.
-
-    A canonical body, as save_trace writes it, is parsed in bulk; any other
-    body goes through the line parser, which also names the first bad line.
-    """
+    """Parse a .ftrace file; inverse of save_trace. The body must be spelled
+    as save_trace writes it; an error names the file and its first bad line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         raw = fh.read()
 
@@ -162,85 +155,49 @@ def load_trace(path: str | os.PathLike) -> FrequencyTrace:
     if lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != MAGIC:
-        raise TraceFormatError(1, f"missing magic header {MAGIC!r}")
+        raise TraceFormatError(path, 1, f"missing magic header {MAGIC!r}")
 
     header: dict[str, str] = {}
     for n, line in enumerate(lines[1:], start=2):
         key, sep, value = line[1:].partition("=")
         if not sep:
-            raise TraceFormatError(n, f"malformed header line {line!r}")
+            raise TraceFormatError(path, n, f"malformed header line {line!r}")
         if key not in _HEADER_KEYS:
-            raise TraceFormatError(n, f"unknown header key {key!r}")
+            raise TraceFormatError(path, n, f"unknown header key {key!r}")
         if key in header:
-            raise TraceFormatError(n, f"duplicate header key {key!r}")
+            raise TraceFormatError(path, n, f"duplicate header key {key!r}")
         header[key] = value
 
     if "interval_ms" not in header:
-        raise TraceFormatError(1, "header lacks interval_ms")
-    try:
-        interval = int(header["interval_ms"])
-    except ValueError:
-        raise TraceFormatError(1, f"interval_ms is not an integer: {header['interval_ms']!r}") from None
-    try:
-        start_index = int(header.get("start_index", "0"))
-    except ValueError:
-        raise TraceFormatError(1, f"start_index is not an integer: {header['start_index']!r}") from None
+        raise TraceFormatError(path, 1, "header lacks interval_ms")
+    interval = header["interval_ms"]
+    if not (interval.isascii() and interval.isdigit()):
+        raise TraceFormatError(path, 1, f"interval_ms is not an integer: {interval!r}")
 
     body = raw[body_at:]
     if not body:
-        raise TraceFormatError(len(lines), "empty body")
+        raise TraceFormatError(path, len(lines), "empty body")
     body_start = len(lines) + 1
-    samples = _bulk_samples(body, start_index)
-    if samples is None:
-        samples = _parse_lines(body, body_start, start_index)
+    canonical = _CANONICAL_BODY.match(body)
+    end = canonical.end() if canonical else 0
+    if end < len(body):
+        bad = body[end:].partition("\n")[0]
+        raise TraceFormatError(path, body_start + body.count("\n", 0, end),
+                               f"malformed sample line {bad!r} (want index,freq_khz:"
+                               " 1-19 ASCII digits each, LF-terminated)")
+    pairs = np.fromstring(body.replace("\n", ","), dtype=np.uint64, sep=",").reshape(-1, 2)
+    out_of_sequence = np.flatnonzero(pairs[:, 0] != np.arange(len(pairs), dtype=np.uint64))
+    if len(out_of_sequence):
+        k = int(out_of_sequence[0])
+        raise TraceFormatError(path, body_start + k,
+                               f"sample index {pairs[k, 0]} out of sequence (expected {k})")
 
     try:
         return FrequencyTrace(
-            samples=samples,
-            interval_ms=interval,
+            samples=pairs[:, 1],
+            interval_ms=int(interval),
             device=decode_label(header.get("device", "unknown")),
             label=decode_label(header["label"]) if "label" in header else None,
-            start_index=start_index,
         )
     except ValueError as exc:
-        raise TraceFormatError(body_start, str(exc)) from None
-
-
-def _bulk_samples(body: str, start_index: int) -> np.ndarray | None:
-    """The samples of a canonical body whose indices count up from
-    start_index, converted in one numpy call; None for any other body."""
-    if not _CANONICAL_BODY.fullmatch(body):
-        return None
-    pairs = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",").reshape(-1, 2)
-    # the first test also keeps arange inside int64
-    if pairs[0, 0] != start_index or not np.array_equal(
-        pairs[:, 0], np.arange(start_index, start_index + len(pairs))
-    ):
-        return None
-    return pairs[:, 1]
-
-
-def _parse_lines(body: str, body_start: int, start_index: int) -> list[int]:
-    """Line by line, for bodies the bulk path refuses: takes every spelling
-    int() accepts (signs, spaces, '_', a trailing CR) and raises
-    TraceFormatError naming the first bad line. Values outside [0, 2**63)
-    are left for FrequencyTrace to reject."""
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    samples: list[int] = []
-    expected = start_index
-    for n, line in enumerate(lines, start=body_start):
-        idx_text, sep, freq_text = line.partition(",")
-        if not sep:
-            raise TraceFormatError(n, f"body line lacks comma separator: {line!r}")
-        try:
-            idx = int(idx_text)
-            freq = int(freq_text)
-        except ValueError:
-            raise TraceFormatError(n, f"non-numeric sample line: {line!r}") from None
-        if idx != expected:
-            raise TraceFormatError(n, f"sample index {idx} out of sequence (expected {expected})")
-        samples.append(freq)
-        expected += 1
-    return samples
+        raise TraceFormatError(path, body_start, str(exc)) from None

@@ -385,8 +385,8 @@ def test_train_and_eval_open_only_their_split(tmp_path, monkeypatch):
     ds, model = tmp_path / "ds", tmp_path / "m.json"
     assert run_cli("simulate", "--classes", "20", "--measurements", "30", "--samples", "40",
                    "--out", ds) == 0
-    opened, load = [], dataset._load_member
-    monkeypatch.setattr(dataset, "_load_member", lambda path: opened.append(path) or load(path))
+    opened, load = [], dataset.load_trace
+    monkeypatch.setattr(dataset, "load_trace", lambda path: opened.append(path) or load(path))
     assert run_cli("train", "--dataset", ds, "--model", model) == 0
     assert len(opened) == 480
     opened.clear()
@@ -547,6 +547,7 @@ def test_eval_malformed_model_payload_exits_3(tmp_path, website_ds, model_docs, 
 
 
 GOOD_TRACE = "#ftrace v1\n#interval_ms=10\n0,100\n1,200\n"
+WANT_BODY = " (want index,freq_khz: 1-19 ASCII digits each, LF-terminated)"
 
 MALFORMED_DATASETS = {  # case: (relative path -> file text, stderr message)
     "mixed_lengths": ({"a/0000.ftrace": GOOD_TRACE,
@@ -560,7 +561,9 @@ MALFORMED_DATASETS = {  # case: (relative path -> file text, stderr message)
                    "{root}/a/0001.ftrace: line 1: missing magic header '#ftrace v1'"),
     "bad_body_line": ({"a/0000.ftrace": GOOD_TRACE,
                        "a/0001.ftrace": "#ftrace v1\n#interval_ms=10\n 0,+100\n1,2x0\n"},
-                      "{root}/a/0001.ftrace: line 4: non-numeric sample line: '1,2x0'"),
+                      "{root}/a/0001.ftrace: line 3: malformed sample line ' 0,+100'" + WANT_BODY),
+    "crlf_body": ({"a/0000.ftrace": "#ftrace v1\n#interval_ms=10\n0,100\r\n1,200\r\n"},
+                  "{root}/a/0000.ftrace: line 3: malformed sample line '0,100\\r'" + WANT_BODY),
     "sample_past_int64": ({"a/0000.ftrace": GOOD_TRACE.replace(",200", ",9223372036854775808")},
                           "{root}/a/0000.ftrace: line 3: samples must be integers in"
                           " [0, 2**63), got 9223372036854775808"),
@@ -770,6 +773,25 @@ def test_collect_replay_exhausted_exits_3(tmp_path):
                  "--samples", "50", "--measurements", "1", "--label", "x",
                  "--out", tmp_path / "y")
     assert rc == 3
+
+
+BAD_TRACE_READERS = {  # case: (argv before the trace file, argv after it)
+    "collect_replay": (("collect", "--source", "replay", "--replay"),
+                       ("--samples", "2", "--measurements", "1", "--label", "x")),
+    "keystrokes_trace": (("keystrokes", "--trace"), ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACE_READERS))
+def test_a_bad_trace_file_is_named(tmp_path, capsys, case):
+    before, after = BAD_TRACE_READERS[case]
+    bad, out = tmp_path / "bad.ftrace", tmp_path / "out"
+    bad.write_text("#ftrace v2\n#interval_ms=10\n0,1\n")
+    capsys.readouterr()
+    assert run_cli(*before, bad, *after, "--out", out) == 3
+    assert capsys.readouterr().err == (
+        f"freqscope: {bad}: line 1: missing magic header '#ftrace v1'\n")
+    assert not out.exists()
 
 
 def test_collect_all_hooks_fail_exits_5(tmp_path):
@@ -995,7 +1017,7 @@ def test_report_malformed_value_exits_3(tmp_path, case, capsys):
     capsys.readouterr()
     assert run_cli("report", flag, path, "--out", tmp_path / "rpt") == 3
     err = capsys.readouterr().err
-    assert f"line {line}: {path}: " in err and "Traceback" not in err
+    assert f"{path}: line {line}: " in err and "Traceback" not in err
     assert not (tmp_path / "rpt").exists()
 
 

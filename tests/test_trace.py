@@ -1,6 +1,8 @@
 """Trace container and the .ftrace file format."""
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ def test_length():
 
 
 def test_roundtrip(tmp_path):
-    t = make_trace(device="ryzen5", label="news site/front page", start_index=7)
+    t = make_trace(device="ryzen5", label="news site/front page")
     path = tmp_path / "a.ftrace"
     save_trace(t, path)
     back = load_trace(path)
@@ -45,7 +47,6 @@ def test_roundtrip(tmp_path):
     assert back.interval_ms == t.interval_ms
     assert back.device == t.device
     assert back.label == t.label
-    assert back.start_index == t.start_index
 
 
 def test_file_shape(tmp_path):
@@ -111,12 +112,13 @@ def test_load_rejects_nonsequential_index(tmp_path):
         load_trace(p)
 
 
-def test_load_respects_start_index(tmp_path):
+def test_load_rejects_start_index_header(tmp_path):
+    # indices count from 0: the key that once offset them is unknown
     p = tmp_path / "x.ftrace"
     p.write_text("#ftrace v1\n#interval_ms=10\n#start_index=5\n5,100\n6,200\n")
-    t = load_trace(p)
-    assert t.start_index == 5
-    assert t.samples.tolist() == [100, 200]
+    with pytest.raises(TraceFormatError, match="line 3: unknown header key 'start_index'") as err:
+        load_trace(p)
+    assert err.value.line == 3
 
 
 def test_load_rejects_garbage_row(tmp_path):
@@ -125,6 +127,15 @@ def test_load_rejects_garbage_row(tmp_path):
     with pytest.raises(TraceFormatError) as err:
         load_trace(p)
     assert err.value.line == 4
+
+
+def test_readme_example_is_what_save_trace_writes(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"\*\*`\.ftrace`\*\*.*?```\n(.*?)```", readme, re.DOTALL)[1]
+    p, again = tmp_path / "readme.ftrace", tmp_path / "again.ftrace"
+    p.write_bytes(example.encode("utf-8"))
+    save_trace(load_trace(p), again)
+    assert again.read_bytes() == p.read_bytes()
 
 
 def test_load_rejects_empty_body(tmp_path):

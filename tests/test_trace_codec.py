@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import trace_oracle as oracle
-from freqscope import trace
 from freqscope.classify import TrainedModel, save_model, train_forest_model, train_knn_model
 from freqscope.dataset import LabeledDataset
 from freqscope.forest import ForestParams
@@ -19,10 +18,8 @@ TRACES = {
     "labelled": FrequencyTrace(samples=[1, 0, 2], interval_ms=20, device="ryzen5",
                                label="news, site/front\npage 100% élève"),
     "device_odd": FrequencyTrace(samples=[5], interval_ms=1, device="a,b%c\n=d é"),
-    "start_index": FrequencyTrace(samples=[7, 8, 9, 10], interval_ms=10, start_index=995),
     "int64_max": FrequencyTrace(samples=[0, 2**63 - 1], interval_ms=10),
-    "long": FrequencyTrace(samples=list(range(0, 3_000_000, 1_000)), interval_ms=10,
-                           label="", start_index=1),
+    "long": FrequencyTrace(samples=list(range(0, 3_000_000, 1_000)), interval_ms=10, label=""),
 }
 
 
@@ -37,15 +34,17 @@ def test_save_trace_writes_the_oracle_bytes(tmp_path, case):
 
 HEAD = "#ftrace v1\n#interval_ms=10\n"
 
-FILES = {  # case: file text; only the "canonical" bodies take the bulk path
+FILES = {  # case: file text; only the "canonical" cases load
     "canonical": HEAD + "0,100\n1,200\n2,300\n",
     "canonical_leading_zeros": HEAD + "00,0100\n01,0\n",
     "canonical_18_digits": HEAD + "0,999999999999999999\n",
-    "canonical_start_index": "#ftrace v1\n#start_index=5\n#interval_ms=10\n5,1\n6,2\n",
-    "canonical_start_index_leading_zero": HEAD + "#start_index=018\n18,1\n",
+    "canonical_19_digits": HEAD + "0,9223372036854775807\n1,1000000000000000000\n",
+    # indices count from 0: `#start_index=` is an unknown key, whatever its value
+    "start_index_header": HEAD + "#start_index=0\n0,1\n",
     "start_index_mismatch": HEAD + "#start_index=5\n0,1\n1,2\n",
     "start_index_negative": HEAD + "#start_index=-1\n-1,5\n0,6\n",
     "start_index_huge": HEAD + "#start_index=99999999999999999999\n99999999999999999999,1\n",
+    "start_index_not_int": HEAD + "#start_index=x\n0,1\n",
     "no_final_newline": HEAD + "0,100\n1,200",
     "crlf": HEAD + "0,100\r\n1,200\r\n",
     "spaces": HEAD + " 0, 100\n1 ,200 \n",
@@ -74,12 +73,15 @@ FILES = {  # case: file text; only the "canonical" bodies take the bulk path
     "magic_crlf": "#ftrace v1\r\n#interval_ms=10\r\n0,1\r\n",
     "no_interval": "#ftrace v1\n#device=sim\n0,1\n",
     "interval_not_int": "#ftrace v1\n#interval_ms=ten\n0,1\n",
+    "interval_space": "#ftrace v1\n#interval_ms= 10\n0,1\n",
+    "interval_sign": "#ftrace v1\n#interval_ms=+10\n0,1\n",
+    "interval_underscore": "#ftrace v1\n#interval_ms=1_0\n0,1\n",
+    "interval_unicode_digits": "#ftrace v1\n#interval_ms=١٠\n0,1\n",
     "interval_zero": "#ftrace v1\n#interval_ms=0\n0,1\n",
-    "start_index_not_int": HEAD + "#start_index=x\n0,1\n",
     "unknown_key": HEAD + "#color=red\n0,1\n",
     "duplicate_key": HEAD + "#interval_ms=20\n0,1\n",
     "malformed_header": HEAD + "#device\n0,1\n",
-    "five_header_lines": HEAD + "#device=a\n#label=b\n#start_index=0\n#label=c\n0,1\n",
+    "five_header_lines": HEAD + "#device=a\n#label=b\n#label=c\n0,1\n",
 }
 
 
@@ -88,36 +90,50 @@ def outcome(load, path):
         t = load(path)
     except TraceFormatError as exc:
         return ("error", exc.line, str(exc))
-    return ("trace", t.samples.tolist(), t.interval_ms, t.device, t.label, t.start_index)
-
-
-def assert_same_outcome(path):
-    got, want = outcome(load_trace, path), outcome(oracle.load_trace, path)
-    assert got == want
+    return ("trace", t.samples.tolist(), t.interval_ms, t.device, t.label)
 
 
 @pytest.mark.parametrize("case", sorted(FILES))
 def test_load_trace_matches_the_line_parser(tmp_path, case):
     path = tmp_path / "t.ftrace"
     path.write_bytes(FILES[case].encode("utf-8"))
-    assert_same_outcome(path)
+    got = outcome(load_trace, path)
+    assert got == outcome(oracle.load_trace, path)
+    assert (got[0] == "trace") == case.startswith("canonical")
+
+
+WANT = " (want index,freq_khz: 1-19 ASCII digits each, LF-terminated)"
+
+ERRORS = {  # case: (line, message) of the error, after the file's path
+    "19_digits": (3, "samples must be integers in [0, 2**63), got 9223372036854775808"),
+    "overflow": (3, "malformed sample line '0,99999999999999999999999'" + WANT),
+    "crlf": (3, "malformed sample line '0,100\\r'" + WANT),
+    "no_final_newline": (4, "malformed sample line '1,200'" + WANT),
+    "hash_after_body": (4, "malformed sample line '#device=x'" + WANT),
+    "index_gap": (4, "sample index 2 out of sequence (expected 1)"),
+    "start_index_header": (3, "unknown header key 'start_index'"),
+    "interval_space": (1, "interval_ms is not an integer: ' 10'"),
+    "interval_sign": (1, "interval_ms is not an integer: '+10'"),
+    "interval_underscore": (1, "interval_ms is not an integer: '1_0'"),
+    "interval_unicode_digits": (1, "interval_ms is not an integer: '١٠'"),
+}
+
+
+def assert_error(path, case):
+    path.write_bytes(FILES[case].encode("utf-8"))
+    line, message = ERRORS[case]
+    assert outcome(load_trace, path) == ("error", line, f"{path}: line {line}: {message}")
 
 
 @pytest.mark.parametrize("case", ["19_digits", "overflow"])
 def test_samples_past_int64_are_a_format_error(tmp_path, case):
-    path = tmp_path / "t.ftrace"
-    path.write_bytes(FILES[case].encode("utf-8"))
-    kind, line, message = outcome(load_trace, path)
-    assert (kind, line) == ("error", 3)
-    assert "samples must be integers in [0, 2**63), got " in message
+    # 19 digits parse and then fail the trace's range; 20 or more are no spelling
+    assert_error(tmp_path / "t.ftrace", case)
 
 
-@pytest.mark.parametrize("case", sorted(c for c in FILES if c.startswith("canonical")))
-def test_canonical_bodies_skip_the_line_parser(tmp_path, monkeypatch, case):
-    monkeypatch.setattr(trace, "_parse_lines", lambda *a: pytest.fail("line parser used"))
-    path = tmp_path / "t.ftrace"
-    path.write_bytes(FILES[case].encode("utf-8"))
-    assert_same_outcome(path)
+@pytest.mark.parametrize("case", sorted(set(ERRORS) - {"19_digits", "overflow"}))
+def test_load_trace_names_the_file_and_the_first_bad_line(tmp_path, case):
+    assert_error(tmp_path / "t.ftrace", case)
 
 
 def _knn_with_odd_floats():

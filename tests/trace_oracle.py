@@ -3,16 +3,19 @@
 
 These are the per-line and pure-Python-encoder implementations that the
 bulk codec in `freqscope.trace` and the streamed writer in
-`freqscope.classify` replaced, kept verbatim as the oracles the new code is
-compared against byte for byte. `load_trace` parses every body line with
-`partition` and two `int()` calls, `render_trace` builds one f-string per
-line, and `save_model` encodes the whole document with `json.dump`.
+`freqscope.classify` replaced, kept as the oracles the new code is
+compared against byte for byte. `load_trace` first checks every body line
+against `CANONICAL_LINE` and its LF, naming the first that fails, then
+reads every line with `partition` and two `int()` calls; `render_trace`
+builds one f-string per line, and `save_model` encodes the whole document
+with `json.dump`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 
 from freqscope.classify import MODEL_FORMAT, MODEL_VERSION, TrainedModel
 from freqscope.forest import ForestModel
@@ -27,15 +30,16 @@ from freqscope.trace import (
     encode_label,
 )
 
+# the one spelling of a body line: `index,freq_khz` in ASCII digits
+CANONICAL_LINE = re.compile(r"[0-9]{1,19},[0-9]{1,19}")
+
 
 def render_trace(trace: FrequencyTrace) -> str:
     """The text the parent's save_trace wrote."""
     lines = [MAGIC, f"#interval_ms={trace.interval_ms}", f"#device={encode_label(trace.device)}"]
     if trace.label is not None:
         lines.append(f"#label={encode_label(trace.label)}")
-    if trace.start_index:
-        lines.append(f"#start_index={trace.start_index}")
-    for i, freq in enumerate(trace.samples, start=trace.start_index):
+    for i, freq in enumerate(trace.samples):
         lines.append(f"{i},{freq}")
     return "\n".join(lines) + "\n"
 
@@ -49,7 +53,7 @@ def load_trace(path: str | os.PathLike) -> FrequencyTrace:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != MAGIC:
-        raise TraceFormatError(1, f"missing magic header {MAGIC!r}")
+        raise TraceFormatError(path, 1, f"missing magic header {MAGIC!r}")
 
     header: dict[str, str] = {}
     body_start = None
@@ -59,42 +63,34 @@ def load_trace(path: str | os.PathLike) -> FrequencyTrace:
             break
         key, sep, value = line[1:].partition("=")
         if not sep:
-            raise TraceFormatError(n, f"malformed header line {line!r}")
+            raise TraceFormatError(path, n, f"malformed header line {line!r}")
         if key not in _HEADER_KEYS:
-            raise TraceFormatError(n, f"unknown header key {key!r}")
+            raise TraceFormatError(path, n, f"unknown header key {key!r}")
         if key in header:
-            raise TraceFormatError(n, f"duplicate header key {key!r}")
+            raise TraceFormatError(path, n, f"duplicate header key {key!r}")
         header[key] = value
 
     if "interval_ms" not in header:
-        raise TraceFormatError(1, "header lacks interval_ms")
-    try:
-        interval = int(header["interval_ms"])
-    except ValueError:
-        raise TraceFormatError(1, f"interval_ms is not an integer: {header['interval_ms']!r}") from None
-    try:
-        start_index = int(header.get("start_index", "0"))
-    except ValueError:
-        raise TraceFormatError(1, f"start_index is not an integer: {header['start_index']!r}") from None
+        raise TraceFormatError(path, 1, "header lacks interval_ms")
+    if not re.fullmatch("[0-9]+", header["interval_ms"]):
+        raise TraceFormatError(path, 1, f"interval_ms is not an integer: {header['interval_ms']!r}")
+    interval = int(header["interval_ms"])
 
     if body_start is None:
-        raise TraceFormatError(len(lines), "empty body")
+        raise TraceFormatError(path, len(lines), "empty body")
+
+    for n, line in enumerate(lines[body_start - 1 :], start=body_start):
+        if not CANONICAL_LINE.fullmatch(line) or (n == len(lines) and not raw.endswith("\n")):
+            raise TraceFormatError(path, n, f"malformed sample line {line!r} (want index,freq_khz:"
+                                   " 1-19 ASCII digits each, LF-terminated)")
 
     samples: list[int] = []
-    expected = start_index
     for n, line in enumerate(lines[body_start - 1 :], start=body_start):
-        idx_text, sep, freq_text = line.partition(",")
-        if not sep:
-            raise TraceFormatError(n, f"body line lacks comma separator: {line!r}")
-        try:
-            idx = int(idx_text)
-            freq = int(freq_text)
-        except ValueError:
-            raise TraceFormatError(n, f"non-numeric sample line: {line!r}") from None
-        if idx != expected:
-            raise TraceFormatError(n, f"sample index {idx} out of sequence (expected {expected})")
-        samples.append(freq)
-        expected += 1
+        idx_text, _, freq_text = line.partition(",")
+        if int(idx_text) != len(samples):
+            raise TraceFormatError(path, n, f"sample index {int(idx_text)} out of sequence"
+                                   f" (expected {len(samples)})")
+        samples.append(int(freq_text))
 
     try:
         return FrequencyTrace(
@@ -102,10 +98,9 @@ def load_trace(path: str | os.PathLike) -> FrequencyTrace:
             interval_ms=interval,
             device=decode_label(header.get("device", "unknown")),
             label=decode_label(header["label"]) if "label" in header else None,
-            start_index=start_index,
         )
     except ValueError as exc:
-        raise TraceFormatError(body_start, str(exc)) from None
+        raise TraceFormatError(path, body_start, str(exc)) from None
 
 
 def _classifier_payload(model: TrainedModel) -> dict:
