@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import forest, knn
-from .dataset import LabeledDataset
+from .dataset import DatasetFormatError, LabeledDataset
 from .forest import ForestModel, ForestParams, forest_train
 from .knn import KnnModel, fit_knn
 from .profiles import get_profile
@@ -45,7 +45,8 @@ def dataset_matrix(ds: LabeledDataset, normalization: str = NORM_NONE):
             try:
                 profile = get_profile(device)
             except KeyError as exc:
-                raise ValueError(f"cannot normalize trace with unknown device {device!r}") from exc
+                raise DatasetFormatError(
+                    f"cannot normalize trace with unknown device {device!r}") from exc
             bounds[device] = (profile.min_freq_khz, profile.boost_cap_khz)
         lo, hi = np.array([bounds[trace.device] for _, trace in pairs]).T[:, :, None]
         X -= lo
@@ -139,9 +140,8 @@ def evaluate(model: TrainedModel, test_ds: LabeledDataset,
              topk: tuple[int, ...] = (1, 5)) -> EvalReport:
     X, truth = dataset_matrix(test_ds, model.normalization)
     if X.shape[1] != model.feature_length:
-        raise ValueError(
-            f"test feature length {X.shape[1]} != model feature length {model.feature_length}"
-        )
+        raise DatasetFormatError(f"test feature length {X.shape[1]} != model feature length"
+                                 f" {model.feature_length}")
     labels = sorted(set(model.classifier.classes) | set(truth))
     index = {label: i for i, label in enumerate(labels)}
     true_idx = np.array([index[label] for label in truth])
@@ -233,13 +233,59 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return _model_from_doc(json.loads(text), path)
+        return _model_from_doc(_read_model_json(text), path)
     except ModelFormatError:
         raise
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model file lacks key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
+
+
+def _read_model_json(text: str):
+    """The document json.loads(text) gives, except that the top-level
+    classifier's train_x is read a row at a time into a float64 matrix, so it
+    never exists whole as Python floats."""
+    decode, skip = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+
+    def items(pos: int, close: str, item) -> int:
+        """Call item(start) -> end on each comma-separated item up to `close`; return its end."""
+        pos = skip(text, pos).end()
+        if not text.startswith(close, pos):
+            pos = skip(text, item(pos)).end()
+            while text.startswith(",", pos):
+                pos = skip(text, item(skip(text, pos + 1).end())).end()
+        if not text.startswith(close, pos):
+            raise json.JSONDecodeError(f"Expecting ',' delimiter or {close!r}", text, pos)
+        return pos + 1
+
+    def value(pos: int, path: tuple):
+        if path == ("classifier", "train_x") and text.startswith("[", pos):
+            rows = []
+
+            def row(pos: int) -> int:
+                values, end = decode(text, pos)
+                rows.append(np.array(values, dtype=np.float64))
+                return end
+            end = items(pos + 1, "]", row)
+            return np.stack(rows), end
+        if path in ((), ("classifier",)) and text.startswith("{", pos):
+            obj = {}
+
+            def member(start: int) -> int:
+                key, pos = decode(text, start)
+                pos = skip(text, pos).end()
+                if not isinstance(key, str) or not text.startswith(":", pos):
+                    raise json.JSONDecodeError("Expecting a string key and ':'", text, start)
+                obj[key], end = value(skip(text, pos + 1).end(), path + (key,))
+                return end
+            return obj, items(pos + 1, "}", member)
+        return decode(text, pos)
+
+    doc, end = value(skip(text, 0).end(), ())
+    if skip(text, end).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return doc
 
 
 def _check_nodes(trees: list, n_features: int, n_classes: int, path) -> None:
@@ -267,40 +313,31 @@ def _check_nodes(trees: list, n_features: int, n_classes: int, path) -> None:
 def _model_from_doc(doc: dict, path: str | os.PathLike) -> TrainedModel:
     if doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ModelFormatError(f"{path}: unsupported model version {doc.get('version')}")
+    if type(doc.get("version")) is not int or doc["version"] != MODEL_VERSION:
+        raise ModelFormatError(f"{path}: unsupported model version {doc.get('version')!r}")
+    if doc["normalization"] not in (NORM_NONE, NORM_MINMAX):
+        raise ModelFormatError(f"{path}: unknown normalization {doc['normalization']!r}")
+    if type(doc["feature_length"]) is not int:
+        raise ModelFormatError(f"{path}: non-integer feature_length {doc['feature_length']!r}")
     payload = doc["classifier"]
     if doc["kind"] == "knn":
-        classifier = KnnModel(
-            k=payload["k"],
-            train_x=np.array(payload["train_x"], dtype=np.float64),
-            train_labels=list(payload["train_labels"]),
-            metric=payload["metric"],
-        )
+        classifier = KnnModel(k=payload["k"], train_x=payload["train_x"],
+                              train_labels=list(payload["train_labels"]), metric=payload["metric"])
         # min and max propagate NaN: both are finite only if every value is
         if not np.isfinite([classifier.train_x.min(), classifier.train_x.max()]).all():
             raise ModelFormatError(f"{path}: train_x holds non-finite values")
         if doc["feature_length"] != classifier.train_x.shape[1]:
-            raise ModelFormatError(
-                f"{path}: feature_length {doc['feature_length']} != training matrix"
-                f" width {classifier.train_x.shape[1]}"
-            )
+            raise ModelFormatError(f"{path}: feature_length {doc['feature_length']} != training"
+                                   f" matrix width {classifier.train_x.shape[1]}")
     elif doc["kind"] == "forest":
         p = payload["params"]
         _check_nodes(payload["trees"], doc["feature_length"], len(payload["classes"]), path)
         classifier = ForestModel(
             params=ForestParams(**{f.name: p[f.name] for f in fields(ForestParams)}),
-            classes=list(payload["classes"]),
-            trees=payload["trees"],
-        )
+            classes=list(payload["classes"]), trees=payload["trees"])
     else:
         raise ModelFormatError(f"{path}: unknown model kind {doc['kind']!r}")
     if doc["classes"] != classifier.classes:
         raise ModelFormatError(f"{path}: classes differ from the classifier's {classifier.classes}")
-    return TrainedModel(
-        kind=doc["kind"],
-        classifier=classifier,
-        normalization=doc["normalization"],
-        feature_length=doc["feature_length"],
-        metadata=dict(doc.get("metadata", {})),
-    )
+    return TrainedModel(kind=doc["kind"], classifier=classifier, normalization=doc["normalization"],
+                        feature_length=doc["feature_length"], metadata=dict(doc.get("metadata", {})))

@@ -353,7 +353,10 @@ def cmd_train(args) -> int:
         "train_traces": train_view.total_measurements(),
         "classes": len(train_view.classes),
     }
-    model = _make_trainer(s, metadata)(train_view)
+    try:
+        model = _make_trainer(s, metadata)(train_view)
+    except DatasetFormatError as exc:  # a device the normalization cannot read
+        raise DatasetFormatError(f"{args.dataset}: {exc}") from None
     model_path = Path(args.model)
     if model_path.parent != Path(""):
         model_path.parent.mkdir(parents=True, exist_ok=True)
@@ -374,7 +377,10 @@ def cmd_eval(args) -> int:
         model.metadata.get("split_fractions", DEFAULT_FRACTIONS),
     )
     view = load_dataset(args.dataset, split=(split_seed, fractions, s["eval.split"]))
-    report = evaluate(model, view, topk=tuple(s["eval.topk"]))
+    try:
+        report = evaluate(model, view, topk=tuple(s["eval.topk"]))
+    except DatasetFormatError as exc:  # a device or trace length the model cannot read
+        raise DatasetFormatError(f"{args.dataset}: {exc}") from None
     sys.stdout.write(report.to_text())
     if args.out:
         _write_outputs(Path(args.out), {

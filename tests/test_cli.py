@@ -519,6 +519,20 @@ MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
     "other_version": ("knn", _with("version", 99)),
     "metadata_not_a_dict": ("knn", _with("metadata", [1, 2])),
     "not_an_object": ("knn", lambda doc: [doc["format"]]),
+    "unknown_normalization": ("knn", _with("normalization", "zscore")),
+    "version_true": ("knn", _with("version", True)),
+    "feature_length_float": ("knn", lambda doc: _with("feature_length",
+                                                      float(doc["feature_length"]))(doc)),
+    "feature_length_string": ("knn", lambda doc: _with("feature_length",
+                                                       str(doc["feature_length"]))(doc)),
+}
+
+
+MODEL_FAULT_MESSAGES = {  # case: stderr after the model file's name
+    "unknown_normalization": "unknown normalization 'zscore'",
+    "version_true": "unsupported model version True",
+    "feature_length_float": "non-integer feature_length 160.0",
+    "feature_length_string": "non-integer feature_length '160'",
 }
 
 
@@ -544,6 +558,97 @@ def test_eval_malformed_model_payload_exits_3(tmp_path, website_ds, model_docs, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert str(model) in err
+    if case in MODEL_FAULT_MESSAGES:
+        assert err == f"freqscope: {model}: {MODEL_FAULT_MESSAGES[case]}\n"
+
+
+def _in_train_x(edit):
+    """Apply `edit` to the text of the classifier's train_x list."""
+    def apply(text):
+        start = text.index('"train_x":') + len('"train_x":')
+        end = text.index("]]", start) + 2
+        return text[:start] + edit(text[start:end]) + text[end:]
+    return apply
+
+
+# case: edit of a saved KNN model's text, for faults json.dumps cannot write
+MALFORMED_MODEL_TEXTS = {
+    "row_trailing_comma": _in_train_x(lambda x: x.replace("]", ",]", 1)),
+    "trailing_comma_after_last_row": _in_train_x(lambda x: x[:-1] + ",]"),
+    "missing_comma_between_rows": _in_train_x(lambda x: x.replace("],[", "][", 1)),
+    "row_not_a_list": _in_train_x(lambda x: x.replace("],[", "],7,[", 1)),
+    "train_x_flat": _in_train_x(lambda x: x.replace("[", "").replace("]", "")
+                                .join("[]")),
+    "truncated_before_the_last_brackets": lambda text: text[:text.index("]]")],
+    "extra_data": lambda text: text + "{}\n",
+    "object_trailing_comma": lambda text: text.rstrip()[:-1] + ",}",
+    "non_string_key": lambda text: text.replace("{", "{1:2,", 1),
+    "non_string_classifier_key": lambda text: text.replace('"classifier":{',
+                                                           '"classifier":{null:2,', 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODEL_TEXTS))
+def test_eval_malformed_model_text_exits_3(tmp_path, website_ds, model_docs, case, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(MALFORMED_MODEL_TEXTS[case](model_docs["knn"]))
+    capsys.readouterr()
+    assert run_cli("eval", "--dataset", website_ds, "--model", model) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"freqscope: {model}: ")
+
+
+def _traces(n_samples, device="ryzen5"):
+    """Two labels of two traces each."""
+    return LabeledDataset(classes=["a", "b"], measurements={
+        label: [FrequencyTrace(samples=[800_000 + 100_000 * i] * n_samples, interval_ms=10,
+                               device=device, label=label) for i in range(2)]
+        for label in "ab"})
+
+
+EVAL_DATA_FAULTS = {  # case: (model's traces, normalization, eval's traces, message)
+    "longer_traces": (_traces(100), "none", _traces(120),
+                      "test feature length 120 != model feature length 100"),
+    "unknown_device": (_traces(100), "minmax", _traces(100, device="mydev"),
+                       "cannot normalize trace with unknown device 'mydev'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_DATA_FAULTS))
+def test_eval_data_fault_names_the_dataset(tmp_path, case, capsys):
+    trained, normalization, tested, message = EVAL_DATA_FAULTS[case]
+    model, root, out = tmp_path / "m.json", tmp_path / "test", tmp_path / "out"
+    save_dataset(trained, tmp_path / "train")
+    save_dataset(tested, root)
+    assert run_cli("train", "--dataset", tmp_path / "train", "--model", model,
+                   "--normalization", normalization, "--fractions", "1,0,0") == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--dataset", root, "--model", model, "--split", "train",
+                   "--out", out) == 3
+    assert capsys.readouterr().err == f"freqscope: {root}: {message}\n"
+    assert not out.exists()
+
+
+def test_train_on_an_unknown_device_names_the_dataset(tmp_path, capsys):
+    root = tmp_path / "ds"
+    save_dataset(_traces(100, device="mydev"), root)
+    capsys.readouterr()
+    assert run_cli("train", "--dataset", root, "--model", tmp_path / "m.json",
+                   "--normalization", "minmax", "--fractions", "1,0,0") == 3
+    assert capsys.readouterr().err == (
+        f"freqscope: {root}: cannot normalize trace with unknown device 'mydev'\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_importing_the_cli_starts_no_process_pool_machinery():
+    """`defend` imports multiprocessing and concurrent.futures when it runs;
+    every command's start-up, `--help` included, pays for neither."""
+    code = ("import sys, freqscope.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 GOOD_TRACE = "#ftrace v1\n#interval_ms=10\n0,100\n1,200\n"

@@ -1,12 +1,22 @@
-"""The bulk .ftrace codec and the streamed model writer against the
-line-by-line and json.dump implementations they replaced
-(`tests/trace_oracle.py`): bytes written, samples and errors read."""
+"""The bulk .ftrace codec and the streamed model writer and reader against
+the line-by-line, json.dump and json.loads implementations they replaced
+(`tests/trace_oracle.py`): bytes written, samples, documents and errors read."""
+
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import trace_oracle as oracle
-from freqscope.classify import TrainedModel, save_model, train_forest_model, train_knn_model
+from freqscope.classify import (
+    TrainedModel,
+    _read_model_json,
+    load_model,
+    save_model,
+    train_forest_model,
+    train_knn_model,
+)
 from freqscope.dataset import LabeledDataset
 from freqscope.forest import ForestParams
 from freqscope.knn import KnnModel
@@ -166,3 +176,87 @@ def test_save_model_writes_the_json_dump_bytes(tmp_path, case):
     save_model(model, tmp_path / "new.json")
     oracle.save_model(model, tmp_path / "old.json")
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+def assert_same_doc(got, want):
+    """got is want, with the classifier's train_x as the same float64 matrix
+    and every other value of the same type, value and key order."""
+    got_x, want_x = (doc["classifier"].pop("train_x", None) for doc in (got, want))
+    if want_x is not None:
+        got_x = np.asarray(got_x, dtype=np.float64)
+        assert (got_x.shape, got_x.tobytes()) == (want_x.shape, want_x.tobytes())
+    assert json.dumps(got) == json.dumps(want)
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    return [_reversed_keys(v) for v in value] if isinstance(value, list) else value
+
+
+def test_read_model_json_matches_json_loads(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    models = {case: make() for case, make in MODELS.items()}
+    # a train_x key outside the top-level classifier decodes as plain lists
+    models["train_x_in_metadata"] = MODELS["knn"]()
+    models["train_x_in_metadata"].metadata = {"train_x": [[1, 2]], "classifier": {"train_x": [3]}}
+    texts = {}
+    for case, model in models.items():
+        save_model(model, tmp_path / "m.json")
+        texts[case] = (tmp_path / "m.json").read_text()
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(case=st.sampled_from(sorted(texts)),
+                      indent=st.sampled_from([None, 0, 1, "\t", " \r\n"]),
+                      item_sep=st.sampled_from([",", ", ", " ,\n"]),
+                      key_sep=st.sampled_from([":", ": ", "\t: "]),
+                      reverse=st.booleans(), pad=st.sampled_from(["", " ", "\n\t"]))
+    def check(case, indent, item_sep, key_sep, reverse, pad):
+        doc = json.loads(texts[case])
+        text = pad + json.dumps(_reversed_keys(doc) if reverse else doc, indent=indent,
+                                separators=(item_sep, key_sep)) + pad
+        got = _read_model_json(text)
+        if "train_x" in got["classifier"]:
+            assert type(got["classifier"]["train_x"]) is np.ndarray  # streamed, not lists
+        assert_same_doc(got, oracle.load_model_doc(text))
+
+    check()
+
+
+ODD_MODEL_TEXTS = {  # case: a document json.loads accepts that freqscope never writes
+    "duplicate_keys": '{"classifier": {"train_x": [[1]], "k": 1}, "classifier":'
+                      ' {"train_x": [[2, 3]], "k": 2, "train_x": [[4.5, NaN]]}, "k": 1, "k": [2]}',
+    "empty_containers": '{"classifier": {"train_x": [[], []], "trees": [{}]}, "metadata": {}}',
+    "train_x_not_a_list": '{"classifier": {"train_x": 5, "x": {"train_x": [[1]]}}}',
+    "train_x_at_the_top": '{"train_x": [[1, 2]], "classifier": {"k": {"train_x": [[3]]}}}',
+    "escaped_keys": '{"classifier": {"train\\u005fx": [[1e400, -0.0]]}, "\\u00e9": "\\ud83d\\ude00"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODD_MODEL_TEXTS))
+def test_read_model_json_reads_odd_documents_as_json_loads(case):
+    text = ODD_MODEL_TEXTS[case]
+    assert_same_doc(_read_model_json(text), oracle.load_model_doc(text))
+
+
+def test_load_model_peak_stays_near_the_text_and_the_matrix(tmp_path):
+    """A KNN model of the bench's fingerprint shape, 480 x 1000 P-states in
+    kHz (a 4.8 MB file). The bound is the text, the row arrays and the
+    stacked matrix, plus 1 MiB: 13.5 MB against a 12.7 MB peak. A json.loads
+    reader first builds the 480k values as Python floats in nested lists,
+    which peaks at 24.5 MB."""
+    x = np.random.default_rng(0).choice(get_profile("ryzen5").pstates, (480, 1000)).astype(float)
+    model = TrainedModel(kind="knn", normalization="none", feature_length=1000,
+                         classifier=KnnModel(k=4, train_x=x,
+                                             train_labels=[f"site{i % 20:02d}" for i in range(480)]))
+    path = tmp_path / "knn.json"
+    save_model(model, path)
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.classifier.train_x.tobytes() == x.tobytes()
+    assert peak < path.stat().st_size + 2 * x.nbytes + (1 << 20)

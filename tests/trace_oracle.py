@@ -1,14 +1,15 @@
-"""Reference file codecs: the .ftrace line parser and renderer, and the
-`json.dump` model writer.
+"""Reference file codecs: the .ftrace line parser and renderer, the
+`json.dump` model writer and the `json.loads` model reader.
 
-These are the per-line and pure-Python-encoder implementations that the
-bulk codec in `freqscope.trace` and the streamed writer in
+These are the per-line and whole-document implementations that the bulk
+codec in `freqscope.trace` and the streamed writer and reader in
 `freqscope.classify` replaced, kept as the oracles the new code is
 compared against byte for byte. `load_trace` first checks every body line
 against `CANONICAL_LINE` and its LF, naming the first that fails, then
 reads every line with `partition` and two `int()` calls; `render_trace`
-builds one f-string per line, and `save_model` encodes the whole document
-with `json.dump`.
+builds one f-string per line, `save_model` encodes the whole document
+with `json.dump`, and `load_model_doc` decodes it with `json.loads`
+before `np.array` converts the classifier's `train_x`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import json
 import os
 import re
+
+import numpy as np
 
 from freqscope.classify import MODEL_FORMAT, MODEL_VERSION, TrainedModel
 from freqscope.forest import ForestModel
@@ -142,3 +145,12 @@ def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
     with atomic_writer(path) as fh:
         json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
         fh.write("\n")
+
+
+def load_model_doc(text: str):
+    """The document the parent's load_model read from a model file's text."""
+    doc = json.loads(text)
+    payload = doc.get("classifier") if isinstance(doc, dict) else None
+    if isinstance(payload, dict) and "train_x" in payload:
+        payload["train_x"] = np.array(payload["train_x"], dtype=np.float64)
+    return doc
