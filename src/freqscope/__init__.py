@@ -27,8 +27,7 @@ _NAMES = {
     "defend": ("Defense", "defense_sweep"),
     "forest": ("ForestModel", "ForestParams", "forest_train"),
     "governors": ("SimConfig", "WorkloadTrace"),
-    "keystroke": ("KeystrokeReport", "PasswordModel", "detect_keystrokes", "guess_curve",
-                  "train_password_model"),
+    "keystroke": ("KeystrokeReport", "detect_keystrokes", "guess_curve", "train_password_model"),
     "knn": ("KnnModel", "fit_knn", "rank_many"),
     "profiles": ("DeviceProfile", "builtin_profiles", "get_profile"),
     "sampler": ("CollectPlan", "collect"),

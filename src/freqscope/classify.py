@@ -28,6 +28,7 @@ NORM_MINMAX = "minmax_per_profile"
 
 MODEL_FORMAT = "freqscope-model"
 MODEL_VERSION = 1
+KNN_METRIC = "euclidean"  # the distance knn ranks by; a model file names it
 
 
 def dataset_matrix(ds: LabeledDataset, normalization: str = NORM_NONE):
@@ -57,11 +58,15 @@ def dataset_matrix(ds: LabeledDataset, normalization: str = NORM_NONE):
 
 @dataclass
 class TrainedModel:
-    kind: str
     classifier: KnnModel | ForestModel
     normalization: str
     feature_length: int
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def kind(self) -> str:
+        """The classifier's type: "knn" for a KnnModel, else "forest"."""
+        return "knn" if isinstance(self.classifier, KnnModel) else "forest"
 
     def rank_many(self, X) -> np.ndarray:
         """[Q, C] rankings of the rows of X: indices into the classifier's
@@ -72,23 +77,21 @@ class TrainedModel:
 def train_knn_model(train_ds: LabeledDataset, k: int = 4,
                     normalization: str = NORM_NONE,
                     metadata: dict | None = None) -> TrainedModel:
-    return _train("knn", fit_knn, k, train_ds, normalization, metadata)
+    return _train(fit_knn, k, train_ds, normalization, metadata)
 
 
 def train_forest_model(train_ds: LabeledDataset, params: ForestParams | None = None,
                        normalization: str = NORM_NONE,
                        metadata: dict | None = None) -> TrainedModel:
-    return _train("forest", forest_train, params or ForestParams(), train_ds, normalization,
-                  metadata)
+    return _train(forest_train, params or ForestParams(), train_ds, normalization, metadata)
 
 
-def _train(kind: str, fit, param, train_ds: LabeledDataset, normalization: str,
+def _train(fit, param, train_ds: LabeledDataset, normalization: str,
            metadata: dict | None) -> TrainedModel:
     """`fit(X, labels, param)` on the dataset's feature matrix."""
     X, labels = dataset_matrix(train_ds, normalization)
     model = fit(X, labels, param)
     return TrainedModel(
-        kind=kind,
         classifier=model,
         normalization=normalization,
         feature_length=X.shape[1],
@@ -98,12 +101,24 @@ def _train(kind: str, fit, param, train_ds: LabeledDataset, normalization: str,
 
 @dataclass
 class EvalReport:
+    """`confusion[i, j]` counts test vectors of `labels[i]` ranked `labels[j]` first."""
+
     labels: list[str]
-    top1_accuracy: float
     topk_accuracy: dict[int, float]
     confusion: np.ndarray
-    per_class_accuracy: dict[str, float]
-    total: int
+
+    @property
+    def total(self) -> int:
+        return int(self.confusion.sum())
+
+    @property
+    def top1_accuracy(self) -> float:
+        return float(np.trace(self.confusion)) / self.total
+
+    @property
+    def per_class_accuracy(self) -> dict[str, float]:
+        """Label -> top-1 accuracy, for each label that has test vectors."""
+        return {label: acc for label, acc, _ in self._class_rows()}
 
     def to_text(self) -> str:
         lines = [f"test vectors: {self.total}", f"top-1 accuracy: {self.top1_accuracy:.4f}"]
@@ -125,8 +140,9 @@ class EvalReport:
 
     def _class_rows(self) -> list[tuple[str, float, int]]:
         """(label, accuracy, test vectors) of each class that has test vectors."""
-        counts = dict(zip(self.labels, self.confusion.sum(axis=1).tolist()))
-        return [(label, acc, counts[label]) for label, acc in self.per_class_accuracy.items()]
+        counts = self.confusion.sum(axis=1).tolist()
+        return [(label, self.confusion[i, i] / n, n)
+                for i, (label, n) in enumerate(zip(self.labels, counts)) if n]
 
     def confusion_csv_lines(self) -> list[str]:
         header = "true\\pred," + ",".join(self.labels)
@@ -150,23 +166,8 @@ def evaluate(model: TrainedModel, test_ds: LabeledDataset,
     np.add.at(confusion, (true_idx, ranked[:, 0]), 1)
     found = ranked == true_idx[:, None]
     hits = {k: int(np.count_nonzero(found[:, :max(k, 1)].any(axis=1))) for k in topk}
-
-    total = len(truth)
-    per_class = {}
-    for label in labels:
-        i = index[label]
-        row = confusion[i].sum()
-        if row:
-            per_class[label] = confusion[i, i] / row
-    top1 = float(np.trace(confusion)) / total
-    return EvalReport(
-        labels=labels,
-        top1_accuracy=top1,
-        topk_accuracy={k: hits[k] / total for k in topk},
-        confusion=confusion,
-        per_class_accuracy=per_class,
-        total=total,
-    )
+    return EvalReport(labels=labels, topk_accuracy={k: hits[k] / len(truth) for k in topk},
+                      confusion=confusion)
 
 
 def _classifier_payload(model: TrainedModel) -> dict:
@@ -174,7 +175,7 @@ def _classifier_payload(model: TrainedModel) -> dict:
         nn: KnnModel = model.classifier
         return {
             "k": nn.k,
-            "metric": nn.metric,
+            "metric": KNN_METRIC,
             "train_x": nn.train_x,
             "train_labels": list(nn.train_labels),
         }
@@ -321,8 +322,10 @@ def _model_from_doc(doc: dict, path: str | os.PathLike) -> TrainedModel:
         raise ModelFormatError(f"{path}: non-integer feature_length {doc['feature_length']!r}")
     payload = doc["classifier"]
     if doc["kind"] == "knn":
+        if payload["metric"] != KNN_METRIC:
+            raise ModelFormatError(f"{path}: unsupported metric {payload['metric']!r}")
         classifier = KnnModel(k=payload["k"], train_x=payload["train_x"],
-                              train_labels=list(payload["train_labels"]), metric=payload["metric"])
+                              train_labels=list(payload["train_labels"]))
         # min and max propagate NaN: both are finite only if every value is
         if not np.isfinite([classifier.train_x.min(), classifier.train_x.max()]).all():
             raise ModelFormatError(f"{path}: train_x holds non-finite values")
@@ -339,5 +342,5 @@ def _model_from_doc(doc: dict, path: str | os.PathLike) -> TrainedModel:
         raise ModelFormatError(f"{path}: unknown model kind {doc['kind']!r}")
     if doc["classes"] != classifier.classes:
         raise ModelFormatError(f"{path}: classes differ from the classifier's {classifier.classes}")
-    return TrainedModel(kind=doc["kind"], classifier=classifier, normalization=doc["normalization"],
+    return TrainedModel(classifier=classifier, normalization=doc["normalization"],
                         feature_length=doc["feature_length"], metadata=dict(doc.get("metadata", {})))

@@ -216,7 +216,7 @@ def cmd_simulate(args) -> int:
                 seed=stable_seed(seed, "website", labels[c], m), jitter=jitter,
             ),
         )
-        ds = LabeledDataset(classes=labels, measurements=measurements)
+        ds = LabeledDataset(measurements)
     else:
         sim_cfg = _sim_config(s, default_profile="cortex_a73")
         interval = s.derive("sim.interval_ms", 20)
@@ -238,7 +238,7 @@ def cmd_simulate(args) -> int:
                 seed=stable_seed(seed, "keystroke-idle", words[c], m),
             ),
         )
-        ds = LabeledDataset(classes=sorted(words), measurements=measurements)
+        ds = LabeledDataset(measurements)
 
     with dataset_lock(out):
         if (out / RESOLVED_CONFIG_NAME).exists() or any(out.glob("*/*.ftrace")):

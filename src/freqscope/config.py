@@ -93,12 +93,12 @@ class Setting:
     help: str
     commands: tuple[str, ...]
     choices: tuple[str, ...] | None = None
-    dest: str | None = None  # argparse dest; None: from the flag
     repeat: bool = False  # the flag may be given again; each value extends the list
 
-    def __post_init__(self) -> None:
-        if self.dest is None and self.flag:
-            object.__setattr__(self, "dest", self.flag[2:].replace("-", "_"))
+    @property
+    def dest(self) -> str:
+        """The flag's argparse dest."""
+        return self.flag[2:].replace("-", "_")
 
     def flag_help(self) -> str:
         default = "" if self.default is None else f" = {_render(self.default)}"
@@ -176,7 +176,7 @@ SETTINGS = (
     Setting("split.val", None, float, None, "validation fraction", SPLIT),
     Setting("split.test", None, float, None, "test fraction", SPLIT),
     Setting("classifier.kind", "--classifier", str, "knn", "classifier", CLASSIFY,
-            choices=("knn", "forest"), dest="classifier_kind"),
+            choices=("knn", "forest")),
     Setting("classifier.k", "--k", positive_int, 4, "KNN neighbor count", CLASSIFY),
     Setting("classifier.normalization", "--normalization", normalization, NORM_NONE,
             "none | minmax", CLASSIFY),

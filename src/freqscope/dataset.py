@@ -46,14 +46,9 @@ def stable_seed(*parts) -> int:
 
 @dataclass
 class LabeledDataset:
-    classes: list[str]
     measurements: dict[str, list[FrequencyTrace]]
 
     def __post_init__(self) -> None:
-        if sorted(self.classes) != sorted(self.measurements):
-            raise ValueError("classes and measurement keys disagree")
-        if len(set(self.classes)) != len(self.classes):
-            raise ValueError("duplicate class labels")
         lengths = {len(t) for traces in self.measurements.values() for t in traces}
         intervals = {t.interval_ms for traces in self.measurements.values() for t in traces}
         if len(lengths) > 1:
@@ -61,12 +56,16 @@ class LabeledDataset:
         if len(intervals) > 1:
             raise DatasetFormatError(f"traces disagree on interval_ms: {sorted(intervals)}")
 
+    @property
+    def classes(self) -> list[str]:
+        return sorted(self.measurements)
+
     def total_measurements(self) -> int:
         return sum(len(v) for v in self.measurements.values())
 
     def items(self):
         """Yield (label, trace) pairs in deterministic label-sorted order."""
-        for label in sorted(self.classes):
+        for label in self.classes:
             for trace in self.measurements[label]:
                 yield label, trace
 
@@ -111,7 +110,7 @@ def split_dataset(ds: LabeledDataset, seed: int, fractions: tuple[float, float, 
         traces = ds.measurements[label]
         for part, idx in zip(parts, split_indices(seed, label, len(traces), fractions)):
             part[label] = [traces[i] for i in idx]
-    return tuple(LabeledDataset(classes=list(ds.classes), measurements=part) for part in parts)
+    return tuple(LabeledDataset(part) for part in parts)
 
 
 def measurement_filename(index: int) -> str:
@@ -153,5 +152,5 @@ def load_dataset(root: str | os.PathLike, split: tuple | None = None) -> Labeled
         measurements[label] = [load_trace(os.path.join(label_dir, f)) for f in files]
     if not measurements:
         raise DatasetFormatError(f"no traces found under {root!r}")
-    return LabeledDataset(classes=sorted(measurements), measurements=measurements)
+    return LabeledDataset(measurements)
 

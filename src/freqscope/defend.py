@@ -189,7 +189,7 @@ def defended_dataset(d: Defense, ds: LabeledDataset) -> LabeledDataset:
         salts = [stable_seed("trace-salt", label, i) for i in range(len(traces))]
         rows = _defended_samples(d, traces, salts) if traces else []
         measurements[label] = [replace(t, samples=row) for t, row in zip(traces, rows)]
-    return LabeledDataset(classes=list(ds.classes), measurements=measurements)
+    return LabeledDataset(measurements)
 
 
 Trainer = Callable[[LabeledDataset], TrainedModel]

@@ -114,9 +114,9 @@ class SimConfig:
 
 @dataclass
 class GovernorState:
-    governor: str
+    """What a law carries from one tick to the next."""
+
     current_freq_khz: int
-    set_speed_khz: int | None = None
     pelt_load: float = 0.0
     boost_remaining_ms: int = 0
     turbo_budget: float = 1.0
@@ -127,9 +127,9 @@ class GovernorState:
 def init_state(cfg: SimConfig) -> GovernorState:
     profile, governor = cfg.profile, cfg.governor
     if governor == "userspace":
-        return GovernorState(governor, profile.quantize(cfg.set_speed_khz), cfg.set_speed_khz)
+        return GovernorState(profile.quantize(cfg.set_speed_khz))
     start = profile.max_freq_khz if governor == "performance" else profile.min_freq_khz
-    return GovernorState(governor, start)
+    return GovernorState(start)
 
 
 def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
@@ -154,8 +154,6 @@ def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
     states = [init_state(cfg)] * len(loads) if states is None else list(states)
     if len(states) != len(loads):
         raise ValueError(f"{len(states)} start states for {len(loads)} load rows")
-    if any(s.governor != cfg.governor for s in states):
-        raise ValueError("state/config governor mismatch")
 
     profile, governor = cfg.profile, cfg.governor
     lo, span = profile.min_freq_khz, profile.max_freq_khz - profile.min_freq_khz
@@ -164,11 +162,9 @@ def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
     elif governor == "powersave" and profile.scaling_driver != "intel_pstate":
         target = np.full(loads.shape, float(lo))
     elif governor == "userspace":
-        if any(s.set_speed_khz is None for s in states):
-            raise ValueError("userspace governor requires set_speed_khz")
         # real parts show small workload-coupled wiggle around the pin
         grid_step = span / (len(profile.pstates) - 1) if len(profile.pstates) > 1 else 0.0
-        target = np.array([[s.set_speed_khz] for s in states]) + loads * grid_step
+        target = cfg.set_speed_khz + loads * grid_step
     elif governor == "schedutil":
         alpha = 1.0 - 2.0 ** (-tick_ms / PELT_HALF_LIFE_MS)
         pelt = np.array([s.pelt_load for s in states], dtype=np.float64)

@@ -50,14 +50,17 @@ class KeystrokeEvent:
     start_index: int
     length_samples: int
     inferred_count: int
-    extrapolated: bool = False
+
+    @property
+    def extrapolated(self) -> bool:
+        """More than two presses fused: the split is extrapolated."""
+        return self.inferred_count > 2
 
 
 @dataclass
 class KeystrokeReport:
     events: list[KeystrokeEvent] = field(default_factory=list)
     press_times_ms: list[int] = field(default_factory=list)
-    inter_key_timings_ms: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.press_times_ms, self.press_times_ms[1:])):
@@ -66,6 +69,10 @@ class KeystrokeReport:
     @property
     def press_count(self) -> int:
         return len(self.press_times_ms)
+
+    @property
+    def inter_key_timings_ms(self) -> list[int]:
+        return [b - a for a, b in zip(self.press_times_ms, self.press_times_ms[1:])]
 
     def key_value_lines(self) -> list[str]:
         lines = [
@@ -113,15 +120,11 @@ def detect_keystrokes(trace: FrequencyTrace) -> KeystrokeReport:
         if high:
             # fused presses: the run never settles, so split it evenly
             count = math.ceil(length / MAX_SINGLE_PULSE_SAMPLES)
-            events.append(KeystrokeEvent(start, length, count, extrapolated=count > 2))
+            events.append(KeystrokeEvent(start, length, count))
             for i in range(count):
                 presses.append((start + i * length // count) * SAMPLE_INTERVAL_MS)
         # long but not sustained: some other workload
-    return KeystrokeReport(
-        events=events,
-        press_times_ms=presses,
-        inter_key_timings_ms=[b - a for a, b in zip(presses, presses[1:])],
-    )
+    return KeystrokeReport(events=events, press_times_ms=presses)
 
 
 # --- password timing model ---------------------------------------------
@@ -176,13 +179,6 @@ def password_press_schedule(password: str, seed: int = 0) -> list[int]:
     return out
 
 
-@dataclass
-class PasswordModel:
-    knn: KnnModel
-    password_labels: list[str]
-    timing_length: int
-
-
 def _pad(vec: np.ndarray, n: int) -> np.ndarray:
     if len(vec) > n:
         raise ValueError(f"timing vector of length {len(vec)} exceeds model length {n}")
@@ -190,9 +186,10 @@ def _pad(vec: np.ndarray, n: int) -> np.ndarray:
 
 
 def train_password_model(ds: dict[str, list], split_seed: int = 0
-                         ) -> tuple[PasswordModel, list[tuple[str, np.ndarray]]]:
+                         ) -> tuple[KnnModel, list[tuple[str, np.ndarray]]]:
     """Subsample exactly 10 measurements per password, split 7/3, fit
-    KNN(k=4) on zero-padded timing vectors. Returns the model plus the
+    KNN(k=4) on zero-padded timing vectors. Returns the model, whose classes
+    are the passwords and whose width is the timing length, plus the
     held-out (label, vector) pairs for evaluation."""
     labels = sorted(ds)
     if len(labels) < 2:
@@ -225,25 +222,23 @@ def train_password_model(ds: dict[str, list], split_seed: int = 0
         for j in perm[n_train:]:
             held_out.append((label, padded[j]))
 
-    knn = fit_knn(np.vstack(train_x), train_y, k=PASSWORD_K)
-    model = PasswordModel(knn=knn, password_labels=labels, timing_length=max_len)
-    return model, held_out
+    return fit_knn(np.vstack(train_x), train_y, k=PASSWORD_K), held_out
 
 
-def guess_curve(model: PasswordModel, test_pairs: list[tuple[str, np.ndarray]],
+def guess_curve(model: KnnModel, test_pairs: list[tuple[str, np.ndarray]],
                 max_guesses: int) -> list[float]:
     """Cumulative accuracy by guess count: entry g-1 is the fraction of
     test vectors whose true password ranks within the top g."""
     if not test_pairs:
         raise ValueError("empty test set")
-    if not 1 <= max_guesses <= len(model.password_labels):
+    if not 1 <= max_guesses <= len(model.classes):
         raise ValueError(
-            f"max_guesses must be in [1, {len(model.password_labels)}], got {max_guesses}"
+            f"max_guesses must be in [1, {len(model.classes)}], got {max_guesses}"
         )
-    X = np.stack([_pad(np.asarray(vec, dtype=np.float64), model.timing_length)
+    X = np.stack([_pad(np.asarray(vec, dtype=np.float64), model.train_x.shape[1])
                   for _, vec in test_pairs])
-    order, _ = rank_many(model.knn, X)
-    index = {label: c for c, label in enumerate(model.knn.classes)}
+    order, _ = rank_many(model, X)
+    index = {label: c for c, label in enumerate(model.classes)}
     truth = np.array([index.get(label, -1) for label, _ in test_pairs])
     # found[q, g]: query q's true password is its guess g + 1
     found = order[:, :max_guesses] == truth[:, None]

@@ -29,7 +29,6 @@ class KnnModel:
     k: int
     train_x: np.ndarray
     train_labels: list[str]
-    metric: str = "euclidean"
     classes: list[str] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -42,8 +41,6 @@ class KnnModel:
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1 or self.k > len(self.train_x):
             raise ValueError(f"k={self.k} outside [1, {len(self.train_x)}]")
-        if self.metric != "euclidean":
-            raise ValueError(f"unsupported metric {self.metric!r}")
         self.classes = sorted(set(self.train_labels))
 
 

@@ -1,9 +1,10 @@
 """Device frequency profiles and P-state tables.
 
-A profile describes one CPU package as seen through cpufreq: the frequency
-range in kHz, the discrete P-state table, the stock governor, and whether the
-part can boost above its base frequency. Four builtin profiles cover the
-devices this toolkit models; custom profiles can be constructed directly.
+A profile describes one CPU package as seen through cpufreq: the discrete
+P-state table in kHz, whose first and last states are the frequency range,
+the stock governor, and whether the part can boost above its base
+frequency. Four builtin profiles cover the devices this toolkit models;
+custom profiles can be constructed directly.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ PSTATE_STEP_KHZ = 100_000  # standard cpufreq granularity for x86 tables
 @dataclass(frozen=True)
 class DeviceProfile:
     name: str
-    min_freq_khz: int
-    max_freq_khz: int
     base_freq_khz: int | None
     pstates: tuple[int, ...]
     default_governor: str
@@ -45,8 +44,6 @@ class DeviceProfile:
             raise ValueError("profile needs a non-empty pstate table")
         if any(b <= a for a, b in zip(self.pstates, self.pstates[1:])):
             raise ValueError("pstates must be strictly ascending")
-        if self.pstates[0] != self.min_freq_khz or self.pstates[-1] != self.max_freq_khz:
-            raise ValueError("min/max must equal first/last pstate")
         if self.base_freq_khz is not None and not (
             self.min_freq_khz <= self.base_freq_khz <= self.max_freq_khz
         ):
@@ -55,6 +52,14 @@ class DeviceProfile:
             raise ValueError("turbo ceiling above max frequency")
         if self.default_governor not in GOVERNORS:
             raise ValueError(f"unknown governor {self.default_governor!r}")
+
+    @property
+    def min_freq_khz(self) -> int:
+        return self.pstates[0]
+
+    @property
+    def max_freq_khz(self) -> int:
+        return self.pstates[-1]
 
     @property
     def boost_cap_khz(self) -> int:
@@ -119,8 +124,6 @@ _ANDROID_GOVERNORS = (
 
 COMET_LAKE = DeviceProfile(
     name="comet_lake",
-    min_freq_khz=400_000,
-    max_freq_khz=4_900_000,
     base_freq_khz=1_800_000,
     pstates=grid_100mhz(400_000, 4_900_000),
     default_governor="powersave",
@@ -132,8 +135,6 @@ COMET_LAKE = DeviceProfile(
 
 TIGER_LAKE = DeviceProfile(
     name="tiger_lake",
-    min_freq_khz=400_000,
-    max_freq_khz=4_700_000,
     base_freq_khz=2_800_000,
     pstates=grid_100mhz(400_000, 4_700_000),
     default_governor="powersave",
@@ -144,8 +145,6 @@ TIGER_LAKE = DeviceProfile(
 
 RYZEN5 = DeviceProfile(
     name="ryzen5",
-    min_freq_khz=1_400_000,
-    max_freq_khz=4_060_000,
     base_freq_khz=1_700_000,
     pstates=grid_100mhz(1_400_000, 4_060_000),
     default_governor="ondemand",
@@ -158,8 +157,6 @@ RYZEN5 = DeviceProfile(
 # round 800; both endpoints are the observed operating points.
 CORTEX_A73 = DeviceProfile(
     name="cortex_a73",
-    min_freq_khz=806_000,
-    max_freq_khz=2_361_000,
     base_freq_khz=None,
     pstates=grid_even(806_000, 2_361_000, 23),
     default_governor="interactive",

@@ -24,11 +24,7 @@ def init_state(cfg: SimConfig) -> GovernorState:
         start = profile.quantize(cfg.set_speed_khz)
     else:
         start = profile.min_freq_khz
-    return GovernorState(
-        governor=governor,
-        current_freq_khz=start,
-        set_speed_khz=cfg.set_speed_khz if governor == "userspace" else None,
-    )
+    return GovernorState(current_freq_khz=start)
 
 
 def _ondemand_target(profile: DeviceProfile, load: float) -> float:
@@ -43,8 +39,6 @@ def step_governor(state: GovernorState, load: float, cfg: SimConfig, tick_ms: in
     """Advance one tick; returns the next state, input state untouched."""
     if not 0.0 <= load <= 1.0:
         raise ValueError(f"load {load} outside [0, 1]")
-    if state.governor != cfg.governor:
-        raise ValueError("state/config governor mismatch")
 
     profile = cfg.profile
     governor = cfg.governor
@@ -63,10 +57,8 @@ def step_governor(state: GovernorState, load: float, cfg: SimConfig, tick_ms: in
         else:
             target = float(profile.min_freq_khz)
     elif governor == "userspace":
-        if nxt.set_speed_khz is None:
-            raise ValueError("userspace governor requires set_speed_khz")
         # real parts show small workload-coupled wiggle around the pin
-        target = nxt.set_speed_khz + load * _grid_step(profile)
+        target = cfg.set_speed_khz + load * _grid_step(profile)
     elif governor == "ondemand":
         target = _ondemand_target(profile, load)
     elif governor == "conservative":
@@ -94,9 +86,7 @@ def step_governor(state: GovernorState, load: float, cfg: SimConfig, tick_ms: in
 
 def replace_state(state: GovernorState) -> GovernorState:
     return GovernorState(
-        governor=state.governor,
         current_freq_khz=state.current_freq_khz,
-        set_speed_khz=state.set_speed_khz,
         pelt_load=state.pelt_load,
         boost_remaining_ms=state.boost_remaining_ms,
         turbo_budget=state.turbo_budget,

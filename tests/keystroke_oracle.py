@@ -56,15 +56,11 @@ def detect_keystrokes(trace: FrequencyTrace) -> KeystrokeReport:
         if sustained > law.MAX_SINGLE_PULSE_SAMPLES:
             # fused presses: the run never settles, so split it evenly
             count = math.ceil(length / law.MAX_SINGLE_PULSE_SAMPLES)
-            events.append(KeystrokeEvent(start, length, count, extrapolated=count > 2))
+            events.append(KeystrokeEvent(start, length, count))
             for i in range(count):
                 presses.append((start + i * length // count) * law.SAMPLE_INTERVAL_MS)
         # long but not sustained: some other workload
-    return KeystrokeReport(
-        events=events,
-        press_times_ms=presses,
-        inter_key_timings_ms=timings_from_presses(presses),
-    )
+    return KeystrokeReport(events=events, press_times_ms=presses)
 
 
 def timings_from_presses(press_times_ms: list[int]) -> list[int]:

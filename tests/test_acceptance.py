@@ -76,7 +76,7 @@ def website_dataset(profile_name: str, governor: str, *, jitter: float = WEBSITE
                                device=profile_name, label=label) for samples in rows[c]]
         for c, label in enumerate(labels)
     }
-    return LabeledDataset(classes=labels, measurements=measurements)
+    return LabeledDataset(measurements)
 
 
 SPLIT = (0, DEFAULT_FRACTIONS)  # the CLI's default split seed and fractions

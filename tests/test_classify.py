@@ -46,14 +46,14 @@ def separable_dataset(n_classes=3, per_class=6, length=20, device="ryzen5"):
                 label, device,
             ))
         measurements[label] = rows
-    return LabeledDataset(classes=classes, measurements=measurements)
+    return LabeledDataset(measurements)
 
 
 SPLIT = (1, (0.5, 0.0, 0.5))  # separable_dataset's split seed and fractions
 
 
 def one_trace_matrix(samples, device="ryzen5"):
-    ds = LabeledDataset(classes=["a"], measurements={"a": [make_trace(samples, "a", device)]})
+    ds = LabeledDataset({"a": [make_trace(samples, "a", device)]})
     X, _ = dataset_matrix(ds, NORM_MINMAX)
     return X[0].tolist()
 
@@ -89,7 +89,7 @@ def test_dataset_matrix_is_bit_identical_to_per_trace_rows(normalization):
                 for j in range(4)]
         for i, label in enumerate(["b", "a", "c"])
     }
-    ds = LabeledDataset(classes=["b", "a", "c"], measurements=measurements)
+    ds = LabeledDataset(measurements)
     X, labels = dataset_matrix(ds, normalization)
     assert labels == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
     assert X.dtype == np.float64
@@ -110,7 +110,7 @@ def test_minmax_in_place_matches_the_out_of_place_expression():
             rows.append(make_trace([0, lo - 1, lo, lo + 7 * (i + j + 1), (lo + hi) // 3, hi - 1,
                                     hi, hi + 1, 2 * hi, 2**62], label, device))
         measurements[label] = rows
-    ds = LabeledDataset(classes=["a", "b", "c"], measurements=measurements)
+    ds = LabeledDataset(measurements)
     X, _ = dataset_matrix(ds, NORM_MINMAX)
     raw, _ = dataset_matrix(ds, NORM_NONE)
     bounds = np.array([[get_profile(t.device).min_freq_khz, get_profile(t.device).boost_cap_khz]
@@ -140,7 +140,7 @@ def test_dataset_matrix_unknown_device():
     ds = separable_dataset()
     label = ds.classes[0]
     bad = [make_trace(t.samples, label, device="mystery") for t in ds.measurements[label]]
-    ds2 = LabeledDataset(classes=ds.classes, measurements={**ds.measurements, label: bad})
+    ds2 = LabeledDataset({**ds.measurements, label: bad})
     with pytest.raises(ValueError, match="unknown device"):
         dataset_matrix(ds2, NORM_MINMAX)
 
@@ -184,7 +184,7 @@ def test_topk_accuracy_non_decreasing():
 def noisy_dataset(classes, per_class=8, length=12, seed=0):
     """Random pstates per trace: classes overlap, so rankings vary."""
     rng = np.random.default_rng(seed)
-    return LabeledDataset(classes=classes, measurements={
+    return LabeledDataset({
         label: [make_trace(rng.choice(RYZEN.pstates, size=length).tolist(), label)
                 for _ in range(per_class)]
         for label in classes
@@ -217,6 +217,26 @@ def test_evaluate_matches_per_query_rankings(kind):
     assert report.confusion.tobytes() == confusion.tobytes()
     assert report.topk_accuracy == {k: hits[k] / len(truth) for k in topk}
     assert 0 < report.top1_accuracy < 1
+
+
+REPORT_KV = {  # report.kv of a 4-class model on 21 noisy vectors; b and d have none
+    "knn": ["total = 21", "top1 = 0.238095", "top2 = 0.380952", "top5 = 0.666667",
+            "class.a = 0.428571", "class.c = 0.285714", "class.unseen = 0.000000"],
+    "forest": ["total = 21", "top1 = 0.238095", "top2 = 0.428571", "top5 = 0.666667",
+               "class.a = 0.428571", "class.c = 0.285714", "class.unseen = 0.000000"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPORT_KV))
+def test_report_lines_are_pinned(kind):
+    train = noisy_dataset(["a", "b", "c", "d"], seed=1)
+    test = noisy_dataset(["a", "c", "unseen"], per_class=7, seed=2)
+    model = (train_knn_model(train, k=3) if kind == "knn"
+             else train_forest_model(train, ForestParams(n_trees=5, seed=4)))
+    report = evaluate(model, test, topk=(1, 2, 5))
+    assert report.key_value_lines() == REPORT_KV[kind]
+    assert report.labels == ["a", "b", "c", "d", "unseen"]
+    assert list(report.per_class_accuracy) == ["a", "c", "unseen"]
 
 
 def test_feature_length_mismatch_rejected():

@@ -457,9 +457,9 @@ def _non_finite_train_x(doc):
     return doc
 
 
-def _k_set(value):
+def _payload_set(key, value):
     def edit(doc):
-        doc["classifier"]["k"] = value
+        doc["classifier"][key] = value
         return doc
     return edit
 
@@ -501,7 +501,8 @@ MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
     "non_finite_train_x": ("knn", _non_finite_train_x),
     "feature_length_not_train_x_width":
         ("knn", lambda doc: _with("feature_length", doc["feature_length"] - 1)(doc)),
-    "knn_k_not_an_int": ("knn", _k_set(True)),
+    "knn_k_not_an_int": ("knn", _payload_set("k", True)),
+    "knn_metric_cosine": ("knn", _payload_set("metric", "cosine")),
     "knn_classes_disagree": ("knn", _with("classes", ["a"])),
     "forest_classes_disagree": ("forest", _with("classes", ["a"])),
     "no_forest_max_depth": ("forest", _drop("classifier", "params", "max_depth")),
@@ -529,6 +530,7 @@ MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
 
 
 MODEL_FAULT_MESSAGES = {  # case: stderr after the model file's name
+    "knn_metric_cosine": "unsupported metric 'cosine'",
     "unknown_normalization": "unknown normalization 'zscore'",
     "version_true": "unsupported model version True",
     "feature_length_float": "non-integer feature_length 160.0",
@@ -554,10 +556,12 @@ def test_eval_malformed_model_payload_exits_3(tmp_path, website_ds, model_docs, 
     model = tmp_path / "model.json"
     model.write_text(json.dumps(edit(json.loads(model_docs[kind]))))
     capsys.readouterr()
-    assert run_cli("eval", "--dataset", website_ds, "--model", model) == 3
+    assert run_cli("eval", "--dataset", website_ds, "--model", model,
+                   "--out", tmp_path / "out") == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert str(model) in err
+    assert not (tmp_path / "out").exists()
     if case in MODEL_FAULT_MESSAGES:
         assert err == f"freqscope: {model}: {MODEL_FAULT_MESSAGES[case]}\n"
 
@@ -601,7 +605,7 @@ def test_eval_malformed_model_text_exits_3(tmp_path, website_ds, model_docs, cas
 
 def _traces(n_samples, device="ryzen5"):
     """Two labels of two traces each."""
-    return LabeledDataset(classes=["a", "b"], measurements={
+    return LabeledDataset({
         label: [FrequencyTrace(samples=[800_000 + 100_000 * i] * n_samples, interval_ms=10,
                                device=device, label=label) for i in range(2)]
         for label in "ab"})
@@ -1014,7 +1018,7 @@ def test_keystrokes_data_fault_names_its_input(tmp_path, capsys, case):
         argv = ("--trace", source)
     else:
         source = tmp_path / "ds"
-        save_dataset(LabeledDataset(classes=sorted(counts), measurements={
+        save_dataset(LabeledDataset({
             pw: [FrequencyTrace(samples=TYPED, interval_ms=interval, label=pw)] * n
             for pw, n in counts.items()}), source)
         argv = ("--dataset", source, "--guess-curve", guesses)

@@ -8,7 +8,9 @@ from freqscope.cli import build_parser
 # flag: (dest, type) per subcommand, as the hand-written parser had them;
 # the flags of removed settings are left out on purpose: `--decay-ms`, and
 # the keystroke detector's `--idle-khz`, `--peak-cap-khz`, `--sustained-khz`,
-# `--min-pulse`, `--max-single`, `--interval-ms` and `--hysteresis-khz`
+# `--min-pulse`, `--max-single`, `--interval-ms` and `--hysteresis-khz`.
+# Every dest is the flag's name: `--classifier` once stored to
+# `classifier_kind`, which nothing read
 _SIM = {
     "--profile": ("profile", "str"),
     "--governor": ("governor", "str"),
@@ -18,7 +20,7 @@ _SIM = {
     "--hispeed-khz": ("hispeed_khz", "int"),
 }
 _CLASSIFIER = {
-    "--classifier": ("classifier_kind", "str"),
+    "--classifier": ("classifier", "str"),
     "--k": ("k", "int"),
     "--normalization": ("normalization", "str"),
     "--trees": ("trees", "int"),

@@ -31,7 +31,7 @@ def make_ds(classes=3, per_class=10, n=20):
         ]
         for i, label in enumerate(labels)
     }
-    return LabeledDataset(classes=labels, measurements=measurements)
+    return LabeledDataset(measurements)
 
 
 def test_stable_seed_is_stable_and_distinct():
@@ -42,13 +42,11 @@ def test_stable_seed_is_stable_and_distinct():
 
 def test_dataset_validation():
     ds = make_ds()
-    with pytest.raises(ValueError):
-        LabeledDataset(classes=["a"], measurements={"b": ds.measurements["c0"]})
-    with pytest.raises(ValueError):
-        LabeledDataset(classes=["a", "a"], measurements={"a": ds.measurements["c0"]})
+    unsorted = {"b": ds.measurements["c1"], "a": ds.measurements["c0"]}
+    assert LabeledDataset(unsorted).classes == ["a", "b"]
     short = FrequencyTrace(samples=[1, 2], interval_ms=10)
     with pytest.raises(ValueError):
-        LabeledDataset(classes=["a"], measurements={"a": [short, make_ds().measurements["c0"][0]]})
+        LabeledDataset({"a": [short, make_ds().measurements["c0"][0]]})
 
 
 def test_split_sizes_and_disjointness():
@@ -131,7 +129,7 @@ def test_save_load_roundtrip(tmp_path):
 def test_label_directories_are_encoded(tmp_path):
     label = "shop/cart page"
     trace = FrequencyTrace(samples=[1, 2, 3], interval_ms=10, label=label)
-    ds = LabeledDataset(classes=[label], measurements={label: [trace]})
+    ds = LabeledDataset({label: [trace]})
     save_dataset(ds, tmp_path / "ds")
     subdirs = [p.name for p in (tmp_path / "ds").iterdir() if p.is_dir()]
     assert subdirs == ["shop%2Fcart%20page"]

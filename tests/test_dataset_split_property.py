@@ -39,7 +39,7 @@ def outcome(fn):
 def test_split_load_reads_what_split_dataset_selects(seed, weights, counts):
     fractions = tuple(w / sum(weights) for w in weights)
     labels = [f"p{i}" for i in range(len(counts))]
-    ds = LabeledDataset(classes=labels, measurements={
+    ds = LabeledDataset({
         label: [FrequencyTrace(samples=[1000 * c + m, m, 7], interval_ms=10, label=label)
                 for m in range(n)]
         for c, (label, n) in enumerate(zip(labels, counts))

@@ -39,7 +39,7 @@ def sample_dataset(per_class=8, length=40, seed=0):
             idx = base_idx + rng.integers(0, 2, size=length)
             rows.append(make_trace([RYZEN.pstates[int(j)] for j in idx], label))
         measurements[label] = rows
-    return LabeledDataset(classes=classes, measurements=measurements)
+    return LabeledDataset(measurements)
 
 
 SPLIT = (7, (0.5, 0.0, 0.5))  # sample_dataset's split seed and fractions
@@ -225,7 +225,7 @@ def test_defended_dataset_matches_the_per_sample_loop_trace_by_trace():
                                      device="prototype-board")
             for i in range(5)
         ]
-    ds = LabeledDataset(classes=["a", "b", "c"], measurements=measurements)
+    ds = LabeledDataset(measurements)
     d = noise_inject(60.0, burst_height=0.4, seed=2)
     out = defended_dataset(d, ds)
     for label, traces in ds.measurements.items():

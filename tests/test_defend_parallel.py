@@ -47,7 +47,7 @@ def noisy_dataset():
                            device="ryzen5", label=f"c{c}")
             for r in rows
         ]
-    return LabeledDataset(classes=sorted(measurements), measurements=measurements)
+    return LabeledDataset(measurements)
 
 
 SPLIT = (5, (0.5, 0.25, 0.25))  # noisy_dataset's split seed and fractions

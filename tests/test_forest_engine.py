@@ -110,7 +110,7 @@ def website_small():
             rows.append(FrequencyTrace(samples=sim.samples, interval_ms=10,
                                        device=sim.device, label=label))
         measurements[label] = rows
-    return LabeledDataset(classes=labels, measurements=measurements)
+    return LabeledDataset(measurements)
 
 
 DEFENSES = {

@@ -241,13 +241,6 @@ def test_turbo_ceiling_validation():
         replace(RYZEN, turbo_ceiling_khz=5_000_000)
 
 
-def test_state_mismatch_rejected():
-    cfg = cfg_for(RYZEN, "ondemand")
-    state = init_state(cfg_for(RYZEN, "performance"))
-    with pytest.raises(ValueError, match="governor mismatch"):
-        simulate_batch([[0.5]], 10, cfg, [state])
-
-
 def test_load_out_of_range_rejected():
     cfg = cfg_for(RYZEN, "ondemand")
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from freqscope.governors import SimConfig
 from freqscope.keystroke import (
     GAP_MIN_MS,
     MEASUREMENTS_PER_LABEL,
+    KeystrokeEvent,
     KeystrokeReport,
     detect_keystrokes,
     gap_mean_ms,
@@ -118,6 +119,14 @@ def test_report_requires_increasing_press_times():
         KeystrokeReport(press_times_ms=[100, 100])
 
 
+def test_report_derives_timings_and_extrapolation():
+    report = KeystrokeReport(press_times_ms=[400, 700, 1200])
+    assert report.inter_key_timings_ms == [300, 500]
+    assert "timings_ms = 300,500" in report.key_value_lines()
+    extrapolated = [KeystrokeEvent(0, 40, n).extrapolated for n in (1, 2, 3, 4)]
+    assert extrapolated == [False, False, True, True]
+
+
 def test_governor_pipeline_recovers_press_times():
     cfg = SimConfig(profile=CORTEX, governor="interactive")
     wl = keystroke_workload([1000, 1400, 3000], 220, tick_ms=20, seed=5)
@@ -171,9 +180,10 @@ def test_password_split_sizes():
     pws = [f"pw{i:02d}xx" for i in range(50)]
     ds = password_timing_vectors(pws, per_label=MEASUREMENTS_PER_LABEL, seed=1)
     model, held_out = train_password_model(ds, split_seed=2)
-    assert len(model.knn.train_labels) == 50 * 7
+    assert len(model.train_labels) == 50 * 7
     assert len(held_out) == 50 * 3
-    assert model.timing_length == max(len(v) for vs in ds.values() for v in vs)
+    assert model.classes == sorted(pws)
+    assert model.train_x.shape[1] == max(len(v) for vs in ds.values() for v in vs)
 
 
 def test_password_split_deterministic_and_seed_sensitive():
@@ -181,11 +191,11 @@ def test_password_split_deterministic_and_seed_sensitive():
     ds = password_timing_vectors(pws, per_label=12, seed=0)
     m1, h1 = train_password_model(ds, split_seed=5)
     m2, h2 = train_password_model(ds, split_seed=5)
-    assert np.array_equal(m1.knn.train_x, m2.knn.train_x)
-    assert m1.knn.train_labels == m2.knn.train_labels
+    assert np.array_equal(m1.train_x, m2.train_x)
+    assert m1.train_labels == m2.train_labels
     assert all(a[0] == b[0] and np.array_equal(a[1], b[1]) for a, b in zip(h1, h2))
     m3, _ = train_password_model(ds, split_seed=6)
-    assert not np.array_equal(m1.knn.train_x, m3.knn.train_x)
+    assert not np.array_equal(m1.train_x, m3.train_x)
 
 
 def test_separated_passwords_rank_first():
@@ -213,7 +223,7 @@ def test_guess_curve_matches_per_query_rankings():
     held_out.append(("notamodelpassword", held_out[0][1]))  # never ranked
     hits = np.zeros(len(pws), dtype=np.int64)
     for label, vec in held_out:
-        ranking = [lb for lb, _ in loop_rank(model.knn, vec)]
+        ranking = [lb for lb, _ in loop_rank(model, vec)]
         if label in ranking:
             hits[ranking.index(label):] += 1
     want = [h / len(held_out) for h in hits]

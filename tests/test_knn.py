@@ -71,8 +71,6 @@ def test_model_validation():
         fit_knn(np.zeros((3, 2)), ["a", "b"], k=1)
     with pytest.raises(ValueError):
         fit_knn(np.zeros((3, 2)), ["a", "b", "c"], k=4)
-    with pytest.raises(ValueError):
-        KnnModel(k=1, train_x=np.zeros((2, 2)), train_labels=["a", "b"], metric="cosine")
 
 
 def test_query_length_checked():

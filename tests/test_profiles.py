@@ -1,5 +1,7 @@
 """Device profile grids, quantization, and lookup."""
 
+import dataclasses
+
 import pytest
 
 from freqscope.profiles import (
@@ -109,6 +111,13 @@ def test_quantize_is_idempotent_and_on_grid():
             assert p.quantize(q) == q
 
 
+def test_range_is_the_pstate_table_ends():
+    p = dataclasses.replace(get_profile("ryzen5"), pstates=grid_100mhz(1_500_000, 3_000_000))
+    assert (p.min_freq_khz, p.max_freq_khz) == (1_500_000, 3_000_000)
+    with pytest.raises(ValueError, match="base frequency"):
+        dataclasses.replace(p, pstates=(1_800_000, 2_000_000))  # base 1.7 GHz below the table
+
+
 def test_boost_cap():
     assert get_profile("comet_lake").boost_cap_khz == 3_600_000
     assert get_profile("ryzen5").boost_cap_khz == 4_060_000
@@ -123,8 +132,6 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         DeviceProfile(
             name="bad",
-            min_freq_khz=2_000_000,
-            max_freq_khz=1_000_000,
             base_freq_khz=None,
             pstates=(2_000_000, 1_000_000),
             default_governor="ondemand",
@@ -133,8 +140,6 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         DeviceProfile(
             name="bad",
-            min_freq_khz=1_000_000,
-            max_freq_khz=2_000_000,
             base_freq_khz=None,
             pstates=(1_000_000, 2_000_000),
             default_governor="warp-speed",

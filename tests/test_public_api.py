@@ -20,7 +20,8 @@ def test_removed_names_are_not_exported():
     for name in ("FeatureVector", "evaluate_defense", "timings", "access_restrict",
                  "synth_workload", "knn_predict", "forest_predict", "step_governor",
                  "merge_datasets", "repetitiveness", "knn_rank", "forest_rank", "simulate",
-                 "InteractiveParams", "TurboParams", "apply_defense", "KeystrokeParams"):
+                 "InteractiveParams", "TurboParams", "apply_defense", "KeystrokeParams",
+                 "PasswordModel"):
         assert name not in freqscope.__all__
         assert not hasattr(freqscope, name)
     assert not hasattr(freqscope.FreqSource, "read_freq")

@@ -148,7 +148,7 @@ def test_load_trace_names_the_file_and_the_first_bad_line(tmp_path, case):
 
 def _knn_with_odd_floats():
     x = np.array([[0.1, 1e300, -0.0], [np.nan, np.inf, -np.inf], [1 / 3, 5e-324, 2.0]])
-    return TrainedModel(kind="knn", classifier=KnnModel(k=2, train_x=x, train_labels=["a", "b", "a"]),
+    return TrainedModel(classifier=KnnModel(k=2, train_x=x, train_labels=["a", "b", "a"]),
                         normalization="none", feature_length=3,
                         metadata={"note": 'é "q"', "ints": {2: [1, 2.5], 1: None}, "z": {"b": 1, "a": 0}})
 
@@ -156,7 +156,7 @@ def _knn_with_odd_floats():
 def _trained(kind):
     pstates = get_profile("ryzen5").pstates
     rng = np.random.default_rng(3)
-    ds = LabeledDataset(classes=["a", "b", "c"], measurements={
+    ds = LabeledDataset({
         label: [FrequencyTrace(samples=rng.choice(pstates, 40).tolist(), interval_ms=10,
                                device="ryzen5", label=label) for _ in range(6)]
         for label in ("a", "b", "c")})
@@ -247,7 +247,7 @@ def test_load_model_peak_stays_near_the_text_and_the_matrix(tmp_path):
     reader first builds the 480k values as Python floats in nested lists,
     which peaks at 24.5 MB."""
     x = np.random.default_rng(0).choice(get_profile("ryzen5").pstates, (480, 1000)).astype(float)
-    model = TrainedModel(kind="knn", normalization="none", feature_length=1000,
+    model = TrainedModel(normalization="none", feature_length=1000,
                          classifier=KnnModel(k=4, train_x=x,
                                              train_labels=[f"site{i % 20:02d}" for i in range(480)]))
     path = tmp_path / "knn.json"

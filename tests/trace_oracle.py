@@ -111,7 +111,7 @@ def _classifier_payload(model: TrainedModel) -> dict:
         knn: KnnModel = model.classifier
         return {
             "k": knn.k,
-            "metric": knn.metric,
+            "metric": "euclidean",
             "train_x": knn.train_x.tolist(),
             "train_labels": list(knn.train_labels),
         }
