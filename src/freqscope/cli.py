@@ -64,7 +64,7 @@ from .keystroke import (
     train_password_model,
 )
 from .profiles import get_profile
-from .sampler import CollectPlan, HookError, collect
+from .sampler import CollectPlan, collect
 from .sources import (
     AccessDeniedError,
     ReplayExhaustedError,
@@ -81,13 +81,7 @@ from .trace import (
     load_trace,
     save_trace,
 )
-from .workloads import (
-    KEYSTROKE_TAIL_TICKS,
-    idle_workload,
-    keystroke_workload,
-    noise_workload,
-    website_workload,
-)
+from .workloads import KEYSTROKE_TAIL_TICKS, keystroke_workload, noise_workload, website_workload
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -270,7 +264,7 @@ def _collect_workload(s: Settings):
         return keystroke_workload(presses, n_ticks=ticks, tick_ms=tick, seed=seed)
     if kind == "noise":
         return noise_workload(ticks, tick_ms=tick, seed=seed)
-    return idle_workload(ticks, tick_ms=tick, seed=seed)
+    return keystroke_workload([], n_ticks=ticks, tick_ms=tick, seed=seed)  # idle: no press
 
 
 def _build_source(s: Settings, source: str, policy: str):
@@ -407,6 +401,8 @@ def cmd_keystrokes(args) -> int:
     s = resolve("keystrokes", args)
     if bool(args.trace) == bool(args.dataset):
         raise ConfigError("exactly one of --trace or --dataset is required")
+    if args.trace and s["keystroke.guess_curve"]:
+        raise ConfigError("keystroke.guess_curve (--guess-curve) needs --dataset, not --trace")
 
     if args.trace:
         report = _detect(load_trace(args.trace), args.trace)
@@ -519,10 +515,13 @@ def cmd_report(args) -> int:
         files.update({"eval_table.txt": [table], "eval.dat": plot})
 
     if args.sweep_csv:
-        rows = [["defense", "param", "top1_clean", "top1_defended"]]
-        plot = ["# defense param top1_clean top1_defended"]
+        header = sweep_csv_lines([])[0]
+        rows = [header.split(",")]
+        plot = ["# " + " ".join(rows[0])]
         for path_text in args.sweep_csv:
             lines = Path(path_text).read_text(encoding="utf-8").splitlines()
+            if lines[:1] != [header]:
+                raise TraceFormatError(path_text, 1, f"sweep header must be {header!r}")
             for n, line in enumerate(lines[1:], start=2):
                 if not line.strip():
                     continue
@@ -632,9 +631,6 @@ def main(argv: list[str] | None = None) -> int:
     except AccessDeniedError as exc:
         _err(f"access restricted: {exc}")
         return EXIT_ACCESS
-    except HookError as exc:
-        _err(str(exc))
-        return EXIT_HOOK
     except KeyError as exc:
         _err(str(exc).strip("'\""))
         return EXIT_CONFIG

@@ -179,10 +179,17 @@ def password_press_schedule(password: str, seed: int = 0) -> list[int]:
     return out
 
 
-def _pad(vec: np.ndarray, n: int) -> np.ndarray:
-    if len(vec) > n:
-        raise ValueError(f"timing vector of length {len(vec)} exceeds model length {n}")
-    return np.pad(np.asarray(vec, dtype=np.float64), (0, n - len(vec)))
+def _padded(vecs: list, width: int | None = None) -> np.ndarray:
+    """The vectors as rows of a float64 matrix, zero-padded to `width`
+    columns (by default the longest vector's length)."""
+    vecs = [np.asarray(v, dtype=np.float64) for v in vecs]
+    width = max(map(len, vecs)) if width is None else width
+    out = np.zeros((len(vecs), width))
+    for row, vec in zip(out, vecs):
+        if len(vec) > width:
+            raise ValueError(f"timing vector of length {len(vec)} exceeds model length {width}")
+        row[:len(vec)] = vec
+    return out
 
 
 def train_password_model(ds: dict[str, list], split_seed: int = 0
@@ -194,9 +201,7 @@ def train_password_model(ds: dict[str, list], split_seed: int = 0
     labels = sorted(ds)
     if len(labels) < 2:
         raise ValueError("need at least 2 passwords")
-    picked: dict[str, list[np.ndarray]] = {}
-    order: dict[str, np.ndarray] = {}
-    max_len = 0
+    picked = []  # each password's 10 measurements, in its split order
     for label in labels:
         vecs = ds[label]
         if len(vecs) < MEASUREMENTS_PER_LABEL:
@@ -206,23 +211,15 @@ def train_password_model(ds: dict[str, list], split_seed: int = 0
             )
         rng = np.random.default_rng(stable_seed(split_seed, "password-split", label))
         idx = sorted(rng.choice(len(vecs), MEASUREMENTS_PER_LABEL, replace=False).tolist())
-        picked[label] = [np.asarray(vecs[i], dtype=np.float64) for i in idx]
-        order[label] = rng.permutation(MEASUREMENTS_PER_LABEL)
-        max_len = max(max_len, max(len(v) for v in picked[label]))
-
+        picked += [vecs[idx[j]] for j in rng.permutation(MEASUREMENTS_PER_LABEL)]
+    X = _padded(picked)
+    X = X.reshape(len(labels), MEASUREMENTS_PER_LABEL, X.shape[1])
     n_train = round(TRAIN_FRACTION * MEASUREMENTS_PER_LABEL)
-    train_x, train_y = [], []
-    held_out: list[tuple[str, np.ndarray]] = []
-    for label in labels:
-        padded = [_pad(v, max_len) for v in picked[label]]
-        perm = order[label]
-        for j in perm[:n_train]:
-            train_x.append(padded[j])
-            train_y.append(label)
-        for j in perm[n_train:]:
-            held_out.append((label, padded[j]))
-
-    return fit_knn(np.vstack(train_x), train_y, k=PASSWORD_K), held_out
+    train_y = [label for label in labels for _ in range(n_train)]
+    held_y = [label for label in labels for _ in range(MEASUREMENTS_PER_LABEL - n_train)]
+    held_x = X[:, n_train:].reshape(len(held_y), X.shape[2])
+    return (fit_knn(X[:, :n_train].reshape(len(train_y), X.shape[2]), train_y, k=PASSWORD_K),
+            list(zip(held_y, held_x)))
 
 
 def guess_curve(model: KnnModel, test_pairs: list[tuple[str, np.ndarray]],
@@ -235,8 +232,7 @@ def guess_curve(model: KnnModel, test_pairs: list[tuple[str, np.ndarray]],
         raise ValueError(
             f"max_guesses must be in [1, {len(model.classes)}], got {max_guesses}"
         )
-    X = np.stack([_pad(np.asarray(vec, dtype=np.float64), model.train_x.shape[1])
-                  for _, vec in test_pairs])
+    X = _padded([vec for _, vec in test_pairs], model.train_x.shape[1])
     order, _ = rank_many(model, X)
     index = {label: c for c, label in enumerate(model.classes)}
     truth = np.array([index.get(label, -1) for label, _ in test_pairs])

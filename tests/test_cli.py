@@ -965,6 +965,22 @@ def test_keystrokes_needs_trace_or_dataset():
     assert run_cli("keystrokes") == 2
 
 
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_keystrokes_guess_curve_needs_a_dataset(tmp_path, given, capsys):
+    path = tmp_path / "typed.ftrace"
+    save_trace(FrequencyTrace(samples=TYPED, interval_ms=20, device="cortex_a73", label="typed"),
+               path)
+    conf = tmp_path / "guess.conf"
+    conf.write_text("keystroke.guess_curve = 4\n")
+    setting = ("--guess-curve", "3") if given == "flag" else ("--config", conf)
+    out = tmp_path / "detected"
+    capsys.readouterr()
+    assert run_cli("keystrokes", "--trace", path, *setting, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert "keystroke.guess_curve" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_keystrokes_guess_curve(tmp_path, capsys):
     pwfile = tmp_path / "pw.txt"
     pwfile.write_text("ffffff\nqpqpqp\n")
@@ -1115,6 +1131,8 @@ MALFORMED_REPORTS = {  # case: (flag, file text, line of the fault)
     "sweep_defended_above_one": ("--sweep-csv", SWEEP_HEADER + "resolution_reduce,1,0.9,0.9\n"
                                  "noise_inject,20,0.5,1.5\n", 3),
     "sweep_defended_empty": ("--sweep-csv", SWEEP_HEADER + "noise_inject,20,0.5,\n", 2),
+    "sweep_without_header": ("--sweep-csv", "resolution_reduce,1,0.9,0.9\n", 1),
+    "sweep_empty_file": ("--sweep-csv", "", 1),
 }
 
 

@@ -8,7 +8,6 @@ from freqscope.profiles import get_profile
 from freqscope.workloads import (
     IDLE_LOAD_MAX,
     KEYSTROKE_LOADS,
-    idle_workload,
     keystroke_workload,
     noise_workload,
     website_workload,
@@ -22,7 +21,7 @@ def test_loads_stay_in_unit_interval():
     for wl in (
         website_workload("site-03", 500, seed=1),
         keystroke_workload([100, 900], 60, seed=2),
-        idle_workload(300, seed=3),
+        keystroke_workload([], 300, tick_ms=10, seed=3),
         noise_workload(300, seed=4),
     ):
         assert all(0.0 <= x <= 1.0 for x in wl.loads)
@@ -39,7 +38,7 @@ def test_loads_are_a_read_only_float64_array_the_workload_owns():
     assert wl != WorkloadTrace(loads=(0.25, 0.5, 1.0), tick_ms=20)
     assert wl != WorkloadTrace(loads=(0.25, 0.5), tick_ms=10)
     for made in (website_workload("site-03", 50, seed=1), keystroke_workload([100], 60, seed=2),
-                 idle_workload(30, seed=3), noise_workload(30, seed=4)):
+                 keystroke_workload([], 30, tick_ms=10, seed=3), noise_workload(30, seed=4)):
         assert isinstance(made.loads, np.ndarray) and made.loads.dtype == np.float64
         assert made.loads.ndim == 1 and not made.loads.flags.writeable
 
@@ -92,7 +91,7 @@ def test_keystroke_press_outside_trace_rejected():
 
 def test_idle_keeps_cortex_interactive_at_min():
     cfg = SimConfig(profile=CORTEX, governor="interactive")
-    wl = idle_workload(500, tick_ms=20, seed=7)
+    wl = keystroke_workload([], 500, tick_ms=20, seed=7)
     assert max(wl.loads) <= IDLE_LOAD_MAX
     trace = simulate(wl, cfg)
     at_min = sum(1 for s in trace.samples if s == CORTEX.min_freq_khz)
@@ -106,7 +105,7 @@ def test_noise_has_no_class_skeleton():
 
 
 def test_n_ticks_validated():
-    for fn in (idle_workload, noise_workload):
+    for fn in (lambda n, seed: keystroke_workload([], n, tick_ms=10, seed=seed), noise_workload):
         with pytest.raises(ValueError):
             fn(0, seed=1)
     with pytest.raises(ValueError):
