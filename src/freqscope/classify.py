@@ -21,7 +21,7 @@ from .dataset import DatasetFormatError, LabeledDataset
 from .forest import ForestModel, ForestParams, forest_train
 from .knn import KnnModel, fit_knn
 from .profiles import get_profile
-from .trace import atomic_writer
+from .trace import atomic_writer, read_utf8
 
 NORM_NONE = "none"
 NORM_MINMAX = "minmax_per_profile"
@@ -34,26 +34,26 @@ KNN_METRIC = "euclidean"  # the distance knn ranks by; a model file names it
 def dataset_matrix(ds: LabeledDataset, normalization: str = NORM_NONE):
     """(X, labels) in deterministic label-sorted order: one float64 row of
     samples per trace, min-max scaled per row under NORM_MINMAX."""
-    pairs = list(ds.items())
-    if not pairs:
+    if not ds.total_measurements():
         raise ValueError("dataset holds no traces")
     if normalization not in (NORM_NONE, NORM_MINMAX):
         raise ValueError(f"unknown normalization {normalization!r}")
-    X = np.stack([trace.samples for _, trace in pairs], dtype=np.float64)
+    X = np.concatenate([ds.samples[label] for label in ds.classes], dtype=np.float64)
     if normalization == NORM_MINMAX:
+        devices = [device for label in ds.classes for device in ds.devices[label]]
         bounds = {}
-        for device in dict.fromkeys(trace.device for _, trace in pairs):
+        for device in dict.fromkeys(devices):
             try:
                 profile = get_profile(device)
             except KeyError as exc:
                 raise DatasetFormatError(
                     f"cannot normalize trace with unknown device {device!r}") from exc
             bounds[device] = (profile.min_freq_khz, profile.boost_cap_khz)
-        lo, hi = np.array([bounds[trace.device] for _, trace in pairs]).T[:, :, None]
+        lo, hi = np.array([bounds[device] for device in devices]).T[:, :, None]
         X -= lo
         X /= hi - lo
         np.clip(X, 0.0, 1.0, out=X)
-    return X, [label for label, _ in pairs]
+    return X, [label for label in ds.classes for _ in range(len(ds.samples[label]))]
 
 
 @dataclass
@@ -231,8 +231,7 @@ def _dumps(value) -> str:
 
 
 def load_model(path: str | os.PathLike) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_utf8(path)
     try:
         return _model_from_doc(_read_model_json(text), path)
     except ModelFormatError:

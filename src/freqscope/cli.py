@@ -79,6 +79,7 @@ from .trace import (
     atomic_writer,
     encode_label,
     load_trace,
+    read_utf8,
     save_trace,
 )
 from .workloads import KEYSTROKE_TAIL_TICKS, keystroke_workload, noise_workload, website_workload
@@ -178,19 +179,6 @@ def _read_passwords(path: str) -> list[str]:
     return words
 
 
-def _simulate_labels(sim_cfg: SimConfig, labels: list[str], per_label: int, n_ticks: int,
-                     interval: int, make_workload) -> dict[str, list[FrequencyTrace]]:
-    """Simulate `make_workload(label_index, m)` for every label and m <
-    per_label in one engine call; the loads go into one matrix row by row."""
-    loads = np.empty((len(labels) * per_label, n_ticks))
-    for r in range(len(loads)):
-        loads[r] = make_workload(*divmod(r, per_label)).loads
-    traces = [FrequencyTrace(samples=row, interval_ms=interval, device=sim_cfg.profile.name,
-                             label=labels[r // per_label])
-              for r, row in enumerate(simulate_batch(loads, interval, sim_cfg)[0])]
-    return {label: traces[c * per_label:(c + 1) * per_label] for c, label in enumerate(labels)}
-
-
 def cmd_simulate(args) -> int:
     s = resolve("simulate", args)
     seed = s["run.seed"]
@@ -202,37 +190,37 @@ def cmd_simulate(args) -> int:
         interval = s.derive("sim.interval_ms", 10)
         samples = s.derive("sim.samples", 1000)
         jitter = s["simulate.jitter"]
-        labels = _site_labels(s["simulate.classes"])
-        measurements = _simulate_labels(
-            sim_cfg, labels, s["simulate.measurements"], samples, interval,
-            lambda c, m: website_workload(
-                c, n_ticks=samples, tick_ms=interval,
-                seed=stable_seed(seed, "website", labels[c], m), jitter=jitter,
-            ),
-        )
-        ds = LabeledDataset(measurements)
+        labels, per_label = _site_labels(s["simulate.classes"]), s["simulate.measurements"]
+
+        def workload(c, m):
+            return website_workload(c, n_ticks=samples, tick_ms=interval, jitter=jitter,
+                                    seed=stable_seed(seed, "website", labels[c], m))
     else:
         sim_cfg = _sim_config(s, default_profile="cortex_a73")
         interval = s.derive("sim.interval_ms", 20)
         if not s["simulate.passwords"]:
             raise ConfigError("--passwords FILE is required for keystroke datasets")
         per_label = s["simulate.per_label"]
-        words = _read_passwords(s["simulate.passwords"])
+        labels = _read_passwords(s["simulate.passwords"])
         schedules = {
             (pw, m): password_press_schedule(pw, seed=stable_seed(seed, "schedule", pw, m))
-            for pw in words
+            for pw in labels
             for m in range(per_label)
         }
         last = max(presses[-1] for presses in schedules.values())
         samples = s.derive("sim.samples", last // interval + KEYSTROKE_TAIL_TICKS)
-        measurements = _simulate_labels(
-            sim_cfg, words, per_label, samples, interval,
-            lambda c, m: keystroke_workload(
-                schedules[(words[c], m)], n_ticks=samples, tick_ms=interval,
-                seed=stable_seed(seed, "keystroke-idle", words[c], m),
-            ),
-        )
-        ds = LabeledDataset(measurements)
+
+        def workload(c, m):
+            return keystroke_workload(schedules[(labels[c], m)], n_ticks=samples, tick_ms=interval,
+                                      seed=stable_seed(seed, "keystroke-idle", labels[c], m))
+
+    # one engine call for every trace; each label's rows are its samples
+    loads = np.empty((len(labels) * per_label, samples))
+    for r in range(len(loads)):
+        loads[r] = workload(*divmod(r, per_label)).loads
+    rows, _ = simulate_batch(loads, interval, sim_cfg)
+    ds = LabeledDataset(dict(zip(labels, np.split(rows, len(labels)))),
+                        {label: [sim_cfg.profile.name] * per_label for label in labels}, interval)
 
     with dataset_lock(out):
         if (out / RESOLVED_CONFIG_NAME).exists() or any(out.glob("*/*.ftrace")):
@@ -414,16 +402,13 @@ def cmd_keystrokes(args) -> int:
         return EXIT_OK
 
     ds = load_dataset(args.dataset)
-    vectors: dict[str, list[np.ndarray]] = {}
-    summary = []
+    vectors, summary = {}, []
     for label in ds.classes:
-        vecs, presses = [], []
-        for trace in ds.measurements[label]:
-            report = _detect(trace, args.dataset)
-            vecs.append(np.asarray(report.inter_key_timings_ms, dtype=np.float64))
-            presses.append(report.press_count)
-        vectors[label] = vecs
-        summary.append(f"{label}: traces={len(vecs)} mean_presses={np.mean(presses):.2f}")
+        reports = [_detect(FrequencyTrace(row, ds.interval_ms), args.dataset)
+                   for row in ds.samples[label]]
+        vectors[label] = [np.asarray(r.inter_key_timings_ms, dtype=np.float64) for r in reports]
+        presses = np.mean([r.press_count for r in reports])
+        summary.append(f"{label}: traces={len(reports)} mean_presses={presses:.2f}")
     print("\n".join(summary))
     files = {"summary.txt": summary}
 
@@ -481,7 +466,7 @@ def _check_report_value(path, n: int, name: str, text: str) -> None:
 
 def _parse_kv_file(path: Path) -> dict[str, str]:
     values = {}
-    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for n, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip() or "=" not in line:
             continue
         key, _, value = (part.strip() for part in line.partition("="))
@@ -519,7 +504,7 @@ def cmd_report(args) -> int:
         rows = [header.split(",")]
         plot = ["# " + " ".join(rows[0])]
         for path_text in args.sweep_csv:
-            lines = Path(path_text).read_text(encoding="utf-8").splitlines()
+            lines = read_utf8(path_text).splitlines()
             if lines[:1] != [header]:
                 raise TraceFormatError(path_text, 1, f"sweep header must be {header!r}")
             for n, line in enumerate(lines[1:], start=2):

@@ -25,7 +25,7 @@ from typing import Callable
 
 from .classify import NORM_MINMAX, NORM_NONE
 from .forest import ForestParams
-from .trace import atomic_writer
+from .trace import TraceFormatError, atomic_writer, read_utf8
 
 RESOLVED_CONFIG_NAME = "freqscope.resolved.conf"
 SPLIT_KEYS = ("split.train", "split.val", "split.test")
@@ -271,16 +271,12 @@ def parse_config(text: str) -> dict[str, object]:
 
 def load_config(path: str | os.PathLike) -> dict[str, object]:
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        text = read_utf8(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {os.fspath(path)!r}: {exc}") from exc
-    try:
-        return parse_config(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        bad = f"{exc.reason} 0x{data[exc.start]:02x}"
-        raise ConfigError(f"config {os.fspath(path)!r} is not UTF-8: {bad}",
-                          data.count(b"\n", 0, exc.start) + 1) from None
+    except TraceFormatError as exc:
+        raise ConfigError(f"config {os.fspath(path)!r} is {exc.problem}", exc.line) from None
+    return parse_config(text)
 
 
 def _render(value: object) -> str:

@@ -2,8 +2,8 @@
 
 On disk a dataset is `root/<label>/<measurement_id>.ftrace` with labels
 percent-encoded in directory names and zero-padded measurement ids. In
-memory it is a map from label to an ordered list of traces. A split is a
-pure function of (split seed, label, the label's trace count, fractions),
+memory it is one sample matrix per label, with the device of each row. A
+split is a pure function of (split seed, label, the label's trace count, fractions),
 so re-splitting with the same seed always reproduces the same partition,
 and a loader can read one part's traces without opening the others.
 """
@@ -16,21 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import (
-    FrequencyTrace,
-    decode_label,
-    encode_label,
-    load_trace,
-    save_trace,
-)
+from .trace import FrequencyTrace, decode_label, encode_label, load_trace, save_trace
 
 DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)
 SPLIT_PARTS = ("train", "val", "test")
 
 
 class DatasetFormatError(ValueError):
-    """Raised for dataset trees without traces, or whose traces disagree on
-    sample count or interval; a malformed trace file raises TraceFormatError."""
+    """Raised for dataset trees without traces, or with a member unlike the
+    first or its directory; a malformed trace file raises TraceFormatError."""
 
 
 def stable_seed(*parts) -> int:
@@ -46,71 +40,71 @@ def stable_seed(*parts) -> int:
 
 @dataclass
 class LabeledDataset:
-    measurements: dict[str, list[FrequencyTrace]]
+    """`samples[label]` is an int64 [N, T] matrix, taken without a copy and made
+    read-only, and `devices[label][i]` is its row i's device. All labels share T
+    and `interval_ms` (None only for a loaded split part that read no trace)."""
+
+    samples: dict[str, np.ndarray]
+    devices: dict[str, list[str]]
+    interval_ms: int | None
 
     def __post_init__(self) -> None:
-        lengths = {len(t) for traces in self.measurements.values() for t in traces}
-        intervals = {t.interval_ms for traces in self.measurements.values() for t in traces}
-        if len(lengths) > 1:
-            raise DatasetFormatError(f"traces disagree on sample count: {sorted(lengths)}")
-        if len(intervals) > 1:
-            raise DatasetFormatError(f"traces disagree on interval_ms: {sorted(intervals)}")
+        for label, rows in self.samples.items():
+            if rows.dtype != np.int64 or rows.ndim != 2 or len(rows) != len(self.devices[label]):
+                raise ValueError(f"{label!r} needs an int64 [N, T] matrix and N devices")
+            rows.flags.writeable = False
+        widths = sorted({rows.shape[1] for rows in self.samples.values()})
+        if len(widths) > 1:
+            raise DatasetFormatError(f"traces disagree on sample count: {widths}")
 
     @property
     def classes(self) -> list[str]:
-        return sorted(self.measurements)
+        return sorted(self.samples)
 
     def total_measurements(self) -> int:
-        return sum(len(v) for v in self.measurements.values())
-
-    def items(self):
-        """Yield (label, trace) pairs in deterministic label-sorted order."""
-        for label in self.classes:
-            for trace in self.measurements[label]:
-                yield label, trace
+        return sum(len(rows) for rows in self.samples.values())
 
 
-def _check_fractions(fractions: tuple[float, float, float]) -> None:
-    """ValueError naming the split key of a negative, infinite or NaN
-    fraction, or for fractions that do not sum to 1."""
+def split_indices(seed: int, label: str, n: int, fractions: tuple[float, float, float]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted (train, val, test) index arrays into a label's n traces: one
+    permutation drawn from (seed, label), cut by the fractions' counts. A
+    negative, infinite or NaN fraction is a ValueError naming its split key,
+    as are fractions that do not sum to 1 or that leave a part with a
+    non-zero fraction no trace."""
     for name, f in zip(SPLIT_PARTS, fractions):
         if not 0 <= f < np.inf:  # also rejects NaN
             raise ValueError(f"split.{name} must be a finite fraction >= 0, got {f}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {fractions}")
-
-
-def _partition_counts(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
-    _check_fractions(fractions)
-    train_f, val_f, test_f = fractions
-    n_val = int(n * val_f)
-    n_test = int(n * test_f)
-    n_train = n - n_val - n_test  # rounding remainder goes to train
-    for frac, count, name in ((train_f, n_train, "train"), (val_f, n_val, "val"), (test_f, n_test, "test")):
+    n_val, n_test = int(n * fractions[1]), int(n * fractions[2])
+    counts = (n - n_val - n_test, n_val, n_test)  # rounding remainder goes to train
+    for name, frac, count in zip(SPLIT_PARTS, fractions, counts):
         if frac > 0 and count < 1:
             raise ValueError(f"class too small: {name} fraction {frac} yields no measurements from {n}")
-    return n_train, n_val, n_test
-
-
-def split_indices(seed: int, label: str, n: int, fractions: tuple[float, float, float]
-                  ) -> tuple[list[int], list[int], list[int]]:
-    """Sorted (train, val, test) indices into a label's n traces: one
-    permutation drawn from (seed, label), cut by the fractions' counts."""
-    n_train, n_val, _ = _partition_counts(n, fractions)
     order = np.random.default_rng(stable_seed(seed, "split", label)).permutation(n)
-    cut1, cut2 = n_train, n_train + n_val
-    return tuple(sorted(idx.tolist()) for idx in (order[:cut1], order[cut1:cut2], order[cut2:]))
+    cut1, cut2 = counts[0], counts[0] + counts[1]
+    return tuple(np.sort(idx) for idx in (order[:cut1], order[cut1:cut2], order[cut2:]))
 
 
 def split_dataset(ds: LabeledDataset, seed: int, fractions: tuple[float, float, float]
                   ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Per-class deterministic partition into (train, val, test) views."""
-    parts: tuple[dict, dict, dict] = ({}, {}, {})
-    for label in ds.classes:
-        traces = ds.measurements[label]
-        for part, idx in zip(parts, split_indices(seed, label, len(traces), fractions)):
-            part[label] = [traces[i] for i in idx]
-    return tuple(LabeledDataset(part) for part in parts)
+    """Per-class deterministic partition into (train, val, test) datasets: a
+    label's rows at each part's indices, gathered into one matrix per part
+    (per-label copies fragmented the heap of defend's workers by up to 2 MB)."""
+    chosen = {label: split_indices(seed, label, len(rows), fractions)
+              for label, rows in ds.samples.items()}
+    width = max((rows.shape[1] for rows in ds.samples.values()), default=0)
+    parts = []
+    for p in range(len(SPLIT_PARTS)):
+        block = np.empty((sum(len(idx[p]) for idx in chosen.values()), width), dtype=np.int64)
+        samples, devices, at = {}, {}, 0
+        for label, idx in chosen.items():
+            rows = block[at:at + len(idx[p])]
+            samples[label] = np.take(ds.samples[label], idx[p], axis=0, out=rows)
+            devices[label], at = [ds.devices[label][i] for i in idx[p]], at + len(rows)
+        parts.append(LabeledDataset(samples, devices, ds.interval_ms))
+    return tuple(parts)
 
 
 def measurement_filename(index: int) -> str:
@@ -124,19 +118,21 @@ def save_dataset(ds: LabeledDataset, root: str | os.PathLike) -> None:
     for label in ds.classes:
         label_dir = os.path.join(root, encode_label(label))
         os.makedirs(label_dir, exist_ok=True)
-        for i, trace in enumerate(ds.measurements[label]):
-            save_trace(trace, os.path.join(label_dir, measurement_filename(i)))
+        for i, (row, device) in enumerate(zip(ds.samples[label], ds.devices[label])):
+            save_trace(FrequencyTrace(row, ds.interval_ms, device, label),
+                       os.path.join(label_dir, measurement_filename(i)))
 
 
 def load_dataset(root: str | os.PathLike, split: tuple | None = None) -> LabeledDataset:
-    """Read every `<label>/<id>.ftrace` under root, ids in sorted order. A
-    split `(seed, fractions, part)`, part one of SPLIT_PARTS, reads only the
-    traces that `split_dataset` would put in that part; a label keeps its
-    (possibly empty) list even when the part takes none of its traces."""
+    """Read every `<label>/<id>.ftrace` under root, ids in sorted order, into
+    its label's matrix. A split `(seed, fractions, part)`, part one of
+    SPLIT_PARTS, reads only the traces `split_dataset` would put in that part;
+    a label keeps its (possibly empty) matrix when the part takes none."""
     root = os.fspath(root)
     if not os.path.isdir(root):
         raise FileNotFoundError(f"dataset root {root!r} does not exist")
-    measurements: dict[str, list[FrequencyTrace]] = {}
+    samples, devices = {}, {}
+    first = None  # (path, sample count, interval_ms) of the first member read
     for entry in sorted(os.listdir(root)):
         label_dir = os.path.join(root, entry)
         if not os.path.isdir(label_dir):
@@ -149,8 +145,25 @@ def load_dataset(root: str | os.PathLike, split: tuple | None = None) -> Labeled
             seed, fractions, part = split
             chosen = split_indices(seed, label, len(files), fractions)[SPLIT_PARTS.index(part)]
             files = [files[i] for i in chosen]
-        measurements[label] = [load_trace(os.path.join(label_dir, f)) for f in files]
-    if not measurements:
+        devices[label] = []
+        for i, path in enumerate(os.path.join(label_dir, f) for f in files):
+            trace = load_trace(path)
+            if trace.label not in (None, label):
+                raise DatasetFormatError(f"{path}: #label= header names {trace.label!r},"
+                                         f" not its directory's label {label!r}")
+            first = first or (path, len(trace), trace.interval_ms)
+            for what, got, want in zip(("sample count", "interval_ms"),
+                                       (len(trace), trace.interval_ms), first[1:]):
+                if got != want:
+                    raise DatasetFormatError(f"{path}: traces disagree on {what}:"
+                                             f" {got} here, {want} in {first[0]}")
+            if i == 0:
+                samples[label] = np.empty((len(files), len(trace)), dtype=np.int64)
+            samples[label][i] = trace.samples
+            devices[label].append(trace.device)
+    if not devices:
         raise DatasetFormatError(f"no traces found under {root!r}")
-    return LabeledDataset(measurements)
-
+    _, width, interval_ms = first or (None, 0, None)
+    empty = np.empty((0, width), dtype=np.int64)  # a label the split part takes nothing of
+    return LabeledDataset({label: samples.get(label, empty) for label in devices}, devices,
+                          interval_ms)

@@ -15,7 +15,7 @@ attacker profiles the system as deployed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,6 @@ import numpy as np
 from .classify import TrainedModel, evaluate
 from .dataset import LabeledDataset, split_dataset, stable_seed
 from .profiles import builtin_profiles
-from .trace import FrequencyTrace
 
 KIND_RESOLUTION = "resolution_reduce"
 KIND_NOISE = "noise_inject"
@@ -115,35 +114,33 @@ def parse_defense(spec: str) -> list[Defense]:
     raise ValueError(f"unknown defense spec {spec!r} (resolution: | noise: | mask:)")
 
 
-def _freq_range(trace: FrequencyTrace) -> tuple[int, int]:
-    # known devices clip against the profile; ad-hoc devices fall back to
-    # the observed range of the trace itself
-    profile = builtin_profiles().get(trace.device)
+def _freq_range(device: str, samples: np.ndarray) -> tuple[int, int]:
+    """A known device's profile range, else the trace's own observed range."""
+    profile = builtin_profiles().get(device)
     if profile is None:
-        return int(trace.samples.min()), int(trace.samples.max())
+        return int(samples.min()), int(samples.max())
     return profile.min_freq_khz, profile.boost_cap_khz
 
 
-def _defended_samples(d: Defense, traces: list[FrequencyTrace], salts: list[int]):
-    """The defended samples of traces of one length and interval, one row
-    per trace, trace i salted by salts[i]. Only noise works on the [traces,
-    samples] matrix: for the other kinds it saved no time and raised the
-    peak RSS of defend's workers."""
-    n = len(traces[0].samples)
+def _defended_samples(d: Defense, samples: np.ndarray, devices: list[str], interval_ms: int,
+                      salts: list[int]) -> np.ndarray:
+    """The defended [traces, samples] matrix of one label's samples: row i
+    is of devices[i], sampled each interval_ms, and salted by salts[i]."""
+    n = samples.shape[1]
     if d.kind == KIND_RESOLUTION:
-        keep = (np.arange(n) // d.factor) * d.factor
-        return [t.samples[keep] for t in traces]
+        return samples[:, (np.arange(n) // d.factor) * d.factor]
     if d.kind == KIND_MASK:
-        for t in traces:
-            profile = builtin_profiles().get(t.device)
+        for device in dict.fromkeys(devices):
+            profile = builtin_profiles().get(device)
             if profile is not None and d.mask_freq_khz not in profile.pstates:
-                raise ValueError(f"mask frequency {d.mask_freq_khz} is not a pstate of {t.device}")
-        return [np.full(n, d.mask_freq_khz)] * len(traces)
-    n_bursts = _burst_count(d, traces[0])
-    if n_bursts == 0:
-        return [t.samples for t in traces]
-    samples = np.array([t.samples for t in traces])
-    lo, hi = np.array([_freq_range(t) for t in traces], dtype=np.int64).T
+                raise ValueError(f"mask frequency {d.mask_freq_khz} is not a pstate of {device}")
+        return np.broadcast_to(np.int64(d.mask_freq_khz), samples.shape)  # one value, no copies
+    n_bursts = _burst_count(d, n, interval_ms)
+    if n_bursts == 0 or not len(samples):
+        return samples
+    samples = samples.copy()
+    lo, hi = np.array([_freq_range(*dev_row) for dev_row in zip(devices, samples)],
+                      dtype=np.int64).T
     # each trace draws positions, widths and scales, in turn, from its own stream
     rngs = [np.random.default_rng(stable_seed(d.seed, "noise-inject", salt)) for salt in salts]
     positions = np.array([rng.integers(0, n, n_bursts) for rng in rngs])  # [T, bursts]
@@ -155,7 +152,7 @@ def _defended_samples(d: Defense, traces: list[FrequencyTrace], salts: list[int]
     offsets = np.arange(high)
     cells = positions[:, :, None] + offsets
     covered = (offsets < widths[:, :, None]) & (cells < n)
-    flat = (cells + n * np.arange(len(traces))[:, None, None])[covered]
+    flat = (cells + n * np.arange(len(samples))[:, None, None])[covered]
     add = np.broadcast_to(deltas[:, :, None], cells.shape)[covered]
     # Bursts compound one after another, each clamped to [lo, hi]. Every
     # delta is >= 0, so only a sample's first burst can meet the lower clamp,
@@ -174,22 +171,20 @@ def _defended_samples(d: Defense, traces: list[FrequencyTrace], salts: list[int]
     return samples
 
 
-def _burst_count(d: Defense, t: FrequencyTrace) -> int:
-    duration_s = len(t.samples) * t.interval_ms / 1000.0
+def _burst_count(d: Defense, n_samples: int, interval_ms: int) -> int:
+    duration_s = n_samples * interval_ms / 1000.0
     return int(round(d.burst_rate_hz * duration_s))
 
 
 def defended_dataset(d: Defense, ds: LabeledDataset) -> LabeledDataset:
-    """Apply a defense to every measurement, one label at a time; per-trace
-    salts keep noise patterns independent across traces while staying
-    reproducible."""
-    measurements = {}
-    for label in ds.classes:
-        traces = ds.measurements[label]
-        salts = [stable_seed("trace-salt", label, i) for i in range(len(traces))]
-        rows = _defended_samples(d, traces, salts) if traces else []
-        measurements[label] = [replace(t, samples=row) for t, row in zip(traces, rows)]
-    return LabeledDataset(measurements)
+    """Apply a defense to every measurement, one label's matrix at a time;
+    per-trace salts keep noise patterns independent across traces while
+    staying reproducible."""
+    samples = {}
+    for label, rows in ds.samples.items():
+        salts = [stable_seed("trace-salt", label, i) for i in range(len(rows))]
+        samples[label] = _defended_samples(d, rows, ds.devices[label], ds.interval_ms, salts)
+    return LabeledDataset(samples, ds.devices, ds.interval_ms)
 
 
 Trainer = Callable[[LabeledDataset], TrainedModel]
@@ -215,18 +210,18 @@ def _sweep_job(i: int, sweep: tuple | None = None) -> float:
     """Top-1 accuracy of job i of a sweep: -1 is the clean baseline, i >= 0
     is `defenses[i]`. A worker process runs the sweep it inherited."""
     defenses, ds, trainer, seed, fractions = sweep or _inherited
-    view = ds if i < 0 else defended_dataset(defenses[i], ds)
-    train, _, test = split_dataset(view, seed, fractions)
+    # the parts copy their rows, so a defended view is dropped once split
+    train, _, test = split_dataset(ds if i < 0 else defended_dataset(defenses[i], ds),
+                                   seed, fractions)
     return evaluate(trainer(train), test, topk=(1,)).top1_accuracy
 
 
 def _changes_samples(d: Defense, ds: LabeledDataset) -> bool:
     """False when d leaves every sample of ds as it is: resolution factor 1,
     and noise whose burst count rounds to 0."""
-    if d.kind == KIND_RESOLUTION:
-        return d.factor > 1
-    first = next((t for _, t in ds.items()), None)
-    return d.kind != KIND_NOISE or first is None or _burst_count(d, first) > 0
+    if d.kind == KIND_NOISE and ds.total_measurements():
+        return _burst_count(d, ds.samples[ds.classes[0]].shape[1], ds.interval_ms) > 0
+    return d.kind != KIND_RESOLUTION or d.factor > 1
 
 
 def defense_sweep(defenses: list[Defense], ds: LabeledDataset, trainer: Trainer, seed: int,

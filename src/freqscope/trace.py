@@ -39,12 +39,12 @@ _CANONICAL_BODY = re.compile(r"(?:[0-9]{1,19},[0-9]{1,19}\n)+")
 
 
 class TraceFormatError(ValueError):
-    """Raised for malformed trace and report files; names the file and the
-    offending line, which it also carries as `line`."""
+    """Raised for malformed trace and report files and data files not UTF-8;
+    names the file, then the offending `line` and the `problem`, both kept."""
 
-    def __init__(self, path: str | os.PathLike, line: int, message: str):
-        super().__init__(f"{os.fspath(path)}: line {line}: {message}")
-        self.line = line
+    def __init__(self, path: str | os.PathLike, line: int, problem: str):
+        super().__init__(f"{os.fspath(path)}: line {line}: {problem}")
+        self.line, self.problem = line, problem
 
 
 @dataclass
@@ -141,11 +141,21 @@ def save_trace(trace: FrequencyTrace, path: str | os.PathLike, *, overwrite: boo
         fh.write(body)
 
 
+def read_utf8(path: str | os.PathLike) -> str:
+    """A data file's text; a byte that is not UTF-8 is a TraceFormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(path, data.count(b"\n", 0, exc.start) + 1,
+                               f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}") from None
+
+
 def load_trace(path: str | os.PathLike) -> FrequencyTrace:
     """Parse a .ftrace file; inverse of save_trace. The body must be spelled
     as save_trace writes it; an error names the file and its first bad line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        raw = fh.read()
+    raw = read_utf8(path)
 
     body_at = 0  # the header is every '#' line at the top of the file
     while raw.startswith("#", body_at):

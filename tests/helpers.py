@@ -1,8 +1,8 @@
-"""Library functions that only the tests call: merging datasets in memory
-(the CLI merges dataset trees by copying files), synthetic timing vectors
-(the CLI measures timings from simulated traces), the sampling-rate
-repetitiveness diagnostic, one-row calls of the batch entry points, and a
-patcher for law constants."""
+"""Library functions that only the tests call: datasets built from and read
+back as traces, merging datasets in memory (the CLI merges dataset trees by
+copying files), synthetic timing vectors (the CLI measures timings from
+simulated traces), the sampling-rate repetitiveness diagnostic, one-row
+calls of the batch entry points, and a patcher for law constants."""
 
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
@@ -10,7 +10,8 @@ from unittest.mock import patch
 
 import numpy as np
 
-from freqscope.dataset import LabeledDataset, stable_seed
+import dataset_oracle
+from freqscope.dataset import DatasetFormatError, LabeledDataset, stable_seed
 from freqscope.defend import Defense, _defended_samples
 from freqscope.governors import SimConfig, WorkloadTrace, simulate_batch
 from freqscope.keystroke import MEASUREMENTS_PER_LABEL, sample_timing_vector
@@ -52,24 +53,49 @@ def apply_defense(d: Defense, t: FrequencyTrace, salt: int = 0) -> FrequencyTrac
     """One trace defended, as a one-row `defend._defended_samples`. `salt`
     decorrelates the noise pattern between traces that share a defense seed;
     other kinds ignore it."""
-    return replace(t, samples=_defended_samples(d, [t], [salt])[0])
+    (row,) = _defended_samples(d, t.samples[None], [t.device], t.interval_ms, [salt])
+    return replace(t, samples=row)
+
+
+def traces_dataset(measurements: dict[str, list[FrequencyTrace]]) -> LabeledDataset:
+    """The dataset of traces grouped by label, each label's stacked into its
+    matrix; like the list-based dataset it replaced, it rejects traces of
+    mixed length or interval."""
+    first = next((t for _, t in dataset_oracle.LabeledDataset(measurements).items()), None)
+    width = len(first) if first else 0
+    return LabeledDataset(
+        {label: np.array([t.samples for t in ts], dtype=np.int64).reshape(len(ts), width)
+         for label, ts in measurements.items()},
+        {label: [t.device for t in ts] for label, ts in measurements.items()},
+        first.interval_ms if first else None)
+
+
+def dataset_traces(ds: LabeledDataset) -> list[tuple[str, FrequencyTrace]]:
+    """(label, trace) of every row, labels in sorted order: the pairs the
+    list-based dataset's `items()` gave."""
+    return [(label, FrequencyTrace(row, ds.interval_ms, device, label))
+            for label in ds.classes
+            for row, device in zip(ds.samples[label], ds.devices[label])]
 
 
 def merge_datasets(datasets: list[LabeledDataset]) -> LabeledDataset:
-    """Union measurements per class; inputs must agree on classes, and the
-    merged dataset rejects traces of mixed length or interval."""
+    """Union measurements per class, each label's rows in input order; inputs
+    must agree on classes, length and interval."""
     if not datasets:
         raise ValueError("nothing to merge")
-    first = datasets[0]
-    classes = sorted(first.classes)
-    for ds in datasets[1:]:
-        if sorted(ds.classes) != classes:
-            raise ValueError("datasets disagree on class sets")
-    merged = {label: [] for label in classes}
-    for ds in datasets:
-        for label in classes:
-            merged[label].extend(ds.measurements[label])
-    return LabeledDataset(merged)
+    classes = datasets[0].classes
+    if any(ds.classes != classes for ds in datasets[1:]):
+        raise ValueError("datasets disagree on class sets")
+    widths = {ds.samples[label].shape[1] for ds in datasets for label in classes}
+    intervals = {ds.interval_ms for ds in datasets}
+    if len(widths) > 1:
+        raise DatasetFormatError(f"traces disagree on sample count: {sorted(widths)}")
+    if len(intervals) > 1:
+        raise DatasetFormatError(f"traces disagree on interval_ms: {sorted(intervals)}")
+    return LabeledDataset(
+        {label: np.concatenate([ds.samples[label] for ds in datasets]) for label in classes},
+        {label: [dev for ds in datasets for dev in ds.devices[label]] for label in classes},
+        datasets[0].interval_ms)
 
 
 def password_timing_vectors(passwords: list[str], per_label: int = MEASUREMENTS_PER_LABEL,

@@ -71,12 +71,8 @@ def website_dataset(profile_name: str, governor: str, *, jitter: float = WEBSITE
                                        jitter=jitter).loads
                       for label in labels for m in range(per_class)])
     rows = simulate_batch(loads, interval_ms, cfg)[0].reshape(n_classes, per_class, n_samples)
-    measurements = {
-        label: [FrequencyTrace(samples=samples, interval_ms=interval_ms,
-                               device=profile_name, label=label) for samples in rows[c]]
-        for c, label in enumerate(labels)
-    }
-    return LabeledDataset(measurements)
+    return LabeledDataset({label: rows[c] for c, label in enumerate(labels)},
+                          {label: [profile_name] * per_class for label in labels}, interval_ms)
 
 
 SPLIT = (0, DEFAULT_FRACTIONS)  # the CLI's default split seed and fractions

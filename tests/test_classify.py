@@ -20,7 +20,7 @@ from freqscope.forest import ForestParams
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
 from forest_oracle import forest_rank
-from helpers import merge_datasets
+from helpers import dataset_traces, merge_datasets, traces_dataset
 from knn_oracle import loop_rank
 
 RYZEN = get_profile("ryzen5")
@@ -46,14 +46,14 @@ def separable_dataset(n_classes=3, per_class=6, length=20, device="ryzen5"):
                 label, device,
             ))
         measurements[label] = rows
-    return LabeledDataset(measurements)
+    return traces_dataset(measurements)
 
 
 SPLIT = (1, (0.5, 0.0, 0.5))  # separable_dataset's split seed and fractions
 
 
 def one_trace_matrix(samples, device="ryzen5"):
-    ds = LabeledDataset({"a": [make_trace(samples, "a", device)]})
+    ds = traces_dataset({"a": [make_trace(samples, "a", device)]})
     X, _ = dataset_matrix(ds, NORM_MINMAX)
     return X[0].tolist()
 
@@ -70,7 +70,7 @@ def per_trace_matrix(ds, normalization):
     """The per-trace rows the stacked matrix replaced: each trace cast to
     float64 and scaled by its own profile's Python-int bounds."""
     rows = []
-    for _, trace in ds.items():
+    for _, trace in dataset_traces(ds):
         values = np.array(trace.samples.tolist(), dtype=np.float64)
         if normalization == NORM_MINMAX:
             profile = get_profile(trace.device)
@@ -89,7 +89,7 @@ def test_dataset_matrix_is_bit_identical_to_per_trace_rows(normalization):
                 for j in range(4)]
         for i, label in enumerate(["b", "a", "c"])
     }
-    ds = LabeledDataset(measurements)
+    ds = traces_dataset(measurements)
     X, labels = dataset_matrix(ds, normalization)
     assert labels == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
     assert X.dtype == np.float64
@@ -110,11 +110,11 @@ def test_minmax_in_place_matches_the_out_of_place_expression():
             rows.append(make_trace([0, lo - 1, lo, lo + 7 * (i + j + 1), (lo + hi) // 3, hi - 1,
                                     hi, hi + 1, 2 * hi, 2**62], label, device))
         measurements[label] = rows
-    ds = LabeledDataset(measurements)
+    ds = traces_dataset(measurements)
     X, _ = dataset_matrix(ds, NORM_MINMAX)
     raw, _ = dataset_matrix(ds, NORM_NONE)
     bounds = np.array([[get_profile(t.device).min_freq_khz, get_profile(t.device).boost_cap_khz]
-                       for _, t in ds.items()])
+                       for _, t in dataset_traces(ds)])
     lo, hi = bounds.T[:, :, None]
     want = np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
     assert X.tobytes() == want.tobytes()
@@ -139,8 +139,7 @@ def test_dataset_matrix_unknown_normalization():
 def test_dataset_matrix_unknown_device():
     ds = separable_dataset()
     label = ds.classes[0]
-    bad = [make_trace(t.samples, label, device="mystery") for t in ds.measurements[label]]
-    ds2 = LabeledDataset({**ds.measurements, label: bad})
+    ds2 = LabeledDataset(ds.samples, {**ds.devices, label: ["mystery"] * 6}, ds.interval_ms)
     with pytest.raises(ValueError, match="unknown device"):
         dataset_matrix(ds2, NORM_MINMAX)
 
@@ -184,7 +183,7 @@ def test_topk_accuracy_non_decreasing():
 def noisy_dataset(classes, per_class=8, length=12, seed=0):
     """Random pstates per trace: classes overlap, so rankings vary."""
     rng = np.random.default_rng(seed)
-    return LabeledDataset({
+    return traces_dataset({
         label: [make_trace(rng.choice(RYZEN.pstates, size=length).tolist(), label)
                 for _ in range(per_class)]
         for label in classes
@@ -265,7 +264,8 @@ def test_merge_datasets_unions_measurements():
     b = separable_dataset(device="comet_lake")
     merged = merge_datasets([a, b])
     assert merged.total_measurements() == a.total_measurements() + b.total_measurements()
-    assert {len(t) for _, t in merged.items()} == {len(t) for _, t in a.items()}
+    assert merged.samples["c0"].tobytes() == a.samples["c0"].tobytes() + b.samples["c0"].tobytes()
+    assert merged.devices["c0"] == ["ryzen5"] * 6 + ["comet_lake"] * 6
     assert sorted(merged.classes) == sorted(a.classes)
 
 

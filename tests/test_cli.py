@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from freqscope import dataset
@@ -17,6 +18,14 @@ from freqscope.trace import _file_mode, load_trace, save_trace, FrequencyTrace
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def write_file(path, content):
+    """Write text, or bytes as they are, to path."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
 
 
 @pytest.fixture(scope="module")
@@ -577,6 +586,7 @@ def _in_train_x(edit):
 
 # case: edit of a saved KNN model's text, for faults json.dumps cannot write
 MALFORMED_MODEL_TEXTS = {
+    "not_utf8": lambda text: b"\xff\xfe",
     "row_trailing_comma": _in_train_x(lambda x: x.replace("]", ",]", 1)),
     "trailing_comma_after_last_row": _in_train_x(lambda x: x[:-1] + ",]"),
     "missing_comma_between_rows": _in_train_x(lambda x: x.replace("],[", "][", 1)),
@@ -595,7 +605,7 @@ MALFORMED_MODEL_TEXTS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_MODEL_TEXTS))
 def test_eval_malformed_model_text_exits_3(tmp_path, website_ds, model_docs, case, capsys):
     model = tmp_path / "model.json"
-    model.write_text(MALFORMED_MODEL_TEXTS[case](model_docs["knn"]))
+    write_file(model, MALFORMED_MODEL_TEXTS[case](model_docs["knn"]))
     capsys.readouterr()
     assert run_cli("eval", "--dataset", website_ds, "--model", model) == 3
     err = capsys.readouterr().err
@@ -605,10 +615,9 @@ def test_eval_malformed_model_text_exits_3(tmp_path, website_ds, model_docs, cas
 
 def _traces(n_samples, device="ryzen5"):
     """Two labels of two traces each."""
-    return LabeledDataset({
-        label: [FrequencyTrace(samples=[800_000 + 100_000 * i] * n_samples, interval_ms=10,
-                               device=device, label=label) for i in range(2)]
-        for label in "ab"})
+    rows = np.array([[800_000 + 100_000 * i] * n_samples for i in range(2)], dtype=np.int64)
+    return LabeledDataset({label: rows for label in "ab"},
+                          {label: [device] * 2 for label in "ab"}, 10)
 
 
 EVAL_DATA_FAULTS = {  # case: (model's traces, normalization, eval's traces, message)
@@ -658,13 +667,22 @@ def test_importing_the_cli_starts_no_process_pool_machinery():
 GOOD_TRACE = "#ftrace v1\n#interval_ms=10\n0,100\n1,200\n"
 WANT_BODY = " (want index,freq_khz: 1-19 ASCII digits each, LF-terminated)"
 
-MALFORMED_DATASETS = {  # case: (relative path -> file text, stderr message)
+MALFORMED_DATASETS = {  # case: (relative path -> file text or bytes, stderr message)
     "mixed_lengths": ({"a/0000.ftrace": GOOD_TRACE,
                        "b/0000.ftrace": "#ftrace v1\n#interval_ms=10\n0,100\n"},
-                      "traces disagree on sample count: [1, 2]"),
+                      "{root}/b/0000.ftrace: traces disagree on sample count:"
+                      " 1 here, 2 in {root}/a/0000.ftrace"),
     "mixed_intervals": ({"a/0000.ftrace": GOOD_TRACE,
                          "b/0000.ftrace": GOOD_TRACE.replace("=10", "=20")},
-                        "traces disagree on interval_ms: [10, 20]"),
+                        "{root}/b/0000.ftrace: traces disagree on interval_ms:"
+                        " 20 here, 10 in {root}/a/0000.ftrace"),
+    "label_header_of_another_directory": (
+        {"site00/0000.ftrace": GOOD_TRACE,
+         "site00/0001.ftrace": GOOD_TRACE.replace("=10\n", "=10\n#label=site02\n")},
+        "{root}/site00/0001.ftrace: #label= header names 'site02', not its directory's"
+        " label 'site00'"),
+    "not_utf8": ({"a/0000.ftrace": GOOD_TRACE, "a/0001.ftrace": b"\xff\xfe"},
+                 "{root}/a/0001.ftrace: line 1: not UTF-8: invalid start byte 0xff"),
     "no_traces": ({"a/notes.txt": "not a trace\n"}, "no traces found under {root!r}"),
     "bad_header": ({"a/0000.ftrace": GOOD_TRACE, "a/0001.ftrace": "#ftrace v2\n0,1\n"},
                    "{root}/a/0001.ftrace: line 1: missing magic header '#ftrace v1'"),
@@ -679,13 +697,18 @@ MALFORMED_DATASETS = {  # case: (relative path -> file text, stderr message)
 }
 
 
+def write_tree(root, files):
+    """Write each relative path's text or bytes under root."""
+    for rel, content in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        write_file(root / rel, content)
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
 def test_train_malformed_dataset_exits_3(tmp_path, case, capsys):
     files, message = MALFORMED_DATASETS[case]
     root = tmp_path / "ds"
-    for rel, text in files.items():
-        (root / rel).parent.mkdir(parents=True, exist_ok=True)
-        (root / rel).write_text(text)
+    write_tree(root, files)
     capsys.readouterr()
     # train reads only its split: with every trace in it, it reads the bad one
     assert run_cli("train", "--dataset", root, "--model", tmp_path / "m.json",
@@ -891,16 +914,22 @@ BAD_TRACE_READERS = {  # case: (argv before the trace file, argv after it)
 }
 
 
+BAD_TRACE_FILES = {  # file content: the error after the file's name
+    "#ftrace v2\n#interval_ms=10\n0,1\n": "line 1: missing magic header '#ftrace v1'",
+    b"\xff\xfe": "line 1: not UTF-8: invalid start byte 0xff",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_TRACE_READERS))
 def test_a_bad_trace_file_is_named(tmp_path, capsys, case):
     before, after = BAD_TRACE_READERS[case]
     bad, out = tmp_path / "bad.ftrace", tmp_path / "out"
-    bad.write_text("#ftrace v2\n#interval_ms=10\n0,1\n")
-    capsys.readouterr()
-    assert run_cli(*before, bad, *after, "--out", out) == 3
-    assert capsys.readouterr().err == (
-        f"freqscope: {bad}: line 1: missing magic header '#ftrace v1'\n")
-    assert not out.exists()
+    for content, message in BAD_TRACE_FILES.items():
+        write_file(bad, content)
+        capsys.readouterr()
+        assert run_cli(*before, bad, *after, "--out", out) == 3
+        assert capsys.readouterr().err == f"freqscope: {bad}: {message}\n"
+        assert not out.exists()
 
 
 def test_collect_all_hooks_fail_exits_5(tmp_path):
@@ -1034,9 +1063,9 @@ def test_keystrokes_data_fault_names_its_input(tmp_path, capsys, case):
         argv = ("--trace", source)
     else:
         source = tmp_path / "ds"
-        save_dataset(LabeledDataset({
-            pw: [FrequencyTrace(samples=TYPED, interval_ms=interval, label=pw)] * n
-            for pw, n in counts.items()}), source)
+        save_dataset(LabeledDataset(
+            {pw: np.array([TYPED] * n, dtype=np.int64) for pw, n in counts.items()},
+            {pw: ["unknown"] * n for pw, n in counts.items()}, interval), source)
         argv = ("--dataset", source, "--guess-curve", guesses)
     out = tmp_path / "out"
     capsys.readouterr()
@@ -1133,6 +1162,8 @@ MALFORMED_REPORTS = {  # case: (flag, file text, line of the fault)
     "sweep_defended_empty": ("--sweep-csv", SWEEP_HEADER + "noise_inject,20,0.5,\n", 2),
     "sweep_without_header": ("--sweep-csv", "resolution_reduce,1,0.9,0.9\n", 1),
     "sweep_empty_file": ("--sweep-csv", "", 1),
+    "kv_not_utf8": ("--eval-kv", b"top1 = 0.5\n\xff\xfe\n", 2),
+    "sweep_not_utf8": ("--sweep-csv", SWEEP_HEADER.encode() + b"\xff\xfe\n", 2),
 }
 
 
@@ -1140,7 +1171,7 @@ MALFORMED_REPORTS = {  # case: (flag, file text, line of the fault)
 def test_report_malformed_value_exits_3(tmp_path, case, capsys):
     flag, text, line = MALFORMED_REPORTS[case]
     path = tmp_path / ("sweep.csv" if flag == "--sweep-csv" else "run.kv")
-    path.write_text(text)
+    write_file(path, text)
     capsys.readouterr()
     assert run_cli("report", flag, path, "--out", tmp_path / "rpt") == 3
     err = capsys.readouterr().err

@@ -5,6 +5,7 @@ same error."""
 
 import tempfile
 
+import numpy as np
 import pytest
 
 from freqscope.dataset import (
@@ -14,20 +15,21 @@ from freqscope.dataset import (
     save_dataset,
     split_dataset,
 )
-from freqscope.trace import FrequencyTrace
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
 def outcome(fn):
-    """A dataset as (label, trace fields) pairs, or the ValueError it raised."""
+    """A dataset as (label, row, interval, device) of each row, or the
+    ValueError it raised."""
     try:
         ds = fn()
     except ValueError as exc:
         return type(exc), str(exc)
-    return ds.classes, [(label, t.samples.tolist(), t.interval_ms, t.device, t.label)
-                        for label, t in ds.items()]
+    return ds.classes, [(label, row.tolist(), ds.interval_ms, device)
+                        for label in ds.classes
+                        for row, device in zip(ds.samples[label], ds.devices[label])]
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -39,11 +41,10 @@ def outcome(fn):
 def test_split_load_reads_what_split_dataset_selects(seed, weights, counts):
     fractions = tuple(w / sum(weights) for w in weights)
     labels = [f"p{i}" for i in range(len(counts))]
-    ds = LabeledDataset({
-        label: [FrequencyTrace(samples=[1000 * c + m, m, 7], interval_ms=10, label=label)
-                for m in range(n)]
-        for c, (label, n) in enumerate(zip(labels, counts))
-    })
+    ds = LabeledDataset(
+        {label: np.array([[1000 * c + m, m, 7] for m in range(n)], dtype=np.int64)
+         for c, (label, n) in enumerate(zip(labels, counts))},
+        {label: [f"dev{m % 3}" for m in range(n)] for label, n in zip(labels, counts)}, 10)
     with tempfile.TemporaryDirectory() as root:
         save_dataset(ds, root)
         for i, part in enumerate(SPLIT_PARTS):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from freqscope.classify import train_knn_model
-from freqscope.dataset import LabeledDataset, stable_seed
+from freqscope.dataset import stable_seed
 from freqscope.defend import (
     NOISE_WIDTHS,
     Defense,
@@ -19,7 +19,7 @@ from freqscope.defend import (
 )
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
-from helpers import apply_defense
+from helpers import apply_defense, traces_dataset
 
 RYZEN = get_profile("ryzen5")
 
@@ -39,7 +39,7 @@ def sample_dataset(per_class=8, length=40, seed=0):
             idx = base_idx + rng.integers(0, 2, size=length)
             rows.append(make_trace([RYZEN.pstates[int(j)] for j in idx], label))
         measurements[label] = rows
-    return LabeledDataset(measurements)
+    return traces_dataset(measurements)
 
 
 SPLIT = (7, (0.5, 0.0, 0.5))  # sample_dataset's split seed and fractions
@@ -169,7 +169,7 @@ def noise_loop(d, t, salt):
     n_bursts = int(round(d.burst_rate_hz * duration_s))
     if n_bursts == 0:
         return t.samples.tolist()
-    lo, hi = _freq_range(t)
+    lo, hi = _freq_range(t.device, t.samples)
     span = hi - lo
     rng = np.random.default_rng(stable_seed(d.seed, "noise-inject", salt))
     positions = rng.integers(0, n, n_bursts)
@@ -225,12 +225,13 @@ def test_defended_dataset_matches_the_per_sample_loop_trace_by_trace():
                                      device="prototype-board")
             for i in range(5)
         ]
-    ds = LabeledDataset(measurements)
+    ds = traces_dataset(measurements)
     d = noise_inject(60.0, burst_height=0.4, seed=2)
     out = defended_dataset(d, ds)
-    for label, traces in ds.measurements.items():
-        for i, (t, got) in enumerate(zip(traces, out.measurements[label])):
-            assert got.samples.tolist() == noise_loop(d, t, stable_seed("trace-salt", label, i))
+    assert out.devices == ds.devices and out.interval_ms == ds.interval_ms
+    for label, traces in measurements.items():
+        for i, (t, got) in enumerate(zip(traces, out.samples[label])):
+            assert got.tolist() == noise_loop(d, t, stable_seed("trace-salt", label, i))
 
 
 def test_restrict_is_not_a_trace_transform():
@@ -246,12 +247,12 @@ def test_defended_dataset_structure_and_salting():
     assert out.classes == ds.classes
     assert out.total_measurements() == ds.total_measurements()
     # traces within one class get different noise
-    a = out.measurements["c0"][0].samples.tolist()
-    b = out.measurements["c0"][1].samples.tolist()
+    a = out.samples["c0"][0].tolist()
+    b = out.samples["c0"][1].tolist()
     assert a != b
     # reproducible end to end
     again = defended_dataset(d, sample_dataset())
-    assert again.measurements["c0"][0].samples.tolist() == a
+    assert again.samples["c0"][0].tolist() == a
 
 
 def test_one_defense_sweep_returns_clean_and_defended():

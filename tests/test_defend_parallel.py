@@ -15,7 +15,6 @@ from freqscope.dataset import LabeledDataset
 from freqscope.defend import constant_mask, defense_sweep, noise_inject, resolution_reduce
 from freqscope.forest import ForestParams
 from freqscope.profiles import get_profile
-from freqscope.trace import FrequencyTrace
 
 RYZEN = get_profile("ryzen5")
 
@@ -39,15 +38,11 @@ TRAINERS = {
 def noisy_dataset():
     """Overlapping classes, so accuracies fall between 0 and 1."""
     rng = np.random.default_rng(4)
-    measurements = {}
+    samples = {}
     for c in range(4):
         rows = np.clip(8 + c + rng.integers(-6, 7, size=(12, 60)), 0, len(RYZEN.pstates) - 1)
-        measurements[f"c{c}"] = [
-            FrequencyTrace(samples=np.asarray(RYZEN.pstates)[r], interval_ms=10,
-                           device="ryzen5", label=f"c{c}")
-            for r in rows
-        ]
-    return LabeledDataset(measurements)
+        samples[f"c{c}"] = np.asarray(RYZEN.pstates, dtype=np.int64)[rows]
+    return LabeledDataset(samples, {label: ["ryzen5"] * 12 for label in samples}, 10)
 
 
 SPLIT = (5, (0.5, 0.25, 0.25))  # noisy_dataset's split seed and fractions

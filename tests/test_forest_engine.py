@@ -8,14 +8,14 @@ import pytest
 
 import forest_oracle as oracle
 from freqscope.classify import dataset_matrix
-from freqscope.dataset import LabeledDataset, stable_seed
+from freqscope.dataset import stable_seed
 from freqscope.defend import constant_mask, defended_dataset, noise_inject, resolution_reduce
 from freqscope.forest import ForestParams, _best_split, forest_train
 from freqscope.governors import SimConfig
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
 from freqscope.workloads import website_workload
-from helpers import simulate
+from helpers import simulate, traces_dataset
 
 
 def assert_same_trees(X, labels, params):
@@ -110,7 +110,7 @@ def website_small():
             rows.append(FrequencyTrace(samples=sim.samples, interval_ms=10,
                                        device=sim.device, label=label))
         measurements[label] = rows
-    return LabeledDataset(measurements)
+    return traces_dataset(measurements)
 
 
 DEFENSES = {

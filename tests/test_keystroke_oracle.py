@@ -10,7 +10,7 @@ from freqscope.cli import main
 from freqscope.dataset import load_dataset
 from freqscope.keystroke import detect_keystrokes
 from freqscope.trace import FrequencyTrace
-from helpers import law_constants
+from helpers import dataset_traces, law_constants
 
 THRESHOLD = keystroke.IDLE_FREQ_KHZ + keystroke.HYSTERESIS_KHZ
 IDLE, PEAK, SUSTAINED, OVER_CAP = 806_000, 1_500_000, 1_300_000, 2_100_000
@@ -40,7 +40,7 @@ def password_dataset(tmp_path_factory):
 
 def test_simulated_password_dataset_matches_the_oracle(password_dataset):
     presses = 0
-    for _, trace in password_dataset.items():
+    for _, trace in dataset_traces(password_dataset):
         assert_same_report(trace)
         presses += detect_keystrokes(trace).press_count
     assert presses > 0

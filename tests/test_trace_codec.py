@@ -156,10 +156,10 @@ def _knn_with_odd_floats():
 def _trained(kind):
     pstates = get_profile("ryzen5").pstates
     rng = np.random.default_rng(3)
-    ds = LabeledDataset({
-        label: [FrequencyTrace(samples=rng.choice(pstates, 40).tolist(), interval_ms=10,
-                               device="ryzen5", label=label) for _ in range(6)]
-        for label in ("a", "b", "c")})
+    ds = LabeledDataset(
+        {label: np.array([rng.choice(pstates, 40).tolist() for _ in range(6)], dtype=np.int64)
+         for label in ("a", "b", "c")},
+        {label: ["ryzen5"] * 6 for label in ("a", "b", "c")}, 10)
     if kind == "knn":
         return train_knn_model(ds, k=3, normalization="minmax_per_profile",
                                metadata={"split": {"train": 0.8}, "seed": 4})
