@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -261,14 +262,19 @@ def _read_model_json(text: str):
 
     def value(pos: int, path: tuple):
         if path == ("classifier", "train_x") and text.startswith("[", pos):
-            rows = []
+            matrix, shapes = array("d"), []  # the rows' values, end to end
 
             def row(pos: int) -> int:
                 values, end = decode(text, pos)
-                rows.append(np.array(values, dtype=np.float64))
+                values = np.array(values, dtype=np.float64)
+                matrix.frombytes(values.tobytes())
+                shapes.append(values.shape)
                 return end
             end = items(pos + 1, "]", row)
-            return np.stack(rows), end
+            if len(set(shapes)) != 1:  # np.stack's messages
+                raise ValueError("all input arrays must have the same shape" if shapes
+                                 else "need at least one array to stack")
+            return np.frombuffer(matrix).reshape(len(shapes), *shapes[0]), end
         if path in ((), ("classifier",)) and text.startswith("{", pos):
             obj = {}
 
@@ -283,6 +289,7 @@ def _read_model_json(text: str):
         return decode(text, pos)
 
     doc, end = value(skip(text, 0).end(), ())
+    del value  # value's closure refers to itself: a cycle that keeps `text` until a gc pass
     if skip(text, end).end() != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
     return doc

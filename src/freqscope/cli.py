@@ -170,8 +170,10 @@ def _sim_config(s: Settings, default_profile: str) -> SimConfig:
 
 
 def _read_passwords(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        words = [line.strip() for line in fh if line.strip()]
+    try:
+        words = [line.strip() for line in read_utf8(path).splitlines() if line.strip()]
+    except TraceFormatError as exc:
+        raise ConfigError(f"password file {path!r} is {exc.problem}", exc.line) from None
     if not words:
         raise ConfigError(f"password file {path!r} is empty")
     if len(set(words)) != len(words):
@@ -219,6 +221,7 @@ def cmd_simulate(args) -> int:
     for r in range(len(loads)):
         loads[r] = workload(*divmod(r, per_label)).loads
     rows, _ = simulate_batch(loads, interval, sim_cfg)
+    del loads  # the engine's input is not needed while the dataset is written
     ds = LabeledDataset(dict(zip(labels, np.split(rows, len(labels)))),
                         {label: [sim_cfg.profile.name] * per_label for label in labels}, interval)
 

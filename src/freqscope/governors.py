@@ -41,10 +41,11 @@ INTERACTIVE_DECAY_STEPS = 3  # pstate indices shed per tick on the way down
 TURBO_IDLE_LOAD = 0.1
 TURBO_GAIN_PER_IDLE_TICK = 0.05
 TURBO_COST_PER_BOOST_TICK = 0.02
+BLOCK_VALUES = 1 << 15  # float targets the engine holds at once: B of them a column
 
 
 def _check_loads(loads: np.ndarray) -> None:
-    if not ((loads >= 0.0) & (loads <= 1.0)).all():  # NaN fails both
+    if not (loads.min(initial=0.0) >= 0.0 and loads.max(initial=1.0) <= 1.0):  # NaN fails both
         raise ValueError("loads must lie in [0, 1]")
 
 
@@ -140,10 +141,11 @@ def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
     matrix of the frequency during each tick, and per row the state after
     the last tick.
 
-    The memoryless part of each law is computed over the whole matrix; what
-    carries over from tick to tick (PELT, the conservative walk, interactive
-    boost and rate limit, the turbo bucket) is stepped one tick at a time,
-    each step one numpy pass over the [B] column of every row. A step costs
+    Each law picks P-state indices of the narrowest unsigned type, from float
+    targets a block of columns at a time; what carries over from tick to tick
+    (PELT, the conservative walk, interactive boost and rate limit, the turbo
+    bucket) is stepped a tick at a time, on an intp copy of each [B] column
+    (numpy's fast paths; a walk or decay cannot wrap below 0). A step costs
     15-30 us at B=1 and little more at B=600, so a single 1000-tick row takes
     about 15 ms: callers with many traces should pass them as one matrix.
     """
@@ -155,37 +157,40 @@ def simulate_batch(loads, tick_ms: int, cfg: SimConfig,
     if len(states) != len(loads):
         raise ValueError(f"{len(states)} start states for {len(loads)} load rows")
 
-    profile, governor = cfg.profile, cfg.governor
+    profile, governor, pstates = cfg.profile, cfg.governor, cfg.profile.pstates
     lo, span = profile.min_freq_khz, profile.max_freq_khz - profile.min_freq_khz
-    if governor == "performance":
-        target = np.full(loads.shape, float(profile.max_freq_khz))
-    elif governor == "powersave" and profile.scaling_driver != "intel_pstate":
-        target = np.full(loads.shape, float(lo))
-    elif governor == "userspace":
-        # real parts show small workload-coupled wiggle around the pin
-        grid_step = span / (len(profile.pstates) - 1) if len(profile.pstates) > 1 else 0.0
-        target = cfg.set_speed_khz + loads * grid_step
-    elif governor == "schedutil":
-        alpha = 1.0 - 2.0 ** (-tick_ms / PELT_HALF_LIFE_MS)
-        pelt = np.array([s.pelt_load for s in states], dtype=np.float64)
-        target = np.empty(loads.shape[::-1])
-        for t, col in enumerate(loads.T):
-            pelt = target[t] = alpha * col + (1.0 - alpha) * pelt
-        states = [replace(s, pelt_load=p) for s, p in zip(states, pelt.tolist())]
-        target = np.minimum(lo + SCHEDUTIL_MARGIN * target.T * span, float(profile.max_freq_khz))
+    index_type = np.min_scalar_type(len(pstates) - 1)  # one byte up to 256 P-states
+    if governor == "performance" or (governor == "powersave"
+                                     and profile.scaling_driver != "intel_pstate"):
+        pin = len(pstates) - 1 if governor == "performance" else 0
+        want = np.broadcast_to(np.array(pin, dtype=index_type), loads.shape)
     else:
         # ondemand; conservative and interactive walk toward it; powersave
         # on intel_pstate, whose driver schedules states itself
-        target = lo + loads * span
-    want = quantize_indices(profile.pstates, target)
-    del target
+        at, scale = lo, span
+        if governor == "userspace":  # real parts wiggle a little with the load around the pin
+            at, scale = cfg.set_speed_khz, span / max(len(pstates) - 1, 1)
+        alpha = 1.0 - 2.0 ** (-tick_ms / PELT_HALF_LIFE_MS)
+        pelt = np.array([s.pelt_load for s in states], dtype=np.float64)
+        want = np.empty(loads.shape, dtype=index_type)
+        step = max(1, BLOCK_VALUES // max(len(loads), 1))  # columns of float scratch at once
+        for t in range(0, loads.shape[1], step):
+            block = loads[:, t:t + step]
+            if governor == "schedutil":  # PELT for the load; targets past max quantize to it
+                block = block.T.copy()  # [K, B]: each tick's loads, then its PELT
+                for col in block:
+                    pelt = col[:] = alpha * col + (1.0 - alpha) * pelt
+                block = SCHEDUTIL_MARGIN * block.T
+            want[:, t:t + step] = quantize_indices(pstates, at + block * scale)
+        if governor == "schedutil":
+            states = [replace(s, pelt_load=p) for s, p in zip(states, pelt.tolist())]
 
     if governor == "interactive":
         trigger = loads >= INTERACTIVE_LOAD_TRIGGER
         return _interactive_law(want, trigger, states, cfg, tick_ms)
     if governor == "conservative" or cfg.turbo:
         return _pstate_law(want, loads < TURBO_IDLE_LOAD, states, cfg)
-    freqs = np.asarray(profile.pstates, dtype=np.int64)[want]
+    freqs = np.asarray(pstates, dtype=np.int64)[want]
     return freqs, [replace(s, current_freq_khz=int(f)) for s, f in zip(states, freqs[:, -1])]
 
 
@@ -206,7 +211,7 @@ def _pstate_law(want: np.ndarray, idle: np.ndarray, states: list[GovernorState],
         anchor = quantize_indices(profile.pstates, capped)  # where each output re-anchors
         base_index = profile.pstate_index(base_q)
     out = np.empty(want.shape[::-1], dtype=np.int64)  # [T, B]: a tick's row is contiguous
-    for t, (w, is_idle) in enumerate(zip(want.T, idle.T)):
+    for t, (w, is_idle) in enumerate(zip((c.astype(np.intp) for c in want.T), idle.T)):
         cur = cur + np.sign(w - cur) if cfg.governor == "conservative" else w
         freq = capped[cur]
         if cfg.turbo:
@@ -235,7 +240,7 @@ def _interactive_law(want: np.ndarray, trigger: np.ndarray, states: list[Governo
     since = np.array([s.ms_since_change for s in states], dtype=np.int64)
     pending = np.array([s.boost_pending for s in states], dtype=bool)
     out = np.empty(want.shape[::-1], dtype=np.int64)  # [T, B]: a tick's row is contiguous
-    for t, (w, fired) in enumerate(zip(want.T, trigger.T)):
+    for t, (w, fired) in enumerate(zip((c.astype(np.intp) for c in want.T), trigger.T)):
         pending = pending | fired
         w = np.where(pending | (remaining > 0), np.maximum(w, hispeed), w)
         # upward moves are immediate, downward ones decay

@@ -2,8 +2,10 @@
 back as traces, merging datasets in memory (the CLI merges dataset trees by
 copying files), synthetic timing vectors (the CLI measures timings from
 simulated traces), the sampling-rate repetitiveness diagnostic, one-row
-calls of the batch entry points, and a patcher for law constants."""
+calls of the batch entry points, a patcher for law constants, and a
+tracemalloc peak probe."""
 
+import tracemalloc
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from unittest.mock import patch
@@ -28,6 +30,18 @@ def law_constants(module, **values):
         for name, value in values.items():
             stack.enter_context(patch.object(module, name, value))
         yield
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the bytes tracemalloc traced while fn
+    ran: what was allocated before the call does not count."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def simulate(workload: WorkloadTrace, cfg: SimConfig) -> FrequencyTrace:

@@ -183,6 +183,26 @@ def test_simulate_duplicate_passwords_rejected(tmp_path):
     assert rc == 2
 
 
+BAD_PASSWORD_FILES = {  # case: (file content, stderr after "freqscope: ")
+    "not_utf8": (b"abc\n\xff\xfe\n",
+                 "line 2: password file {path!r} is not UTF-8: invalid start byte 0xff"),
+    "blank_lines_only": ("\n  \n", "password file {path!r} is empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PASSWORD_FILES))
+def test_bad_password_file_is_named_and_exits_2(tmp_path, capsys, case):
+    content, message = BAD_PASSWORD_FILES[case]
+    pwfile, out = tmp_path / "pw.txt", tmp_path / "x"
+    write_file(pwfile, content)
+    capsys.readouterr()
+    assert run_cli("simulate", "--kind", "keystrokes", "--passwords", pwfile, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"freqscope: {message.format(path=str(pwfile))}\n"
+    assert not out.exists()
+
+
 def test_bad_config_file_exits_2(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("simulate.clases = 4\n")

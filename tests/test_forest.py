@@ -2,7 +2,6 @@
 the batched `rank_many` against the per-query ranking it replaced."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from freqscope.forest import (
     forest_train,
     rank_many,
 )
+from helpers import traced_peak
 
 
 def gini_oracle(left_labels, right_labels):
@@ -81,12 +81,8 @@ def test_best_split_memory_has_no_class_axis():
     X = rng.integers(0, 50, size=(n, m)).astype(np.float64)
     y = rng.integers(0, n_classes, size=n)
     idx, features = np.arange(n), np.arange(m)
-    tracemalloc.start()
-    try:
-        assert _best_split(X, y, idx, features, 1, n_classes) is not None
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    split, peak = traced_peak(lambda: _best_split(X, y, idx, features, 1, n_classes))
+    assert split is not None
     assert peak < 8 * 2**20
 
 

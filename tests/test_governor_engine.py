@@ -14,9 +14,9 @@ from freqscope.governors import (
     init_state,
     simulate_batch,
 )
-from freqscope.profiles import builtin_profiles
+from freqscope.profiles import DeviceProfile, builtin_profiles, grid_even
 from freqscope.sources import SimSource
-from helpers import law_constants, read_freq, simulate
+from helpers import law_constants, read_freq, simulate, traced_peak
 
 PROFILES = sorted(builtin_profiles().values(), key=lambda p: p.name)
 TICKS_MS = (10, 20, 25)
@@ -143,6 +143,75 @@ def test_engine_matches_oracle_property(governor, variant):
         assert state_types(starts + ends) == state_types([init_state(cfg)] * 2 * rows)
 
     check()
+
+
+# 300 P-states: the engine's indices need two bytes
+DENSE = DeviceProfile(name="dense", base_freq_khz=1_500_000,
+                      pstates=grid_even(400_000, 3_400_000, 300), default_governor="ondemand",
+                      turbo_boost=True, turbo_ceiling_khz=3_000_000)
+
+
+@pytest.mark.parametrize("governor", GOVERNORS)
+def test_engine_matches_oracle_past_256_pstates(governor):
+    assert np.min_scalar_type(len(DENSE.pstates) - 1) == np.uint16
+    # one row climbs the whole table and walks back down; the others are bursty
+    climb = np.repeat([[1.0, 0.0]], [320, 320], axis=1)
+    loads = np.vstack([climb, load_matrix("bursty", 2, 640, 1)])
+    for cfg, constants in configs(DENSE, governor):
+        with law_constants(governors, **constants):
+            got, ends = simulate_batch(loads, 10, cfg)
+            assert (got.tolist(), ends) == oracle_rows(loads, cfg, 10), (cfg, constants)
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+def test_decay_and_walk_stop_at_index_0(profile):
+    """From the top down to index 4, then from there to 0: interactive sheds
+    INTERACTIVE_DECAY_STEPS indices a tick, 4 -> 1 -> 0, and conservative
+    walks one. Neither goes below index 0, and both stay there."""
+    profile = replace(profile, supported_governors=GOVERNORS)
+    n, lo = len(profile.pstates), profile.min_freq_khz
+    span = profile.max_freq_khz - lo
+    levels = [1.0, (profile.pstates[4] - lo) / span, 0.0]  # ondemand targets: the top, 4, 0
+    loads = np.repeat([levels], [n + 5, n + 5, 20], axis=1)
+    for governor in ("interactive", "conservative"):
+        cfg = SimConfig(profile=profile, governor=governor, turbo=False)
+        got, ends = simulate_batch(loads, 20, cfg)
+        assert (got.tolist(), ends) == oracle_rows(loads, cfg, 20)
+        assert got[0, n].item() == profile.max_freq_khz
+        assert got[0, 2 * n + 4].item() == profile.pstates[4]
+        assert profile.pstates[1] in got[0]
+        assert got[0, -10:].tolist() == [lo] * 10
+
+
+@pytest.mark.parametrize("rows,ticks,block_values", [(1, 20, 7), (3, 11, 7), (10, 5, 7)])
+@pytest.mark.parametrize("governor", GOVERNORS)
+def test_engine_matches_oracle_across_blocks(governor, rows, ticks, block_values):
+    """The engine quantizes blocks of BLOCK_VALUES // B columns, at least one:
+    one row (SimSource's per-cycle call), T not a multiple of the block, and
+    more rows than a block's values."""
+    seed = 0
+    for profile in PROFILES:
+        for cfg, constants in configs(profile, governor):
+            seed += 1
+            loads = load_matrix("bursty", rows, ticks, seed)
+            with law_constants(governors, BLOCK_VALUES=block_values, **constants):
+                got, ends = simulate_batch(loads, 10, cfg)
+                assert (got.tolist(), ends) == oracle_rows(loads, cfg, 10), (cfg, constants)
+
+
+@pytest.mark.parametrize("governor", GOVERNORS)
+def test_engine_peak_is_its_output_and_two_bytes_a_tick(governor):
+    """At fingerprint's 600 x 1000, beside its int64 output the engine holds
+    one byte of P-state index and at most one bool a tick; float targets
+    exist a block of columns at a time. The bound is 6.7 MiB; engines that
+    hold float targets and int64 indices for the whole matrix peak at
+    9.9 MiB, and 13.8 MiB under schedutil."""
+    loads = load_matrix("bursty", 600, 1000, 7)
+    for profile in PROFILES:
+        for cfg, constants in configs(profile, governor):
+            with law_constants(governors, **constants):
+                (out, _), peak = traced_peak(lambda: simulate_batch(loads, 10, cfg))
+            assert peak < out.nbytes + 2 * loads.size + (1 << 20), (cfg, peak)
 
 
 def test_conservative_walks_down_from_an_off_grid_ceiling():
