@@ -239,7 +239,7 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
         raise
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model file lacks key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
 
 

@@ -82,7 +82,13 @@ from .trace import (
     read_utf8,
     save_trace,
 )
-from .workloads import KEYSTROKE_TAIL_TICKS, keystroke_workload, noise_workload, website_workload
+from .workloads import (
+    KEYSTROKE_TAIL_TICKS,
+    check_presses,
+    keystroke_workload,
+    noise_workload,
+    website_workload,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,6 +97,7 @@ EXIT_ACCESS = 4
 EXIT_HOOK = 5
 
 LOCK_NAME = ".freqscope.lock"
+SIMULATE_BLOCK_TICKS = 1 << 17  # loads `simulate` passes the engine at once: 1 MiB of float64
 
 log = logging.getLogger("freqscope")
 
@@ -211,28 +218,35 @@ def cmd_simulate(args) -> int:
         }
         last = max(presses[-1] for presses in schedules.values())
         samples = s.derive("sim.samples", last // interval + KEYSTROKE_TAIL_TICKS)
+        for presses in schedules.values():  # in row order: the fault the first bad row raises
+            check_presses(presses, samples, interval)
 
         def workload(c, m):
             return keystroke_workload(schedules[(labels[c], m)], n_ticks=samples, tick_ms=interval,
                                       seed=stable_seed(seed, "keystroke-idle", labels[c], m))
 
-    # one engine call for every trace; each label's rows are its samples
-    loads = np.empty((len(labels) * per_label, samples))
-    for r in range(len(loads)):
-        loads[r] = workload(*divmod(r, per_label)).loads
-    rows, _ = simulate_batch(loads, interval, sim_cfg)
-    del loads  # the engine's input is not needed while the dataset is written
-    ds = LabeledDataset(dict(zip(labels, np.split(rows, len(labels)))),
-                        {label: [sim_cfg.profile.name] * per_label for label in labels}, interval)
-
+    # every input fault is raised above, so a failed run leaves no --out behind;
+    # below, one engine call per block of whole labels, each block's rows its samples
+    per_block = max(1, SIMULATE_BLOCK_TICKS // (per_label * samples))
     with dataset_lock(out):
         if (out / RESOLVED_CONFIG_NAME).exists() or any(out.glob("*/*.ftrace")):
             raise FileExistsError(f"{out} already holds a dataset; simulate into a new directory")
-        save_dataset(ds, out)
+        for first in range(0, len(labels), per_block):
+            block = labels[first:first + per_block]
+            loads = np.empty((len(block) * per_label, samples))
+            for r in range(len(loads)):
+                c, m = divmod(r, per_label)
+                loads[r] = workload(first + c, m).loads
+            rows, _ = simulate_batch(loads, interval, sim_cfg)
+            del loads  # the engine's input is not needed while the block is written
+            save_dataset(LabeledDataset(
+                dict(zip(block, np.split(rows, len(block)))),
+                {label: [sim_cfg.profile.name] * per_label for label in block}, interval), out)
+            del rows
         write_resolved(out / RESOLVED_CONFIG_NAME, s.used())
     print(
-        f"wrote {ds.total_measurements()} traces"
-        f" ({len(ds.classes)} labels x {samples} samples @ {interval} ms) to {out}"
+        f"wrote {len(labels) * per_label} traces"
+        f" ({len(labels)} labels x {samples} samples @ {interval} ms) to {out}"
     )
     return EXIT_OK
 
@@ -388,6 +402,19 @@ def _detect(trace: FrequencyTrace, source: str) -> KeystrokeReport:
         raise DatasetFormatError(f"{source}: {exc}") from None
 
 
+def _timing_vectors(root: str) -> tuple[dict[str, list[np.ndarray]], list[str]]:
+    """Each label's inter-key timing vectors, one per trace, and its summary
+    line; the dataset is dropped on return, as the guess curve needs only these."""
+    ds = load_dataset(root)
+    vectors, summary = {}, []
+    for label in ds.classes:
+        reports = [_detect(FrequencyTrace(row, ds.interval_ms), root) for row in ds.samples[label]]
+        vectors[label] = [np.asarray(r.inter_key_timings_ms, dtype=np.float64) for r in reports]
+        presses = np.mean([r.press_count for r in reports])
+        summary.append(f"{label}: traces={len(reports)} mean_presses={presses:.2f}")
+    return vectors, summary
+
+
 def cmd_keystrokes(args) -> int:
     s = resolve("keystrokes", args)
     if bool(args.trace) == bool(args.dataset):
@@ -404,14 +431,7 @@ def cmd_keystrokes(args) -> int:
             print(f"report written to {Path(args.out) / 'keystrokes.kv'}")
         return EXIT_OK
 
-    ds = load_dataset(args.dataset)
-    vectors, summary = {}, []
-    for label in ds.classes:
-        reports = [_detect(FrequencyTrace(row, ds.interval_ms), args.dataset)
-                   for row in ds.samples[label]]
-        vectors[label] = [np.asarray(r.inter_key_timings_ms, dtype=np.float64) for r in reports]
-        presses = np.mean([r.press_count for r in reports])
-        summary.append(f"{label}: traces={len(reports)} mean_presses={presses:.2f}")
+    vectors, summary = _timing_vectors(args.dataset)
     print("\n".join(summary))
     files = {"summary.txt": summary}
 

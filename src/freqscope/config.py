@@ -54,6 +54,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < float("inf"):  # also rejects NaN
+        raise ValueError(f"expected a finite number >= 0, got {value}")
+    return value
+
+
 def int_list(text: str) -> list[int]:
     return [int(part.strip()) for part in text.split(",") if part.strip()]
 
@@ -136,7 +143,7 @@ SETTINGS = (
             ("simulate",)),
     Setting("simulate.passwords", "--passwords", str, None,
             "password list file (keystrokes kind)", ("simulate",)),
-    Setting("simulate.jitter", "--jitter", float, 0.03, "website load jitter sigma",
+    Setting("simulate.jitter", "--jitter", non_negative_float, 0.03, "website load jitter sigma",
             ("simulate",)),
     Setting("collect.source", "--source", str, "sim", "frequency source", ("collect",),
             choices=("sim", "replay", "sysfs")),

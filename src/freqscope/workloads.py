@@ -60,18 +60,25 @@ def noise_workload(n_ticks: int, tick_ms: int = 10, *, seed: int) -> WorkloadTra
     return _burst_workload(rng, rng, n_ticks, tick_ms, WEBSITE_JITTER)
 
 
+def check_presses(press_times_ms: list[int], n_ticks: int, tick_ms: int) -> None:
+    """The ValueError `keystroke_workload` raises for the first press outside
+    its trace, so a caller can check a schedule before it synthesizes."""
+    duration = n_ticks * tick_ms
+    for press_ms in press_times_ms:
+        if not 0 <= press_ms < duration:
+            raise ValueError(f"press at {press_ms} ms outside trace of {duration} ms")
+
+
 def keystroke_workload(press_times_ms: list[int], n_ticks: int, tick_ms: int = 20, *,
                        seed: int) -> WorkloadTrace:
     """One short pulse per press over idle noise; presses must fall inside
     the trace. With no press this is the idle load."""
     if n_ticks < 1:
         raise ValueError("n_ticks must be >= 1")
-    duration = n_ticks * tick_ms
+    check_presses(press_times_ms, n_ticks, tick_ms)
     rng = np.random.default_rng(seed)
     loads = rng.uniform(0.0, IDLE_LOAD_MAX, size=n_ticks)
     for press_ms in press_times_ms:
-        if not 0 <= press_ms < duration:
-            raise ValueError(f"press at {press_ms} ms outside trace of {duration} ms")
         start = press_ms // tick_ms
         width = int(rng.integers(KEYSTROKE_WIDTHS[0], KEYSTROKE_WIDTHS[1] + 1))
         amp = float(rng.uniform(*KEYSTROKE_LOADS))

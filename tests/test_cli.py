@@ -5,15 +5,18 @@ import os
 import shutil
 import subprocess
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from freqscope import dataset
+from freqscope import cli, dataset
 from freqscope.cli import LOCK_NAME, main
 from freqscope.config import RESOLVED_CONFIG_NAME
 from freqscope.dataset import DEFAULT_FRACTIONS, LabeledDataset, save_dataset, split_indices
+from freqscope.governors import simulate_batch
 from freqscope.trace import _file_mode, load_trace, save_trace, FrequencyTrace
+from helpers import law_constants, traced_peak
 
 
 def run_cli(*argv):
@@ -181,6 +184,108 @@ def test_simulate_duplicate_passwords_rejected(tmp_path):
     rc = run_cli("simulate", "--kind", "keystrokes", "--passwords", pwfile,
                  "--per-label", "3", "--out", tmp_path / "x")
     assert rc == 2
+
+
+PASSWORDS = "monkey\nvelvet\nab\nsunshine\nqwerty12\n"
+SIM_BLOCK_CASES = {  # case: simulate flags; {pw} is a five-password file
+    "website_ondemand_turbo": ("--kind", "website", "--classes", "5", "--measurements", "3",
+                               "--samples", "120", "--governor", "ondemand", "--turbo"),
+    "website_schedutil": ("--kind", "website", "--classes", "5", "--measurements", "3",
+                          "--samples", "120", "--governor", "schedutil"),
+    "website_conservative": ("--kind", "website", "--classes", "5", "--measurements", "3",
+                             "--samples", "120", "--governor", "conservative"),
+    "keystrokes_interactive": ("--kind", "keystrokes", "--passwords", "{pw}", "--per-label", "3",
+                               "--governor", "interactive"),
+}
+
+
+def _simulate_in_blocks(budget, *argv):
+    """simulate under a block budget of `budget` ticks; returns its engine calls."""
+    with law_constants(cli, SIMULATE_BLOCK_TICKS=budget), \
+            patch.object(cli, "simulate_batch", wraps=simulate_batch) as engine:
+        assert run_cli("simulate", *argv) == 0
+    return engine.call_count
+
+
+@pytest.mark.parametrize("case", sorted(SIM_BLOCK_CASES))
+def test_simulate_bytes_do_not_depend_on_the_block_size(tmp_path, case):
+    """All five labels in one engine call, two a call (a block boundary
+    inside the label list) and one a call write the same tree."""
+    (tmp_path / "pw.txt").write_text(PASSWORDS)
+    flags = [a.format(pw=tmp_path / "pw.txt") for a in SIM_BLOCK_CASES[case]]
+    whole = tmp_path / "whole"
+    assert _simulate_in_blocks(1 << 40, *flags, "--out", whole) == 1
+    label_ticks = 3 * len(load_trace(next(whole.glob("*/0000.ftrace"))))
+    for labels_per_block, calls in ((2, 3), (1, 5)):
+        out = tmp_path / f"by{labels_per_block}"
+        budget = labels_per_block * label_ticks + label_ticks // 2
+        assert _simulate_in_blocks(budget, *flags, "--out", out) == calls
+        assert tree_bytes(out) == tree_bytes(whole)
+
+
+def test_simulate_memory_does_not_grow_with_the_labels(tmp_path):
+    """Under a budget of two labels a block, four times the labels leave the
+    traced peak where it was (the whole-dataset engine call grew by 0.8 MB)."""
+    def peak(classes, out):
+        argv = ["simulate", "--classes", str(classes), "--measurements", "4", "--samples", "500",
+                "--out", str(tmp_path / out)]
+        with law_constants(cli, SIMULATE_BLOCK_TICKS=4000):
+            rc, traced = traced_peak(lambda: main(argv))
+        assert rc == 0
+        return traced
+
+    peak(8, "warm-up")  # first calls fill caches that later ones reuse
+    assert peak(32, "large") < peak(8, "small") + (1 << 17)
+
+
+WEBSITE_FLAGS = ("--classes", "3", "--measurements", "2", "--samples", "40")
+SIMULATE_FAULTS = {  # case: (simulate flags, config text, stderr after "freqscope: ")
+    "jitter_negative": (WEBSITE_FLAGS, "simulate.jitter = -0.5",
+                        "line 1: bad value for 'simulate.jitter':"
+                        " expected a finite number >= 0, got -0.5"),
+    "jitter_nan": (WEBSITE_FLAGS, "simulate.jitter = nan",
+                   "line 1: bad value for 'simulate.jitter': expected a finite number >= 0, got nan"),
+    "jitter_inf": (WEBSITE_FLAGS, "simulate.jitter = inf",
+                   "line 1: bad value for 'simulate.jitter': expected a finite number >= 0, got inf"),
+    # the second password's presses run past 60 samples at 20 ms; the first's do not
+    "press_outside_the_trace": (("--kind", "keystrokes", "--passwords", "{pw}", "--per-label", "2",
+                                 "--samples", "60"), "",
+                                "press at 1312 ms outside trace of 1200 ms"),
+}
+
+
+@pytest.mark.parametrize("holds_a_dataset", [False, True])
+@pytest.mark.parametrize("case", sorted(SIMULATE_FAULTS))
+def test_a_failed_simulate_creates_nothing(tmp_path, capsys, case, holds_a_dataset):
+    """With one label a block the faulty label sits in a later block, yet the
+    run fails before it takes the lock: no --out, and a usage error before
+    the data error of an --out that already holds a dataset."""
+    flags, conf, message = SIMULATE_FAULTS[case]
+    (tmp_path / "pw.txt").write_text("ab\nlongerpassword123\n")
+    (tmp_path / "c.conf").write_text(conf + "\n")
+    out = tmp_path / "out"
+    if holds_a_dataset:
+        out.mkdir()
+        (out / RESOLVED_CONFIG_NAME).write_text("run.seed = 4\n")
+    before = tree_bytes(out)  # [] when out does not exist
+    capsys.readouterr()
+    with law_constants(cli, SIMULATE_BLOCK_TICKS=1):
+        rc = run_cli("simulate", *[a.format(pw=tmp_path / "pw.txt") for a in flags],
+                     "--config", tmp_path / "c.conf", "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == f"freqscope: {message}\n"
+    assert out.exists() == holds_a_dataset
+    assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+def test_bad_jitter_flag_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:  # argparse rejects a bad flag value itself
+        run_cli("simulate", "--classes", "2", "--jitter", value, "--out", out)
+    assert exc.value.code == 2
+    assert f"argument --jitter: invalid non_negative_float value: '{value}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 BAD_PASSWORD_FILES = {  # case: (file content, stderr after "freqscope: ")
@@ -518,6 +623,11 @@ def _node_set(key, value, leaf=False):
     return edit
 
 
+def _train_x_overflows_a_float(doc):
+    doc["classifier"]["train_x"][0][0] = int("9" * 400)  # json writes every digit
+    return doc
+
+
 def _no_right_child(doc):
     del doc["classifier"]["trees"][0]["r"]
     return doc
@@ -528,6 +638,7 @@ MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
     "no_knn_k": ("knn", _drop("classifier", "k")),
     "ragged_train_x": ("knn", _ragged_train_x),
     "non_finite_train_x": ("knn", _non_finite_train_x),
+    "train_x_overflows_a_float": ("knn", _train_x_overflows_a_float),
     "feature_length_not_train_x_width":
         ("knn", lambda doc: _with("feature_length", doc["feature_length"] - 1)(doc)),
     "knn_k_not_an_int": ("knn", _payload_set("k", True)),
@@ -560,6 +671,7 @@ MALFORMED_MODELS = {  # case: (trained kind, edit of its JSON document)
 
 MODEL_FAULT_MESSAGES = {  # case: stderr after the model file's name
     "knn_metric_cosine": "unsupported metric 'cosine'",
+    "train_x_overflows_a_float": "malformed model file: int too large to convert to float",
     "unknown_normalization": "unknown normalization 'zscore'",
     "version_true": "unsupported model version True",
     "feature_length_float": "non-integer feature_length 160.0",

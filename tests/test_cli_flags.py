@@ -127,6 +127,7 @@ RETYPED = {
     "--max-depth": "positive_int",
     "--min-leaf": "positive_int",
     "--feature-subsample": "feature_subsample",  # 'sqrt' or a fraction in (0, 1]
+    "--jitter": "non_negative_float",  # a finite sigma >= 0
 }
 
 
