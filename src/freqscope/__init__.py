@@ -23,7 +23,7 @@ _NAMES = {
                  "evaluate", "load_model", "save_model", "train_forest_model",
                  "train_knn_model"),
     "dataset": ("DatasetFormatError", "LabeledDataset", "load_dataset", "save_dataset",
-                "split_dataset", "stable_seed"),
+                "stable_seed"),
     "defend": ("Defense", "defense_sweep"),
     "forest": ("ForestModel", "ForestParams", "forest_train"),
     "governors": ("SimConfig", "WorkloadTrace"),

@@ -32,16 +32,25 @@ MODEL_VERSION = 1
 KNN_METRIC = "euclidean"  # the distance knn ranks by; a model file names it
 
 
-def dataset_matrix(ds: LabeledDataset, normalization: str = NORM_NONE):
+def dataset_matrix(ds: LabeledDataset, normalization: str = NORM_NONE, rows=None, transform=None):
     """(X, labels) in deterministic label-sorted order: one float64 row of
-    samples per trace, min-max scaled per row under NORM_MINMAX."""
-    if not ds.total_measurements():
+    samples per trace, min-max scaled per row under NORM_MINMAX. `rows[label]`
+    picks a label's traces by index, and `transform(label, idx, samples)` maps
+    their int64 samples before they are written, a label at a time, into X."""
+    picked = {label: range(len(ds.samples[label])) if rows is None else rows[label]
+              for label in ds.classes}
+    n = sum(len(idx) for idx in picked.values())
+    if not n:
         raise ValueError("dataset holds no traces")
     if normalization not in (NORM_NONE, NORM_MINMAX):
         raise ValueError(f"unknown normalization {normalization!r}")
-    X = np.concatenate([ds.samples[label] for label in ds.classes], dtype=np.float64)
+    X, at = np.empty((n, ds.samples[ds.classes[0]].shape[1])), 0
+    for label, idx in picked.items():
+        block = ds.samples[label] if rows is None else ds.samples[label][idx]
+        X[at:at + len(idx)] = block if transform is None else transform(label, idx, block)
+        at += len(idx)
     if normalization == NORM_MINMAX:
-        devices = [device for label in ds.classes for device in ds.devices[label]]
+        devices = [ds.devices[label][i] for label, idx in picked.items() for i in idx]
         bounds = {}
         for device in dict.fromkeys(devices):
             try:
@@ -54,7 +63,7 @@ def dataset_matrix(ds: LabeledDataset, normalization: str = NORM_NONE):
         X -= lo
         X /= hi - lo
         np.clip(X, 0.0, 1.0, out=X)
-    return X, [label for label in ds.classes for _ in range(len(ds.samples[label]))]
+    return X, [label for label, idx in picked.items() for _ in idx]
 
 
 @dataclass
@@ -77,27 +86,23 @@ class TrainedModel:
 
 def train_knn_model(train_ds: LabeledDataset, k: int = 4,
                     normalization: str = NORM_NONE,
-                    metadata: dict | None = None) -> TrainedModel:
-    return _train(fit_knn, k, train_ds, normalization, metadata)
+                    metadata: dict | None = None, rows=None, transform=None) -> TrainedModel:
+    return _train(fit_knn, k, train_ds, normalization, metadata, rows, transform)
 
 
 def train_forest_model(train_ds: LabeledDataset, params: ForestParams | None = None,
                        normalization: str = NORM_NONE,
-                       metadata: dict | None = None) -> TrainedModel:
-    return _train(forest_train, params or ForestParams(), train_ds, normalization, metadata)
+                       metadata: dict | None = None, rows=None, transform=None) -> TrainedModel:
+    return _train(forest_train, params or ForestParams(), train_ds, normalization, metadata,
+                  rows, transform)
 
 
 def _train(fit, param, train_ds: LabeledDataset, normalization: str,
-           metadata: dict | None) -> TrainedModel:
-    """`fit(X, labels, param)` on the dataset's feature matrix."""
-    X, labels = dataset_matrix(train_ds, normalization)
-    model = fit(X, labels, param)
-    return TrainedModel(
-        classifier=model,
-        normalization=normalization,
-        feature_length=X.shape[1],
-        metadata=dict(metadata or {}),
-    )
+           metadata: dict | None, rows, transform) -> TrainedModel:
+    """`fit(X, labels, param)` on the feature matrix of the dataset's rows."""
+    X, labels = dataset_matrix(train_ds, normalization, rows, transform)
+    return TrainedModel(classifier=fit(X, labels, param), normalization=normalization,
+                        feature_length=X.shape[1], metadata=dict(metadata or {}))
 
 
 @dataclass
@@ -153,9 +158,10 @@ class EvalReport:
         return rows
 
 
-def evaluate(model: TrainedModel, test_ds: LabeledDataset,
-             topk: tuple[int, ...] = (1, 5)) -> EvalReport:
-    X, truth = dataset_matrix(test_ds, model.normalization)
+def evaluate(model: TrainedModel, test_ds: LabeledDataset, topk: tuple[int, ...] = (1, 5),
+             rows=None, transform=None) -> EvalReport:
+    """Rank the feature matrix of the dataset's rows (see `dataset_matrix`)."""
+    X, truth = dataset_matrix(test_ds, model.normalization, rows, transform)
     if X.shape[1] != model.feature_length:
         raise DatasetFormatError(f"test feature length {X.shape[1]} != model feature length"
                                  f" {model.feature_length}")

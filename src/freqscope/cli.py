@@ -21,6 +21,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -335,11 +336,9 @@ def _make_trainer(s: Settings, metadata: dict):
               "min_leaf": s["classifier.min_leaf"], "seed": s["classifier.seed"],
               "feature_subsample": s["classifier.feature_subsample"]}
     if s["classifier.kind"] == "knn":
-        return lambda view: train_knn_model(
-            view, k=k, normalization=normalization, metadata=metadata)
-    params = ForestParams(**forest)
-    return lambda view: train_forest_model(
-        view, params=params, normalization=normalization, metadata=metadata)
+        return partial(train_knn_model, k=k, normalization=normalization, metadata=metadata)
+    return partial(train_forest_model, params=ForestParams(**forest),
+                   normalization=normalization, metadata=metadata)
 
 
 def cmd_train(args) -> int:

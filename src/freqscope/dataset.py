@@ -5,7 +5,8 @@ percent-encoded in directory names and zero-padded measurement ids. In
 memory it is one sample matrix per label, with the device of each row. A
 split is a pure function of (split seed, label, the label's trace count, fractions),
 so re-splitting with the same seed always reproduces the same partition,
-and a loader can read one part's traces without opening the others.
+and a loader can read, or a defense sweep job take, one part's traces
+without touching the others.
 """
 
 from __future__ import annotations
@@ -87,32 +88,15 @@ def split_indices(seed: int, label: str, n: int, fractions: tuple[float, float, 
     return tuple(np.sort(idx) for idx in (order[:cut1], order[cut1:cut2], order[cut2:]))
 
 
-def split_dataset(ds: LabeledDataset, seed: int, fractions: tuple[float, float, float]
-                  ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Per-class deterministic partition into (train, val, test) datasets: a
-    label's rows at each part's indices, gathered into one matrix per part
-    (per-label copies fragmented the heap of defend's workers by up to 2 MB)."""
-    chosen = {label: split_indices(seed, label, len(rows), fractions)
-              for label, rows in ds.samples.items()}
-    width = max((rows.shape[1] for rows in ds.samples.values()), default=0)
-    parts = []
-    for p in range(len(SPLIT_PARTS)):
-        block = np.empty((sum(len(idx[p]) for idx in chosen.values()), width), dtype=np.int64)
-        samples, devices, at = {}, {}, 0
-        for label, idx in chosen.items():
-            rows = block[at:at + len(idx[p])]
-            samples[label] = np.take(ds.samples[label], idx[p], axis=0, out=rows)
-            devices[label], at = [ds.devices[label][i] for i in idx[p]], at + len(rows)
-        parts.append(LabeledDataset(samples, devices, ds.interval_ms))
-    return tuple(parts)
-
-
 def measurement_filename(index: int) -> str:
     return f"{index:04d}.ftrace"
 
 
 def save_dataset(ds: LabeledDataset, root: str | os.PathLike) -> None:
-    """Write the directory layout; label dirs are percent-encoded."""
+    """Write the directory layout; label dirs are percent-encoded, and an
+    empty label, which would name the root, is a ValueError."""
+    if "" in ds.samples:
+        raise ValueError("a dataset label must not be empty")
     root = os.fspath(root)
     os.makedirs(root, exist_ok=True)
     for label in ds.classes:
@@ -126,8 +110,8 @@ def save_dataset(ds: LabeledDataset, root: str | os.PathLike) -> None:
 def load_dataset(root: str | os.PathLike, split: tuple | None = None) -> LabeledDataset:
     """Read every `<label>/<id>.ftrace` under root, ids in sorted order, into
     its label's matrix. A split `(seed, fractions, part)`, part one of
-    SPLIT_PARTS, reads only the traces `split_dataset` would put in that part;
-    a label keeps its (possibly empty) matrix when the part takes none."""
+    SPLIT_PARTS, reads only the traces at that part's `split_indices`; a label
+    keeps its (possibly empty) matrix when the part takes none."""
     root = os.fspath(root)
     if not os.path.isdir(root):
         raise FileNotFoundError(f"dataset root {root!r} does not exist")

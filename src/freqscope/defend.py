@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .classify import TrainedModel, evaluate
-from .dataset import LabeledDataset, split_dataset, stable_seed
+from .dataset import LabeledDataset, split_indices, stable_seed
 from .profiles import builtin_profiles
 
 KIND_RESOLUTION = "resolution_reduce"
@@ -176,18 +176,17 @@ def _burst_count(d: Defense, n_samples: int, interval_ms: int) -> int:
     return int(round(d.burst_rate_hz * duration_s))
 
 
-def defended_dataset(d: Defense, ds: LabeledDataset) -> LabeledDataset:
-    """Apply a defense to every measurement, one label's matrix at a time;
-    per-trace salts keep noise patterns independent across traces while
-    staying reproducible."""
-    samples = {}
-    for label, rows in ds.samples.items():
-        salts = [stable_seed("trace-salt", label, i) for i in range(len(rows))]
-        samples[label] = _defended_samples(d, rows, ds.devices[label], ds.interval_ms, salts)
-    return LabeledDataset(samples, ds.devices, ds.interval_ms)
+def defended_rows(d: Defense, ds: LabeledDataset):
+    """d as a row transform for `dataset_matrix`: rows idx of a label's samples,
+    defended, with row i salted by stable_seed("trace-salt", label, i), so a
+    trace's noise does not depend on which other traces are taken with it."""
+    def transform(label: str, idx, samples: np.ndarray) -> np.ndarray:
+        return _defended_samples(d, samples, [ds.devices[label][i] for i in idx], ds.interval_ms,
+                                 [stable_seed("trace-salt", label, int(i)) for i in idx])
+    return transform
 
 
-Trainer = Callable[[LabeledDataset], TrainedModel]
+Trainer = Callable[..., TrainedModel]  # called as trainer(ds, rows=..., transform=...)
 
 
 @dataclass(frozen=True)
@@ -208,12 +207,17 @@ def _inherit(sweep: tuple) -> None:
 
 def _sweep_job(i: int, sweep: tuple | None = None) -> float:
     """Top-1 accuracy of job i of a sweep: -1 is the clean baseline, i >= 0
-    is `defenses[i]`. A worker process runs the sweep it inherited."""
+    is `defenses[i]`, run on the sweep a worker inherited. It takes only the
+    train and test rows of each label's `split_indices`, each defended as
+    `dataset_matrix` writes it into the float64 matrix the trainer fits or the
+    model ranks: no copy of the dataset or of a part is made."""
     defenses, ds, trainer, seed, fractions = sweep or _inherited
-    # the parts copy their rows, so a defended view is dropped once split
-    train, _, test = split_dataset(ds if i < 0 else defended_dataset(defenses[i], ds),
-                                   seed, fractions)
-    return evaluate(trainer(train), test, topk=(1,)).top1_accuracy
+    split = {label: split_indices(seed, label, len(rows), fractions)
+             for label, rows in ds.samples.items()}
+    transform = None if i < 0 else defended_rows(defenses[i], ds)
+    model = trainer(ds, rows={label: idx[0] for label, idx in split.items()}, transform=transform)
+    test = {label: idx[2] for label, idx in split.items()}
+    return evaluate(model, ds, (1,), test, transform).top1_accuracy
 
 
 def _changes_samples(d: Defense, ds: LabeledDataset) -> bool:
@@ -227,13 +231,14 @@ def _changes_samples(d: Defense, ds: LabeledDataset) -> bool:
 def defense_sweep(defenses: list[Defense], ds: LabeledDataset, trainer: Trainer, seed: int,
                   fractions: tuple[float, float, float]) -> list[SweepRow]:
     """Evaluate several defenses against one dataset, training and testing
-    on the parts `split_dataset(view, seed, fractions)` gives; the clean
-    baseline is trained once and shared across rows. The baseline and each
-    distinct defense that changes some sample are jobs for forked workers,
-    one per usable CPU, which inherit the dataset, the trainer and the
-    split; an identity defense reads the baseline. Rows do not depend on the worker count. A
-    job's exception reaches the caller as raised; a worker that dies raises
-    ChildProcessError."""
+    on the train and test rows of each label's `split_indices(seed, label,
+    n, fractions)`; the clean baseline is trained once and shared across
+    rows. The baseline and each distinct defense that changes some sample
+    are jobs for forked workers, one per usable CPU, which inherit the
+    dataset and the trainer; a job holds one train matrix and its test rows,
+    and an identity defense reads the baseline. Rows do not depend on the
+    worker count. A job's exception reaches the caller as raised; a worker
+    that dies raises ChildProcessError."""
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 

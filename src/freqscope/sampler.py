@@ -43,6 +43,8 @@ class CollectPlan:
             raise ValueError("samples_per_measurement must be >= 1")
         if self.measurements < 1:
             raise ValueError("measurements must be >= 1")
+        if not self.label:  # it names the directory of the traces
+            raise ValueError("label must not be empty")
         if self.inter_measurement_sleep_ms < 0:
             raise ValueError("inter_measurement_sleep_ms must be >= 0")
 

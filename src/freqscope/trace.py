@@ -92,8 +92,10 @@ class FrequencyTrace:
 
 
 def encode_label(label: str) -> str:
-    """Percent-encode so commas, newlines and separators survive the format."""
-    return quote(label, safe="")
+    """Percent-encode so commas, newlines and separators survive the format,
+    and `.` and `..` become `%2E` and `%2E%2E`, which no directory walk follows."""
+    text = quote(label, safe="")
+    return text.replace(".", "%2E") if text in (".", "..") else text
 
 
 def decode_label(text: str) -> str:

@@ -1,4 +1,4 @@
-"""Reference for `freqscope.dataset` and `defend.defended_dataset`: the
+"""Reference for `freqscope.dataset` and `defend.defended_rows`: the
 list-based dataset they replaced, which held each label's measurements as a
 list of `FrequencyTrace`s and checked their lengths and intervals after
 loading them all. Resolution and mask transform trace by trace, as they did;
@@ -44,21 +44,29 @@ class LabeledDataset:
                 yield label, trace
 
 
-def split_dataset(ds: LabeledDataset, seed: int, fractions: tuple[float, float, float]
-                  ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Per-class deterministic partition into (train, val, test) views."""
+def split_dataset(ds, seed: int, fractions: tuple[float, float, float]) -> tuple:
+    """Per-class deterministic partition into (train, val, test) views, of a
+    list-based dataset or of a `freqscope.dataset.LabeledDataset` (a label's
+    rows at each part's indices, each label gathered on its own)."""
     parts: tuple[dict, dict, dict] = ({}, {}, {})
-    for label in ds.classes:
-        traces = ds.measurements[label]
-        for part, idx in zip(parts, split_indices(seed, label, len(traces), fractions)):
-            part[label] = [traces[i] for i in idx]
-    return tuple(LabeledDataset(part) for part in parts)
+    if isinstance(ds, LabeledDataset):
+        for label in ds.classes:
+            traces = ds.measurements[label]
+            for part, idx in zip(parts, split_indices(seed, label, len(traces), fractions)):
+                part[label] = [traces[i] for i in idx]
+        return tuple(LabeledDataset(part) for part in parts)
+    for label, rows in ds.samples.items():
+        for part, idx in zip(parts, split_indices(seed, label, len(rows), fractions)):
+            part[label] = rows[idx], [ds.devices[label][i] for i in idx]
+    return tuple(type(ds)({label: rows for label, (rows, _) in part.items()},
+                          {label: devices for label, (_, devices) in part.items()},
+                          ds.interval_ms) for part in parts)
 
 
 def load_dataset(root: str | os.PathLike, split: tuple | None = None) -> LabeledDataset:
     """Read every `<label>/<id>.ftrace` under root, ids in sorted order. A
     split `(seed, fractions, part)`, part one of SPLIT_PARTS, reads only the
-    traces that `split_dataset` would put in that part; a label keeps its
+    traces that `split_dataset` puts in that part; a label keeps its
     (possibly empty) list even when the part takes none of its traces."""
     root = os.fspath(root)
     if not os.path.isdir(root):

@@ -2,8 +2,8 @@
 back as traces, merging datasets in memory (the CLI merges dataset trees by
 copying files), synthetic timing vectors (the CLI measures timings from
 simulated traces), the sampling-rate repetitiveness diagnostic, one-row
-calls of the batch entry points, a patcher for law constants, and a
-tracemalloc peak probe."""
+calls of the batch entry points, a dataset defended row by row, a patcher
+for law constants, and a tracemalloc peak probe."""
 
 import tracemalloc
 from contextlib import ExitStack, contextmanager
@@ -14,7 +14,7 @@ import numpy as np
 
 import dataset_oracle
 from freqscope.dataset import DatasetFormatError, LabeledDataset, stable_seed
-from freqscope.defend import Defense, _defended_samples
+from freqscope.defend import Defense, _defended_samples, defended_rows
 from freqscope.governors import SimConfig, WorkloadTrace, simulate_batch
 from freqscope.keystroke import MEASUREMENTS_PER_LABEL, sample_timing_vector
 from freqscope.knn import KnnModel, rank_many
@@ -69,6 +69,14 @@ def apply_defense(d: Defense, t: FrequencyTrace, salt: int = 0) -> FrequencyTrac
     other kinds ignore it."""
     (row,) = _defended_samples(d, t.samples[None], [t.device], t.interval_ms, [salt])
     return replace(t, samples=row)
+
+
+def defend_every_row(d: Defense, ds: LabeledDataset) -> LabeledDataset:
+    """ds with each row defended by `defend.defended_rows`, the transform a
+    sweep job applies to the rows it takes."""
+    transform = defended_rows(d, ds)
+    return LabeledDataset({label: transform(label, range(len(rows)), rows)
+                           for label, rows in ds.samples.items()}, ds.devices, ds.interval_ms)
 
 
 def traces_dataset(measurements: dict[str, list[FrequencyTrace]]) -> LabeledDataset:

@@ -10,6 +10,7 @@ efficacy, and the sampler contract. Every test prints a single
 
 import contextlib
 import math
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -21,7 +22,7 @@ from freqscope.classify import (
     train_forest_model,
     train_knn_model,
 )
-from freqscope.dataset import DEFAULT_FRACTIONS, LabeledDataset, split_dataset, stable_seed
+from freqscope.dataset import DEFAULT_FRACTIONS, LabeledDataset, stable_seed
 from freqscope.defend import constant_mask, defense_sweep, resolution_reduce
 from freqscope.forest import ForestParams
 from freqscope.governors import (
@@ -41,6 +42,7 @@ from freqscope.sampler import CollectPlan, collect
 from freqscope.sources import ReplaySource, SimSource
 from freqscope.trace import FrequencyTrace
 from freqscope.workloads import keystroke_workload, noise_workload, website_workload
+from dataset_oracle import split_dataset
 from helpers import knn_rank, merge_datasets, password_timing_vectors, repetitiveness, simulate
 from knn_oracle import oracle_rank
 
@@ -269,7 +271,7 @@ def test_acceptance_7_countermeasure_efficacy(capsys, ryzen_ondemand):
         defenses = [resolution_reduce(f) for f in factors]
         defenses.append(constant_mask(1_700_000))
         rows = defense_sweep(defenses, ryzen_ondemand,
-                             lambda ds: train_knn_model(ds, k=4), *SPLIT)
+                             partial(train_knn_model, k=4), *SPLIT)
         by_factor = {int(r.param): r.top1_defended for r in rows
                      if r.kind == "resolution_reduce"}
         masked = next(r for r in rows if r.kind == "constant_mask")

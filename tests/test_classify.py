@@ -15,10 +15,11 @@ from freqscope.classify import (
     train_forest_model,
     train_knn_model,
 )
-from freqscope.dataset import LabeledDataset, split_dataset
+from freqscope.dataset import LabeledDataset
 from freqscope.forest import ForestParams
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
+from dataset_oracle import split_dataset
 from forest_oracle import forest_rank
 from helpers import dataset_traces, merge_datasets, traces_dataset
 from knn_oracle import loop_rank

@@ -308,6 +308,43 @@ def test_bad_password_file_is_named_and_exits_2(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def files_under(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def test_dot_labels_stay_inside_out(tmp_path):
+    # a label of `.` or `..` named the dataset root or its parent
+    pwfile, out = tmp_path / "pw.txt", tmp_path / "a" / "out"
+    pwfile.write_text("monkey\n..\n")  # a password has at least 2 characters
+    assert run_cli("simulate", "--kind", "keystrokes", "--passwords", pwfile,
+                   "--per-label", "2", "--out", out) == 0
+    for label in (".", ".."):
+        assert run_cli("collect", "--source", "sim", "--workload", "idle", "--samples", "20",
+                       "--measurements", "1", "--sleep-ms", "0", "--label", label,
+                       "--out", tmp_path / "c" / "out") == 0
+    assert files_under(tmp_path / "a") == ["out"] + [f"out/{f}" for f in files_under(out)]
+    assert files_under(tmp_path / "c") == ["out"] + [
+        f"out/{f}" for f in files_under(tmp_path / "c" / "out")]
+    ds = dataset.load_dataset(out)
+    assert ds.classes == ["..", "monkey"]
+    assert [len(rows) for rows in ds.samples.values()] == [2, 2]
+    assert dataset.load_dataset(tmp_path / "c" / "out").classes == [".", ".."]
+
+
+def test_empty_label_exits_2_before_anything_is_created(tmp_path, capsys):
+    out, conf = tmp_path / "out", tmp_path / "label.conf"
+    conf.write_text("collect.label =\n")
+    for args in (("--label", ""), ("--config", conf)):
+        capsys.readouterr()
+        assert run_cli("collect", "--source", "sim", "--workload", "idle", "--samples", "20",
+                       "--measurements", "1", "--sleep-ms", "0", *args, "--out", out) == 2
+        assert capsys.readouterr().err == "freqscope: label must not be empty\n"
+        assert not out.exists()
+    with pytest.raises(ValueError, match="label must not be empty"):
+        save_dataset(LabeledDataset({"": np.ones((1, 3), dtype=np.int64)}, {"": ["x"]}, 10), out)
+    assert not out.exists()
+
+
 def test_bad_config_file_exits_2(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("simulate.clases = 4\n")

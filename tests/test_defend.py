@@ -1,5 +1,7 @@
 """Trace-level countermeasures and the attacker-cost evaluation harness."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from freqscope.defend import (
     Defense,
     _freq_range,
     constant_mask,
-    defended_dataset,
+    defended_rows,
     defense_sweep,
     noise_inject,
     parse_defense,
@@ -19,7 +21,7 @@ from freqscope.defend import (
 )
 from freqscope.profiles import get_profile
 from freqscope.trace import FrequencyTrace
-from helpers import apply_defense, traces_dataset
+from helpers import apply_defense, defend_every_row, traces_dataset
 
 RYZEN = get_profile("ryzen5")
 
@@ -227,11 +229,23 @@ def test_defended_dataset_matches_the_per_sample_loop_trace_by_trace():
         ]
     ds = traces_dataset(measurements)
     d = noise_inject(60.0, burst_height=0.4, seed=2)
-    out = defended_dataset(d, ds)
+    out = defend_every_row(d, ds)
     assert out.devices == ds.devices and out.interval_ms == ds.interval_ms
     for label, traces in measurements.items():
         for i, (t, got) in enumerate(zip(traces, out.samples[label])):
             assert got.tolist() == noise_loop(d, t, stable_seed("trace-salt", label, i))
+
+
+@pytest.mark.parametrize("d", [noise_inject(60.0, burst_height=0.4, seed=2), resolution_reduce(3),
+                               constant_mask(2_200_000)], ids=lambda d: d.kind)
+def test_defended_rows_do_not_depend_on_the_rows_taken(d):
+    # a sweep job defends only its train or test rows: each row is salted by
+    # its index in the label, not by its place among the rows taken
+    ds = sample_dataset()
+    whole, transform = defend_every_row(d, ds), defended_rows(d, ds)
+    for idx in (np.array([1, 4, 7]), np.array([6]), np.arange(8)[::-1]):
+        got = transform("c1", idx, ds.samples["c1"][idx])
+        assert got.tolist() == whole.samples["c1"][idx].tolist()
 
 
 def test_restrict_is_not_a_trace_transform():
@@ -243,7 +257,7 @@ def test_restrict_is_not_a_trace_transform():
 def test_defended_dataset_structure_and_salting():
     ds = sample_dataset()
     d = noise_inject(4.0, seed=0)
-    out = defended_dataset(d, ds)
+    out = defend_every_row(d, ds)
     assert out.classes == ds.classes
     assert out.total_measurements() == ds.total_measurements()
     # traces within one class get different noise
@@ -251,13 +265,13 @@ def test_defended_dataset_structure_and_salting():
     b = out.samples["c0"][1].tolist()
     assert a != b
     # reproducible end to end
-    again = defended_dataset(d, sample_dataset())
+    again = defend_every_row(d, sample_dataset())
     assert again.samples["c0"][0].tolist() == a
 
 
 def test_one_defense_sweep_returns_clean_and_defended():
     ds = sample_dataset()
-    trainer = lambda tr: train_knn_model(tr, k=3)
+    trainer = partial(train_knn_model, k=3)
     (row,) = defense_sweep([constant_mask(1_400_000)], ds, trainer, *SPLIT)
     assert (row.kind, row.param) == ("constant_mask", "1400000")
     assert row.top1_clean == 1.0  # classes are trivially separable
@@ -267,7 +281,7 @@ def test_one_defense_sweep_returns_clean_and_defended():
 
 def test_defense_sweep_rows_and_renderers():
     ds = sample_dataset()
-    trainer = lambda tr: train_knn_model(tr, k=3)
+    trainer = partial(train_knn_model, k=3)
     defenses = [resolution_reduce(1), resolution_reduce(4), constant_mask(1_400_000)]
     rows = defense_sweep(defenses, ds, trainer, *SPLIT)
     assert [r.param for r in rows] == ["1", "4", "1400000"]

@@ -1,20 +1,22 @@
 """The defense sweep in worker processes: the same rows as the serial loop
-for any worker count, failures that keep the exit-code contract, and no
-worker left behind."""
+for any worker count, failures that keep the exit-code contract, no worker
+left behind, and jobs that hold about one copy of the dataset."""
 
 import multiprocessing
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 
 from defend_oracle import serial_sweep
 from freqscope import cli, defend
-from freqscope.classify import NORM_MINMAX, train_forest_model, train_knn_model
-from freqscope.dataset import LabeledDataset
+from freqscope.classify import NORM_MINMAX, NORM_NONE, train_forest_model, train_knn_model
+from freqscope.dataset import DEFAULT_FRACTIONS, LabeledDataset
 from freqscope.defend import constant_mask, defense_sweep, noise_inject, resolution_reduce
 from freqscope.forest import ForestParams
 from freqscope.profiles import get_profile
+from helpers import traced_peak
 
 RYZEN = get_profile("ryzen5")
 
@@ -28,21 +30,27 @@ DEFENSES = {  # case: the defenses of one sweep
                  resolution_reduce(4)],
 }
 
-TRAINERS = {
-    "knn": lambda view: train_knn_model(view, k=3),
-    "forest": lambda view: train_forest_model(
-        view, params=ForestParams(n_trees=4, max_depth=6, seed=2), normalization=NORM_MINMAX),
+FOREST = ForestParams(n_trees=4, max_depth=6, seed=2)
+TRAINERS = {  # each classifier under each normalization
+    "knn": partial(train_knn_model, k=3),
+    "knn_minmax": partial(train_knn_model, k=3, normalization=NORM_MINMAX),
+    "forest": partial(train_forest_model, params=FOREST, normalization=NORM_MINMAX),
+    "forest_none": partial(train_forest_model, params=FOREST, normalization=NORM_NONE),
 }
 
 
-def noisy_dataset():
-    """Overlapping classes, so accuracies fall between 0 and 1."""
+def noisy_dataset(counts=(12, 9, 14, 11), width=60):
+    """Overlapping classes, so accuracies fall between 0 and 1. The labels
+    hold unequal trace counts, so a row's place in a part and in a job's
+    matrix differ from its index in its label, which salts its noise."""
     rng = np.random.default_rng(4)
     samples = {}
-    for c in range(4):
-        rows = np.clip(8 + c + rng.integers(-6, 7, size=(12, 60)), 0, len(RYZEN.pstates) - 1)
-        samples[f"c{c}"] = np.asarray(RYZEN.pstates, dtype=np.int64)[rows]
-    return LabeledDataset(samples, {label: ["ryzen5"] * 12 for label in samples}, 10)
+    for c, n in enumerate(counts):
+        rows = np.clip(8 + c % 4 + rng.integers(-6, 7, size=(n, width)), 0,
+                       len(RYZEN.pstates) - 1)
+        samples[f"c{c:02d}"] = np.asarray(RYZEN.pstates, dtype=np.int64)[rows]
+    return LabeledDataset(samples, {label: ["ryzen5"] * len(rows)
+                                    for label, rows in samples.items()}, 10)
 
 
 SPLIT = (5, (0.5, 0.25, 0.25))  # noisy_dataset's split seed and fractions
@@ -67,10 +75,10 @@ def test_sweep_matches_serial_oracle(monkeypatch, case, trainer, workers):
 def test_jobs_run_in_workers_only_with_two_cpus(monkeypatch, tmp_path, workers):
     pids = tmp_path / "pids"
 
-    def trainer(view):
+    def trainer(view, **select):
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return train_knn_model(view, k=3)
+        return train_knn_model(view, k=3, **select)
 
     use_cpus(monkeypatch, workers)
     defense_sweep([resolution_reduce(2), resolution_reduce(3)], noisy_dataset(), trainer, *SPLIT)
@@ -93,6 +101,22 @@ def test_one_job_per_distinct_defended_dataset(monkeypatch, case, jobs):
     use_cpus(monkeypatch, 1)
     defense_sweep(DEFENSES[case], noisy_dataset(), TRAINERS["knn"], *SPLIT)
     assert calls == list(range(-1, jobs - 1))
+
+
+@pytest.mark.parametrize("job", [-1, 0, 1, 2], ids=["clean", "resolution", "noise", "mask"])
+def test_a_job_holds_about_one_copy_of_the_dataset(job):
+    # the shape of the bench's defend dataset, 20 labels x 20 traces x 1,000
+    # samples: a job that defended a whole copy, split it into three parts and
+    # then made the float64 train matrix peaked at 2.0-2.1x the samples' bytes
+    # here; one that writes its train rows straight into the matrix it fits,
+    # at 1.05-1.4x (the noise law's own working set, a label at a time)
+    ds = noisy_dataset(counts=(20,) * 20, width=1000)
+    defenses = [resolution_reduce(5), noise_inject(20.0), constant_mask(2_200_000)]
+    trainer = partial(train_forest_model, params=ForestParams(n_trees=2, seed=0))
+    sweep = (defenses, ds, trainer, 0, DEFAULT_FRACTIONS)
+    defend._sweep_job(job, sweep)  # what the first call imports and caches does not count
+    _, peak = traced_peak(lambda: defend._sweep_job(job, sweep))
+    assert peak < 1.6 * sum(rows.nbytes for rows in ds.samples.values())
 
 
 def simulate_small(out):
@@ -133,7 +157,7 @@ def test_lost_worker_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
     simulate_small(tmp_path / "ds")
     parent = os.getpid()
 
-    def dying_trainer(view):
+    def dying_trainer(view, **select):
         if os.getpid() == parent:
             raise AssertionError("the sweep trained in the parent process")
         os._exit(1)

@@ -9,7 +9,7 @@ import pytest
 import forest_oracle as oracle
 from freqscope.classify import dataset_matrix
 from freqscope.dataset import stable_seed
-from freqscope.defend import constant_mask, defended_dataset, noise_inject, resolution_reduce
+from freqscope.defend import constant_mask, defended_rows, noise_inject, resolution_reduce
 from freqscope.forest import ForestParams, _best_split, forest_train
 from freqscope.governors import SimConfig
 from freqscope.profiles import get_profile
@@ -125,6 +125,7 @@ DEFENSES = {
 @pytest.mark.parametrize("defense", sorted(DEFENSES))
 def test_defended_datasets_trees_identical(website_small, defense, seed):
     d = DEFENSES[defense]
-    X, labels = dataset_matrix(website_small if d is None else defended_dataset(d, website_small))
+    X, labels = dataset_matrix(website_small,
+                               transform=None if d is None else defended_rows(d, website_small))
     for min_leaf in (1, 3):
         assert_same_trees(X, labels, ForestParams(n_trees=3, min_leaf=min_leaf, seed=seed))

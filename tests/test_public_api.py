@@ -21,7 +21,7 @@ def test_removed_names_are_not_exported():
                  "synth_workload", "knn_predict", "forest_predict", "step_governor",
                  "merge_datasets", "repetitiveness", "knn_rank", "forest_rank", "simulate",
                  "InteractiveParams", "TurboParams", "apply_defense", "KeystrokeParams",
-                 "PasswordModel"):
+                 "PasswordModel", "split_dataset"):
         assert name not in freqscope.__all__
         assert not hasattr(freqscope, name)
     assert not hasattr(freqscope.FreqSource, "read_freq")

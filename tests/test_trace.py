@@ -72,9 +72,11 @@ def test_save_is_atomic(tmp_path):
 
 
 def test_label_encoding_roundtrip():
-    for label in ("plain", "with space", "a/b", "100%", "élève", "="):
+    for label in ("plain", "with space", "a/b", "100%", "élève", "=", ".", "..", "...", ".a"):
         assert decode_label(encode_label(label)) == label
     assert "/" not in encode_label("a/b")
+    # a label that is a whole `.` or `..` would name the dataset root or its parent
+    assert (encode_label("."), encode_label(".."), encode_label("...")) == ("%2E", "%2E%2E", "...")
 
 
 def test_load_rejects_bad_magic(tmp_path):
