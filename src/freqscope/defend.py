@@ -148,26 +148,26 @@ def _defended_samples(d: Defense, samples: np.ndarray, devices: list[str], inter
     widths = np.array([rng.integers(low, high + 1, n_bursts) for rng in rngs])
     scales = np.array([rng.uniform(0.5, 1.0, n_bursts) for rng in rngs])
     deltas = np.round(d.burst_height * scales * (hi - lo)[:, None]).astype(np.int64)
-    # every (sample, delta) a burst adds, trace- then burst-major
-    offsets = np.arange(high)
-    cells = positions[:, :, None] + offsets
-    covered = (offsets < widths[:, :, None]) & (cells < n)
-    flat = (cells + n * np.arange(len(samples))[:, None, None])[covered]
-    add = np.broadcast_to(deltas[:, :, None], cells.shape)[covered]
+    # per sample, its first burst (n_bursts if none) and its deltas' sum, an offset at a time
+    wide = int(deltas.max()) * n_bursts >= 2**63  # a sample's deltas could sum past int64
+    first = np.full(samples.shape, n_bursts, dtype=np.min_scalar_type(n_bursts))
+    total = np.zeros(samples.shape, dtype=object if wide else np.int64)
+    bursts = np.broadcast_to(np.arange(n_bursts, dtype=first.dtype), positions.shape)
+    starts = positions + n * np.arange(len(samples))[:, None]  # flat indices into samples
+    for offset in range(high):
+        on = (offset < widths) & (positions + offset < n)
+        at = starts[on] + offset
+        np.minimum.at(first.reshape(-1), at, bursts[on])
+        np.add.at(total.reshape(-1), at, deltas[on])
     # Bursts compound one after another, each clamped to [lo, hi]. Every
     # delta is >= 0, so only a sample's first burst can meet the lower clamp,
     # and the upper one acts once on the sum: the sample becomes
     # min(max(x + first, lo) + rest, hi), arranged so that no step leaves int64.
-    cell, first_at, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    wide = int(add.max()) * n_bursts >= 2**63  # a sample's deltas could sum past int64
-    rest = np.zeros(len(cell), dtype=object if wide else np.int64)
-    np.add.at(rest, inverse, add)
-    rest -= add[first_at]
-    out = samples.reshape(-1)
-    x, row = out[cell], cell // n
-    lo, hi = lo[row], hi[row]
-    v = np.maximum(x + np.minimum(add[first_at], hi - x), lo)
-    out[cell] = v + np.minimum(rest, hi - v)
+    for out, burst, add, delta, bottom, top in zip(samples, first, total, deltas, lo, hi):
+        cell = np.flatnonzero(burst < n_bursts)
+        x, head = out[cell], delta[burst[cell]]
+        v = np.maximum(x + np.minimum(head, top - x), bottom)
+        out[cell] = v + np.minimum(add[cell] - head, top - v)
     return samples
 
 

@@ -10,6 +10,7 @@ from freqscope.dataset import stable_seed
 from freqscope.defend import (
     NOISE_WIDTHS,
     Defense,
+    _burst_count,
     _freq_range,
     constant_mask,
     defended_rows,
@@ -200,7 +201,24 @@ NOISE_CASES = {  # case: (device, samples, rate Hz, height); 10 ms ticks
     "unknown_device_flat": ("prototype-board", [42] * 50, 100.0, 1.0),
     # a sample plus its bursts passes 2**63 before the clamp brings it back
     "unknown_device_near_int64": ("prototype-board", [0, 2**62 + 2**61] * 50, 100.0, 1.0),
+    # 80 bursts start on 20 samples, so one offset adds to a sample several
+    # times, and which of those bursts is first decides the lower clamp
+    "same_start": ("ryzen5", [2_000_000] * 20, 400.0, 0.005),
+    "same_start_below_range": ("ryzen5", [100] * 20, 400.0, 0.01),
+    # burst indices, with one more for "no burst", fill uint8 at 255 bursts
+    # and need uint16 from 256
+    "bursts_255": ("comet_lake", [1_500_000] * 1000, 25.5, 0.02),
+    "bursts_256": ("comet_lake", [1_500_000] * 1000, 25.6, 0.02),
+    "bursts_300": ("ryzen5", [100, 2_000_000] * 500, 30.0, 0.01),
 }
+
+
+def test_noise_cases_cover_what_they_name():
+    bursts = {case: _burst_count(noise_inject(rate), len(samples), 10)
+              for case, (_, samples, rate, _) in NOISE_CASES.items()}
+    for case in ("same_start", "same_start_below_range"):  # more bursts than samples
+        assert bursts[case] > len(NOISE_CASES[case][1])
+    assert [bursts[case] for case in ("bursts_255", "bursts_256", "bursts_300")] == [255, 256, 300]
 
 
 @pytest.mark.parametrize("seed", [0, 3])
