@@ -171,10 +171,9 @@ def evaluate(model: TrainedModel, test_ds: LabeledDataset, topk: tuple[int, ...]
     ranked = np.array([index[label] for label in model.classifier.classes])[model.rank_many(X)]
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     np.add.at(confusion, (true_idx, ranked[:, 0]), 1)
-    found = ranked == true_idx[:, None]
-    hits = {k: int(np.count_nonzero(found[:, :max(k, 1)].any(axis=1))) for k in topk}
-    return EvalReport(labels=labels, topk_accuracy={k: hits[k] / len(truth) for k in topk},
-                      confusion=confusion)
+    hits = knn.topk_hits(ranked, true_idx)  # a k past the class count takes them all
+    accuracy = {k: int(hits[min(max(k, 1), len(hits)) - 1]) / len(truth) for k in topk}
+    return EvalReport(labels=labels, topk_accuracy=accuracy, confusion=confusion)
 
 
 def _classifier_payload(model: TrainedModel) -> dict:

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -49,8 +47,9 @@ from .dataset import (
     DEFAULT_FRACTIONS,
     DatasetFormatError,
     LabeledDataset,
+    LockError,
+    dataset_lock,
     load_dataset,
-    measurement_filename,
     save_dataset,
     stable_seed,
 )
@@ -81,7 +80,6 @@ from .trace import (
     encode_label,
     load_trace,
     read_utf8,
-    save_trace,
 )
 from .workloads import (
     KEYSTROKE_TAIL_TICKS,
@@ -97,50 +95,9 @@ EXIT_DATA = 3
 EXIT_ACCESS = 4
 EXIT_HOOK = 5
 
-LOCK_NAME = ".freqscope.lock"
 SIMULATE_BLOCK_TICKS = 1 << 17  # loads `simulate` passes the engine at once: 1 MiB of float64
 
 log = logging.getLogger("freqscope")
-
-
-class LockError(RuntimeError):
-    pass
-
-
-@contextmanager
-def dataset_lock(root: Path):
-    """One dataset directory, one writer. Stale locks (crashed runs) must be
-    removed by hand; the error names the pid the lock records and the file."""
-    root.mkdir(parents=True, exist_ok=True)
-    lock = root / LOCK_NAME
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise LockError(_lock_holder(root, lock)) from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        os.close(fd)
-        yield
-    finally:
-        try:
-            lock.unlink()
-        except OSError:
-            pass
-
-
-def _lock_holder(root: Path, lock: Path) -> str:
-    """The error for an existing lock, from the pid it records."""
-    try:
-        pid = int(lock.read_text(encoding="ascii"))
-    except (OSError, ValueError):  # gone again, or its writer has not written the pid yet
-        return f"{root} is being written by another run (or a stale lock; remove {lock})"
-    try:
-        os.kill(pid, 0)  # signal 0 only checks that the process exists
-    except (ProcessLookupError, OverflowError):
-        return f"stale lock left by pid {pid} (not running); remove {lock}"
-    except PermissionError:  # it runs, under another user
-        pass
-    return f"{root} is being written by pid {pid} (lock {lock})"
 
 
 def _err(message: str) -> None:
@@ -305,18 +262,16 @@ def cmd_collect(args) -> int:
         _err("no measurement completed (every attempt lost to hook failures)")
         return EXIT_HOOK
 
-    out = Path(args.out)
-    label_dir = out / encode_label(plan.label)
+    out, done = Path(args.out), len(traces)
+    collected = LabeledDataset({plan.label: np.stack([t.samples for t in traces])},
+                               {plan.label: [t.device for t in traces]}, plan.interval_ms)
+    del traces  # the stacked matrix holds the samples now
     with dataset_lock(out):
-        label_dir.mkdir(parents=True, exist_ok=True)
-        stems = [f[: -len(".ftrace")] for f in os.listdir(label_dir) if f.endswith(".ftrace")]
-        first = max((int(t) for t in stems if t.isascii() and t.isdigit()), default=-1) + 1
-        for i, trace in enumerate(traces, start=first):
-            save_trace(trace, label_dir / measurement_filename(i), overwrite=False)
+        save_dataset(collected, out)
         write_resolved(out / RESOLVED_CONFIG_NAME, resolved)
-    print(f"collected {len(traces)}/{plan.measurements} measurements to {label_dir}")
-    if len(traces) < plan.measurements:
-        print(f"({plan.measurements - len(traces)} measurement(s) lost to hook failures)")
+    print(f"collected {done}/{plan.measurements} measurements to {out / encode_label(plan.label)}")
+    if done < plan.measurements:
+        print(f"({plan.measurements - done} measurement(s) lost to hook failures)")
     return EXIT_OK
 
 
@@ -418,10 +373,11 @@ def cmd_keystrokes(args) -> int:
     s = resolve("keystrokes", args)
     if bool(args.trace) == bool(args.dataset):
         raise ConfigError("exactly one of --trace or --dataset is required")
-    if args.trace and s["keystroke.guess_curve"]:
-        raise ConfigError("keystroke.guess_curve (--guess-curve) needs --dataset, not --trace")
 
     if args.trace:
+        for key in ("keystroke.guess_curve", "split.seed"):  # both act on a dataset only
+            if s[key] is not None:
+                raise ConfigError(f"{key} ({SCHEMA[key].flag}) needs --dataset, not --trace")
         report = _detect(load_trace(args.trace), args.trace)
         lines = report.key_value_lines()
         print("\n".join(lines))
@@ -437,7 +393,7 @@ def cmd_keystrokes(args) -> int:
     guesses = s["keystroke.guess_curve"]
     if guesses:
         try:
-            model, held_out = train_password_model(vectors, split_seed=s["keystroke.split_seed"])
+            model, held_out = train_password_model(vectors, split_seed=s.derive("split.seed", 0))
         except ValueError as exc:  # too few passwords, or measurements of one
             raise DatasetFormatError(f"{args.dataset}: {exc}") from None
         curve = guess_curve(model, held_out, guesses)

@@ -178,7 +178,7 @@ SETTINGS = (
     Setting("collect.presses", "--presses", int_list, None,
             "press times in ms, comma separated (keystrokes workload)", ("collect",)),
     Setting("split.seed", "--split-seed", int, None,
-            "split seed (0; eval: the model's)", SPLIT),
+            "split seed (0; eval: the model's)", SPLIT + ("keystrokes",)),
     Setting("split.train", None, float, None, "train fraction", SPLIT),
     Setting("split.val", None, float, None, "validation fraction", SPLIT),
     Setting("split.test", None, float, None, "test fraction", SPLIT),
@@ -201,8 +201,6 @@ SETTINGS = (
             choices=("train", "val", "test")),
     Setting("keystroke.guess_curve", "--guess-curve", positive_int, None,
             "emit cumulative accuracy up to N guesses", ("keystrokes",)),
-    Setting("keystroke.split_seed", "--split-seed", int, 0, "password model split seed",
-            ("keystrokes",)),
     Setting("defend.defenses", "--defense", str.split, None,
             "defense specs, swept in order: resolution:F1,F2,... |"
             " noise:RATE[:HEIGHT[:SEED]] | mask:FREQ", ("defend",), repeat=True),

@@ -1,7 +1,8 @@
 """Labeled trace datasets: disk layout, loading, and deterministic splits.
 
 On disk a dataset is `root/<label>/<measurement_id>.ftrace` with labels
-percent-encoded in directory names and zero-padded measurement ids. In
+percent-encoded in directory names and zero-padded measurement ids. A root
+has one writer at a time (`dataset_lock`), and a save only appends. In
 memory it is one sample matrix per label, with the device of each row. A
 split is a pure function of (split seed, label, the label's trace count, fractions),
 so re-splitting with the same seed always reproduces the same partition,
@@ -11,8 +12,10 @@ without touching the others.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +24,16 @@ from .trace import FrequencyTrace, decode_label, encode_label, load_trace, save_
 
 DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)
 SPLIT_PARTS = ("train", "val", "test")
+LOCK_NAME = ".freqscope.lock"
 
 
 class DatasetFormatError(ValueError):
     """Raised for dataset trees without traces, or with a member unlike the
     first or its directory; a malformed trace file raises TraceFormatError."""
+
+
+class LockError(RuntimeError):
+    """Raised when another run holds a dataset root's lock."""
 
 
 def stable_seed(*parts) -> int:
@@ -92,9 +100,43 @@ def measurement_filename(index: int) -> str:
     return f"{index:04d}.ftrace"
 
 
+@contextmanager
+def dataset_lock(root: str | os.PathLike):
+    """One dataset directory, one writer: an exclusive flock on
+    `<root>/.freqscope.lock`, created with root if need be; a held lock is a
+    LockError naming root, never a wait. The kernel drops a lock when its
+    holder exits, however it exits, and a release unlinks the file."""
+    root = os.fspath(root)
+    os.makedirs(root, exist_ok=True)
+    path = os.path.join(root, LOCK_NAME)
+    while True:
+        fd = os.open(path, os.O_CREAT | os.O_WRONLY, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
+                break
+        except BlockingIOError:
+            os.close(fd)
+            raise LockError(f"{root} is being written by another run (lock {path})") from None
+        except FileNotFoundError:
+            pass
+        except BaseException:
+            os.close(fd)
+            raise
+        os.close(fd)  # a releasing holder unlinked the file locked here: lock the new one
+    try:
+        yield
+    finally:
+        with suppress(FileNotFoundError):  # removed by hand meanwhile
+            os.unlink(path)  # while still held, so no other run locks a file about to go
+        os.close(fd)
+
+
 def save_dataset(ds: LabeledDataset, root: str | os.PathLike) -> None:
-    """Write the directory layout; label dirs are percent-encoded, and an
-    empty label, which would name the root, is a ValueError."""
+    """Append to the directory layout, never replacing a trace: label dirs are
+    percent-encoded, and a label's traces take the ids after the highest
+    numeric id in its directory. An empty label, which would name the root,
+    is a ValueError."""
     if "" in ds.samples:
         raise ValueError("a dataset label must not be empty")
     root = os.fspath(root)
@@ -102,9 +144,11 @@ def save_dataset(ds: LabeledDataset, root: str | os.PathLike) -> None:
     for label in ds.classes:
         label_dir = os.path.join(root, encode_label(label))
         os.makedirs(label_dir, exist_ok=True)
-        for i, (row, device) in enumerate(zip(ds.samples[label], ds.devices[label])):
+        ids = [f[:-len(".ftrace")] for f in os.listdir(label_dir) if f.endswith(".ftrace")]
+        first = max((int(t) for t in ids if t.isascii() and t.isdigit()), default=-1) + 1
+        for i, (row, device) in enumerate(zip(ds.samples[label], ds.devices[label]), first):
             save_trace(FrequencyTrace(row, ds.interval_ms, device, label),
-                       os.path.join(label_dir, measurement_filename(i)))
+                       os.path.join(label_dir, measurement_filename(i)), overwrite=False)
 
 
 def load_dataset(root: str | os.PathLike, split: tuple | None = None) -> LabeledDataset:

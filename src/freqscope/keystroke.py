@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import stable_seed
-from .knn import KnnModel, fit_knn, rank_many
+from .knn import KnnModel, fit_knn, rank_many, topk_hits
 from .trace import FrequencyTrace
 
 PASSWORD_K = 4
@@ -236,7 +236,4 @@ def guess_curve(model: KnnModel, test_pairs: list[tuple[str, np.ndarray]],
     order, _ = rank_many(model, X)
     index = {label: c for c, label in enumerate(model.classes)}
     truth = np.array([index.get(label, -1) for label, _ in test_pairs])
-    # found[q, g]: query q's true password is its guess g + 1
-    found = order[:, :max_guesses] == truth[:, None]
-    hits = np.cumsum(found.sum(axis=0))
-    return [h / len(test_pairs) for h in hits]
+    return [h / len(test_pairs) for h in topk_hits(order, truth)[:max_guesses]]

@@ -102,3 +102,8 @@ def rank_many(model: KnnModel, Q) -> tuple[np.ndarray, np.ndarray]:
         votes[lo:lo + b] = np.take_along_axis(count, order[lo:lo + b], axis=1)
     return order, votes
 
+
+def topk_hits(order: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """hits[g]: how many of the [Q, C] rankings `order` hold their query's
+    `truth` class among their first g + 1; a total ranking holds it at most once."""
+    return np.cumsum((order == truth[:, None]).sum(axis=0))

@@ -1,8 +1,11 @@
 """End-to-end command-line runs: exit codes and artifact files."""
 
+import contextlib
+import fcntl
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from unittest.mock import patch
@@ -11,9 +14,15 @@ import numpy as np
 import pytest
 
 from freqscope import cli, dataset
-from freqscope.cli import LOCK_NAME, main
+from freqscope.cli import main
 from freqscope.config import RESOLVED_CONFIG_NAME
-from freqscope.dataset import DEFAULT_FRACTIONS, LabeledDataset, save_dataset, split_indices
+from freqscope.dataset import (
+    DEFAULT_FRACTIONS,
+    LOCK_NAME,
+    LabeledDataset,
+    save_dataset,
+    split_indices,
+)
 from freqscope.governors import simulate_batch
 from freqscope.trace import _file_mode, load_trace, save_trace, FrequencyTrace
 from helpers import law_constants, traced_peak
@@ -87,38 +96,97 @@ def test_simulate_seed_changes_bytes(tmp_path):
     assert outs[0] != outs[1]
 
 
-def locked_simulate(out, pid):
+SMALL_SIMULATE = ("simulate", "--kind", "website", "--classes", "2", "--measurements", "2",
+                  "--samples", "40", "--out")
+SMALL_COLLECT = ("collect", "--source", "sim", "--workload", "idle", "--samples", "30",
+                 "--measurements", "2", "--label", "idle", "--sleep-ms", "0", "--out")
+
+
+@contextlib.contextmanager
+def held_lock(root):
+    """root's lock, held through an open file description of its own, as
+    another run holds it."""
+    root.mkdir(parents=True, exist_ok=True)
+    with open(root / LOCK_NAME, "w") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+
+
+def assert_refused_by_lock(argv, out, capsys):
+    """The command exits 3 naming out's held lock, and out is unchanged."""
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert run_cli(*argv, out) == 3
+    err = capsys.readouterr().err
+    assert err == f"freqscope: {out} is being written by another run (lock {out / LOCK_NAME})\n"
+    assert tree_bytes(out) == before
+
+
+def test_simulate_respects_lock(tmp_path, capsys):
+    out = tmp_path / "locked"
+    with held_lock(out):
+        assert_refused_by_lock(SMALL_SIMULATE, out, capsys)
+    assert run_cli(*SMALL_SIMULATE, out) == 0
+    assert not (out / LOCK_NAME).exists()
+
+
+def test_collect_respects_lock(tmp_path, capsys):
+    out = tmp_path / "locked"
+    assert run_cli(*SMALL_COLLECT, out) == 0
+    with held_lock(out):
+        assert_refused_by_lock(SMALL_COLLECT, out, capsys)
+    assert sorted(os.listdir(out / "idle")) == ["0000.ftrace", "0001.ftrace"]
+    assert run_cli(*SMALL_COLLECT, out) == 0
+    assert len(os.listdir(out / "idle")) == 4 and not (out / LOCK_NAME).exists()
+
+
+def test_lock_error_names_the_root(tmp_path, capsys):
+    out = tmp_path / "lock root"
+    with held_lock(out):
+        assert_refused_by_lock(SMALL_SIMULATE, out, capsys)
+        assert os.listdir(out) == [LOCK_NAME]
+
+
+def test_a_lock_file_left_by_a_crash_does_not_block(tmp_path):
+    """The file alone is no lock: one a crashed run left, here with the pid
+    file of earlier releases in it, is taken, and removed on release."""
+    out = tmp_path / "leftover"
     out.mkdir()
-    (out / LOCK_NAME).write_text(f"{pid}\n")
-    return run_cli("simulate", "--kind", "website", "--classes", "2",
-                   "--measurements", "2", "--samples", "40", "--out", out)
+    (out / LOCK_NAME).write_text("424242\n")
+    assert run_cli(*SMALL_SIMULATE, out) == 0
+    assert not (out / LOCK_NAME).exists()
 
 
-def test_simulate_respects_lock(tmp_path):
-    out = tmp_path / "locked"
-    assert locked_simulate(out, 424242) == 3
-    (out / LOCK_NAME).unlink()
-    assert run_cli("simulate", "--kind", "website", "--classes", "2",
-                   "--measurements", "2", "--samples", "40", "--out", out) == 0
+HOLD_LOCK = """
+import sys, time
+from freqscope.dataset import dataset_lock
+with dataset_lock(sys.argv[1]):
+    print("held", flush=True)
+    time.sleep(600)
+"""
 
 
-def test_lock_error_names_the_running_writer(tmp_path, capsys):
-    out = tmp_path / "locked"
-    assert locked_simulate(out, os.getpid()) == 3
-    err = capsys.readouterr().err
-    assert f"{out} is being written by pid {os.getpid()} (lock {out / LOCK_NAME})" in err
-    assert (out / LOCK_NAME).read_text() == f"{os.getpid()}\n"  # never removed
-
-
-def test_lock_error_names_a_stale_lock(tmp_path, capsys):
-    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                           capture_output=True, text=True, check=True)
-    pid = int(child.stdout)  # finished and reaped: no process has this pid now
-    out = tmp_path / "locked"
-    assert locked_simulate(out, pid) == 3
-    err = capsys.readouterr().err
-    assert f"stale lock left by pid {pid} (not running); remove {out / LOCK_NAME}" in err
-    assert (out / LOCK_NAME).read_text() == f"{pid}\n"  # never removed
+def test_a_lock_dies_with_its_holder(tmp_path, capsys):
+    """A lock is held by a process, not by a file: while another process
+    holds it, simulate and collect each exit 3 and write nothing; once that
+    process is killed, both run and leave no lock file behind."""
+    out = tmp_path / "ds"
+    holder = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(out)],
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "held\n"
+        for argv in (SMALL_SIMULATE, SMALL_COLLECT):
+            assert_refused_by_lock(argv, out, capsys)
+        assert os.listdir(out) == [LOCK_NAME]
+    finally:
+        holder.kill()
+        holder.wait(timeout=30)
+        holder.stdout.close()
+    assert holder.returncode == -signal.SIGKILL
+    assert (out / LOCK_NAME).exists()  # a killed holder removes nothing
+    for argv in (SMALL_SIMULATE, SMALL_COLLECT):
+        assert run_cli(*argv, out) == 0
+    assert sorted(os.listdir(out)) == [RESOLVED_CONFIG_NAME, "idle", "site00", "site01"]
 
 
 @pytest.mark.parametrize("leftover", ["traces", "resolved_conf"])
@@ -379,6 +447,7 @@ REMOVED_KEYS = {  # a setting that was deleted: the command that took it
     "keystroke.max_single = 12": ("keystrokes", "--dataset"),
     "keystroke.interval_ms = 20": ("keystrokes", "--dataset"),
     "keystroke.hysteresis_khz = 100000": ("keystrokes", "--dataset"),
+    "keystroke.split_seed = 0": ("keystrokes", "--dataset"),  # folded into split.seed
 }
 
 
@@ -1163,20 +1232,38 @@ def test_keystrokes_needs_trace_or_dataset():
     assert run_cli("keystrokes") == 2
 
 
-@pytest.mark.parametrize("given", ["flag", "config"])
-def test_keystrokes_guess_curve_needs_a_dataset(tmp_path, given, capsys):
+def run_keystrokes_trace(tmp_path, capsys, *setting):
+    """`keystrokes --trace T --out O` with the setting; (exit code, stderr),
+    and nothing may reach stdout or O."""
     path = tmp_path / "typed.ftrace"
     save_trace(FrequencyTrace(samples=TYPED, interval_ms=20, device="cortex_a73", label="typed"),
                path)
+    out = tmp_path / "detected"
+    capsys.readouterr()
+    rc = run_cli("keystrokes", "--trace", path, *setting, "--out", out)
+    captured = capsys.readouterr()
+    if rc:
+        assert captured.out == "" and not out.exists()
+    return rc, captured.err
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_keystrokes_guess_curve_needs_a_dataset(tmp_path, given, capsys):
     conf = tmp_path / "guess.conf"
     conf.write_text("keystroke.guess_curve = 4\n")
     setting = ("--guess-curve", "3") if given == "flag" else ("--config", conf)
-    out = tmp_path / "detected"
-    capsys.readouterr()
-    assert run_cli("keystrokes", "--trace", path, *setting, "--out", out) == 2
-    captured = capsys.readouterr()
-    assert "keystroke.guess_curve" in captured.err and "Traceback" not in captured.err
-    assert captured.out == "" and not out.exists()
+    rc, err = run_keystrokes_trace(tmp_path, capsys, *setting)
+    assert rc == 2
+    assert "keystroke.guess_curve" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_keystrokes_split_seed_needs_a_dataset(tmp_path, given, capsys):
+    conf = tmp_path / "split.conf"
+    conf.write_text("split.seed = 0\n")
+    setting = ("--split-seed", "5") if given == "flag" else ("--config", conf)
+    assert run_keystrokes_trace(tmp_path, capsys, *setting) == (
+        2, "freqscope: split.seed (--split-seed) needs --dataset, not --trace\n")
 
 
 def test_keystrokes_guess_curve(tmp_path, capsys):
@@ -1191,6 +1278,8 @@ def test_keystrokes_guess_curve(tmp_path, capsys):
     curve = (out / "guesses.csv").read_text().splitlines()
     assert curve[0] == "guess,accuracy"
     assert len(curve) == 3
+    # the password model's split seed is the split seed, 0 unless given
+    assert (out / RESOLVED_CONFIG_NAME).read_text() == "keystroke.guess_curve = 2\nsplit.seed = 0\n"
 
 
 def test_keystrokes_dataset_writes_its_summary(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Dataset container, deterministic splitting, and the directory layout."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,14 +12,17 @@ from dataset_oracle import split_dataset  # each label's rows at its split_indic
 from freqscope.dataset import (
     DEFAULT_FRACTIONS,
     DatasetFormatError,
+    LOCK_NAME,
     LabeledDataset,
+    LockError,
+    dataset_lock,
     load_dataset,
     measurement_filename,
     save_dataset,
     split_indices,
     stable_seed,
 )
-from freqscope.trace import FrequencyTrace
+from freqscope.trace import FrequencyTrace, load_trace
 
 
 def make_ds(classes=3, per_class=10, n=20):
@@ -132,6 +138,34 @@ def test_save_load_roundtrip(tmp_path):
         assert first[:4] == ["#ftrace v1", "#interval_ms=10", "#device=ryzen5", f"#label={label}"]
 
 
+def tree_files(root):
+    """{path relative to root: bytes} of every file below root."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_save_appends_and_never_replaces(tmp_path):
+    """A second save continues each label's ids after the highest numeric id
+    already there, a gap and foreign names included, and rewrites nothing."""
+    root = tmp_path / "ds"
+    save_dataset(make_ds(classes=2, per_class=3, n=4), root)
+    (root / "c1" / "0007.ftrace").write_bytes((root / "c1" / "0000.ftrace").read_bytes())
+    (root / "c1" / "x9.ftrace").write_text("not a trace")
+    (root / "c1" / "0042.tmp").write_text("not a trace")
+    before = tree_files(root)
+    more = LabeledDataset({label: np.full((2, 4), 7 + i, dtype=np.int64)
+                           for i, label in enumerate(("c0", "c1", "new"))},
+                          {label: ["other"] * 2 for label in ("c0", "c1", "new")}, 10)
+    save_dataset(more, root)
+    after = tree_files(root)
+    assert {path: after[path] for path in before} == before
+    assert sorted(map(str, set(after) - set(before))) == [
+        "c0/0003.ftrace", "c0/0004.ftrace", "c1/0008.ftrace", "c1/0009.ftrace", "new/0000.ftrace",
+        "new/0001.ftrace"]
+    for path, value in (("c0/0004.ftrace", 7), ("c1/0008.ftrace", 8), ("new/0000.ftrace", 9)):
+        trace = load_trace(root / path)
+        assert trace.samples.tolist() == [value] * 4 and trace.device == "other"
+
+
 def test_label_directories_are_encoded(tmp_path):
     label = "shop/cart page"
     ds = LabeledDataset({label: np.array([[1, 2, 3]], dtype=np.int64)}, {label: ["x"]}, 10)
@@ -160,3 +194,42 @@ def test_a_split_part_without_rows_keeps_every_label(tmp_path):
     val = load_dataset(tmp_path, split=(0, (0.75, 0.0, 0.25), "val"))
     assert val.classes == ["c0", "c1"] and val.total_measurements() == 0
     assert val.interval_ms is None  # no row was read, so no interval is known
+
+
+def test_a_held_lock_refuses_and_a_released_one_is_removed(tmp_path):
+    root = tmp_path / "new" / "root"
+    with dataset_lock(root):
+        assert os.listdir(root) == [LOCK_NAME]
+        with pytest.raises(LockError, match=re.escape(f"{root} is being written by another run")):
+            with dataset_lock(root):
+                pass
+    assert os.listdir(root) == []
+
+
+CONTEND = """
+import os, sys, time
+from freqscope.dataset import LockError, dataset_lock
+root, held, end = sys.argv[1], 0, time.monotonic() + 1.5
+while time.monotonic() < end:
+    try:
+        with dataset_lock(root):
+            # O_EXCL: a second holder at the same time fails here
+            os.close(os.open(os.path.join(root, "holder"), os.O_CREAT | os.O_EXCL))
+            os.unlink(os.path.join(root, "holder"))
+            held += 1
+    except LockError:
+        pass
+print(held)
+"""
+
+
+def test_contending_processes_never_hold_the_lock_at_once(tmp_path):
+    """Four processes take and release one root's lock for 1.5 s: a file a
+    releasing holder just unlinked is never taken, so no two hold it at once."""
+    runs = [subprocess.Popen([sys.executable, "-c", CONTEND, str(tmp_path)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(4)]
+    results = [run.communicate(timeout=60) for run in runs]
+    assert [run.returncode for run in runs] == [0] * 4, [err for _, err in results]
+    assert all(int(out) > 0 for out, _ in results)
+    assert os.listdir(tmp_path) == []

@@ -186,3 +186,12 @@ def test_rank_many_property():
         assert_matches_loop(*problem)
 
     check()
+
+
+def test_topk_hits_counts_the_truth_within_each_rank():
+    rng = np.random.default_rng(7)
+    for q, c in ((1, 1), (5, 3), (40, 9)):
+        order = np.array([rng.permutation(c) for _ in range(q)])
+        truth = rng.integers(-1, c + 1, size=q)  # -1 and c rank nowhere
+        want = [sum(t in row[:g] for row, t in zip(order, truth)) for g in range(1, c + 1)]
+        assert knn.topk_hits(order, truth).tolist() == want
