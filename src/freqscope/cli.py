@@ -9,7 +9,8 @@ Exit codes:
   0  success
   2  configuration or usage error
   3  data error (unreadable trace/dataset/model, exhausted replay, busy dir,
-     a dataset already in the simulate output, a lost defend worker)
+     a dataset already in the simulate output, a collect append unlike the
+     traces it joins, a lost defend worker)
   4  access restricted by the source policy
   5  every measurement was lost to hook failures
 """
@@ -48,6 +49,7 @@ from .dataset import (
     DatasetFormatError,
     LabeledDataset,
     LockError,
+    check_append,
     dataset_lock,
     load_dataset,
     save_dataset,
@@ -244,34 +246,30 @@ def _build_source(s: Settings, source: str, policy: str):
 
 def cmd_collect(args) -> int:
     s = resolve("collect", args)
-    plan = CollectPlan(
-        interval_ms=s["collect.interval_ms"],
-        samples_per_measurement=s["collect.samples"],
-        measurements=s["collect.measurements"],
-        label=s["collect.label"],
-        pre_hook=s["collect.pre_hook"],
-        post_hook=s["collect.post_hook"],
-        inter_measurement_sleep_ms=s["collect.sleep_ms"],
-    )
+    label = s["collect.label"]
+    plan = CollectPlan(*(s[f"collect.{k}"] for k in ("measurements", "samples", "interval_ms")))
+    hooks = {k: s[f"collect.{k}"] for k in ("pre_hook", "post_hook", "sleep_ms")}
     source, policy = s["collect.source"], s["collect.policy"]
     # the conf records the sampler's settings; the source's own (sim.*, run.seed,
     # workload, replay, sysfs) are not recorded
     resolved = s.used()
-    traces = collect(plan, _build_source(s, source, policy))
-    if not traces:
-        _err("no measurement completed (every attempt lost to hook failures)")
-        return EXIT_HOOK
-
-    out, done = Path(args.out), len(traces)
-    collected = LabeledDataset({plan.label: np.stack([t.samples for t in traces])},
-                               {plan.label: [t.device for t in traces]}, plan.interval_ms)
-    del traces  # the stacked matrix holds the samples now
+    if not label:  # it names the directory of the traces
+        raise ConfigError("label must not be empty")
+    src, out = _build_source(s, source, policy), Path(args.out)
+    # the lock and the append check come after every source and label fault and
+    # before the first read; a run that writes no trace leaves no --out it made
     with dataset_lock(out):
-        save_dataset(collected, out)
+        check_append(out, plan.samples, plan.interval_ms)
+        rows = collect(plan, src, **hooks)
+        if not len(rows):
+            _err("no measurement completed (every attempt lost to hook failures)")
+            return EXIT_HOOK
+        save_dataset(LabeledDataset({label: rows}, {label: [src.device] * len(rows)},
+                                    plan.interval_ms), out)
         write_resolved(out / RESOLVED_CONFIG_NAME, resolved)
-    print(f"collected {done}/{plan.measurements} measurements to {out / encode_label(plan.label)}")
-    if done < plan.measurements:
-        print(f"({plan.measurements - done} measurement(s) lost to hook failures)")
+    print(f"collected {len(rows)}/{plan.measurements} measurements to {out / encode_label(label)}")
+    if len(rows) < plan.measurements:
+        print(f"({plan.measurements - len(rows)} measurement(s) lost to hook failures)")
     return EXIT_OK
 
 

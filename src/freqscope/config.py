@@ -54,6 +54,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def non_negative_float(text: str) -> float:
     value = float(text)
     if not 0 <= value < float("inf"):  # also rejects NaN
@@ -159,7 +166,7 @@ SETTINGS = (
             "shell command run before each measurement", ("collect",)),
     Setting("collect.post_hook", "--post-hook", str, None,
             "shell command run after each measurement", ("collect",)),
-    Setting("collect.sleep_ms", "--sleep-ms", int, 1000, "pause between measurements",
+    Setting("collect.sleep_ms", "--sleep-ms", non_negative_int, 1000, "pause between measurements",
             ("collect",)),
     Setting("collect.policy", "--policy", str, "open", "source access policy",
             ("collect",), choices=("open", "masked")),

@@ -2,12 +2,12 @@
 
 On disk a dataset is `root/<label>/<measurement_id>.ftrace` with labels
 percent-encoded in directory names and zero-padded measurement ids. A root
-has one writer at a time (`dataset_lock`), and a save only appends. In
-memory it is one sample matrix per label, with the device of each row. A
-split is a pure function of (split seed, label, the label's trace count, fractions),
-so re-splitting with the same seed always reproduces the same partition,
-and a loader can read, or a defense sweep job take, one part's traces
-without touching the others.
+has one writer at a time (`dataset_lock`), and a save only appends traces
+shaped like those already there. In memory it is one sample matrix per
+label, with the device of each row. A split is a pure function of (split
+seed, label, the label's trace count, fractions), so re-splitting with the
+same seed always reproduces the same partition, and a loader can read, or a
+defense sweep job take, one part's traces without touching the others.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ def stable_seed(*parts) -> int:
 
 @dataclass
 class LabeledDataset:
-    """`samples[label]` is an int64 [N, T] matrix, taken without a copy and made
-    read-only, and `devices[label][i]` is its row i's device. All labels share T
-    and `interval_ms` (None only for a loaded split part that read no trace)."""
+    """`samples[label]` is an int64 [N, T] matrix of samples in [0, 2**63),
+    taken without a copy and made read-only, and `devices[label][i]` is its row
+    i's device. All labels share T and `interval_ms` (None only for a loaded
+    split part that read no trace)."""
 
     samples: dict[str, np.ndarray]
     devices: dict[str, list[str]]
@@ -61,6 +62,8 @@ class LabeledDataset:
         for label, rows in self.samples.items():
             if rows.dtype != np.int64 or rows.ndim != 2 or len(rows) != len(self.devices[label]):
                 raise ValueError(f"{label!r} needs an int64 [N, T] matrix and N devices")
+            if rows.size and rows.min() < 0:  # an int64 cannot reach 2**63
+                raise ValueError(f"samples must be integers in [0, 2**63), got {rows.min()}")
             rows.flags.writeable = False
         widths = sorted({rows.shape[1] for rows in self.samples.values()})
         if len(widths) > 1:
@@ -100,17 +103,35 @@ def measurement_filename(index: int) -> str:
     return f"{index:04d}.ftrace"
 
 
+def _missing_dirs(root: str) -> tuple[list[str], str]:
+    """The directories root lacks, root first, and the nearest path above
+    them that exists."""
+    missing, head = [], os.path.abspath(root)
+    while not os.path.lexists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    return missing, head
+
+
 @contextmanager
 def dataset_lock(root: str | os.PathLike):
     """One dataset directory, one writer: an exclusive flock on
     `<root>/.freqscope.lock`, created with root if need be; a held lock is a
     LockError naming root, never a wait. The kernel drops a lock when its
-    holder exits, however it exits, and a release unlinks the file."""
+    holder exits, however it exits; a release unlinks the file, then removes
+    the directories this lock created, root first, while they are empty."""
     root = os.fspath(root)
-    os.makedirs(root, exist_ok=True)
     path = os.path.join(root, LOCK_NAME)
     while True:
-        fd = os.open(path, os.O_CREAT | os.O_WRONLY, 0o666)
+        made = _missing_dirs(root)[0]
+        try:
+            os.makedirs(root, exist_ok=True)
+            fd = os.open(path, os.O_CREAT | os.O_WRONLY, 0o666)
+        except (FileExistsError, FileNotFoundError):
+            missing, head = _missing_dirs(root)
+            if not missing or not os.path.isdir(head):
+                raise  # a file or a dangling link at root or above it
+            continue  # a releasing holder removed the root it had created: make it again
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             if os.path.samestat(os.fstat(fd), os.stat(path)):
@@ -130,16 +151,47 @@ def dataset_lock(root: str | os.PathLike):
         with suppress(FileNotFoundError):  # removed by hand meanwhile
             os.unlink(path)  # while still held, so no other run locks a file about to go
         os.close(fd)
+        with suppress(OSError):  # one holding what this run wrote, or another's lock, stays
+            for directory in made:
+                os.rmdir(directory)
+
+
+def _label_dirs(root: str):
+    """(label, directory, sorted `.ftrace` names) of each directory under root
+    that holds a trace, in load order."""
+    for entry in sorted(os.listdir(root)):
+        label_dir = os.path.join(root, entry)
+        if os.path.isdir(label_dir):
+            files = sorted(f for f in os.listdir(label_dir) if f.endswith(".ftrace"))
+            if files:
+                yield decode_label(entry), label_dir, files
+
+
+def check_append(root: str | os.PathLike, samples: int, interval_ms: int) -> None:
+    """Refuse rows of `samples` samples at `interval_ms` that the traces
+    already under root, judged by the first in load order, disagree with: a
+    DatasetFormatError naming root and both shapes."""
+    root = os.fspath(root)
+    first = next(_label_dirs(root), None) if os.path.isdir(root) else None
+    if first:
+        trace = load_trace(os.path.join(first[1], first[2][0]))
+        if (len(trace), trace.interval_ms) != (samples, interval_ms):
+            raise DatasetFormatError(
+                f"{root} holds traces of {len(trace)} samples at {trace.interval_ms} ms;"
+                f" cannot append traces of {samples} samples at {interval_ms} ms")
 
 
 def save_dataset(ds: LabeledDataset, root: str | os.PathLike) -> None:
     """Append to the directory layout, never replacing a trace: label dirs are
     percent-encoded, and a label's traces take the ids after the highest
     numeric id in its directory. An empty label, which would name the root,
-    is a ValueError."""
+    is a ValueError, and traces unlike those already under root are refused
+    by `check_append`, each before anything is written."""
     if "" in ds.samples:
         raise ValueError("a dataset label must not be empty")
     root = os.fspath(root)
+    if ds.total_measurements():
+        check_append(root, next(iter(ds.samples.values())).shape[1], ds.interval_ms)
     os.makedirs(root, exist_ok=True)
     for label in ds.classes:
         label_dir = os.path.join(root, encode_label(label))
@@ -161,14 +213,7 @@ def load_dataset(root: str | os.PathLike, split: tuple | None = None) -> Labeled
         raise FileNotFoundError(f"dataset root {root!r} does not exist")
     samples, devices = {}, {}
     first = None  # (path, sample count, interval_ms) of the first member read
-    for entry in sorted(os.listdir(root)):
-        label_dir = os.path.join(root, entry)
-        if not os.path.isdir(label_dir):
-            continue
-        label = decode_label(entry)
-        files = sorted(f for f in os.listdir(label_dir) if f.endswith(".ftrace"))
-        if not files:
-            continue
+    for label, label_dir, files in _label_dirs(root):
         if split is not None:
             seed, fractions, part = split
             chosen = split_indices(seed, label, len(files), fractions)[SPLIT_PARTS.index(part)]

@@ -1,4 +1,4 @@
-"""Timed sampling of a frequency source into labeled measurements.
+"""Timed sampling of a frequency source into the rows of a sample matrix.
 
 One measurement is: run the pre hook, take N_s reads spaced T_i apart, run
 the post hook, then rest for the inter-measurement sleep. Hooks are external
@@ -13,8 +13,9 @@ import os
 import subprocess
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sources import FreqSource
-from .trace import FrequencyTrace
 
 log = logging.getLogger(__name__)
 
@@ -26,27 +27,14 @@ class HookError(RuntimeError):
     """A pre/post hook exited nonzero or could not run."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollectPlan:
-    interval_ms: int
-    samples_per_measurement: int
-    measurements: int
-    label: str
-    pre_hook: str | None = None
-    post_hook: str | None = None
-    inter_measurement_sleep_ms: int = 1000
+    """The matrix `collect` fills: `measurements` rows of `samples` reads
+    `interval_ms` ms apart."""
 
-    def __post_init__(self) -> None:
-        if self.interval_ms < 1:
-            raise ValueError("interval_ms must be >= 1")
-        if self.samples_per_measurement < 1:
-            raise ValueError("samples_per_measurement must be >= 1")
-        if self.measurements < 1:
-            raise ValueError("measurements must be >= 1")
-        if not self.label:  # it names the directory of the traces
-            raise ValueError("label must not be empty")
-        if self.inter_measurement_sleep_ms < 0:
-            raise ValueError("inter_measurement_sleep_ms must be >= 0")
+    measurements: int
+    samples: int
+    interval_ms: int
 
 
 def _hook_env() -> dict[str, str]:
@@ -69,32 +57,36 @@ def run_hook(command: str) -> None:
         )
 
 
-def collect(plan: CollectPlan, src: FreqSource) -> list[FrequencyTrace]:
-    """Run the plan; returns one trace per completed measurement.
+def collect(plan: CollectPlan, src: FreqSource, *, pre_hook: str | None = None,
+            post_hook: str | None = None, sleep_ms: int = 1000) -> np.ndarray:
+    """Take the plan's measurements, resting `sleep_ms` after each; returns
+    the completed ones as the rows of an int64 [done, samples] matrix, in the
+    order they were taken.
 
     Access-denied errors propagate (that is the countermeasure surfacing);
     hook failures are logged and cost only the affected measurement.
     """
-    traces: list[FrequencyTrace] = []
-    for m in range(plan.measurements):
+    measurements, samples, interval_ms = plan.measurements, plan.samples, plan.interval_ms
+    for name, value, least in (("interval_ms", interval_ms, 1), ("samples", samples, 1),
+                               ("measurements", measurements, 1), ("sleep_ms", sleep_ms, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+    try:
+        rows = np.empty((measurements, samples), dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: a size past the address space
+        raise ValueError(f"{measurements} measurements of {samples} samples do not fit"
+                         " in memory") from None
+    done = 0
+    for m in range(measurements):
         try:
-            if plan.pre_hook:
-                run_hook(plan.pre_hook)
-            samples = src.read_series(plan.samples_per_measurement, plan.interval_ms)
-            if plan.post_hook:
-                run_hook(plan.post_hook)
-        except HookError as exc:
-            log.warning("measurement %d of %r aborted: %s", m, plan.label, exc)
-            src.advance(plan.inter_measurement_sleep_ms)
-            continue
-        src.advance(plan.inter_measurement_sleep_ms)
-        traces.append(
-            FrequencyTrace(
-                samples=samples,  # an int64 array: no per-value check
-                interval_ms=plan.interval_ms,
-                device=src.device,
-                label=plan.label,
-            )
-        )
-    return traces
-
+            if pre_hook:
+                run_hook(pre_hook)
+            rows[done] = src.read_series(samples, interval_ms)
+            if post_hook:
+                run_hook(post_hook)
+        except HookError as exc:  # the next measurement takes this one's row
+            log.warning("measurement %d aborted: %s", m, exc)
+        else:
+            done += 1
+        src.advance(sleep_ms)
+    return rows[:done]

@@ -301,11 +301,8 @@ def test_acceptance_9_sampler_contract(capsys):
     with verdict(capsys, 9, "sampler contract"):
         cfg = SimConfig(profile=get_profile("ryzen5"), governor="ondemand")
         source_trace = simulate(noise_workload(300, tick_ms=10, seed=2024), cfg)
-        plan = CollectPlan(interval_ms=10, samples_per_measurement=300,
-                           measurements=1, label="replayed",
-                           inter_measurement_sleep_ms=0)
-        (got,) = collect(plan, ReplaySource(source_trace))
-        assert list(got.samples) == list(source_trace.samples)
+        (got,) = collect(CollectPlan(1, 300, 10), ReplaySource(source_trace), sleep_ms=0)
+        assert list(got) == list(source_trace.samples)
 
         # reading faster than the source changes wastes reads on duplicates
         wl = noise_workload(400, tick_ms=10, seed=9)

@@ -98,7 +98,8 @@ def test_simulate_seed_changes_bytes(tmp_path):
 
 SMALL_SIMULATE = ("simulate", "--kind", "website", "--classes", "2", "--measurements", "2",
                   "--samples", "40", "--out")
-SMALL_COLLECT = ("collect", "--source", "sim", "--workload", "idle", "--samples", "30",
+# as many samples at the same interval as SMALL_SIMULATE, so both may write one root
+SMALL_COLLECT = ("collect", "--source", "sim", "--workload", "idle", "--samples", "40",
                  "--measurements", "2", "--label", "idle", "--sleep-ms", "0", "--out")
 
 
@@ -138,6 +139,56 @@ def test_collect_respects_lock(tmp_path, capsys):
     assert sorted(os.listdir(out / "idle")) == ["0000.ftrace", "0001.ftrace"]
     assert run_cli(*SMALL_COLLECT, out) == 0
     assert len(os.listdir(out / "idle")) == 4 and not (out / LOCK_NAME).exists()
+
+
+def test_a_busy_root_is_refused_before_the_first_hook(tmp_path, capsys):
+    out, marker = tmp_path / "locked", tmp_path / "hooked"
+    with held_lock(out):
+        assert_refused_by_lock((*SMALL_COLLECT[:-1], "--pre-hook", f"touch {marker}", "--out"),
+                               out, capsys)
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("flags, shape", [
+    (("--samples", "30", "--interval-ms", "20"), "30 samples at 20 ms"),
+    (("--samples", "30"), "30 samples at 10 ms"),
+    (("--interval-ms", "20"), "40 samples at 20 ms"),
+])
+def test_an_append_unlike_the_dataset_exits_3_before_the_first_hook(tmp_path, capsys, flags,
+                                                                    shape):
+    """Appended traces of another sample count or interval would leave a
+    dataset no command can read, so collect refuses them before sampling."""
+    out, marker = tmp_path / "c1", tmp_path / "hooked"
+    assert run_cli(*SMALL_COLLECT, out) == 0
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert run_cli(*SMALL_COLLECT[:-1], *flags, "--pre-hook", f"touch {marker}", "--out", out) == 3
+    assert capsys.readouterr().err == (f"freqscope: {out} holds traces of 40 samples at 10 ms;"
+                                       f" cannot append traces of {shape}\n")
+    assert tree_bytes(out) == before and not marker.exists()
+
+
+def test_a_negative_sleep_is_a_config_error_before_the_lock(tmp_path, capsys):
+    """Refused as a flag or a config value, with exit 2 where a busy root
+    would have been exit 3."""
+    out, conf = tmp_path / "locked", tmp_path / "sleep.conf"
+    conf.write_text("collect.sleep_ms = -1\n")
+    argv = (*SMALL_COLLECT[:SMALL_COLLECT.index("--sleep-ms")], "--out", out)
+    with held_lock(out):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects a bad flag value itself
+            run_cli(*argv, "--sleep-ms", "-1")
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(*argv, "--config", conf) == 2
+    assert "expected an integer >= 0, got -1" in capsys.readouterr().err
+    assert os.listdir(out) == [LOCK_NAME]
+
+
+@pytest.mark.parametrize("flags, code", [(("--policy", "masked"), 4),
+                                         (("--pre-hook", "exit 9"), 5)])
+def test_a_run_that_writes_no_trace_leaves_no_directory_it_made(tmp_path, flags, code):
+    assert run_cli(*SMALL_COLLECT[:-1], *flags, "--out", tmp_path / "a" / "b" / "y") == code
+    assert os.listdir(tmp_path) == []
 
 
 def test_lock_error_names_the_root(tmp_path, capsys):
@@ -1091,7 +1142,7 @@ def test_collect_numbers_after_the_highest_existing_trace(tmp_path):
     out = tmp_path / "collected"
     label_dir = out / "gap"
     label_dir.mkdir(parents=True)
-    kept = FrequencyTrace(samples=[1_400_000], interval_ms=10, label="gap")
+    kept = FrequencyTrace(samples=[1_400_000] * 30, interval_ms=10, label="gap")
     for name in ("0000.ftrace", "0002.ftrace"):
         save_trace(kept, label_dir / name)
     before = (label_dir / "0002.ftrace").read_bytes()
@@ -1118,6 +1169,7 @@ def test_collect_masked_policy_exits_4(tmp_path):
                  "--samples", "10", "--measurements", "1", "--label", "x",
                  "--policy", "masked", "--out", tmp_path / "y")
     assert rc == 4
+    assert not (tmp_path / "y").exists()
 
 
 def test_collect_replay_is_bit_exact(tmp_path):
@@ -1143,6 +1195,7 @@ def test_collect_replay_exhausted_exits_3(tmp_path):
                  "--samples", "50", "--measurements", "1", "--label", "x",
                  "--out", tmp_path / "y")
     assert rc == 3
+    assert not (tmp_path / "y").exists()
 
 
 BAD_TRACE_READERS = {  # case: (argv before the trace file, argv after it)
@@ -1175,6 +1228,7 @@ def test_collect_all_hooks_fail_exits_5(tmp_path):
                  "--samples", "10", "--measurements", "2", "--label", "x",
                  "--pre-hook", "exit 9", "--out", tmp_path / "y")
     assert rc == 5
+    assert not (tmp_path / "y").exists()
 
 
 def test_collect_sysfs_fixture(tmp_path, monkeypatch):

@@ -128,6 +128,7 @@ RETYPED = {
     "--min-leaf": "positive_int",
     "--feature-subsample": "feature_subsample",  # 'sqrt' or a fraction in (0, 1]
     "--jitter": "non_negative_float",  # a finite sigma >= 0
+    "--sleep-ms": "non_negative_int",  # a negative pause is rejected
 }
 
 

@@ -56,6 +56,22 @@ def test_dataset_validation():
             LabeledDataset({"a": rows}, {"a": ["x"] * devices}, 10)
 
 
+def test_samples_outside_int64_range_are_refused_before_any_write(tmp_path):
+    """A label's matrix is checked whole when the dataset is made, so no
+    save writes the rows before a bad one (FrequencyTrace's check, row by
+    row, did)."""
+    rows = np.ones((3, 4), dtype=np.int64)
+    rows[2, 1] = -1
+    with pytest.raises(ValueError, match=re.escape("integers in [0, 2**63), got -1")):
+        save_dataset(LabeledDataset({"a": rows}, {"a": ["x"] * 3}, 10), tmp_path / "ds")
+    big = np.ones((3, 4), dtype=np.uint64)  # 2**63 has no int64
+    big[2, 1] = 2**63
+    with pytest.raises(ValueError, match=re.escape("'a' needs an int64 [N, T] matrix")):
+        save_dataset(LabeledDataset({"a": big}, {"a": ["x"] * 3}, 10), tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+    assert LabeledDataset({"a": np.empty((0, 4), dtype=np.int64)}, {"a": []}, None).classes == ["a"]
+
+
 def test_dataset_matrices_are_read_only():
     rows = np.ones((2, 3), dtype=np.int64)
     LabeledDataset({"a": rows}, {"a": ["x", "y"]}, 10)
@@ -166,6 +182,20 @@ def test_save_appends_and_never_replaces(tmp_path):
         assert trace.samples.tolist() == [value] * 4 and trace.device == "other"
 
 
+def test_save_refuses_traces_unlike_those_under_the_root(tmp_path):
+    root = tmp_path / "ds"
+    save_dataset(make_ds(classes=2, per_class=3, n=4), root)
+    before = tree_files(root)
+    for n, interval in ((5, 10), (4, 20)):
+        more = LabeledDataset({label: np.ones((2, n), dtype=np.int64) for label in ("c0", "new")},
+                              {label: ["x"] * 2 for label in ("c0", "new")}, interval)
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{root} holds traces of 4 samples at 10 ms; cannot append traces of {n} samples"
+                f" at {interval} ms")):
+            save_dataset(more, root)
+        assert tree_files(root) == before
+
+
 def test_label_directories_are_encoded(tmp_path):
     label = "shop/cart page"
     ds = LabeledDataset({label: np.array([[1, 2, 3]], dtype=np.int64)}, {label: ["x"]}, 10)
@@ -203,7 +233,48 @@ def test_a_held_lock_refuses_and_a_released_one_is_removed(tmp_path):
         with pytest.raises(LockError, match=re.escape(f"{root} is being written by another run")):
             with dataset_lock(root):
                 pass
-    assert os.listdir(root) == []
+    # the directories it created go with it when empty; a root that was
+    # there, or that holds more than the lock, stays, and so do those above it
+    assert not root.parent.exists() and os.listdir(tmp_path) == []
+    with dataset_lock(root):
+        (root / "kept").write_text("")
+    with dataset_lock(root.parent):
+        pass
+    assert os.listdir(root) == ["kept"] and os.listdir(root.parent) == ["root"]
+
+
+def test_a_root_that_names_no_directory_is_an_error(tmp_path):
+    """A file or a dangling symlink at root, above it or at its lock file
+    fails at once, where a root a releasing holder removed would be made
+    again."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+    (tmp_path / "ds").mkdir()
+    (tmp_path / "ds" / LOCK_NAME).symlink_to(tmp_path / "nowhere" / "lock")
+    for name, error in (("file", FileExistsError), ("dangling", FileExistsError),
+                        ("dangling/ds", FileNotFoundError), ("ds", FileNotFoundError)):
+        with pytest.raises(error):
+            with dataset_lock(tmp_path / name):
+                pass
+    assert sorted(os.listdir(tmp_path)) == ["dangling", "ds", "file"]
+
+
+def test_a_root_removed_before_its_lock_is_opened_is_made_again(tmp_path, monkeypatch):
+    """A releasing holder may remove the root it created between another
+    run's makedirs and its open of the lock file: that run makes it again."""
+    root, calls, makedirs = tmp_path / "ds", [], os.makedirs
+
+    def makedirs_then_lose_it(path, *args, **kwargs):
+        makedirs(path, *args, **kwargs)
+        calls.append(path)
+        if len(calls) == 1:
+            os.rmdir(path)
+
+    monkeypatch.setattr(os, "makedirs", makedirs_then_lose_it)
+    with dataset_lock(root):
+        monkeypatch.undo()
+        assert os.listdir(root) == [LOCK_NAME]
+    assert calls == [str(root)] * 2 and not root.exists()
 
 
 CONTEND = """
@@ -233,3 +304,18 @@ def test_contending_processes_never_hold_the_lock_at_once(tmp_path):
     assert [run.returncode for run in runs] == [0] * 4, [err for _, err in results]
     assert all(int(out) > 0 for out, _ in results)
     assert os.listdir(tmp_path) == []
+
+
+def test_contending_processes_on_a_root_they_create(tmp_path):
+    """As above on a root that does not exist yet: a releasing holder
+    removes the root it created, and a run that lost the root to it makes
+    the root again; at the end it is gone, or empty when its last holder
+    found it made."""
+    root = tmp_path / "ds"
+    runs = [subprocess.Popen([sys.executable, "-c", CONTEND, str(root)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(4)]
+    results = [run.communicate(timeout=60) for run in runs]
+    assert [run.returncode for run in runs] == [0] * 4, [err for _, err in results]
+    assert all(int(out) > 0 for out, _ in results)
+    assert not root.exists() or os.listdir(root) == []

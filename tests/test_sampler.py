@@ -1,5 +1,6 @@
 """Measurement collection loop and the repetitiveness diagnostic."""
 
+import numpy as np
 import pytest
 
 from freqscope.sampler import CollectPlan, HookError, collect, run_hook
@@ -28,53 +29,53 @@ class ScriptedSource(FreqSource):
         self.pos = self.advanced_ms // self.interval_ms
 
 
-def plan(**kw):
-    kw.setdefault("interval_ms", 10)
-    kw.setdefault("samples_per_measurement", 4)
-    kw.setdefault("measurements", 2)
-    kw.setdefault("label", "unit")
-    kw.setdefault("inter_measurement_sleep_ms", 20)
-    return CollectPlan(**kw)
+def run(src, interval_ms=10, samples=4, measurements=2, sleep_ms=20, **hooks):
+    plan = CollectPlan(measurements, samples, interval_ms)
+    return collect(plan, src, sleep_ms=sleep_ms, **hooks)
 
 
-def test_collect_shapes_and_labels():
+def test_collect_shapes():
     src = ScriptedSource(list(range(1_000_000, 1_000_000 + 100)))
-    traces = collect(plan(), src)
-    assert len(traces) == 2
-    for t in traces:
-        assert len(t) == 4
-        assert t.interval_ms == 10
-        assert t.label == "unit"
-        assert t.device == "scripted"
+    rows = run(src)
+    assert rows.shape == (2, 4) and rows.dtype == np.int64
     # second measurement starts after 4 reads + the 20 ms sleep = slot 6
-    assert traces[0].samples.tolist() == [1_000_000, 1_000_001, 1_000_002, 1_000_003]
-    assert traces[1].samples.tolist() == [1_000_006, 1_000_007, 1_000_008, 1_000_009]
+    assert rows[0].tolist() == [1_000_000, 1_000_001, 1_000_002, 1_000_003]
+    assert rows[1].tolist() == [1_000_006, 1_000_007, 1_000_008, 1_000_009]
 
 
 def test_failing_pre_hook_skips_measurement_only():
     src = ScriptedSource([1_500_000] * 50)
-    traces = collect(plan(pre_hook="exit 3", measurements=3), src)
-    assert traces == []
-    traces = collect(plan(pre_hook="true", measurements=2), src)
-    assert len(traces) == 2
+    rows = run(src, pre_hook="exit 3", measurements=3)
+    assert rows.shape == (0, 4)
+    rows = run(src, pre_hook="true", measurements=2)
+    assert len(rows) == 2
 
 
 def test_failing_post_hook_discards_that_measurement():
     src = ScriptedSource([1_500_000] * 50)
-    traces = collect(plan(post_hook="false", measurements=2), src)
-    assert traces == []
+    rows = run(src, post_hook="false", measurements=2)
+    assert rows.shape == (0, 4)
+
+
+def test_a_measurement_lost_to_its_post_hook_leaves_no_row(tmp_path):
+    """The first post hook fails after its measurement was read; the next
+    measurement takes that row, so the rows are the completed ones in order."""
+    first = tmp_path / "first"
+    src = ScriptedSource(list(range(1_000_000, 1_000_000 + 100)))
+    rows = run(src, measurements=3, post_hook=f'[ -e "{first}" ] || {{ touch "{first}"; false; }}')
+    assert rows.tolist() == [list(range(1_000_006, 1_000_010)), list(range(1_000_012, 1_000_016))]
 
 
 def test_hook_failure_still_advances_time():
     src = ScriptedSource([1_500_000] * 50)
-    collect(plan(pre_hook="exit 1", measurements=2), src)
+    run(src, pre_hook="exit 1", measurements=2)
     assert src.advanced_ms == 2 * 20  # the inter-measurement sleeps
 
 
 def test_access_denied_propagates():
     src = ScriptedSource([1_500_000] * 10, policy=POLICY_MASKED)
     with pytest.raises(AccessDeniedError):
-        collect(plan(), src)
+        run(src)
 
 
 def test_run_hook_nonzero_exit():
@@ -86,15 +87,17 @@ def test_run_hook_ok():
     run_hook("true")
 
 
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        plan(interval_ms=0)
-    with pytest.raises(ValueError):
-        plan(samples_per_measurement=0)
-    with pytest.raises(ValueError):
-        plan(measurements=0)
-    with pytest.raises(ValueError):
-        plan(inter_measurement_sleep_ms=-1)
+def test_plan_validation(tmp_path):
+    """Each bad argument is refused before any hook runs or read is taken."""
+    marker = tmp_path / "hooked"
+    for bad in ({"interval_ms": 0}, {"samples": 0}, {"measurements": 0}, {"sleep_ms": -1}):
+        src = ScriptedSource([1_500_000] * 10, policy=POLICY_MASKED)
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be >= "):
+            run(src, pre_hook=f"touch {marker}", **bad)
+    assert not marker.exists()
+    with pytest.raises(ValueError, match=f"^{10**12} measurements of {10**9} samples do not fit"):
+        run(ScriptedSource([1]), samples=10**9, measurements=10**12, pre_hook=f"touch {marker}")
+    assert not marker.exists()
 
 
 def test_repetitiveness_oracle():

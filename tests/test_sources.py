@@ -1,7 +1,6 @@
 """Frequency-source backends: simulation, replay, sysfs, and the masked policy."""
 
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,12 +295,10 @@ def test_collect_with_mid_plan_hook_failure_matches_read_loop(tmp_path):
             f'echo $n > "{counter}"; [ $((n % 4)) -ne 2 ]')
     cfg = SimConfig(profile=get_profile("cortex_a73"), governor="interactive")
     wl = WorkloadTrace(loads=tuple(np.random.default_rng(3).random(17).tolist()), tick_ms=10)
-    plan = CollectPlan(interval_ms=15, samples_per_measurement=20, measurements=4,
-                       label="x", pre_hook=hook, inter_measurement_sleep_ms=35)
     src, ref = SimSource(cfg, wl), LoopSimSource(cfg, wl)
-    got, want = collect(plan, src), collect(plan, ref)
+    got, want = (collect(CollectPlan(4, 20, 15), s, pre_hook=hook, sleep_ms=35) for s in (src, ref))
     assert len(got) == len(want) == 3
-    assert [t.samples.tolist() for t in got] == [t.samples.tolist() for t in want]
+    assert got.tolist() == want.tolist()
     assert_same_sim_state(src, ref)
 
 
@@ -318,35 +315,33 @@ def count_engine_calls(monkeypatch):
 
 
 def typing_collect():
-    """A typing-shaped collect: key presses 250-700 ms apart over a minute
-    on cortex_a73 under interactive, 150 reads at 20 ms per measurement and
-    the default second between measurements, so about 66 workload cycles
-    in 1000 measurements."""
+    """The config and workload of a typing-shaped collect: key presses
+    250-700 ms apart over a minute on cortex_a73 under interactive; with 150
+    reads at 20 ms per measurement and the default second between
+    measurements, 1000 measurements take about 66 workload cycles."""
     gaps = np.random.default_rng(5).integers(25, 71, 200) * 10
     presses = [p for p in (400 + np.cumsum([0, *gaps])).tolist() if p < 60_500]
     cfg = SimConfig(profile=get_profile("cortex_a73"), governor="interactive")
     wl = keystroke_workload(presses, n_ticks=max(presses) // 20 + KEYSTROKE_TAIL_TICKS,
                             tick_ms=20, seed=0)
-    return cfg, wl, CollectPlan(interval_ms=20, samples_per_measurement=150,
-                                measurements=1000, label="typing")
+    return cfg, wl
 
 
 def test_sim_source_simulates_a_cycle_once_per_start_state(monkeypatch):
-    cfg, wl, plan = typing_collect()
+    cfg, wl = typing_collect()
     starts = count_engine_calls(monkeypatch)
-    got = collect(plan, SimSource(cfg, wl))
+    got = collect(CollectPlan(1000, 150, 20), SimSource(cfg, wl))
     assert len(got) == 1000
     assert len(starts) <= 2  # the first cycle, and the one every later cycle starts as
     # the per-read loop makes one single-row engine call for each of the ~66
     # cycles, too slow for the suite, so it is compared on the first 50
     # measurements, whose 4 cycles include 2 repeats
     starts.clear()
-    short = replace(plan, measurements=50)
     src, ref = SimSource(cfg, wl), LoopSimSource(cfg, wl)
-    head, want = collect(short, src), collect(short, ref)
+    head, want = (collect(CollectPlan(50, 150, 20), s) for s in (src, ref))
     assert len(starts) <= 2 and ref._cursor > 3 * len(wl)  # into the fourth cycle
-    assert b"".join(t.samples.tobytes() for t in head) == b"".join(t.samples.tobytes() for t in want)
-    assert [t.samples.tobytes() for t in got[:50]] == [t.samples.tobytes() for t in head]
+    assert head.tobytes() == want.tobytes()
+    assert got[:50].tobytes() == head.tobytes()
     assert_same_sim_state(src, ref)
 
 
